@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
+from .config import MAX_DENSE_MODES
 from .gaussian import Ensemble
-from .interaction import (MAX_TENSOR_MODES, PairPotential, batch_interactions,
-                          build_pair_tensor, mode_interactions)
+from .interaction import PairPotential, batch_interactions, build_pair_tensor
 from .spectral import ConfigurationError, OneBodyOperator
 
 ESS_FLOOR_FRACTION = 0.05
@@ -31,15 +31,6 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(s * s / np.square(weights).sum())
 
 
-def interaction_energies(ensemble: Ensemble, op: OneBodyOperator, w: PairPotential,
-                         renormalized: bool) -> np.ndarray:
-    """Per-sample D[u], choosing the mode-space path when the cutoff allows."""
-    if ensemble.cutoff <= MAX_TENSOR_MODES:
-        tensor = build_pair_tensor(op, w, ensemble.cutoff)
-        return mode_interactions(ensemble, op, tensor, renormalized)
-    return batch_interactions(ensemble, op, w, renormalized)
-
-
 def reweight(ensemble: Ensemble, energy: str, op: OneBodyOperator,
              w: PairPotential, K: int) -> Ensemble:
     """Attach weights exp(-D[u]) for the bare or renormalized interaction."""
@@ -49,7 +40,8 @@ def reweight(ensemble: Ensemble, energy: str, op: OneBodyOperator,
         raise ConfigurationError(f"K={K} does not match ensemble cutoff {ensemble.cutoff}")
     if not w.renormalization_safe:
         warnings.warn("pair potential transform dips negative; weights may exceed 1")
-    D = interaction_energies(ensemble, op, w, energy == "renormalized")
+    D = batch_interactions(ensemble, op, build_pair_tensor(op, w, K),
+                           energy == "renormalized")
     out = ensemble.with_weights(np.exp(-D), energy)
     ess = effective_sample_size(out.weights)
     if ess < ESS_FLOOR_FRACTION * out.size:
@@ -138,9 +130,9 @@ def _weighted_moment(features: np.ndarray, weights: np.ndarray,
 def reduced_moment(ensemble: Ensemble, order: int) -> ReducedMoment:
     if order not in (1, 2):
         raise ConfigurationError("moment order must be 1 or 2")
-    if order == 2 and ensemble.cutoff > MAX_TENSOR_MODES:
+    if order == 2 and ensemble.cutoff > MAX_DENSE_MODES:
         raise ConfigurationError(
-            f"order-2 moments capped at K={MAX_TENSOR_MODES} modes")
+            f"order-2 moments capped at K={MAX_DENSE_MODES} modes")
     feats = ensemble.coefficients if order == 1 else _pair_amplitudes(ensemble.coefficients)
     M, se = _weighted_moment(feats, ensemble.weights)
     return ReducedMoment(order=order, matrix=M, stderr=se,

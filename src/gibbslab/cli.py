@@ -22,10 +22,10 @@ from . import __version__
 from . import classical_gibbs as cg
 from . import fock_quantum as fq
 from . import formats, hartree, studies
-from .config import ConfigError, RunConfig, load_config, validate
+from .config import MAX_DENSE_MODES, ConfigError, RunConfig, load_config, validate
 from .gaussian import sample_gaussian
 from .interaction import build_pair_tensor
-from .spectral import schatten_trace, shift_potential
+from .spectral import ConfigurationError, schatten_trace, shift_potential
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,7 +142,7 @@ def cmd_classical(cfg: RunConfig, out: Path, args) -> int:
     weighted = cg.reweight(ens, kind, op, w, K)
     zr = cg.estimate_log_zr(weighted)
     m1 = cg.reduced_moment(weighted, 1)
-    m2 = cg.reduced_moment(weighted, 2) if K <= 12 else None
+    m2 = cg.reduced_moment(weighted, 2) if K <= MAX_DENSE_MODES else None
     results = {
         "log_zr": -zr.neg_log_zr, "neg_log_zr": zr.neg_log_zr,
         "stderr": zr.stderr, "ess": zr.ess,
@@ -254,7 +254,7 @@ def cmd_study_1d(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_study_2d(cfg: RunConfig, out: Path, args) -> int:
-    rep = studies.run_study_2d_classical(cfg, threads=args.threads)
+    rep = studies.run_study_2d_classical(cfg)
     uv_rows = _rowdicts(rep.uv_points)
     results = {
         "uv": uv_rows,
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     out = _outdir(cfg)
     try:
         return _COMMANDS[args.command](cfg, out, args)
-    except ConfigError as exc:
+    except (ConfigError, ConfigurationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (hartree.GapClosedError, ArithmeticError) as exc:

@@ -7,7 +7,10 @@ import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-MAX_QUANTUM_MODES = 12
+# Resource caps, enforced here on configs and by the library on direct calls.
+# Fock spaces and order-2 moment matrices are dense in the mode count.
+MAX_DENSE_MODES = 12
+# States in one particle-number sector of the Fock basis.
 MAX_SECTOR_STATES = 20_000
 
 
@@ -114,9 +117,7 @@ def _coerce(name: str, raw: str, default):
             return float(raw)
         if isinstance(default, tuple):
             parts = [p for p in raw.replace(",", " ").split() if p]
-            elem = float if (default and isinstance(default[0], float)) else float
-            if default and isinstance(default[0], int):
-                elem = int
+            elem = int if default and isinstance(default[0], int) else float
             return tuple(elem(p) for p in parts)
         return raw
     except ValueError as exc:
@@ -161,17 +162,12 @@ def validate(cfg: RunConfig) -> None:
     if i.kind == "grid-delta":
         _require(m.dimension == 1,
                  "interaction.kind=grid-delta requires model.dimension=1")
-        _require(not i.renormalized or m.dimension == 1,
-                 "interaction.renormalized with grid-delta needs model.dimension=1")
-    if i.renormalized and m.dimension == 2:
-        _require(i.kind != "grid-delta",
-                 "interaction.renormalized forbids grid-delta in model.dimension=2")
     if i.kind == "tabulated":
         _require(bool(i.table_path), "interaction.table_path required for tabulated kind")
     _require(cfg.classical.samples > 0, "classical.samples must be positive")
     _require(q.n_max >= 0, "quantum.n_max must be nonnegative")
-    _require(m.modes <= MAX_QUANTUM_MODES or q.n_max == 0,
-             f"quantum runs require model.modes <= {MAX_QUANTUM_MODES}")
+    _require(m.modes <= MAX_DENSE_MODES or q.n_max == 0,
+             f"quantum runs require model.modes <= {MAX_DENSE_MODES}")
     top_sector = math.comb(q.n_max + m.modes - 1, m.modes - 1)
     _require(top_sector <= MAX_SECTOR_STATES,
              f"quantum.n_max with model.modes gives a {top_sector}-state "

@@ -16,10 +16,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .config import MAX_SECTOR_STATES
 from .interaction import PairTensor
 from .spectral import ConfigurationError, DomainError
 
-MAX_SECTOR_DIM = 20_000
 SATURATION_THRESHOLD = 1e-6
 
 
@@ -51,9 +51,9 @@ class FockBasis:
             expected = math.comb(n + num_modes - 1, num_modes - 1)
             if len(occs) != expected:
                 raise RuntimeError("sector enumeration miscounted")
-            if len(occs) > MAX_SECTOR_DIM:
+            if len(occs) > MAX_SECTOR_STATES:
                 raise ConfigurationError(
-                    f"sector n={n} has {len(occs)} states, over cap {MAX_SECTOR_DIM}")
+                    f"sector n={n} has {len(occs)} states, over cap {MAX_SECTOR_STATES}")
             self.occupations.append(occs)
             self.codes.append(occs @ self._radix)  # ascending with lex order
         self._annihilators: dict[tuple[int, int], sp.csr_matrix] = {}
@@ -208,7 +208,7 @@ def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
                            for u in range(K) for v in range(K)], format="csr")
         big = sp.kron(Wp, sp.identity(basis.sector_dim(n - 2), format="csr"))
         block = 0.5 * (stack.T @ (big @ stack))
-        block = 0.5 * (block + block.T)  # clear quadrature roundoff
+        block = 0.5 * (block + block.T)  # clear summation-order roundoff
         blocks.append(block.tocsr())
     return FockOperator(basis, blocks)
 

@@ -15,24 +15,6 @@ from .spectral import DomainError, OneBodyOperator
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """K complex mode coefficients of a truncated field, plus a weight."""
-
-    coefficients: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("non-finite coefficients")
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.coefficients)
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Ordered collection of field samples sharing one mode cutoff.
 
@@ -54,9 +36,6 @@ class Ensemble:
     @property
     def size(self) -> int:
         return self.coefficients.shape[0]
-
-    def sample(self, i: int) -> FieldSample:
-        return FieldSample(self.coefficients[i].copy(), float(self.weights[i]))
 
     def with_weights(self, weights: np.ndarray, energy_kind: str) -> "Ensemble":
         w = np.ascontiguousarray(weights, dtype=float)
@@ -99,24 +78,14 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
                     coefficients=coeffs, weights=np.ones(n), seed=int(seed))
 
 
-def sobolev_norm_sq(sample: FieldSample, op: OneBodyOperator, t: float) -> float:
-    """sum_j lambda_j^t |alpha_j|^2 for the sample's cutoff."""
-    lam = op.eigenvalues[:sample.cutoff]
-    return float(np.sum(lam**t * np.abs(sample.coefficients) ** 2))
-
-
 def sobolev_norms_sq(ensemble: Ensemble, op: OneBodyOperator, t: float) -> np.ndarray:
+    """sum_j lambda_j^t |alpha_j|^2 of every sample."""
     lam = op.eigenvalues[:ensemble.cutoff]
     return (np.abs(ensemble.coefficients) ** 2 * lam**t).sum(axis=1)
 
 
-def field_on_grid(sample: FieldSample, op: OneBodyOperator) -> np.ndarray:
-    """Synthesize sum_j alpha_j u_j on the grid (weight-folded convention)."""
-    U = op.eigenvectors[:, :sample.cutoff]
-    return U @ sample.coefficients
-
-
 def fields_on_grid(ensemble: Ensemble, op: OneBodyOperator) -> np.ndarray:
-    """(n, total_points) synthesis of every sample."""
+    """(n, total_points) synthesis sum_j alpha_j u_j of every sample
+    (weight-folded convention)."""
     U = op.eigenvectors[:, :ensemble.cutoff]
     return ensemble.coefficients @ U.T

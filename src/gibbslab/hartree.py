@@ -20,7 +20,7 @@ from .interaction import PairPotential, convolve, quadratic_form
 from .spectral import DomainError, GridSpec, minus_laplacian
 
 # The momentum integral for the free-gas density is taken without a
-# (2 pi)^-d factor by default; 'angular' switches that factor on.
+# (2 pi)^-d factor by default; '2pi' switches that factor on.
 MOMENTUM_MEASURES = ("unit", "2pi")
 
 
@@ -112,7 +112,7 @@ def _thermal_eigs(grid: GridSpec, v_eff: np.ndarray, T: float):
     return eps, psi, occ, rho
 
 
-def _rhf_free_energy(grid, V, nu, w, lam, T, eps, occ, rho, v_eff) -> float:
+def _rhf_free_energy(V, nu, w, lam, T, eps, occ, rho, v_eff) -> float:
     """Energy trace + direct term - T * entropy at the current iterate."""
     # tr[(-Lap + V - nu) gamma] = sum eps f - int (V_eff - V + nu) rho
     energy = float(eps @ occ) - float((v_eff - V + nu) @ rho)
@@ -139,7 +139,7 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
     V = np.asarray(V, dtype=float)
     v_eff = V - nu
     eps, psi, occ, rho = _thermal_eigs(grid, v_eff, T)
-    f_cur = _rhf_free_energy(grid, V, nu, w, lam, T, eps, occ, rho, v_eff)
+    f_cur = _rhf_free_energy(V, nu, w, lam, T, eps, occ, rho, v_eff)
     theta = damping
     residual = np.inf
     denom = 1.0 + np.abs(V)
@@ -156,7 +156,7 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
         while True:
             v_try = (1.0 - step) * v_eff + step * target
             eps_t, psi_t, occ_t, rho_t = _thermal_eigs(grid, v_try, T)
-            f_try = _rhf_free_energy(grid, V, nu, w, lam, T, eps_t, occ_t, rho_t, v_try)
+            f_try = _rhf_free_energy(V, nu, w, lam, T, eps_t, occ_t, rho_t, v_try)
             if f_try <= f_cur + 1e-12 * max(1.0, abs(f_cur)) or step < 1e-4:
                 break
             step *= 0.5

@@ -1,5 +1,10 @@
 """Pair interaction functionals on field samples.
 
+Every interaction energy goes through one exact engine, the pair Gram
+matrix Q[p, q] = <u_a u_b, w * u_c u_d> over unordered mode pairs: sample
+energies are quadratic forms in Q, the exchange term is a weighted trace
+of its diagonal and the Fock-space four-index tensor is a view of it.
+
 Convolutions w * rho run on a zero-padded dual grid (linear convolution via
 FFT, no wrap-around).  Densities follow the weight-folded convention of the
 spectral module: |stored field|^2 already carries the cell volume, so the
@@ -14,11 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .gaussian import Ensemble, FieldSample, field_on_grid
+from .gaussian import Ensemble
 from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diagonal
 
-# Dense K^4 tensors and mode-space quadratic forms are kept small.
-MAX_TENSOR_MODES = 12
+# Cap on the pair Gram matrix and the pair densities it is built from,
+# 8 P (P + grid points) bytes for P = K(K+1)/2 pairs.
+MAX_GRAM_BYTES = 2**30
+# Pair densities convolved at once; bounds the FFT buffers.
+_PAIR_CHUNK = 256
+# Samples whose pair features are held at once.
+_SAMPLE_CHUNK = 1024
 
 
 def _padded_shape(grid: GridSpec) -> tuple[int, ...]:
@@ -147,82 +157,41 @@ def quadratic_form(w: PairPotential, density: np.ndarray) -> np.ndarray | float:
     return 0.5 * float(density @ conv)
 
 
-def _check_binding(sample_or_ens, op: OneBodyOperator, w: PairPotential):
+def _check_binding(op: OneBodyOperator, w: PairPotential):
     if w.grid != op.grid:
         raise ConfigurationError("pair potential bound to a different grid")
 
 
-def bare_interaction(sample: FieldSample, op: OneBodyOperator, w: PairPotential) -> float:
-    """(1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 by grid quadrature."""
-    _check_binding(sample, op, w)
-    rho = np.abs(field_on_grid(sample, op)) ** 2
-    return float(quadratic_form(w, rho))
+def _pair_density_chunks(op: OneBodyOperator, K: int):
+    """Yield (lo, hi, rows): densities u_a u_b of pairs lo..hi-1.
 
-
-def renormalized_interaction(sample: FieldSample, op: OneBodyOperator,
-                             w: PairPotential, K: int) -> float:
-    """Same quadratic form with the Gaussian mean density subtracted."""
-    _check_binding(sample, op, w)
-    if sample.cutoff != K:
-        raise ConfigurationError(f"sample cutoff {sample.cutoff} does not match K={K}")
-    rho = np.abs(field_on_grid(sample, op)) ** 2 - green_diagonal(op, K)
-    return float(quadratic_form(w, rho))
-
-
-def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, w: PairPotential,
-                       renormalized: bool, chunk: int = 512) -> np.ndarray:
-    """Bare or renormalized interaction of every sample, grid path.
-
-    The basis is real, so the synthesis runs as two real matrix products
-    rather than one complex one.
+    Pairs a <= b < K run in (b, a) order, so the pairs of any smaller cutoff
+    come first.
     """
-    _check_binding(ensemble, op, w)
-    K = ensemble.cutoff
     Ut = np.ascontiguousarray(op.eigenvectors[:, :K].T)
-    counter = green_diagonal(op, K) if renormalized else None
-    out = np.empty(ensemble.size)
-    for lo in range(0, ensemble.size, chunk):
-        hi = min(lo + chunk, ensemble.size)
-        coeff = ensemble.coefficients[lo:hi]
-        re = np.ascontiguousarray(coeff.real) @ Ut
-        im = np.ascontiguousarray(coeff.imag) @ Ut
-        rho = re * re + im * im
-        if counter is not None:
-            rho -= counter
-        out[lo:hi] = quadratic_form(w, rho)
-    return out
+    b, a = np.tril_indices(K)
+    for lo in range(0, len(a), _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, len(a))
+        yield lo, hi, Ut[a[lo:hi]] * Ut[b[lo:hi]]
 
 
 def direct_term(op: OneBodyOperator, w: PairPotential, K: int) -> float:
     """(1/2) iint rho_K(x) w(x-y) rho_K(y); diverges with K in 2D."""
-    _check_binding(None, op, w)
+    _check_binding(op, w)
     return float(quadratic_form(w, green_diagonal(op, K)))
 
 
-def _pair_density_rows(op: OneBodyOperator, K: int):
-    """Yield (a, b, u_a*u_b) for a <= b < K."""
-    U = op.eigenvectors[:, :K]
-    for a in range(K):
-        for b in range(a, K):
-            yield a, b, U[:, a] * U[:, b]
+def exchange_term(op: OneBodyOperator, w: PairPotential, K: int) -> float:
+    """(1/2) iint |G_K(x,y)|^2 w(x-y), the weighted trace of diag(Q).
 
-
-def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
-                  chunk: int = 256) -> float:
-    """(1/2) iint |G_K(x,y)|^2 w(x-y) via mode-pair convolutions."""
-    _check_binding(None, op, w)
+    diag(Q) is streamed chunk by chunk, so Q itself is never built.
+    """
+    _check_binding(op, w)
     lam = op.eigenvalues[:K]
-    total = 0.0
-    rows, facs = [], []
-    for a, b, rho in _pair_density_rows(op, K):
-        rows.append(rho)
-        facs.append((1.0 if a == b else 2.0) / (lam[a] * lam[b]))
-        if len(rows) == chunk:
-            total += float(facs @ quadratic_form(w, np.array(rows)))
-            rows, facs = [], []
-    if rows:
-        total += float(np.array(facs) @ quadratic_form(w, np.array(rows)))
-    return total
+    b, a = np.tril_indices(K)
+    fac = np.where(a == b, 1.0, 2.0) / (lam[a] * lam[b])
+    return sum(float(fac[lo:hi] @ quadratic_form(w, rows))
+               for lo, hi, rows in _pair_density_chunks(op, K))
 
 
 def wick_expectation_bare(op: OneBodyOperator, w: PairPotential, K: int) -> float:
@@ -230,66 +199,79 @@ def wick_expectation_bare(op: OneBodyOperator, w: PairPotential, K: int) -> floa
     return direct_term(op, w, K) + exchange_term(op, w, K)
 
 
-def mf_energy(sample: FieldSample, op: OneBodyOperator, w: PairPotential,
-              g: float) -> float:
-    """<u, h u> + g * bare interaction, with h the unshifted operator."""
-    lam = op.unshifted_eigenvalues[:sample.cutoff]
-    kinetic = float(np.sum(lam * np.abs(sample.coefficients) ** 2))
-    return kinetic + g * bare_interaction(sample, op, w)
+def _pair_index(K: int) -> np.ndarray:
+    """idx[a, b]: position of the unordered pair {a, b} in the (b, a) order."""
+    i = np.arange(K)
+    hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
+    return hi * (hi + 1) // 2 + lo
 
 
 @dataclass(frozen=True)
 class PairTensor:
-    """Dense four-index interaction tensor in the mode basis.
+    """Pair Gram matrix Q[p, q] = <u_a u_b, w * u_c u_d> in the mode basis.
 
-    tensor[i, j, k, l] = iint u_i(x) u_j(y) w(x-y) u_l(x) u_k(y) dx dy for
-    the real grid eigenbasis.  pair_matrix is the same data arranged as a
-    PSD matrix over pair indices (i*K+l, j*K+k), used for fast mode-space
-    evaluation of interaction energies.
+    p = (a <= b) and q = (c <= d) run over unordered pairs in (b, a) order,
+    so the Gram matrix at any cutoff K' <= K is the leading K'(K'+1)/2
+    block.  Q is real, symmetric and positive semidefinite.
     """
 
     mode_cutoff: int
-    tensor: np.ndarray = field(repr=False)
-    pair_matrix: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """Fock-space view W[i,j,k,l] = iint u_i(x) u_j(y) w(x-y) u_l(x) u_k(y).
+
+        W[i,j,k,l] = Q[(i,l), (j,k)], exactly exchange- and Hermitian-symmetric.
+        """
+        idx = _pair_index(self.mode_cutoff)
+        return self.gram[idx[:, None, None, :], idx[None, :, :, None]]
 
 
 def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTensor:
-    if K > MAX_TENSOR_MODES:
-        raise ConfigurationError(
-            f"dense pair tensor capped at K={MAX_TENSOR_MODES}, got {K}")
-    _check_binding(None, op, w)
-    U = op.eigenvectors[:, :K]
-    n_pairs = K * K
-    dens = np.empty((n_pairs, op.grid.total_points))
-    for i in range(K):
-        for l in range(K):
-            dens[i * K + l] = U[:, i] * U[:, l]
-    conv = convolve(w, dens)
-    Q = dens @ conv.T
-    Q = 0.5 * (Q + Q.T)
-    Q4 = Q.reshape(K, K, K, K)  # Q4[i, l, j, k]
-    W = np.einsum("iljk->ijkl", Q4)
-    # exchange symmetry W[i,j,k,l] = W[j,i,l,k] holds up to quadrature
-    # roundoff; average it in before anything downstream relies on it.
-    W = 0.5 * (W + W.transpose(1, 0, 3, 2))
-    return PairTensor(mode_cutoff=K, tensor=np.ascontiguousarray(W), pair_matrix=Q)
+    """Pair Gram matrix at cutoff K, refused over MAX_GRAM_BYTES.
 
-
-def mode_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
-                      renormalized: bool) -> np.ndarray:
-    """Interaction energies through the pair matrix, mode-space path.
-
-    Exact for any sample with the tensor's cutoff; O(n K^4) instead of a
-    convolution per sample.
+    Only the lower triangle is computed, one chunk of convolved pair
+    densities at a time; the mirror makes Q exactly symmetric.
     """
-    K = tensor.mode_cutoff
-    if ensemble.cutoff != K:
-        raise ConfigurationError("ensemble cutoff does not match tensor")
-    a = ensemble.coefficients
-    B = (a.conj()[:, :, None] * a[:, None, :]).reshape(ensemble.size, K * K)
-    if renormalized:
-        B = B - np.diag(1.0 / op.eigenvalues[:K]).reshape(1, K * K)
-    # pair_matrix is symmetric under swapping within either pair index, so
-    # conjugating one factor changes nothing but keeps the result real.
-    vals = 0.5 * np.sum(B * (B.conj() @ tensor.pair_matrix), axis=1)
-    return vals.real
+    _check_binding(op, w)
+    P = K * (K + 1) // 2
+    nbytes = 8 * P * (P + op.grid.total_points)
+    if nbytes > MAX_GRAM_BYTES:
+        raise ConfigurationError(
+            f"pair Gram at K={K} needs {nbytes} bytes, over the "
+            f"{MAX_GRAM_BYTES}-byte cap")
+    dens = np.empty((P, op.grid.total_points))
+    Q = np.zeros((P, P))
+    for lo, hi, rows in _pair_density_chunks(op, K):
+        dens[lo:hi] = rows
+        Q[lo:hi, :hi] = convolve(w, rows) @ dens[:hi].T
+    Q = np.tril(Q)
+    Q += np.tril(Q, -1).T
+    return PairTensor(mode_cutoff=K, gram=Q)
+
+
+def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
+                       renormalized: bool) -> np.ndarray:
+    """Bare or renormalized interaction 0.5 f^T Q f of every sample.
+
+    The real pair features are f_p = c_p Re(conj(alpha_a) alpha_b), c = 1 on
+    diagonal pairs and 2 off them; renormalizing subtracts 1/lambda_a on the
+    diagonal pairs.  Any tensor with cutoff >= the ensemble's serves.
+    """
+    K = ensemble.cutoff
+    if K > tensor.mode_cutoff:
+        raise ConfigurationError(
+            f"ensemble cutoff {K} exceeds pair tensor cutoff {tensor.mode_cutoff}")
+    b, a = np.tril_indices(K)
+    Q = tensor.gram[:len(a), :len(a)]
+    c = np.where(a == b, 1.0, 2.0)
+    out = np.empty(ensemble.size)
+    for lo in range(0, ensemble.size, _SAMPLE_CHUNK):
+        coeff = ensemble.coefficients[lo:lo + _SAMPLE_CHUNK]
+        re, im = coeff.real, coeff.imag
+        f = c * (re[:, a] * re[:, b] + im[:, a] * im[:, b])
+        if renormalized:
+            f[:, a == b] -= 1.0 / op.eigenvalues[:K]
+        out[lo:lo + _SAMPLE_CHUNK] = 0.5 * np.einsum("ij,ij->i", f @ Q, f)
+    return out

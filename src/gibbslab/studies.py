@@ -280,7 +280,7 @@ def fine_check_potential(cfg: RunConfig) -> PairPotential:
     return bind_potential(cfg, GridSpec(cfg.model.dimension, L, points))
 
 
-def run_study_2d_classical(cfg: RunConfig, threads: int = 1) -> Study2DReport:
+def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
     if cfg.model.dimension != 2:
         raise ConfigError("the 2D study requires model.dimension = 2")
     ks = [int(k) for k in cfg.study.k_schedule]
@@ -290,12 +290,13 @@ def run_study_2d_classical(cfg: RunConfig, threads: int = 1) -> Study2DReport:
 
     uv_rows = []
     ens = sample_gaussian(op, k_max, cfg.study.cauchy_samples, cfg.classical.seed)
+    tensor = build_pair_tensor(op, w, k_max)
     bare_by_k: dict[int, np.ndarray] = {}
     renorm_by_k: dict[int, np.ndarray] = {}
     for K in ks:
         sub = ens.truncated(K)
-        bare_by_k[K] = batch_interactions(sub, op, w, renormalized=False)
-        renorm_by_k[K] = batch_interactions(sub, op, w, renormalized=True)
+        bare_by_k[K] = batch_interactions(sub, op, tensor, renormalized=False)
+        renorm_by_k[K] = batch_interactions(sub, op, tensor, renormalized=True)
         mb, sb = _mean_stderr(bare_by_k[K])
         mr, sr = _mean_stderr(renorm_by_k[K])
         zr = cg.estimate_log_zr(sub.with_weights(np.exp(-renorm_by_k[K]), "renormalized"))
@@ -343,7 +344,8 @@ def run_study_2d_classical(cfg: RunConfig, threads: int = 1) -> Study2DReport:
                             potential_array=stab.proxy_potential)
     ens_rel = sample_gaussian(op_inf, K_rel, cfg.study.cauchy_samples,
                               cfg.classical.seed + 1)
-    d_rel = batch_interactions(ens_rel, op_inf, w_h, renormalized=True)
+    d_rel = batch_interactions(ens_rel, op_inf, build_pair_tensor(op_inf, w_h, K_rel),
+                               renormalized=True)
     weighted = ens_rel.with_weights(np.exp(-d_rel), "renormalized")
     m_mu = cg.reduced_moment(weighted, 1)
     m_mu0 = cg.reduced_moment(ens_rel, 1)

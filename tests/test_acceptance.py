@@ -19,7 +19,7 @@ from gibbslab.config import RunConfig
 from gibbslab.gaussian import sample_gaussian
 from gibbslab.interaction import (batch_interactions, build_pair_tensor,
                                   direct_term, exchange_term,
-                                  make_pair_potential, mode_interactions)
+                                  make_pair_potential)
 from gibbslab.spectral import GridSpec, build_one_body, potential_values
 from gibbslab.studies import run_study_1d
 
@@ -63,8 +63,8 @@ def test_criterion_1_free_theory_exactness(capsys):
 def _wick_checks(op, w, K, ens):
     sub = ens.truncated(K)
     tensor = build_pair_tensor(op, w, K)
-    bare = mode_interactions(sub, op, tensor, renormalized=False)
-    ren = mode_interactions(sub, op, tensor, renormalized=True)
+    bare = batch_interactions(sub, op, tensor, renormalized=False)
+    ren = batch_interactions(sub, op, tensor, renormalized=True)
     n = len(bare)
     mb, sb = bare.mean(), bare.std(ddof=1) / np.sqrt(n)
     mr, sr = ren.mean(), ren.std(ddof=1) / np.sqrt(n)
@@ -118,7 +118,7 @@ def test_criterion_3_single_mode_closed_forms(capsys):
                 abs(cg.single_mode_mean_renorm_energy(lam1, W1) - renorm_mean_oracle)]
 
     ens = sample_gaussian(op, 1, 100_000, seed=303)
-    ren = batch_interactions(ens, op, w, renormalized=True)
+    ren = batch_interactions(ens, op, build_pair_tensor(op, w, 1), renormalized=True)
     weighted = ens.with_weights(np.exp(-ren), "renormalized")
     est = cg.estimate_log_zr(weighted)
     mom = cg.reduced_moment(weighted, 1)
@@ -235,7 +235,8 @@ def test_criterion_6_renormalization_cauchy(capsys):
     op = build_one_body(GridSpec(2, 8.0, 128), "power", 64, s=2.0)
     w = make_pair_potential("gaussian-bump", op.grid, amplitude=0.05, sigma=1.25)
     ens = sample_gaussian(op, 64, 12_000, seed=606)
-    renorm = {K: batch_interactions(ens.truncated(K), op, w, renormalized=True)
+    tensor = build_pair_tensor(op, w, 64)
+    renorm = {K: batch_interactions(ens.truncated(K), op, tensor, renormalized=True)
               for K in (8, 16, 32, 64)}
     diffs = {K: np.abs(renorm[2 * K] - renorm[K]) for K in (8, 16, 32)}
     means = {K: diffs[K].mean() for K in (8, 16, 32)}

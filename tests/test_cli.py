@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,25 @@ def test_cli_config_error_exit_code(tmp_path):
     bad.write_text("[model]\ndimension = 7\n")
     assert main(["spectrum", "--config", str(bad)]) == 2
     assert main(["spectrum", "--config", str(tmp_path / "missing.ini")]) == 2
+
+
+def test_shipped_configs_validate():
+    shipped = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.ini"))
+    assert shipped
+    for path in shipped:
+        validate(load_config(path))
+
+
+def test_cli_gram_cap_exit_code(tmp_path, capsys):
+    # 160 modes pass validation without a quantum run, but their pair Gram
+    # matrix is over the byte cap: a config error, not a crash
+    text = (SMALL_1D.replace("points = 128", "points = 400")
+            .replace("modes = 3", "modes = 160")
+            .replace("samples = 4000", "samples = 10")
+            .replace("n_max = 10", "n_max = 0"))
+    path, _ = write_config(tmp_path, text=text)
+    assert main(["classical-gibbs", "--config", str(path)]) == 2
+    assert "K=160 needs" in capsys.readouterr().err
 
 
 def test_cli_spectrum(tmp_path):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import gibbslab.fock_quantum as fq
-from gibbslab.gaussian import FieldSample
-from gibbslab.interaction import bare_interaction, build_pair_tensor, make_pair_potential
+from gibbslab.interaction import build_pair_tensor, make_pair_potential, quadratic_form
 from gibbslab.spectral import GridSpec, build_one_body
 
 
@@ -79,8 +78,8 @@ def test_pair_operator_two_particle_expectation(op, bump):
     b = fq.build_fock(2, 3)
     Hp = fq.second_quantize_pair(b, t)
     n, i = b.index_of((2, 0))
-    s = FieldSample(np.array([1.0 + 0j]))
-    assert Hp.blocks[n][i, i] == pytest.approx(2.0 * bare_interaction(s, op, bump), rel=1e-10)
+    bare = quadratic_form(bump, op.eigenvectors[:, 0] ** 2)  # grid quadrature
+    assert Hp.blocks[n][i, i] == pytest.approx(2.0 * bare, rel=1e-10)
 
 
 def test_pair_operator_hermitian(op, bump):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbslab import formats
-from gibbslab.gaussian import (FieldSample, field_on_grid,
-                               fields_on_grid, sample_gaussian, sobolev_norm_sq,
+from gibbslab.gaussian import (Ensemble, fields_on_grid, sample_gaussian,
                                sobolev_norms_sq)
 from gibbslab.spectral import (DomainError, GridSpec, build_one_body,
                                schatten_trace, shift_potential)
@@ -15,6 +14,13 @@ from gibbslab.spectral import (DomainError, GridSpec, build_one_body,
 @pytest.fixture(scope="module")
 def op():
     return build_one_body(GridSpec(1, 6.0, 256), "power", 16, s=4.0)
+
+
+def one(coeffs) -> Ensemble:
+    """Batch-of-one ensemble holding a single field."""
+    a = np.asarray(coeffs, dtype=complex)[None, :]
+    return Ensemble(operator_hash="", cutoff=a.shape[1], coefficients=a,
+                    weights=np.ones(1), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +100,8 @@ def test_mass_matches_partial_traces(op, big_ensemble):
 
 
 def test_sobolev_t0_is_mass(op):
-    s = FieldSample(np.array([1.0 + 1j, 0.5, 0.25j]))
-    assert sobolev_norm_sq(s, op, 0.0) == pytest.approx(
-        np.sum(np.abs(s.coefficients) ** 2))
+    a = np.array([1.0 + 1j, 0.5, 0.25j])
+    assert sobolev_norms_sq(one(a), op, 0.0)[0] == pytest.approx(np.sum(np.abs(a) ** 2))
 
 
 def test_sobolev_energy_expectation(op, big_ensemble):
@@ -116,11 +121,9 @@ def test_sobolev_pairing_with_schatten(op, big_ensemble):
 
 
 def test_field_synthesis_basis(op):
-    s = FieldSample(np.array([1.0 + 0j, 0, 0]))
-    f = field_on_grid(s, op)
+    f = fields_on_grid(one([1.0, 0, 0]), op)[0]
     assert np.abs(f - op.eigenvectors[:, 0]).max() < 1e-14
-    z = FieldSample(np.zeros(3, dtype=complex))
-    assert not field_on_grid(z, op).any()
+    assert not fields_on_grid(one(np.zeros(3)), op).any()
 
 
 def test_parseval(op):

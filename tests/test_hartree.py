@@ -122,7 +122,7 @@ def test_rhf_variational(grid1d, trap1d, bump1d):
     lam, nu, T = 0.3, -1.0, 3.0
     st = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T, lam, nu)
     free = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T, 0.0, nu)
-    f_of_free_state = ha._rhf_free_energy(grid1d, trap1d, nu, bump1d, lam, T,
+    f_of_free_state = ha._rhf_free_energy(trap1d, nu, bump1d, lam, T,
                                           free.energies, free.occupations,
                                           free.density, free.effective_potential)
     assert st.free_energy <= f_of_free_state + 1e-10

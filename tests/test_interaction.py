@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gibbslab.gaussian import FieldSample, sample_gaussian
-from gibbslab.interaction import (ConfigurationError, bare_interaction,
+from gibbslab.gaussian import Ensemble, fields_on_grid, sample_gaussian
+from gibbslab.interaction import (MAX_GRAM_BYTES, ConfigurationError,
                                   batch_interactions, build_pair_tensor,
                                   direct_term, exchange_term,
-                                  make_pair_potential, mf_energy,
-                                  mode_interactions, quadratic_form,
-                                  renormalized_interaction,
+                                  make_pair_potential, quadratic_form,
                                   wick_expectation_bare)
-from gibbslab.spectral import GridSpec, build_one_body
+from gibbslab.spectral import GridSpec, build_one_body, green_diagonal
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +31,16 @@ def delta(grid):
     return make_pair_potential("grid-delta", grid, amplitude=0.4)
 
 
+@pytest.fixture(scope="module")
+def op2d():
+    return build_one_body(GridSpec(2, 6.0, 32), "power", 24, s=4.0)
+
+
+@pytest.fixture(scope="module")
+def bump2d(op2d):
+    return make_pair_potential("gaussian-bump", op2d.grid, amplitude=0.5, sigma=0.6)
+
+
 def brute_quadratic(w, density):
     """O(M^2) reference for the convolution quadrature."""
     g = w.grid
@@ -48,6 +56,28 @@ def brute_quadratic(w, density):
                 val = w.params["amplitude"] / g.cell_volume if i == j else 0.0
             out += density[i] * val * density[j]
     return 0.5 * out
+
+
+def one(coeffs) -> Ensemble:
+    """Batch-of-one ensemble holding a single field."""
+    a = np.asarray(coeffs, dtype=complex)[None, :]
+    return Ensemble(operator_hash="", cutoff=a.shape[1], coefficients=a,
+                    weights=np.ones(1), seed=0)
+
+
+def energy(op, w, coeffs, renormalized=False) -> float:
+    """Gram-path interaction of one field at its own cutoff."""
+    ens = one(coeffs)
+    tensor = build_pair_tensor(op, w, ens.cutoff)
+    return float(batch_interactions(ens, op, tensor, renormalized)[0])
+
+
+def grid_oracle(ens, op, w, renormalized):
+    """Grid quadrature of (1/2) iint rho w rho with rho = |u|^2 (- rho_K)."""
+    rho = np.abs(fields_on_grid(ens, op)) ** 2
+    if renormalized:
+        rho = rho - green_diagonal(op, ens.cutoff)
+    return quadratic_form(w, rho)
 
 
 def test_kernel_properties(bump, delta):
@@ -77,34 +107,32 @@ def test_tabulated_matches_bump(grid, bump):
 
 
 def test_bare_zero_field(op, bump):
-    z = FieldSample(np.zeros(4, dtype=complex))
-    assert bare_interaction(z, op, bump) == 0.0
+    assert energy(op, bump, np.zeros(4)) == 0.0
 
 
 def test_bare_delta_on_ground_mode(op, delta, grid):
-    s = FieldSample(np.array([1.0 + 0j]))
     rho = np.abs(op.eigenvectors[:, 0]) ** 2
     # 0.5 c int |u1|^4: stored vectors fold the cell volume once per factor
     oracle = 0.5 * 0.4 * np.sum(rho**2) / grid.cell_volume
-    assert bare_interaction(s, op, delta) == pytest.approx(oracle, rel=1e-12)
+    assert energy(op, delta, [1.0]) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_quartic_scaling(op, bump):
     rng = np.random.default_rng(2)
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v1 = bare_interaction(FieldSample(a), op, bump)
-    v2 = bare_interaction(FieldSample(2.0 * a), op, bump)
+    v1 = energy(op, bump, a)
+    v2 = energy(op, bump, 2.0 * a)
     assert v2 == pytest.approx(16.0 * v1, rel=1e-12)
 
 
 def test_phase_invariance(op, bump):
     rng = np.random.default_rng(3)
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    base = bare_interaction(FieldSample(a), op, bump)
-    rot = bare_interaction(FieldSample(np.exp(0.73j) * a), op, bump)
+    base = energy(op, bump, a)
+    rot = energy(op, bump, np.exp(0.73j) * a)
     assert rot == pytest.approx(base, rel=1e-10)
-    rb = renormalized_interaction(FieldSample(a), op, bump, 5)
-    rr = renormalized_interaction(FieldSample(np.exp(0.73j) * a), op, bump, 5)
+    rb = energy(op, bump, a, renormalized=True)
+    rr = energy(op, bump, np.exp(0.73j) * a, renormalized=True)
     assert rr == pytest.approx(rb, rel=1e-10)
 
 
@@ -112,34 +140,61 @@ def test_renormalized_single_mode_closed_form(op, bump):
     W1 = build_pair_tensor(op, bump, 1).tensor[0, 0, 0, 0]
     lam1 = op.eigenvalues[0]
     for amp in (0.3, 1.7):
-        s = FieldSample(np.array([amp + 0j]))
         expected = 0.5 * (amp**2 - 1.0 / lam1) ** 2 * W1
-        assert renormalized_interaction(s, op, bump, 1) == pytest.approx(expected, abs=1e-12)
-    centred = FieldSample(np.array([1.0 / np.sqrt(lam1) + 0j]))
-    assert abs(renormalized_interaction(centred, op, bump, 1)) < 1e-14
+        assert energy(op, bump, [amp], renormalized=True) == pytest.approx(expected, abs=1e-12)
+    centred = energy(op, bump, [1.0 / np.sqrt(lam1)], renormalized=True)
+    assert abs(centred) < 1e-14
 
 
 def test_renormalized_cutoff_mismatch(op, bump):
-    s = FieldSample(np.ones(3, dtype=complex))
+    # a tensor serves every cutoff up to its own, never beyond
     with pytest.raises(ConfigurationError):
-        renormalized_interaction(s, op, bump, 4)
+        batch_interactions(one(np.ones(4)), op, build_pair_tensor(op, bump, 3),
+                           renormalized=True)
 
 
 def test_positivity_on_samples(op, bump):
     ens = sample_gaussian(op, 6, 4000, seed=8)
-    bare = batch_interactions(ens, op, bump, renormalized=False)
-    ren = batch_interactions(ens, op, bump, renormalized=True)
+    tensor = build_pair_tensor(op, bump, 6)
+    bare = batch_interactions(ens, op, tensor, renormalized=False)
+    ren = batch_interactions(ens, op, tensor, renormalized=True)
     assert bare.min() > -1e-10
     assert ren.min() > -1e-10
 
 
-def test_mode_path_equals_grid_path(op, bump):
-    ens = sample_gaussian(op, 7, 300, seed=9)
-    tensor = build_pair_tensor(op, bump, 7)
-    for renorm in (False, True):
-        a = mode_interactions(ens, op, tensor, renorm)
-        b = batch_interactions(ens, op, bump, renorm)
-        assert np.abs(a - b).max() < 1e-10
+def test_mode_path_equals_grid_path(op, bump, op2d, bump2d):
+    # Gram energies against grid quadrature, in 1D and 2D, at the tensor's
+    # cutoff and at a smaller one served by its leading block
+    for o, w, K in ((op, bump, 12), (op2d, bump2d, 24)):
+        ens = sample_gaussian(o, K, 300, seed=9)
+        tensor = build_pair_tensor(o, w, K)
+        for sub in (ens, ens.truncated(K // 2)):
+            for renorm in (False, True):
+                a = batch_interactions(sub, o, tensor, renorm)
+                b = grid_oracle(sub, o, w, renorm)
+                assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+
+
+def test_gram_leading_block(op, bump, op2d, bump2d):
+    # pairs of a smaller cutoff come first, so its Gram is the leading block
+    for o, w, K, K2 in ((op, bump, 12, 5), (op2d, bump2d, 24, 10)):
+        big = build_pair_tensor(o, w, K).gram
+        small = build_pair_tensor(o, w, K2).gram
+        P = K2 * (K2 + 1) // 2
+        assert small.shape == (P, P)
+        assert np.abs(big[:P, :P] - small).max() <= 1e-14 * np.abs(small).max()
+
+
+def test_direct_exchange_from_gram(op, bump):
+    # the convolution paths of the free-measure terms against Q itself
+    K = 7
+    Q = build_pair_tensor(op, bump, K).gram
+    lam = op.eigenvalues[:K]
+    b, a = np.tril_indices(K)
+    g = np.where(a == b, 1.0 / lam[a], 0.0)
+    assert direct_term(op, bump, K) == pytest.approx(0.5 * g @ Q @ g, rel=1e-12)
+    fac = np.where(a == b, 1.0, 2.0) / (lam[a] * lam[b])
+    assert exchange_term(op, bump, K) == pytest.approx(0.5 * fac @ np.diag(Q), rel=1e-12)
 
 
 def test_exchange_rank_one(op, bump):
@@ -167,10 +222,11 @@ def test_wick_sum(op, bump):
 
 def test_wick_identities_monte_carlo(op, bump):
     ens = sample_gaussian(op, 8, 30_000, seed=10)
+    tensor = build_pair_tensor(op, bump, 8)
     for K in (1, 4, 8):
         sub = ens.truncated(K)
-        bare = batch_interactions(sub, op, bump, renormalized=False)
-        ren = batch_interactions(sub, op, bump, renormalized=True)
+        bare = batch_interactions(sub, op, tensor, renormalized=False)
+        ren = batch_interactions(sub, op, tensor, renormalized=True)
         mb, sb = bare.mean(), bare.std(ddof=1) / np.sqrt(len(bare))
         mr, sr = ren.mean(), ren.std(ddof=1) / np.sqrt(len(ren))
         assert abs(mb - wick_expectation_bare(op, bump, K)) < 4.0 * sb
@@ -202,19 +258,11 @@ def test_direct_diverges_exchange_stabilizes_2d():
     assert incs[0] > incs[1] > incs[2] > 0
 
 
-def test_mf_energy(op, bump):
-    u1 = FieldSample(np.array([1.0 + 0j]))
-    assert mf_energy(u1, op, bump, 0.0) == pytest.approx(op.eigenvalues[0])
-    expected = op.eigenvalues[0] + bare_interaction(u1, op, bump)
-    assert mf_energy(u1, op, bump, 1.0) == pytest.approx(expected, rel=1e-12)
-    zero = FieldSample(np.zeros(2, dtype=complex))
-    assert mf_energy(zero, op, bump, 1.0) == 0.0
-
-
 def test_pair_tensor_symmetries(op, bump):
+    # exact: both symmetries are index identities of the symmetric Gram
     t = build_pair_tensor(op, bump, 4).tensor
-    assert np.abs(t - t.transpose(1, 0, 3, 2)).max() < 1e-14  # particle exchange
-    assert np.abs(t - t.transpose(3, 2, 1, 0)).max() < 1e-10  # hermiticity (real)
+    assert np.array_equal(t, t.transpose(1, 0, 3, 2))  # particle exchange
+    assert np.array_equal(t, t.transpose(3, 2, 1, 0))  # hermiticity (real)
 
 
 def test_pair_tensor_constant_potential_factorizes(op):
@@ -227,19 +275,27 @@ def test_pair_tensor_constant_potential_factorizes(op):
 
 
 def test_pair_matrix_psd(op, bump):
-    q = build_pair_tensor(op, bump, 5).pair_matrix
+    q = build_pair_tensor(op, bump, 5).gram
+    assert np.array_equal(q, q.T)
     assert np.linalg.eigvalsh(q).min() > -1e-10
 
 
-def test_tensor_mode_cap(op, bump):
-    with pytest.raises(ConfigurationError):
-        build_pair_tensor(op, bump, 13)
+def test_tensor_byte_cap(bump):
+    # K = 160 on 400 points: 12880 pairs need 8 * 12880 * (12880 + 400)
+    # bytes, over the cap; the refusal comes before any allocation
+    g = GridSpec(1, 6.0, 400)
+    big = build_one_body(g, "power", 160, s=4.0)
+    w = make_pair_potential("gaussian-bump", g, amplitude=0.5, sigma=0.6)
+    need = 8 * 12880 * (12880 + 400)
+    assert need > MAX_GRAM_BYTES
+    with pytest.raises(ConfigurationError, match=f"K=160 needs {need} bytes"):
+        build_pair_tensor(big, w, 160)
 
 
 def test_w1111_matches_bare(op, bump):
     t = build_pair_tensor(op, bump, 1)
-    s = FieldSample(np.array([1.0 + 0j]))
-    assert t.tensor[0, 0, 0, 0] == pytest.approx(2.0 * bare_interaction(s, op, bump), rel=1e-12)
+    oracle = grid_oracle(one([1.0]), op, bump, renormalized=False)[0]
+    assert t.tensor[0, 0, 0, 0] == pytest.approx(2.0 * oracle, rel=1e-12)
 
 
 @given(theta=st.floats(min_value=0.0, max_value=2 * np.pi),
@@ -248,5 +304,5 @@ def test_w1111_matches_bare(op, bump):
 def test_renormalized_nonnegative_property(op, bump, theta, scale):
     rng = np.random.default_rng(77)
     a = scale * np.exp(1j * theta) * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    val = renormalized_interaction(FieldSample(a), op, bump, 4)
+    val = energy(op, bump, a, renormalized=True)
     assert val > -1e-10
