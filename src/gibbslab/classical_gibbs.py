@@ -15,6 +15,7 @@ import numpy as np
 import scipy.integrate
 
 from .config import MAX_DENSE_MODES
+from .fock_quantum import ORDERS, symmetric_basis
 from .gaussian import Ensemble
 from .interaction import PairPotential, batch_interactions, build_pair_tensor
 from .spectral import ConfigurationError, OneBodyOperator
@@ -72,33 +73,13 @@ def estimate_log_zr(ensemble: Ensemble) -> PartitionEstimate:
                              low_confidence=ess < ESS_FLOOR_FRACTION * n)
 
 
-def symmetric_pairs(K: int) -> list[tuple[int, int]]:
-    """Ordered multi-indices (i <= j) of the two-mode symmetric basis."""
-    return [(i, j) for i in range(K) for j in range(i, K)]
-
-
-def _pair_amplitudes(coeffs: np.ndarray) -> np.ndarray:
-    """Per sample, the symmetric-basis components of the two-fold product.
-
-    Component (i <= j) of u (x) u is c_ij alpha_i alpha_j with c = sqrt(2)
-    off the diagonal, 1 on it.
-    """
-    n, K = coeffs.shape
-    pairs = symmetric_pairs(K)
-    out = np.empty((n, len(pairs)), dtype=complex)
-    for col, (i, j) in enumerate(pairs):
-        c = 1.0 if i == j else np.sqrt(2.0)
-        out[:, col] = c * coeffs[:, i] * coeffs[:, j]
-    return out
-
-
 @dataclass(frozen=True)
 class ReducedMoment:
-    """Weighted moment matrix int |u^(k)><u^(k)| dmu in the mode basis.
+    """Weighted moment matrix int |u^(k)><u^(k)| dmu in the symmetric basis.
 
-    order 1: entry (i, j) = E[alpha_i conj(alpha_j)].
-    order 2: symmetric-pair basis, entry ((ij),(kl)) =
-             c_ij c_kl E[alpha_i alpha_j conj(alpha_k alpha_l)].
+    Entry (s, t) = c_s c_t E[alpha_s conj(alpha_t)] for the tuples and
+    weights of fock_quantum.symmetric_basis, alpha_s the product of the
+    tuple's mode coefficients: at order 1, (i, j) = E[alpha_i conj(alpha_j)].
     """
 
     order: int
@@ -128,12 +109,18 @@ def _weighted_moment(features: np.ndarray, weights: np.ndarray,
 
 
 def reduced_moment(ensemble: Ensemble, order: int) -> ReducedMoment:
-    if order not in (1, 2):
+    if order not in ORDERS:
         raise ConfigurationError("moment order must be 1 or 2")
     if order == 2 and ensemble.cutoff > MAX_DENSE_MODES:
         raise ConfigurationError(
             f"order-2 moments capped at K={MAX_DENSE_MODES} modes")
-    feats = ensemble.coefficients if order == 1 else _pair_amplitudes(ensemble.coefficients)
+    a = ensemble.coefficients
+    tuples, weights = symmetric_basis(ensemble.cutoff, order)
+    feats = np.empty((ensemble.size, len(tuples)), dtype=complex)
+    for col, t in enumerate(tuples):
+        feats[:, col] = weights[col] * a[:, t[0]]
+        for i in t[1:]:
+            feats[:, col] *= a[:, i]
     M, se = _weighted_moment(feats, ensemble.weights)
     return ReducedMoment(order=order, matrix=M, stderr=se,
                          ess=effective_sample_size(ensemble.weights))

@@ -25,7 +25,7 @@ from . import formats, hartree, studies
 from .config import MAX_DENSE_MODES, ConfigError, RunConfig, load_config, validate
 from .gaussian import sample_gaussian
 from .interaction import build_pair_tensor
-from .spectral import ConfigurationError, schatten_trace, shift_potential
+from .spectral import ConfigurationError, DomainError, schatten_trace, shift_potential
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,21 +141,19 @@ def cmd_classical(cfg: RunConfig, out: Path, args) -> int:
     kind = "renormalized" if cfg.interaction.renormalized else "bare"
     weighted = cg.reweight(ens, kind, op, w, K)
     zr = cg.estimate_log_zr(weighted)
-    m1 = cg.reduced_moment(weighted, 1)
-    m2 = cg.reduced_moment(weighted, 2) if K <= MAX_DENSE_MODES else None
+    orders = fq.ORDERS if K <= MAX_DENSE_MODES else fq.ORDERS[:1]
+    moments = {k: cg.reduced_moment(weighted, k) for k in orders}
     results = {
         "log_zr": -zr.neg_log_zr, "neg_log_zr": zr.neg_log_zr,
         "stderr": zr.stderr, "ess": zr.ess,
         "low_confidence": zr.low_confidence,
-        "moments": {"k1": m1.matrix, "k1_stderr": m1.stderr},
+        "moments": {},
     }
-    if m2 is not None:
-        results["moments"]["k2"] = m2.matrix
-        results["moments"]["k2_stderr"] = m2.stderr
+    for k, m in moments.items():
+        results["moments"].update({f"k{k}": m.matrix, f"k{k}_stderr": m.stderr})
     _emit(cfg, out, "classical-gibbs", results)
-    formats.write_matrix(out / "moment_k1.gflm", m1.matrix)
-    if m2 is not None:
-        formats.write_matrix(out / "moment_k2.gflm", m2.matrix)
+    for k, m in moments.items():
+        formats.write_matrix(out / f"moment_k{k}.gflm", m.matrix)
     if args.strict and zr.low_confidence:
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -186,35 +184,27 @@ def cmd_quantum(cfg: RunConfig, out: Path, args) -> int:
                      "top_sector_weight": res.top_sector_weight,
                      "cutoff_safe": res.cutoff_safe})
         last = res
-    rdm1 = fq.reduced_density(last.state, basis, 1)
-    rdm2 = fq.reduced_density(last.state, basis, 2)
+    rdms = {k: fq.reduced_density(last.state, basis, k) for k in fq.ORDERS}
     results = {"schedule": rows,
-               "final_rdm1_eigenvalues": np.linalg.eigvalsh(rdm1.matrix)}
+               "final_rdm1_eigenvalues": np.linalg.eigvalsh(rdms[1].matrix)}
     _emit(cfg, out, "quantum-gibbs", results, rows)
-    formats.write_matrix(out / "rdm_k1.gflm", rdm1.matrix)
-    formats.write_matrix(out / "rdm_k2.gflm", rdm2.matrix)
+    for k, rdm in rdms.items():
+        formats.write_matrix(out / f"rdm_k{k}.gflm", rdm.matrix)
     if args.strict and unsafe:
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def cmd_hartree(cfg: RunConfig, out: Path, args) -> int:
-    from .spectral import GridSpec, potential_values
-    hgrid = GridSpec(dimension=cfg.model.dimension,
-                     half_width=cfg.model.half_width, points=cfg.hartree.points)
-    V = potential_values(hgrid, cfg.model.potential,
-                         s=cfg.model.s if cfg.model.potential == "power" else None)
-    w = studies.bind_potential(cfg, hgrid)
-    stab = hartree.counterterm_stabilization(
-        hgrid, V, w, list(cfg.hartree.t_schedule), cfg.hartree.kappa,
-        coupling_c=cfg.hartree.coupling_c, damping=cfg.hartree.damping,
-        tol=cfg.hartree.tol, max_iter=cfg.hartree.max_iter,
-        shared_modes=cfg.hartree.shared_modes,
-        measure=cfg.hartree.momentum_measure)
-    rows = [{"T": r.T, "lambda": r.lam, "nu": r.nu, "iterations": r.iterations,
+def _stabilization_rows(stab: hartree.StabilizationReport) -> list[dict]:
+    return [{"T": r.T, "lambda": r.lam, "nu": r.nu, "iterations": r.iterations,
              "residual": r.residual, "F_rH": r.free_energy,
              "E0": r.reference_energy, "delta_inf": r.delta_inf,
              "schatten_p_dist": r.schatten_p_dist} for r in stab.rows]
+
+
+def cmd_hartree(cfg: RunConfig, out: Path, args) -> int:
+    _, _, stab = studies.run_counterterm(cfg)
+    rows = _stabilization_rows(stab)
     results = {"rows": rows, "p": stab.p, "shared_modes": stab.shared_modes,
                "sandwich_ok": stab.sandwich_ok,
                "sandwich_margin": stab.sandwich_margin,
@@ -263,12 +253,7 @@ def cmd_study_2d(cfg: RunConfig, out: Path, args) -> int:
         "exchange_increments_shrinking": rep.exchange_increments_shrinking,
         "cauchy_decreasing": rep.cauchy_decreasing,
         "stabilization": {
-            "rows": [{"T": r.T, "lambda": r.lam, "nu": r.nu,
-                      "iterations": r.iterations, "residual": r.residual,
-                      "F_rH": r.free_energy, "E0": r.reference_energy,
-                      "delta_inf": r.delta_inf,
-                      "schatten_p_dist": r.schatten_p_dist}
-                     for r in rep.stabilization.rows],
+            "rows": _stabilization_rows(rep.stabilization),
             "sandwich_ok": rep.stabilization.sandwich_ok,
             "sandwich_margin": rep.stabilization.sandwich_margin,
             "delta_decreasing": rep.stabilization.delta_decreasing,
@@ -304,7 +289,7 @@ def main(argv=None) -> int:
     out = _outdir(cfg)
     try:
         return _COMMANDS[args.command](cfg, out, args)
-    except (ConfigError, ConfigurationError) as exc:
+    except (ConfigError, ConfigurationError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (hartree.GapClosedError, ArithmeticError) as exc:

@@ -165,6 +165,8 @@ def validate(cfg: RunConfig) -> None:
     if i.kind == "tabulated":
         _require(bool(i.table_path), "interaction.table_path required for tabulated kind")
     _require(cfg.classical.samples > 0, "classical.samples must be positive")
+    _require(cfg.study.cauchy_samples >= 2,
+             "study.cauchy_samples must be at least 2 for standard errors")
     _require(q.n_max >= 0, "quantum.n_max must be nonnegative")
     _require(m.modes <= MAX_DENSE_MODES or q.n_max == 0,
              f"quantum runs require model.modes <= {MAX_DENSE_MODES}")

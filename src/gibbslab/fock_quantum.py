@@ -8,6 +8,7 @@ so that large cutoffs stay cheap; interacting sectors are dense.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ from .interaction import PairTensor
 from .spectral import ConfigurationError, DomainError
 
 SATURATION_THRESHOLD = 1e-6
+# Orders of the reduced densities here and of the classical moments.
+ORDERS = (1, 2)
 
 
 def _compositions(n: int, k: int):
@@ -95,9 +98,12 @@ class FockBasis:
             self._annihilators[key] = mat
         return self._annihilators[key]
 
-    def pair_annihilator(self, i: int, j: int, sector: int) -> sp.csr_matrix:
-        """a_i a_j restricted to sector -> sector - 2."""
-        return self.annihilator(i, sector - 1) @ self.annihilator(j, sector)
+    def annihilate(self, modes: tuple[int, ...], sector: int) -> sp.csr_matrix:
+        """a_i1 ... a_ik restricted to sector -> sector - k."""
+        op = self.annihilator(modes[-1], sector)
+        for depth, i in enumerate(reversed(modes[:-1]), start=1):
+            op = self.annihilator(i, sector - depth) @ op
+        return op
 
 
 @dataclass
@@ -122,9 +128,6 @@ class FockOperator:
         return FockOperator(self.basis,
                             [a + b for a, b in zip(self.blocks, other.blocks)])
 
-    def is_diagonal(self) -> bool:
-        return all((b - sp.diags(b.diagonal())).nnz == 0 for b in self.blocks)
-
 
 @dataclass
 class FockState:
@@ -145,10 +148,6 @@ class FockState:
 
     def mean_particles(self) -> float:
         return float(np.dot(np.arange(self.basis.num_sectors), self.sector_weights()))
-
-    def dense_block(self, n: int) -> np.ndarray:
-        b = self.blocks[n]
-        return np.diag(b) if b.ndim == 1 else b
 
 
 def build_fock(K: int, N_max: int) -> FockBasis:
@@ -204,7 +203,7 @@ def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
         if n < 2:
             blocks.append(sp.csr_matrix((d, d)))
             continue
-        stack = sp.vstack([basis.pair_annihilator(u, v, n)
+        stack = sp.vstack([basis.annihilate((u, v), n)
                            for u in range(K) for v in range(K)], format="csr")
         big = sp.kron(Wp, sp.identity(basis.sector_dim(n - 2), format="csr"))
         block = 0.5 * (stack.T @ (big @ stack))
@@ -302,13 +301,25 @@ def gibbs_state(H: FockOperator, T: float, nu: float, basis: FockBasis,
 # Reduced density matrices
 
 
+def symmetric_basis(K: int, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The order-k symmetric basis shared by reduced densities and moments.
+
+    Mode tuples i_1 <= ... <= i_k in lexicographic order, each weighted by
+    sqrt(k! / prod mult!) over the multiplicities of its modes: 1 at order
+    1; at order 2, 1 on the diagonal pairs and sqrt(2) off them.
+    """
+    tuples = list(itertools.combinations_with_replacement(range(K), order))
+    mults = [math.prod(math.factorial(t.count(i)) for i in set(t)) for t in tuples]
+    return tuples, np.sqrt(math.factorial(order) / np.array(mults, dtype=float))
+
+
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
-    """Exact k-body marginal in the mode basis.
+    """Exact k-body marginal in the symmetric basis (see symmetric_basis).
 
-    order 1: entry (i, j) = <a+_j a_i>, trace = <N>.
-    order 2: symmetric-pair basis with sqrt(2) off-diagonal weights,
-    entry ((ij),(kl)) = c_ij c_kl <a+_k a+_l a_i a_j>, trace = <N(N-1)>.
+    Entry (s, t) = c_s c_t <a+_t a_s> for the ordered tuples s, t and their
+    weights c: at order 1, (i, j) = <a+_j a_i> with trace <N>; at order 2,
+    ((ij),(kl)) = c_ij c_kl <a+_k a+_l a_i a_j> with trace <N(N-1)>.
     """
 
     order: int
@@ -330,33 +341,16 @@ def _trace_sandwich(left: sp.csr_matrix, block: np.ndarray,
 
 
 def reduced_density(state: FockState, basis: FockBasis, order: int) -> ReducedDensityMatrix:
-    if order not in (1, 2):
+    if order not in ORDERS:
         raise ConfigurationError("reduced density order must be 1 or 2")
-    K = basis.num_modes
-    if order == 1:
-        M = np.zeros((K, K), dtype=complex)
-        for n in range(1, basis.num_sectors):
-            block = state.blocks[n]
-            if block.ndim == 1 and not block.any():
-                continue
-            ops = [basis.annihilator(i, n) for i in range(K)]
-            for i in range(K):
-                for j in range(i, K):
-                    val = _trace_sandwich(ops[i], block, ops[j])
-                    M[i, j] += val
-                    if i != j:
-                        M[j, i] += np.conj(val)
-        return ReducedDensityMatrix(order=1, matrix=M)
-
-    pairs = [(i, j) for i in range(K) for j in range(i, K)]
-    P = len(pairs)
+    tuples, weights = symmetric_basis(basis.num_modes, order)
+    P = len(tuples)
     M = np.zeros((P, P), dtype=complex)
-    weights = np.array([1.0 if i == j else np.sqrt(2.0) for i, j in pairs])
-    for n in range(2, basis.num_sectors):
+    for n in range(order, basis.num_sectors):
         block = state.blocks[n]
         if block.ndim == 1 and not block.any():
             continue
-        ops = [basis.pair_annihilator(i, j, n) for i, j in pairs]
+        ops = [basis.annihilate(t, n) for t in tuples]
         for a in range(P):
             for b in range(a, P):
                 val = _trace_sandwich(ops[a], block, ops[b])
@@ -364,7 +358,7 @@ def reduced_density(state: FockState, basis: FockBasis, order: int) -> ReducedDe
                 if a != b:
                     M[b, a] += np.conj(val)
     M *= weights[:, None] * weights[None, :]
-    return ReducedDensityMatrix(order=2, matrix=M)
+    return ReducedDensityMatrix(order=order, matrix=M)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,16 @@ def _padded_shape(grid: GridSpec) -> tuple[int, ...]:
     return (P,) * grid.dimension
 
 
-def _offset_axis(points: int, P: int, h: float) -> np.ndarray:
-    """Physical offsets for the circularly embedded difference kernel."""
+def offset_sq_radii(grid: GridSpec) -> np.ndarray:
+    """|x|^2 at every offset of the circularly embedded difference kernel.
+
+    Offsets beyond +-(points-1) never mix into the linear convolution; their
+    kernel values are irrelevant but kept finite.
+    """
+    P = _padded_shape(grid)[0]
     idx = np.arange(P)
-    signed = np.where(idx <= P // 2, idx, idx - P)
-    # offsets beyond +-(points-1) never mix into the linear convolution;
-    # their kernel values are irrelevant but kept finite.
-    return signed * h
+    x = np.where(idx <= P // 2, idx, idx - P) * grid.spacing
+    return x**2 if grid.dimension == 1 else x[:, None] ** 2 + x[None, :] ** 2
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,7 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
     (offset, value) pairs resampled by linear interpolation.
     """
     shape = _padded_shape(grid)
-    h = grid.spacing
-    axes = [_offset_axis(grid.points, P, h) for P in shape]
-    if grid.dimension == 1:
-        r2 = axes[0] ** 2
-    else:
-        r2 = axes[0][:, None] ** 2 + axes[1][None, :] ** 2
+    r2 = offset_sq_radii(grid)
     r = np.sqrt(r2)
 
     params: dict = {}

@@ -26,7 +26,8 @@ from . import hartree
 from .config import ConfigError, RunConfig
 from .gaussian import sample_gaussian
 from .interaction import (PairPotential, batch_interactions, build_pair_tensor,
-                          direct_term, exchange_term, make_pair_potential)
+                          direct_term, exchange_term, make_pair_potential,
+                          offset_sq_radii)
 from .spectral import (GridSpec, OneBodyOperator, build_one_body,
                        potential_values, schatten_trace, shift_potential)
 
@@ -50,6 +51,20 @@ def bind_potential(cfg: RunConfig, grid: GridSpec) -> PairPotential:
         table = np.loadtxt(i.table_path)
         return make_pair_potential("tabulated", grid, table=table)
     return make_pair_potential(i.kind, grid, amplitude=i.amplitude, sigma=i.sigma)
+
+
+def run_counterterm(cfg: RunConfig
+                    ) -> tuple[GridSpec, PairPotential, hartree.StabilizationReport]:
+    """The configured counterterm scheme on its own (coarser) Hartree grid."""
+    m, h = cfg.model, cfg.hartree
+    hgrid = GridSpec(dimension=m.dimension, half_width=m.half_width, points=h.points)
+    V = potential_values(hgrid, m.potential, s=m.s if m.potential == "power" else None)
+    w = bind_potential(cfg, hgrid)
+    stab = hartree.counterterm_stabilization(
+        hgrid, V, w, list(h.t_schedule), h.kappa, coupling_c=h.coupling_c,
+        damping=h.damping, tol=h.tol, max_iter=h.max_iter,
+        shared_modes=h.shared_modes, measure=h.momentum_measure)
+    return hgrid, w, stab
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +127,7 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
     if interacting:
         ens = cg.reweight(ens, energy_kind, op_meas, w, K)
     zr = cg.estimate_log_zr(ens)
-    m1 = cg.reduced_moment(ens, 1)
-    m2 = cg.reduced_moment(ens, 2)
+    moments = {k: cg.reduced_moment(ens, k) for k in fq.ORDERS}
 
     # quantum side, one basis and pair operator shared across the schedule
     basis = fq.build_fock(K, n_max)
@@ -133,17 +147,16 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
         audit = abs(g_int.free_energy
                     - fq.gibbs_from_spectra(spectra, T, max_sector=n_max - 2).free_energy)
         diff = (g_int.free_energy - g_free.free_energy) / T
-        rdm1 = fq.reduced_density(g_int.state, basis, 1)
-        rdm2 = fq.reduced_density(g_int.state, basis, 2)
-        delta1 = cg.trace_distance(rdm1.matrix / T, m1.matrix)
-        delta2 = cg.trace_distance(rdm2.matrix / T**2, m2.matrix)
+        deltas = {f"delta_{k}": cg.trace_distance(
+            fq.reduced_density(g_int.state, basis, k).matrix / T**k, moments[k].matrix)
+            for k in fq.ORDERS}
         return StudyPoint1D(
             T=T, lam=lam,
             free_energy_interacting=g_int.free_energy,
             free_energy_free=g_free.free_energy,
             diff_over_T=diff,
             discrepancy=abs(diff - zr.neg_log_zr),
-            delta_1=delta1, delta_2=delta2,
+            **deltas,
             mean_particles=g_int.mean_particles,
             top_sector_weight=g_int.top_sector_weight,
             cutoff_safe=g_int.cutoff_safe,
@@ -157,14 +170,12 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
         points = [solve_point(T) for T in schedule]
 
     discrepancies = [p.discrepancy for p in points]
-    d1 = [p.delta_1 for p in points]
-    d2 = [p.delta_2 for p in points]
     return Study1DReport(
         points=points,
         neg_log_zr=zr.neg_log_zr, zr_stderr=zr.stderr, ess=zr.ess,
         discrepancy_decreasing=_strictly_decreasing(discrepancies),
-        delta_1_decreasing=_strictly_decreasing(d1),
-        delta_2_decreasing=_strictly_decreasing(d2),
+        **{f"delta_{k}_decreasing": _strictly_decreasing(
+            [getattr(p, f"delta_{k}") for p in points]) for k in fq.ORDERS},
         final_discrepancy=discrepancies[-1],
         final_threshold=max(0.05, 5.0 * zr.stderr),
         trace_class_exponent=trace.growth_exponent)
@@ -252,7 +263,7 @@ def integrability_checks(w: PairPotential, trap_exponent: float | None
     outer = float(vals[kk > kk.max() / 2].sum())
     ok_hat = abs(outer) <= 0.01 * max(abs(total), 1e-30)
 
-    offs = _offset_radii(grid, shape)
+    offs = np.sqrt(offset_sq_radii(grid))
     trap_sq = offs ** (2.0 * trap_exponent) if trap_exponent is not None else 0.0
     integrand = np.abs(w.kernel) * trap_sq * grid.cell_volume
     if trap_exponent is None:
@@ -261,14 +272,6 @@ def integrability_checks(w: PairPotential, trap_exponent: float | None
     outer_v = float(integrand[offs > offs.max() / 2].sum())
     ok_v = abs(outer_v) <= 0.01 * max(abs(vmoment), 1e-30)
     return total, vmoment, bool(ok_hat and ok_v)
-
-
-def _offset_radii(grid: GridSpec, shape) -> np.ndarray:
-    idx = np.arange(shape[0])
-    signed = np.where(idx <= shape[0] // 2, idx, idx - shape[0]) * grid.spacing
-    if grid.dimension == 2:
-        return np.sqrt(signed[:, None] ** 2 + signed[None, :] ** 2)
-    return np.abs(signed)
 
 
 def fine_check_potential(cfg: RunConfig) -> PairPotential:
@@ -324,18 +327,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
     cmeans = [r.mean_abs_renorm_diff for r in cauchy_rows]
     cauchy_decreasing = all(b < a for a, b in zip(cmeans[:-1], cmeans[1:]))
 
-    # counterterm scheme on its own (coarser) grid
-    hgrid = GridSpec(dimension=2, half_width=cfg.model.half_width,
-                     points=cfg.hartree.points)
-    V_h = potential_values(hgrid, cfg.model.potential,
-                           s=cfg.model.s if cfg.model.potential == "power" else None)
-    w_h = bind_potential(cfg, hgrid)
-    stab = hartree.counterterm_stabilization(
-        hgrid, V_h, w_h, list(cfg.hartree.t_schedule), cfg.hartree.kappa,
-        coupling_c=cfg.hartree.coupling_c, damping=cfg.hartree.damping,
-        tol=cfg.hartree.tol, max_iter=cfg.hartree.max_iter,
-        shared_modes=cfg.hartree.shared_modes,
-        measure=cfg.hartree.momentum_measure)
+    hgrid, w_h, stab = run_counterterm(cfg)
 
     # classical half of the relative one-body comparison: moments of the
     # interacting and free measures built from the stabilized potential

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gibbslab import classical_gibbs as cg
+from gibbslab import fock_quantum as fq
 from gibbslab.gaussian import sample_gaussian
 from gibbslab.interaction import build_pair_tensor, make_pair_potential
 from gibbslab.spectral import GridSpec, build_one_body
@@ -109,7 +110,7 @@ def test_free_moment_k1(ensemble, op):
 def test_free_moment_k2_isserlis(ensemble, op):
     mom = cg.reduced_moment(ensemble, 2)
     lam = op.eigenvalues[:4]
-    pairs = cg.symmetric_pairs(4)
+    pairs, _ = fq.symmetric_basis(4, 2)
     # E |a_i|^2 |a_j|^2 = (1 + delta_ij) / (lam_i lam_j), with the sqrt(2)
     # symmetric-basis weights on the off-diagonal pairs
     for col, (i, j) in enumerate(pairs):

@@ -89,6 +89,19 @@ def test_config_cross_field_checks():
         validate(cfg)
 
 
+def test_config_cauchy_samples_floor():
+    # one sample has no standard error, zero none at all: both are refused
+    # before the 2D study runs
+    for n in (0, 1):
+        cfg = RunConfig()
+        cfg.study.cauchy_samples = n
+        with pytest.raises(ConfigError, match="study.cauchy_samples"):
+            validate(cfg)
+    cfg = RunConfig()
+    cfg.study.cauchy_samples = 2
+    validate(cfg)
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[model]\ndimension = 7\n")
@@ -97,7 +110,8 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_shipped_configs_validate():
-    shipped = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.ini"))
+    root = Path(__file__).resolve().parent.parent
+    shipped = sorted(root.glob("configs/*.ini")) + sorted(root.glob("perfbench/configs/*.ini"))
     assert shipped
     for path in shipped:
         validate(load_config(path))
@@ -113,6 +127,15 @@ def test_cli_gram_cap_exit_code(tmp_path, capsys):
     path, _ = write_config(tmp_path, text=text)
     assert main(["classical-gibbs", "--config", str(path)]) == 2
     assert "K=160 needs" in capsys.readouterr().err
+
+
+def test_cli_domain_error_exit_code(tmp_path, capsys):
+    # nu above the lowest eigenvalue passes validation, but the shifted
+    # operator is not positive: a config error, not a traceback
+    text = SMALL_1D.replace("points = 128", "points = 64").replace("nu = 0.0", "nu = 50.0")
+    path, _ = write_config(tmp_path, text=text)
+    assert main(["spectrum", "--config", str(path)]) == 2
+    assert "lowest eigenvalue" in capsys.readouterr().err
 
 
 def test_cli_spectrum(tmp_path):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import gibbslab.classical_gibbs as cg
 import gibbslab.fock_quantum as fq
+from gibbslab.gaussian import Ensemble
 from gibbslab.interaction import build_pair_tensor, make_pair_potential, quadratic_form
 from gibbslab.spectral import GridSpec, build_one_body
 
@@ -245,6 +247,37 @@ def test_coherent_state_vacuum_and_rank_one():
     assert np.abs(g1 - np.outer(v, v.conj())).max() < 1e-6
     evals = np.linalg.eigvalsh(g1)
     assert evals[-1] == pytest.approx(np.sum(np.abs(v) ** 2), abs=1e-6)
+
+
+def test_symmetric_basis_order_and_weights():
+    tuples, weights = fq.symmetric_basis(3, 1)
+    assert tuples == [(0,), (1,), (2,)]
+    assert weights.tolist() == [1.0, 1.0, 1.0]
+    tuples, weights = fq.symmetric_basis(3, 2)
+    assert tuples == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    r2 = np.sqrt(2.0)
+    assert weights.tolist() == [1.0, r2, r2, 1.0, r2, 1.0]
+    tuples, weights = fq.symmetric_basis(2, 3)
+    assert tuples == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    assert np.allclose(weights, [1.0, np.sqrt(3.0), np.sqrt(3.0), 1.0], rtol=1e-15)
+    # squared weights count the ordered k-tuples behind each sorted one
+    for K, k in ((4, 2), (3, 3)):
+        assert np.sum(fq.symmetric_basis(K, k)[1] ** 2) == pytest.approx(K**k, rel=1e-14)
+
+
+def test_coherent_rdm_equals_one_sample_moment():
+    # a coherent state's reduced densities are the moments of the one-point
+    # measure at v, so both sides must share one tuple order and weighting
+    v = np.array([0.3 + 0.2j, -0.25 + 0.1j, 0.15j])
+    b = fq.build_fock(3, 16)
+    state = fq.coherent_state(v, b).state
+    ens = Ensemble(operator_hash="coherent", cutoff=3, coefficients=v[None, :].copy(),
+                   weights=np.ones(1), seed=0)
+    for k in (1, 2):
+        g = fq.reduced_density(state, b, k).matrix
+        m = cg.reduced_moment(ens, k).matrix
+        assert g.shape == m.shape
+        assert np.abs(g - m).max() < 1e-15, k
 
 
 def test_coherent_truncation_warning():
