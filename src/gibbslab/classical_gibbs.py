@@ -21,6 +21,8 @@ from .interaction import PairPotential, batch_interactions, build_pair_tensor
 from .spectral import ConfigurationError, OneBodyOperator
 
 ESS_FLOOR_FRACTION = 0.05
+# Samples whose outer products are held at once for the moment stderr.
+_MOMENT_CHUNK = 4096
 
 
 class LowEffectiveSampleSize(UserWarning):
@@ -43,7 +45,7 @@ def reweight(ensemble: Ensemble, energy: str, op: OneBodyOperator,
         warnings.warn("pair potential transform dips negative; weights may exceed 1")
     D = batch_interactions(ensemble, op, build_pair_tensor(op, w, K),
                            energy == "renormalized")
-    out = ensemble.with_weights(np.exp(-D), energy)
+    out = ensemble.with_weights(np.exp(-D))
     ess = effective_sample_size(out.weights)
     if ess < ESS_FLOOR_FRACTION * out.size:
         warnings.warn(
@@ -92,17 +94,17 @@ class ReducedMoment:
         return self.matrix.shape[0]
 
 
-def _weighted_moment(features: np.ndarray, weights: np.ndarray,
-                     chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_moment(features: np.ndarray, weights: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
     wsum = weights.sum()
     M = (features.T * weights) @ features.conj() / wsum
     M = 0.5 * (M + M.conj().T)
     # ratio-estimator stderr per entry, chunked to bound memory
     acc = np.zeros(M.shape)
-    for lo in range(0, len(weights), chunk):
-        f = features[lo:lo + chunk]
+    for lo in range(0, len(weights), _MOMENT_CHUNK):
+        f = features[lo:lo + _MOMENT_CHUNK]
         dev = f[:, :, None] * f.conj()[:, None, :] - M[None, :, :]
-        acc += np.einsum("s,sij->ij", weights[lo:lo + chunk] ** 2,
+        acc += np.einsum("s,sij->ij", weights[lo:lo + _MOMENT_CHUNK] ** 2,
                          np.abs(dev) ** 2)
     se = np.sqrt(acc) / wsum
     return M, se

@@ -25,7 +25,7 @@ from . import formats, hartree, studies
 from .config import MAX_DENSE_MODES, ConfigError, RunConfig, load_config, validate
 from .gaussian import sample_gaussian
 from .interaction import build_pair_tensor
-from .spectral import ConfigurationError, DomainError, schatten_trace, shift_potential
+from .spectral import ConfigurationError, DomainError, schatten_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,9 +93,7 @@ def _rowdicts(objs) -> list[dict]:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
-    op = studies.build_model_operator(cfg)
-    if cfg.model.nu:
-        op = shift_potential(op, cfg.model.nu)
+    op = studies.shifted_operator(cfg, studies.build_model_operator(cfg))
     tr1 = schatten_trace(op, 1.0)
     tr2 = schatten_trace(op, 2.0)
     results = {
@@ -114,9 +112,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_sample(cfg: RunConfig, out: Path, args) -> int:
-    op = studies.build_model_operator(cfg)
-    if cfg.model.nu:
-        op = shift_potential(op, cfg.model.nu)
+    op = studies.shifted_operator(cfg, studies.build_model_operator(cfg))
     ens = sample_gaussian(op, cfg.model.modes, cfg.classical.samples,
                           cfg.classical.seed)
     formats.write_ensemble(out / "ensemble.gfl1", ens)
@@ -132,9 +128,7 @@ def cmd_sample(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_classical(cfg: RunConfig, out: Path, args) -> int:
-    op = studies.build_model_operator(cfg)
-    if cfg.model.nu:
-        op = shift_potential(op, cfg.model.nu)
+    op = studies.shifted_operator(cfg, studies.build_model_operator(cfg))
     K = cfg.model.modes
     w = studies.bind_potential(cfg, op.grid)
     ens = sample_gaussian(op, K, cfg.classical.samples, cfg.classical.seed)
@@ -283,10 +277,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load(args)
+        out = _outdir(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = _outdir(cfg)
     try:
         return _COMMANDS[args.command](cfg, out, args)
     except (ConfigError, ConfigurationError, DomainError) as exc:

@@ -3,7 +3,9 @@
 The basis is cut by total particle number; every operator here conserves
 particle number, so states and operators are block-diagonal over sectors.
 Free (diagonal) sectors keep their Gibbs blocks as bare probability vectors
-so that large cutoffs stay cheap; interacting sectors are dense.
+so that large cutoffs stay cheap; interacting sectors are dense.  One
+symmetric k-body basis, symmetric_basis, indexes second quantization, the
+reduced densities and the classical moments.
 """
 
 from __future__ import annotations
@@ -160,6 +162,42 @@ def number_operator(basis: FockBasis) -> FockOperator:
     return FockOperator(basis, blocks)
 
 
+def symmetric_basis(K: int, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The order-k basis of second quantization, densities and moments.
+
+    Mode tuples i_1 <= ... <= i_k in lexicographic order, each weighted by
+    sqrt(k! / prod mult!) over the multiplicities of its modes: 1 at order
+    1; at order 2, 1 on the diagonal pairs and sqrt(2) off them.
+    """
+    tuples = list(itertools.combinations_with_replacement(range(K), order))
+    mults = [math.prod(math.factorial(t.count(i)) for i in set(t)) for t in tuples]
+    return tuples, np.sqrt(math.factorial(order) / np.array(mults, dtype=float))
+
+
+def second_quantize(basis: FockBasis, kernel: np.ndarray, order: int) -> FockOperator:
+    """sum kernel[s, t] (a_s)+ a_t over ordered k-tuples s, t in row-major order.
+
+    Annihilators commute, so the kernel folds onto the symmetric_basis tuples
+    as F^T kernel F, F mapping each ordered tuple to its sorted one; sector n
+    is S^T (folded kron I) S with S stacking a_t over those tuples.
+    """
+    tuples, _ = symmetric_basis(basis.num_modes, order)
+    cols = [tuples.index(tuple(sorted(t)))
+            for t in itertools.product(range(basis.num_modes), repeat=order)]
+    F = sp.identity(len(tuples), format="csr")[cols]
+    folded = sp.csr_matrix((F.T @ np.asarray(kernel, dtype=float)) @ F)
+    blocks = []
+    for n in range(basis.num_sectors):
+        d = basis.sector_dim(n)
+        if n < order:
+            blocks.append(sp.csr_matrix((d, d)))
+            continue
+        stack = sp.vstack([basis.annihilate(t, n) for t in tuples], format="csr")
+        big = sp.kron(folded, sp.identity(basis.sector_dim(n - order), format="csr"))
+        blocks.append((stack.T @ (big @ stack)).tocsr())
+    return FockOperator(basis, blocks)
+
+
 def second_quantize_one_body(basis: FockBasis, h1: np.ndarray) -> FockOperator:
     """Second quantization of a K x K one-body matrix, sum h_ij a+_i a_j."""
     h1 = np.asarray(h1, dtype=float)
@@ -168,48 +206,19 @@ def second_quantize_one_body(basis: FockBasis, h1: np.ndarray) -> FockOperator:
         h1 = np.diag(h1)
     if h1.shape != (K, K):
         raise ConfigurationError(f"one-body matrix must be {K}x{K}")
-    diagonal_only = np.allclose(h1, np.diag(np.diag(h1)))
-    blocks = []
-    for n in range(basis.num_sectors):
-        occs = basis.occupations[n]
-        diag = occs @ np.diag(h1)
-        block = sp.diags(diag, format="csr")
-        if not diagonal_only and n >= 1:
-            for i in range(K):
-                Ai = basis.annihilator(i, n)
-                for j in range(K):
-                    if i == j or h1[i, j] == 0.0:
-                        continue
-                    block = block + h1[i, j] * (Ai.T @ basis.annihilator(j, n))
-        blocks.append(block.tocsr())
-    return FockOperator(basis, blocks)
+    return second_quantize(basis, h1, 1)
 
 
 def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
-    """(1/2) sum W_ijkl a+_i a+_j a_k a_l assembled per sector.
-
-    Uses the stacked pair-annihilation identity: with P_q = a_u a_v for the
-    ordered pair q=(u,v), the block equals (1/2) R^T (Wp kron I) R where R
-    vertically stacks the P_q and Wp[(j,i),(k,l)] = W[i,j,k,l].
-    """
+    """(1/2) sum W_ijkl a+_i a+_j a_k a_l: since a+_i a+_j = (a_j a_i)+,
+    the order-2 kernel is Wp / 2 with Wp[(j,i),(k,l)] = W[i,j,k,l]."""
     K = basis.num_modes
     if tensor.mode_cutoff != K:
         raise ConfigurationError("tensor mode count does not match basis")
-    W = tensor.tensor
-    Wp = sp.csr_matrix(W.transpose(1, 0, 2, 3).reshape(K * K, K * K))
-    blocks = []
-    for n in range(basis.num_sectors):
-        d = basis.sector_dim(n)
-        if n < 2:
-            blocks.append(sp.csr_matrix((d, d)))
-            continue
-        stack = sp.vstack([basis.annihilate((u, v), n)
-                           for u in range(K) for v in range(K)], format="csr")
-        big = sp.kron(Wp, sp.identity(basis.sector_dim(n - 2), format="csr"))
-        block = 0.5 * (stack.T @ (big @ stack))
-        block = 0.5 * (block + block.T)  # clear summation-order roundoff
-        blocks.append(block.tocsr())
-    return FockOperator(basis, blocks)
+    Wp = tensor.tensor.transpose(1, 0, 2, 3).reshape(K * K, K * K)
+    H = second_quantize(basis, 0.5 * Wp, 2)
+    # clear summation-order roundoff
+    return FockOperator(basis, [(0.5 * (b + b.T)).tocsr() for b in H.blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +308,6 @@ def gibbs_state(H: FockOperator, T: float, nu: float, basis: FockBasis,
 
 # ---------------------------------------------------------------------------
 # Reduced density matrices
-
-
-def symmetric_basis(K: int, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The order-k symmetric basis shared by reduced densities and moments.
-
-    Mode tuples i_1 <= ... <= i_k in lexicographic order, each weighted by
-    sqrt(k! / prod mult!) over the multiplicities of its modes: 1 at order
-    1; at order 2, 1 on the diagonal pairs and sqrt(2) off them.
-    """
-    tuples = list(itertools.combinations_with_replacement(range(K), order))
-    mults = [math.prod(math.factorial(t.count(i)) for i in set(t)) for t in tuples]
-    return tuples, np.sqrt(math.factorial(order) / np.array(mults, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ class Ensemble:
     coefficients: np.ndarray
     weights: np.ndarray
     seed: int
-    energy_kind: str = "none"  # none | bare | renormalized
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
@@ -37,11 +36,11 @@ class Ensemble:
     def size(self) -> int:
         return self.coefficients.shape[0]
 
-    def with_weights(self, weights: np.ndarray, energy_kind: str) -> "Ensemble":
+    def with_weights(self, weights: np.ndarray) -> "Ensemble":
         w = np.ascontiguousarray(weights, dtype=float)
         if w.shape != (self.size,):
             raise ValueError("weight array has wrong length")
-        return replace(self, weights=w, energy_kind=energy_kind)
+        return replace(self, weights=w)
 
     def truncated(self, K: int) -> "Ensemble":
         """View of the first K modes (weights reset to one)."""

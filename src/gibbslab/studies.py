@@ -45,6 +45,11 @@ def build_model_operator(cfg: RunConfig, num_eigs: int | None = None) -> OneBody
     return build_one_body(model_grid(cfg), m.potential, num_eigs, s=s)
 
 
+def shifted_operator(cfg: RunConfig, op: OneBodyOperator) -> OneBodyOperator:
+    """op - model.nu, the inverse covariance of the free measure (op at nu = 0)."""
+    return shift_potential(op, cfg.model.nu) if cfg.model.nu else op
+
+
 def bind_potential(cfg: RunConfig, grid: GridSpec) -> PairPotential:
     i = cfg.interaction
     if i.kind == "tabulated":
@@ -104,6 +109,8 @@ class Study1DReport:
 def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
     if cfg.model.dimension != 1:
         raise ConfigError("the 1D study requires model.dimension = 1")
+    if cfg.quantum.n_max < 2:
+        raise ConfigError("the 1D study's cutoff audit needs quantum.n_max >= 2")
     K = cfg.model.modes
     nu = cfg.model.nu
     n_max = cfg.quantum.n_max
@@ -111,7 +118,7 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
     interacting = c != 0.0
 
     op = build_model_operator(cfg)
-    op_meas = shift_potential(op, nu) if nu != 0.0 else op
+    op_meas = shifted_operator(cfg, op)
     trace = schatten_trace(op_meas, 1.0)
     if trace.likely_divergent:
         raise ConfigError(
@@ -123,9 +130,9 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
 
     # classical side, independent of the temperature schedule
     ens = sample_gaussian(op_meas, K, cfg.classical.samples, cfg.classical.seed)
-    energy_kind = "renormalized" if cfg.interaction.renormalized else "bare"
     if interacting:
-        ens = cg.reweight(ens, energy_kind, op_meas, w, K)
+        energy = "renormalized" if cfg.interaction.renormalized else "bare"
+        ens = cg.reweight(ens, energy, op_meas, w, K)
     zr = cg.estimate_log_zr(ens)
     moments = {k: cg.reduced_moment(ens, k) for k in fq.ORDERS}
 
@@ -288,7 +295,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
         raise ConfigError("the 2D study requires model.dimension = 2")
     ks = [int(k) for k in cfg.study.k_schedule]
     k_max = max(ks)
-    op = build_model_operator(cfg, num_eigs=max(k_max, 96))
+    op = shifted_operator(cfg, build_model_operator(cfg, num_eigs=max(k_max, 96)))
     w = bind_potential(cfg, op.grid)
 
     uv_rows = []
@@ -302,7 +309,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
         renorm_by_k[K] = batch_interactions(sub, op, tensor, renormalized=True)
         mb, sb = _mean_stderr(bare_by_k[K])
         mr, sr = _mean_stderr(renorm_by_k[K])
-        zr = cg.estimate_log_zr(sub.with_weights(np.exp(-renorm_by_k[K]), "renormalized"))
+        zr = cg.estimate_log_zr(sub.with_weights(np.exp(-renorm_by_k[K])))
         uv_rows.append(UVPoint(K=K, direct=direct_term(op, w, K),
                                exchange=exchange_term(op, w, K),
                                mean_bare=mb, stderr_bare=sb,
@@ -323,9 +330,6 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
     exchanges = [r.exchange for r in uv_rows]
     direct_growing = all(b - a > 1e-3 * abs(b) for a, b in zip(directs[:-1], directs[1:]))
     incs = [b - a for a, b in zip(exchanges[:-1], exchanges[1:])]
-    exchange_shrinking = all(b < a for a, b in zip(incs[:-1], incs[1:]))
-    cmeans = [r.mean_abs_renorm_diff for r in cauchy_rows]
-    cauchy_decreasing = all(b < a for a, b in zip(cmeans[:-1], cmeans[1:]))
 
     hgrid, w_h, stab = run_counterterm(cfg)
 
@@ -338,7 +342,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
                               cfg.classical.seed + 1)
     d_rel = batch_interactions(ens_rel, op_inf, build_pair_tensor(op_inf, w_h, K_rel),
                                renormalized=True)
-    weighted = ens_rel.with_weights(np.exp(-d_rel), "renormalized")
+    weighted = ens_rel.with_weights(np.exp(-d_rel))
     m_mu = cg.reduced_moment(weighted, 1)
     m_mu0 = cg.reduced_moment(ens_rel, 1)
     rel_norm = cg.trace_distance(m_mu.matrix, m_mu0.matrix)
@@ -348,8 +352,9 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
     return Study2DReport(
         uv_points=uv_rows, cauchy_points=cauchy_rows,
         direct_growing=direct_growing,
-        exchange_increments_shrinking=exchange_shrinking,
-        cauchy_decreasing=cauchy_decreasing,
+        exchange_increments_shrinking=_strictly_decreasing(incs),
+        cauchy_decreasing=_strictly_decreasing(
+            [r.mean_abs_renorm_diff for r in cauchy_rows]),
         stabilization=stab,
         relative_moment_trace_norm=rel_norm,
         integrability_w_hat=ihat, integrability_w_trap=itrap,

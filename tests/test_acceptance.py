@@ -119,7 +119,7 @@ def test_criterion_3_single_mode_closed_forms(capsys):
 
     ens = sample_gaussian(op, 1, 100_000, seed=303)
     ren = batch_interactions(ens, op, build_pair_tensor(op, w, 1), renormalized=True)
-    weighted = ens.with_weights(np.exp(-ren), "renormalized")
+    weighted = ens.with_weights(np.exp(-ren))
     est = cg.estimate_log_zr(weighted)
     mom = cg.reduced_moment(weighted, 1)
     z_scores = [abs(est.neg_log_zr - (-np.log(z_oracle))) / est.stderr,

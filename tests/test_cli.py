@@ -138,6 +138,63 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
     assert "lowest eigenvalue" in capsys.readouterr().err
 
 
+SMALL_2D = """
+[model]
+dimension = 2
+potential = power
+s = 2.0
+half_width = 8.0
+points = 24
+modes = 8
+nu = 0.0
+
+[quantum]
+n_max = 10
+
+[study]
+k_schedule = 8, 16
+cauchy_samples = 20
+
+[hartree]
+t_schedule = 4, 8
+shared_modes = 8
+points = 16
+
+[output]
+directory = {out}
+format = json
+"""
+
+
+def test_cli_study_1d_n_max_floor(tmp_path, capsys):
+    # n_max = 0 and 1 pass validation (other commands use them), but the 1D
+    # study's cutoff audit compares against the sector n_max - 2
+    for n_max in (0, 1):
+        text = SMALL_1D.replace("n_max = 10", f"n_max = {n_max}")
+        path, _ = write_config(tmp_path, text=text)
+        validate(load_config(path))
+        assert main(["study-1d", "--config", str(path)]) == 2
+        assert "quantum.n_max" in capsys.readouterr().err
+
+
+def test_cli_out_names_existing_file(tmp_path, capsys):
+    path, _ = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["spectrum", "--config", str(path), "--out", str(taken)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_study_2d_shifts_by_nu(tmp_path, capsys):
+    # the 2D study measures with h - nu, as spectrum does: nu at or above the
+    # lowest eigenvalue is refused instead of silently ignored
+    text = SMALL_2D.replace("nu = 0.0", "nu = 100.0")
+    path, _ = write_config(tmp_path, text=text)
+    assert main(["spectrum", "--config", str(path)]) == 2
+    assert main(["study-2d-classical", "--config", str(path)]) == 2
+    assert "lowest eigenvalue" in capsys.readouterr().err
+
+
 def test_cli_spectrum(tmp_path):
     path, out = write_config(tmp_path)
     assert main(["spectrum", "--config", str(path)]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -90,7 +91,50 @@ def test_pair_operator_hermitian(op, bump):
     Hp = fq.second_quantize_pair(b, t)
     for blk in Hp.blocks:
         d = blk - blk.T
-        assert abs(d).max() if d.nnz else 0.0 < 1e-12
+        assert (abs(d).max() if d.nnz else 0.0) < 1e-12
+
+
+def _dense_annihilators(b):
+    """a_i on the whole truncated Fock space as dense matrices, via index_of."""
+    offsets = np.cumsum([0] + [b.sector_dim(n) for n in range(b.num_sectors)])
+    A = np.zeros((b.num_modes, offsets[-1], offsets[-1]))
+    for n in range(1, b.num_sectors):
+        for col, occ in enumerate(b.occupations[n]):
+            for i in np.nonzero(occ)[0]:
+                m, row = b.index_of(occ - np.eye(b.num_modes, dtype=np.int64)[i])
+                A[i, offsets[m] + row, offsets[n] + col] = np.sqrt(occ[i])
+    return A, offsets
+
+
+def test_second_quantization_dense_oracle(op, bump):
+    # every sector block against sums of products of dense full-space a_i;
+    # sectors with three or more particles and tuples with repeated modes are
+    # where a wrong fold multiplicity would show
+    K = 3
+    b = fq.build_fock(K, 4)
+    A, offsets = _dense_annihilators(b)
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((K, K))  # not symmetric
+    t = build_pair_tensor(op, bump, K)
+    W = t.tensor
+    ordered = list(itertools.product(range(K), repeat=3))
+    a3 = [A[i] @ A[j] @ A[k] for i, j, k in ordered]
+    kernel3 = rng.standard_normal((K**3, K**3))
+    cases = [
+        (fq.second_quantize_one_body(b, h),
+         sum(h[i, j] * A[i].T @ A[j] for i in range(K) for j in range(K))),
+        (fq.second_quantize_pair(b, t),
+         sum(0.5 * W[i, j, k, l] * A[i].T @ A[j].T @ A[k] @ A[l]
+             for i, j, k, l in itertools.product(range(K), repeat=4))),
+        (fq.second_quantize(b, kernel3, 3),
+         sum(kernel3[p, q] * a3[p].T @ a3[q]
+             for p in range(len(ordered)) for q in range(len(ordered)))),
+    ]
+    for H, full in cases:
+        for n in range(b.num_sectors):
+            sector = slice(offsets[n], offsets[n + 1])
+            ref, got = full[sector, sector], H.blocks[n].toarray()
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), n
 
 
 def test_gibbs_single_mode_geometric():

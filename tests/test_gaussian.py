@@ -161,7 +161,7 @@ def test_truncated_view(op):
 
 def test_ensemble_binary_roundtrip(op, tmp_path):
     ens = sample_gaussian(op, 5, 37, seed=17)
-    ens = ens.with_weights(np.linspace(0.5, 1.0, 37), "bare")
+    ens = ens.with_weights(np.linspace(0.5, 1.0, 37))
     path = tmp_path / "e.gfl1"
     formats.write_ensemble(path, ens)
     back = formats.read_ensemble(path, operator_hash=ens.operator_hash)
