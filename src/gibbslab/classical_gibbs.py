@@ -17,7 +17,7 @@ import scipy.integrate
 from .config import MAX_DENSE_MODES
 from .fock_quantum import ORDERS, symmetric_basis
 from .gaussian import Ensemble
-from .interaction import PairPotential, batch_interactions, build_pair_tensor
+from .interaction import PairTensor, batch_interactions
 from .spectral import ConfigurationError, OneBodyOperator
 
 ESS_FLOOR_FRACTION = 0.05
@@ -34,17 +34,10 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(s * s / np.square(weights).sum())
 
 
-def reweight(ensemble: Ensemble, energy: str, op: OneBodyOperator,
-             w: PairPotential, K: int) -> Ensemble:
+def reweight(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
+             renormalized: bool) -> Ensemble:
     """Attach weights exp(-D[u]) for the bare or renormalized interaction."""
-    if energy not in ("bare", "renormalized"):
-        raise ConfigurationError(f"energy must be bare or renormalized, got {energy!r}")
-    if K != ensemble.cutoff:
-        raise ConfigurationError(f"K={K} does not match ensemble cutoff {ensemble.cutoff}")
-    if not w.renormalization_safe:
-        warnings.warn("pair potential transform dips negative; weights may exceed 1")
-    D = batch_interactions(ensemble, op, build_pair_tensor(op, w, K),
-                           energy == "renormalized")
+    D = batch_interactions(ensemble, op, tensor, renormalized)
     out = ensemble.with_weights(np.exp(-D))
     ess = effective_sample_size(out.weights)
     if ess < ESS_FLOOR_FRACTION * out.size:

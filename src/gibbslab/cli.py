@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import classical_gibbs as cg
 from . import fock_quantum as fq
 from . import formats, hartree, studies
-from .config import MAX_DENSE_MODES, ConfigError, RunConfig, load_config, validate
+from .config import ConfigError, RunConfig, load_config, validate
 from .gaussian import sample_gaussian
 from .interaction import build_pair_tensor
 from .spectral import ConfigurationError, DomainError, schatten_trace
@@ -44,7 +43,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="INI config file; defaults apply when omitted")
         sp.add_argument("--seed", type=int, default=None, help="override classical.seed")
         sp.add_argument("--out", type=Path, default=None, help="override output.directory")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker threads over study-1d's temperature "
+                             "schedule; the other commands ignore it")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument("--strict", action="store_true",
                         help="exit 3 on nonconvergence or unsafe cutoffs")
@@ -129,14 +130,8 @@ def cmd_sample(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_classical(cfg: RunConfig, out: Path, args) -> int:
     op = studies.shifted_operator(cfg, studies.build_model_operator(cfg))
-    K = cfg.model.modes
-    w = studies.bind_potential(cfg, op.grid)
-    ens = sample_gaussian(op, K, cfg.classical.samples, cfg.classical.seed)
-    kind = "renormalized" if cfg.interaction.renormalized else "bare"
-    weighted = cg.reweight(ens, kind, op, w, K)
-    zr = cg.estimate_log_zr(weighted)
-    orders = fq.ORDERS if K <= MAX_DENSE_MODES else fq.ORDERS[:1]
-    moments = {k: cg.reduced_moment(weighted, k) for k in orders}
+    tensor = build_pair_tensor(op, studies.bind_potential(cfg, op.grid), cfg.model.modes)
+    zr, moments = studies.run_classical(cfg, op, tensor)
     results = {
         "log_zr": -zr.neg_log_zr, "neg_log_zr": zr.neg_log_zr,
         "stderr": zr.stderr, "ess": zr.ess,
@@ -155,36 +150,26 @@ def cmd_classical(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_quantum(cfg: RunConfig, out: Path, args) -> int:
     op = studies.build_model_operator(cfg)
-    K, n_max = cfg.model.modes, cfg.quantum.n_max
-    basis = fq.build_fock(K, n_max)
-    H1 = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
     c = cfg.quantum.coupling_c
-    w = studies.bind_potential(cfg, op.grid)
-    Hpair = None
-    if c != 0.0:
-        Hpair = fq.second_quantize_pair(basis, build_pair_tensor(op, w, K))
+    tensor = None if c == 0.0 else build_pair_tensor(
+        op, studies.bind_potential(cfg, op.grid), cfg.model.modes)
+    basis, _, spectra_at = studies.quantum_schedule(cfg, op, tensor)
     rows = []
-    unsafe = False
-    last = None
     for T in cfg.quantum.t_schedule:
-        lam = c / T
-        H = H1 if Hpair is None else H1 + Hpair.scaled(lam)
-        res = fq.gibbs_state(H, T, cfg.model.nu, basis)
-        unsafe = unsafe or not res.cutoff_safe
-        rows.append({"T": float(T), "lambda": lam,
+        res = fq.gibbs_from_spectra(spectra_at(T), T)
+        rows.append({"T": float(T), "lambda": c / T,
                      "free_energy": res.free_energy,
                      "log_partition": res.log_partition,
                      "mean_particles": res.mean_particles,
                      "top_sector_weight": res.top_sector_weight,
                      "cutoff_safe": res.cutoff_safe})
-        last = res
-    rdms = {k: fq.reduced_density(last.state, basis, k) for k in fq.ORDERS}
+    rdms = {k: fq.reduced_density(res.state, basis, k) for k in fq.ORDERS}
     results = {"schedule": rows,
                "final_rdm1_eigenvalues": np.linalg.eigvalsh(rdms[1].matrix)}
     _emit(cfg, out, "quantum-gibbs", results, rows)
     for k, rdm in rdms.items():
         formats.write_matrix(out / f"rdm_k{k}.gflm", rdm.matrix)
-    if args.strict and unsafe:
+    if args.strict and not all(r["cutoff_safe"] for r in rows):
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -223,14 +208,7 @@ def cmd_study_1d(cfg: RunConfig, out: Path, args) -> int:
              "top_sector_weight": p.top_sector_weight,
              "cutoff_safe": p.cutoff_safe, "audit_delta_F": p.audit_delta_F}
             for p in rep.points]
-    results = {"points": rows, "neg_log_zr": rep.neg_log_zr,
-               "zr_stderr": rep.zr_stderr, "ess": rep.ess,
-               "discrepancy_decreasing": rep.discrepancy_decreasing,
-               "delta_1_decreasing": rep.delta_1_decreasing,
-               "delta_2_decreasing": rep.delta_2_decreasing,
-               "final_discrepancy": rep.final_discrepancy,
-               "final_threshold": rep.final_threshold,
-               "trace_class_exponent": rep.trace_class_exponent}
+    results = {**dataclasses.asdict(rep), "points": rows}
     _emit(cfg, out, "study-1d", results, rows)
     if args.strict and any(not p.cutoff_safe for p in rep.points):
         return EXIT_NUMERICAL

@@ -14,6 +14,7 @@ density and the kernel is sampled raw at grid offsets.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,10 +67,6 @@ class PairPotential:
     w_hat_zero: float
     w_hat_grid: np.ndarray = field(repr=False)
     w_hat_min: float
-
-    @property
-    def renormalization_safe(self) -> bool:
-        return self.w_hat_min >= -1e-10
 
 
 def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
@@ -210,7 +207,8 @@ class PairTensor:
 
     p = (a <= b) and q = (c <= d) run over unordered pairs in (b, a) order,
     so the Gram matrix at any cutoff K' <= K is the leading K'(K'+1)/2
-    block.  Q is real, symmetric and positive semidefinite.
+    block.  Q is real and symmetric, and positive semidefinite when the
+    transform of w is nonnegative.
     """
 
     mode_cutoff: int
@@ -233,6 +231,10 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     densities at a time; the mirror makes Q exactly symmetric.
     """
     _check_binding(op, w)
+    if w.w_hat_min < -1e-10:  # beyond FFT roundoff
+        warnings.warn(f"pair potential transform dips negative (min {w.w_hat_min:.3g}): "
+                      "the pair Gram need not be positive semidefinite, so "
+                      "energies may be negative and weights exp(-D) exceed 1")
     P = K * (K + 1) // 2
     nbytes = 8 * P * (P + op.grid.total_points)
     if nbytes > MAX_GRAM_BYTES:

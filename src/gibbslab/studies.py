@@ -15,6 +15,7 @@ attempted.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,11 +24,11 @@ import numpy as np
 from . import classical_gibbs as cg
 from . import fock_quantum as fq
 from . import hartree
-from .config import ConfigError, RunConfig
+from .config import MAX_DENSE_MODES, ConfigError, RunConfig
 from .gaussian import sample_gaussian
-from .interaction import (PairPotential, batch_interactions, build_pair_tensor,
-                          direct_term, exchange_term, make_pair_potential,
-                          offset_sq_radii)
+from .interaction import (PairPotential, PairTensor, batch_interactions,
+                          build_pair_tensor, direct_term, exchange_term,
+                          make_pair_potential, offset_sq_radii)
 from .spectral import (GridSpec, OneBodyOperator, build_one_body,
                        potential_values, schatten_trace, shift_potential)
 
@@ -73,6 +74,58 @@ def run_counterterm(cfg: RunConfig
 
 
 # ---------------------------------------------------------------------------
+# The classical and quantum halves, shared by the 1D study and the CLI
+
+
+def run_classical(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | None
+                  ) -> tuple[cg.PartitionEstimate, dict[int, cg.ReducedMoment]]:
+    """The configured classical measure: -log z_r and reduced moments.
+
+    Draws model.modes modes of the free measure with covariance op^-1 and,
+    given a tensor, reweights by the configured interaction; order-2
+    moments are skipped above MAX_DENSE_MODES.
+    """
+    K = cfg.model.modes
+    ens = sample_gaussian(op, K, cfg.classical.samples, cfg.classical.seed)
+    if tensor is not None:
+        ens = cg.reweight(ens, op, tensor, cfg.interaction.renormalized)
+    orders = fq.ORDERS if K <= MAX_DENSE_MODES else fq.ORDERS[:1]
+    return cg.estimate_log_zr(ens), {k: cg.reduced_moment(ens, k) for k in orders}
+
+
+def basis_warmup(basis: fq.FockBasis) -> None:
+    """Prebuild annihilator caches so schedule threads only read them."""
+    K = basis.num_modes
+    for n in range(1, basis.num_sectors):
+        for i in range(K):
+            basis.annihilator(i, n)
+
+
+def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | None
+                     ) -> tuple[fq.FockBasis, fq.SectorSpectra,
+                                Callable[[float], fq.SectorSpectra]]:
+    """Fock basis, free spectra and spectra_at(T) of H1 + (coupling_c/T) Hpair.
+
+    Spectra are of H - nu N, H1 from op's unshifted eigenvalues.  Pass no
+    tensor at coupling_c = 0: spectra_at then returns the free spectra.
+    Otherwise each call diagonalizes afresh and nothing is kept.
+    """
+    K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
+    basis = fq.build_fock(K, cfg.quantum.n_max)
+    H1 = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
+    Hpair = fq.second_quantize_pair(basis, tensor) if tensor is not None else None
+    spectra_free = fq.sector_eigensystems(H1, nu, basis)
+    basis_warmup(basis)
+
+    def spectra_at(T: float) -> fq.SectorSpectra:
+        if Hpair is None:
+            return spectra_free
+        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu, basis)
+
+    return basis, spectra_free, spectra_at
+
+
+# ---------------------------------------------------------------------------
 # 1D convergence study
 
 
@@ -112,10 +165,8 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
     if cfg.quantum.n_max < 2:
         raise ConfigError("the 1D study's cutoff audit needs quantum.n_max >= 2")
     K = cfg.model.modes
-    nu = cfg.model.nu
     n_max = cfg.quantum.n_max
     c = cfg.quantum.coupling_c
-    interacting = c != 0.0
 
     op = build_model_operator(cfg)
     op_meas = shifted_operator(cfg, op)
@@ -125,30 +176,13 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
             "1D study needs a trace-class trap (growth exponent "
             f"{trace.growth_exponent:.3f} at p=1 looks divergent)")
 
-    w = bind_potential(cfg, op.grid)
-    tensor = build_pair_tensor(op, w, K)
-
-    # classical side, independent of the temperature schedule
-    ens = sample_gaussian(op_meas, K, cfg.classical.samples, cfg.classical.seed)
-    if interacting:
-        energy = "renormalized" if cfg.interaction.renormalized else "bare"
-        ens = cg.reweight(ens, energy, op_meas, w, K)
-    zr = cg.estimate_log_zr(ens)
-    moments = {k: cg.reduced_moment(ens, k) for k in fq.ORDERS}
-
-    # quantum side, one basis and pair operator shared across the schedule
-    basis = fq.build_fock(K, n_max)
-    H1 = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
-    Hpair = fq.second_quantize_pair(basis, tensor) if interacting else None
-    spectra_free = fq.sector_eigensystems(H1, nu, basis)
-    basis_warmup(basis)
+    tensor = build_pair_tensor(op, bind_potential(cfg, op.grid), K) if c != 0.0 else None
+    zr, moments = run_classical(cfg, op_meas, tensor)
+    basis, spectra_free, spectra_at = quantum_schedule(cfg, op, tensor)
 
     def solve_point(T: float) -> StudyPoint1D:
         lam = c / T
-        if interacting:
-            spectra = fq.sector_eigensystems(H1 + Hpair.scaled(lam), nu, basis)
-        else:
-            spectra = spectra_free
+        spectra = spectra_at(T)
         g_int = fq.gibbs_from_spectra(spectra, T)
         g_free = fq.gibbs_from_spectra(spectra_free, T)
         audit = abs(g_int.free_energy
@@ -190,14 +224,6 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
 
 def _strictly_decreasing(xs) -> bool:
     return all(b < a for a, b in zip(xs[:-1], xs[1:]))
-
-
-def basis_warmup(basis: fq.FockBasis) -> None:
-    """Prebuild annihilator caches so schedule threads only read them."""
-    K = basis.num_modes
-    for n in range(1, basis.num_sectors):
-        for i in range(K):
-            basis.annihilator(i, n)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +296,10 @@ def integrability_checks(w: PairPotential, trap_exponent: float | None
     outer = float(vals[kk > kk.max() / 2].sum())
     ok_hat = abs(outer) <= 0.01 * max(abs(total), 1e-30)
 
-    offs = np.sqrt(offset_sq_radii(grid))
-    trap_sq = offs ** (2.0 * trap_exponent) if trap_exponent is not None else 0.0
-    integrand = np.abs(w.kernel) * trap_sq * grid.cell_volume
     if trap_exponent is None:
         return total, 0.0, ok_hat
+    offs = np.sqrt(offset_sq_radii(grid))
+    integrand = np.abs(w.kernel) * offs ** (2.0 * trap_exponent) * grid.cell_volume
     vmoment = float(integrand.sum())
     outer_v = float(integrand[offs > offs.max() / 2].sum())
     ok_v = abs(outer_v) <= 0.01 * max(abs(vmoment), 1e-30)
@@ -340,9 +365,8 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
                             potential_array=stab.proxy_potential)
     ens_rel = sample_gaussian(op_inf, K_rel, cfg.study.cauchy_samples,
                               cfg.classical.seed + 1)
-    d_rel = batch_interactions(ens_rel, op_inf, build_pair_tensor(op_inf, w_h, K_rel),
-                               renormalized=True)
-    weighted = ens_rel.with_weights(np.exp(-d_rel))
+    weighted = cg.reweight(ens_rel, op_inf, build_pair_tensor(op_inf, w_h, K_rel),
+                           renormalized=True)
     m_mu = cg.reduced_moment(weighted, 1)
     m_mu0 = cg.reduced_moment(ens_rel, 1)
     rel_norm = cg.trace_distance(m_mu.matrix, m_mu0.matrix)

@@ -335,7 +335,7 @@ def test_criterion_8_structural_invariants(capsys, tmp_path):
 
     op, w = models[0][0], models[0][1]
     ens = sample_gaussian(op, 3, 30_000, seed=909)
-    weighted = cg.reweight(ens, "bare", op, w, 3)
+    weighted = cg.reweight(ens, op, build_pair_tensor(op, w, 3), False)
     for order in (1, 2):
         mom = cg.reduced_moment(weighted, order)
         if np.abs(mom.matrix - mom.matrix.conj().T).max() > 1e-12:

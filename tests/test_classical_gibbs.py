@@ -24,6 +24,11 @@ def zero_w(op):
 
 
 @pytest.fixture(scope="module")
+def bump4(op, bump):
+    return build_pair_tensor(op, bump, 4)
+
+
+@pytest.fixture(scope="module")
 def ensemble(op):
     return sample_gaussian(op, 4, 50_000, seed=424)
 
@@ -39,7 +44,7 @@ def simpson_average(lam1, pair_diag, renormalized, observable, n=200_001, x_max=
 
 
 def test_zero_interaction_weights(ensemble, op, zero_w):
-    out = cg.reweight(ensemble, "bare", op, zero_w, 4)
+    out = cg.reweight(ensemble, op, build_pair_tensor(op, zero_w, 4), False)
     assert np.all(out.weights == 1.0)
     est = cg.estimate_log_zr(out)
     assert est.neg_log_zr == 0.0
@@ -48,23 +53,25 @@ def test_zero_interaction_weights(ensemble, op, zero_w):
 
 def test_single_mode_weights_closed_form(op, bump):
     ens = sample_gaussian(op, 1, 200, seed=3)
-    out = cg.reweight(ens, "renormalized", op, bump, 1)
-    W1 = build_pair_tensor(op, bump, 1).tensor[0, 0, 0, 0]
+    bump1 = build_pair_tensor(op, bump, 1)
+    out = cg.reweight(ens, op, bump1, True)
+    W1 = bump1.tensor[0, 0, 0, 0]
     x = np.abs(ens.coefficients[:, 0]) ** 2
     expected = np.exp(-0.5 * W1 * (x - 1.0 / op.eigenvalues[0]) ** 2)
     assert np.abs(out.weights - expected).max() < 1e-12
 
 
-def test_weights_bounded_by_one(ensemble, op, bump):
-    for kind in ("bare", "renormalized"):
-        out = cg.reweight(ensemble, kind, op, bump, 4)
+def test_weights_bounded_by_one(ensemble, op, bump4):
+    for renormalized in (False, True):
+        out = cg.reweight(ensemble, op, bump4, renormalized)
         assert out.weights.max() <= 1.0 + 1e-12
         assert out.weights.min() > 0.0
 
 
 def test_log_zr_single_mode_oracle(op, bump):
     lam1 = op.eigenvalues[0]
-    W1 = build_pair_tensor(op, bump, 1).tensor[0, 0, 0, 0]
+    bump1 = build_pair_tensor(op, bump, 1)
+    W1 = bump1.tensor[0, 0, 0, 0]
     # package quadrature against an independent Simpson oracle
     for renorm in (True, False):
         z_pkg = cg.single_mode_log_zr(lam1, W1, renormalized=renorm)
@@ -72,20 +79,21 @@ def test_log_zr_single_mode_oracle(op, bump):
         assert abs(z_pkg - z_ora) < 1e-8
     # Monte Carlo against the quadrature
     ens = sample_gaussian(op, 1, 100_000, seed=5150)
-    out = cg.reweight(ens, "renormalized", op, bump, 1)
+    out = cg.reweight(ens, op, bump1, True)
     est = cg.estimate_log_zr(out)
     assert abs(est.neg_log_zr - cg.single_mode_log_zr(lam1, W1)) < 4.0 * est.stderr
 
 
 def test_moment_single_mode_oracle(op, bump):
     lam1 = op.eigenvalues[0]
-    W1 = build_pair_tensor(op, bump, 1).tensor[0, 0, 0, 0]
+    bump1 = build_pair_tensor(op, bump, 1)
+    W1 = bump1.tensor[0, 0, 0, 0]
     m_pkg = cg.single_mode_moment(lam1, W1)
     z = simpson_average(lam1, W1, True, lambda x: np.ones_like(x))
     m_ora = simpson_average(lam1, W1, True, lambda x: x) / z
     assert abs(m_pkg - m_ora) < 1e-8
     ens = sample_gaussian(op, 1, 100_000, seed=5151)
-    out = cg.reweight(ens, "renormalized", op, bump, 1)
+    out = cg.reweight(ens, op, bump1, True)
     mom = cg.reduced_moment(out, 1)
     assert abs(mom.matrix[0, 0].real - m_pkg) < 4.0 * mom.stderr[0, 0]
 
@@ -120,24 +128,24 @@ def test_free_moment_k2_isserlis(ensemble, op):
         assert err < 5.0 * mom.stderr[col, col], (i, j)
 
 
-def test_moment_mass_consistency(ensemble, op, bump):
-    out = cg.reweight(ensemble, "bare", op, bump, 4)
+def test_moment_mass_consistency(ensemble, op, bump4):
+    out = cg.reweight(ensemble, op, bump4, False)
     mom = cg.reduced_moment(out, 1)
     mass = (np.abs(out.coefficients) ** 2).sum(axis=1)
     weighted_mass = float((out.weights * mass).sum() / out.weights.sum())
     assert np.trace(mom.matrix).real == pytest.approx(weighted_mass, rel=1e-12)
 
 
-def test_moment_psd(ensemble, op, bump):
-    out = cg.reweight(ensemble, "renormalized", op, bump, 4)
+def test_moment_psd(ensemble, op, bump4):
+    out = cg.reweight(ensemble, op, bump4, True)
     for order in (1, 2):
         mom = cg.reduced_moment(out, order)
         evals = np.linalg.eigvalsh(mom.matrix)
         assert evals.min() > -3.0 * mom.stderr.max()
 
 
-def test_phase_symmetry(ensemble, op, bump):
-    out = cg.reweight(ensemble, "bare", op, bump, 4)
+def test_phase_symmetry(ensemble, op, bump4):
+    out = cg.reweight(ensemble, op, bump4, False)
     pseudo = cg.pseudo_moment(out)
     lam = op.eigenvalues[:4]
     for i in range(4):
@@ -146,18 +154,18 @@ def test_phase_symmetry(ensemble, op, bump):
             assert abs(pseudo[i, j]) < 4.0 * stderr
 
 
-def test_zr_in_unit_interval(ensemble, op, bump):
-    out = cg.reweight(ensemble, "bare", op, bump, 4)
+def test_zr_in_unit_interval(ensemble, op, bump4):
+    out = cg.reweight(ensemble, op, bump4, False)
     est = cg.estimate_log_zr(out)
     assert est.neg_log_zr > -3.0 * est.stderr  # z_r <= 1 when D >= 0
 
 
-def test_stderr_clt_scaling(op, bump):
+def test_stderr_clt_scaling(op, bump4):
     errs = []
     ns = [1000, 10_000, 100_000]
     for n in ns:
         ens = sample_gaussian(op, 4, n, seed=88)
-        out = cg.reweight(ens, "bare", op, bump, 4)
+        out = cg.reweight(ens, op, bump4, False)
         errs.append(cg.estimate_log_zr(out).stderr)
     slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
     assert abs(slope + 0.5) < 0.15
@@ -168,10 +176,11 @@ def test_renorm_vs_bare_zr_shift_single_mode(op):
     # the counterterm recentering; both must match their quadrature oracles
     delta = make_pair_potential("grid-delta", op.grid, amplitude=0.05)
     lam1 = op.eigenvalues[0]
-    W1 = build_pair_tensor(op, delta, 1).tensor[0, 0, 0, 0]
+    delta1 = build_pair_tensor(op, delta, 1)
+    W1 = delta1.tensor[0, 0, 0, 0]
     ens = sample_gaussian(op, 1, 100_000, seed=4242)
-    bare = cg.reweight(ens, "bare", op, delta, 1)
-    ren = cg.reweight(ens, "renormalized", op, delta, 1)
+    bare = cg.reweight(ens, op, delta1, False)
+    ren = cg.reweight(ens, op, delta1, True)
     eb, er = cg.estimate_log_zr(bare), cg.estimate_log_zr(ren)
     diff_mc = eb.neg_log_zr - er.neg_log_zr
     diff_oracle = (cg.single_mode_log_zr(lam1, W1, renormalized=False)
@@ -183,7 +192,7 @@ def test_low_ess_warning(op):
     strong = make_pair_potential("gaussian-bump", op.grid, amplitude=300.0, sigma=0.6)
     ens = sample_gaussian(op, 4, 2000, seed=11)
     with pytest.warns(cg.LowEffectiveSampleSize):
-        out = cg.reweight(ens, "bare", op, strong, 4)
+        out = cg.reweight(ens, op, build_pair_tensor(op, strong, 4), False)
     assert cg.estimate_log_zr(out).low_confidence
 
 

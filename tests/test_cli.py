@@ -195,6 +195,34 @@ def test_cli_study_2d_shifts_by_nu(tmp_path, capsys):
     assert "lowest eigenvalue" in capsys.readouterr().err
 
 
+def test_cli_study_2d_deterministic(tmp_path):
+    path, out = write_config(tmp_path, text=SMALL_2D)
+    assert main(["study-2d-classical", "--config", str(path)]) == 0
+    first = (out / "study-2d-classical.json").read_bytes()
+    assert main(["study-2d-classical", "--config", str(path)]) == 0
+    assert (out / "study-2d-classical.json").read_bytes() == first
+    doc = json.loads(first)
+    assert list(doc) == ["gfl_schema", "kind", "config", "results"]
+    assert list(doc["results"]) == [
+        "uv", "cauchy", "direct_growing", "exchange_increments_shrinking",
+        "cauchy_decreasing", "stabilization", "relative_moment_trace_norm",
+        "integrability_w_hat", "integrability_w_trap", "integrability_ok"]
+    assert [row["K"] for row in doc["results"]["uv"]] == [8, 16]
+
+
+def test_cli_commands_agree_with_study_1d(tmp_path):
+    # classical-gibbs and quantum-gibbs run the classical and quantum halves
+    # of study-1d, so the shared numbers agree exactly
+    path, out = write_config(tmp_path)
+    res = {}
+    for command in ("classical-gibbs", "quantum-gibbs", "study-1d"):
+        assert main([command, "--config", str(path)]) == 0
+        res[command] = json.loads((out / f"{command}.json").read_text())["results"]
+    assert res["classical-gibbs"]["neg_log_zr"] == res["study-1d"]["neg_log_zr"]
+    assert ([row["free_energy"] for row in res["quantum-gibbs"]["schedule"]]
+            == [p["F_lambda"] for p in res["study-1d"]["points"]])
+
+
 def test_cli_spectrum(tmp_path):
     path, out = write_config(tmp_path)
     assert main(["spectrum", "--config", str(path)]) == 0

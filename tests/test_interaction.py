@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +280,23 @@ def test_pair_matrix_psd(op, bump):
     q = build_pair_tensor(op, bump, 5).gram
     assert np.array_equal(q, q.T)
     assert np.linalg.eigvalsh(q).min() > -1e-10
+
+
+def test_negative_transform_warns_at_gram_build():
+    # a top-hat's transform is a sinc that dips negative, so its pair Gram
+    # need not be positive semidefinite; a Gaussian's transform is positive
+    grid = GridSpec(1, 6.0, 128)
+    small = build_one_body(grid, "power", 4, s=4.0)
+    r = np.linspace(0.0, 3.0, 301)
+    hat = make_pair_potential("tabulated", grid,
+                              table=np.column_stack([r, np.where(r < 1.0, 0.4, 0.0)]))
+    assert hat.w_hat_min == pytest.approx(-0.17, abs=0.01)
+    with pytest.warns(UserWarning, match="transform dips negative"):
+        build_pair_tensor(small, hat, 4)
+    gauss = make_pair_potential("gaussian-bump", grid, amplitude=0.4, sigma=0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_pair_tensor(small, gauss, 4)
 
 
 def test_tensor_byte_cap(bump):
