@@ -21,8 +21,6 @@ from .interaction import PairTensor, batch_interactions
 from .spectral import ConfigurationError, OneBodyOperator
 
 ESS_FLOOR_FRACTION = 0.05
-# Samples whose outer products are held at once for the moment stderr.
-_MOMENT_CHUNK = 4096
 
 
 class LowEffectiveSampleSize(UserWarning):
@@ -89,17 +87,19 @@ class ReducedMoment:
 
 def _weighted_moment(features: np.ndarray, weights: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
+    """M and its ratio-estimator stderr sqrt(sum_s w_s^2 |f_i f_j* - M_ij|^2) / sum w,
+    expanded into three GEMMs (the real one first, so its temporaries go
+    before the complex ones) with roundoff below zero clipped."""
     wsum = weights.sum()
+    w2 = weights**2
+    abs2 = np.abs(features) ** 2
+    acc = (abs2.T * w2) @ abs2
+    del abs2
     M = (features.T * weights) @ features.conj() / wsum
     M = 0.5 * (M + M.conj().T)
-    # ratio-estimator stderr per entry, chunked to bound memory
-    acc = np.zeros(M.shape)
-    for lo in range(0, len(weights), _MOMENT_CHUNK):
-        f = features[lo:lo + _MOMENT_CHUNK]
-        dev = f[:, :, None] * f.conj()[:, None, :] - M[None, :, :]
-        acc += np.einsum("s,sij->ij", weights[lo:lo + _MOMENT_CHUNK] ** 2,
-                         np.abs(dev) ** 2)
-    se = np.sqrt(acc) / wsum
+    acc -= 2.0 * np.real(M.conj() * ((features.T * w2) @ features.conj()))
+    acc += np.abs(M) ** 2 * w2.sum()
+    se = np.sqrt(np.clip(acc, 0.0, None)) / wsum
     return M, se
 
 

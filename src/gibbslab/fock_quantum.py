@@ -5,7 +5,8 @@ particle number, so states and operators are block-diagonal over sectors.
 Free (diagonal) sectors keep their Gibbs blocks as bare probability vectors
 so that large cutoffs stay cheap; interacting sectors are dense.  One
 symmetric k-body basis, symmetric_basis, indexes second quantization, the
-reduced densities and the classical moments.
+reduced densities and the classical moments; reduced_density is the adjoint
+of second_quantize over the same stacked annihilators.
 """
 
 from __future__ import annotations
@@ -327,17 +328,9 @@ class ReducedDensityMatrix:
         return self.matrix.shape[0]
 
 
-def _trace_sandwich(left: sp.csr_matrix, block: np.ndarray,
-                    right: sp.csr_matrix) -> complex:
-    """tr(left @ Gamma @ right^T) for a diagonal or dense Gamma block."""
-    if block.ndim == 1:
-        # columns of annihilators hold at most one entry, so work columnwise
-        colsums = np.asarray(left.multiply(right).sum(axis=0)).ravel()
-        return complex(colsums @ block)
-    return complex((right.multiply(left @ block)).sum())
-
-
 def reduced_density(state: FockState, basis: FockBasis, order: int) -> ReducedDensityMatrix:
+    """Per sector, tr_{n-k}(S Gamma S^T), the adjoint of second_quantize: with
+    rows[b] = vec(S_b), entry (a, b) is tr(S_a Gamma S_b^T) = rows[b] . vec(S_a Gamma)."""
     if order not in ORDERS:
         raise ConfigurationError("reduced density order must be 1 or 2")
     tuples, weights = symmetric_basis(basis.num_modes, order)
@@ -348,12 +341,14 @@ def reduced_density(state: FockState, basis: FockBasis, order: int) -> ReducedDe
         if block.ndim == 1 and not block.any():
             continue
         ops = [basis.annihilate(t, n) for t in tuples]
-        for a in range(P):
-            for b in range(a, P):
-                val = _trace_sandwich(ops[a], block, ops[b])
-                M[a, b] += val
-                if a != b:
-                    M[b, a] += np.conj(val)
+        stack = sp.vstack(ops, format="csr")
+        if block.ndim == 1:
+            # distinct tuples send a number state to distinct states: M is diagonal
+            M[np.diag_indices(P)] += (stack.multiply(stack) @ block).reshape(P, -1).sum(axis=1)
+        else:
+            rows = stack.reshape(P, -1).tocsr()
+            for a, op in enumerate(ops):
+                M[a] += rows @ (op @ block).ravel()
     M *= weights[:, None] * weights[None, :]
     return ReducedDensityMatrix(order=order, matrix=M)
 

@@ -107,8 +107,7 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
     else:
         raise ConfigurationError(f"unknown pair potential kind {kind!r}")
 
-    reflect = np.ix_(*[(-np.arange(P)) % P for P in shape]) if grid.dimension == 2 \
-        else ((-np.arange(shape[0])) % shape[0],)
+    reflect = np.ix_(*[(-np.arange(P)) % P for P in shape])
     if not np.array_equal(kernel, kernel[reflect]):
         raise ConfigurationError("pair potential kernel is not even on the grid")
 
@@ -125,23 +124,16 @@ def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
     Accepts a single flattened density or a batch (n, total_points).
     """
     grid = w.grid
-    M = grid.points
     shape = w.kernel.shape
-    batched = density.ndim == 2
-    dens = density if batched else density[None, :]
-    n = dens.shape[0]
-    if grid.dimension == 1:
-        buf = np.zeros((n, shape[0]))
-        buf[:, :M] = dens
-        out = scipy.fft.irfft(scipy.fft.rfft(buf, axis=-1) * w.kernel_fft,
-                              n=shape[0], axis=-1)[:, :M]
-    else:
-        buf = np.zeros((n,) + shape)
-        buf[:, :M, :M] = dens.reshape(n, M, M)
-        conv = scipy.fft.irfftn(scipy.fft.rfftn(buf, axes=(1, 2)) * w.kernel_fft,
-                                s=shape, axes=(1, 2))
-        out = conv[:, :M, :M].reshape(n, M * M)
-    return out if batched else out[0]
+    axes = tuple(range(1, grid.dimension + 1))
+    crop = (slice(None),) + (slice(grid.points),) * grid.dimension
+    dens = density.reshape((-1,) + (grid.points,) * grid.dimension)
+    buf = np.zeros((len(dens),) + shape)
+    buf[crop] = dens
+    conv = scipy.fft.irfftn(scipy.fft.rfftn(buf, axes=axes) * w.kernel_fft,
+                            s=shape, axes=axes)
+    out = conv[crop].reshape(len(dens), -1)
+    return out if density.ndim == 2 else out[0]
 
 
 def quadratic_form(w: PairPotential, density: np.ndarray) -> np.ndarray | float:

@@ -54,7 +54,10 @@ def shifted_operator(cfg: RunConfig, op: OneBodyOperator) -> OneBodyOperator:
 def bind_potential(cfg: RunConfig, grid: GridSpec) -> PairPotential:
     i = cfg.interaction
     if i.kind == "tabulated":
-        table = np.loadtxt(i.table_path)
+        try:
+            table = np.loadtxt(i.table_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"interaction.table_path {i.table_path!r}: {exc}") from exc
         return make_pair_potential("tabulated", grid, table=table)
     return make_pair_potential(i.kind, grid, amplitude=i.amplitude, sigma=i.sigma)
 

@@ -3,7 +3,7 @@ import pytest
 
 from gibbslab import classical_gibbs as cg
 from gibbslab import fock_quantum as fq
-from gibbslab.gaussian import sample_gaussian
+from gibbslab.gaussian import Ensemble, sample_gaussian
 from gibbslab.interaction import build_pair_tensor, make_pair_potential
 from gibbslab.spectral import GridSpec, build_one_body
 
@@ -126,6 +126,29 @@ def test_free_moment_k2_isserlis(ensemble, op):
         expected = c2 * (1.0 + (i == j)) / (lam[i] * lam[j])
         err = abs(mom.matrix[col, col].real - expected)
         assert err < 5.0 * mom.stderr[col, col], (i, j)
+
+
+def test_moment_stderr_explicit_sum(op):
+    # the three-GEMM stderr against sqrt(sum_s w_s^2 |f_s f_s^* - M|^2) / sum w
+    # over the symmetric-basis features f_s of each sample
+    ens = sample_gaussian(op, 3, 50, seed=9)
+    w = np.random.default_rng(3).uniform(0.05, 1.0, ens.size)
+    ens = ens.with_weights(w)
+    for order in fq.ORDERS:
+        tuples, c = fq.symmetric_basis(3, order)
+        f = np.stack([c[col] * np.prod(ens.coefficients[:, list(t)], axis=1)
+                      for col, t in enumerate(tuples)], axis=1)
+        mom = cg.reduced_moment(ens, order)
+        dev = f[:, :, None] * f.conj()[:, None, :] - mom.matrix
+        ref = np.sqrt(np.einsum("s,sij->ij", w**2, np.abs(dev) ** 2)) / w.sum()
+        assert np.all(np.abs(mom.stderr - ref) <= 1e-12 * ref), order
+    # one sample: the expansion cancels to roundoff, which must not go negative
+    one = Ensemble(operator_hash="one", cutoff=3, coefficients=ens.coefficients[:1].copy(),
+                   weights=np.array([0.7]), seed=0)
+    for order in fq.ORDERS:
+        mom = cg.reduced_moment(one, order)
+        assert np.all(np.isfinite(mom.stderr)) and mom.stderr.min() >= 0.0, order
+        assert mom.stderr.max() <= 1e-6 * np.abs(mom.matrix).max(), order
 
 
 def test_moment_mass_consistency(ensemble, op, bump4):

@@ -309,6 +309,19 @@ def test_cli_tabulated_potential(tmp_path):
     assert doc["results"]["neg_log_zr"] > 0
 
 
+def test_cli_bad_table_path_exit_code(tmp_path, capsys):
+    # a missing or unparsable table is a config error naming the field
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_text("0.0 0.4\nnot a number\n")
+    for table_path in (tmp_path / "missing.txt", garbled):
+        path, _ = write_config(tmp_path)
+        body = path.read_text().replace("kind = gaussian-bump",
+                                        f"kind = tabulated\ntable_path = {table_path}")
+        path.write_text(body)
+        assert main(["classical-gibbs", "--config", str(path)]) == 2
+        assert "interaction.table_path" in capsys.readouterr().err
+
+
 def test_json_determinism(tmp_path):
     path, out = write_config(tmp_path)
     main(["classical-gibbs", "--config", str(path)])

@@ -1,8 +1,10 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gibbslab.classical_gibbs as cg
 import gibbslab.fock_quantum as fq
@@ -135,6 +137,31 @@ def test_second_quantization_dense_oracle(op, bump):
             sector = slice(offsets[n], offsets[n + 1])
             ref, got = full[sector, sector], H.blocks[n].toarray()
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), n
+
+
+def test_reduced_density_dense_oracle(op, bump):
+    # entry (s, t) is c_s c_t tr(Gamma a_t+ a_s) with dense full-space a_s;
+    # the free state has only diagonal blocks, the interacting one dense
+    # blocks from two particles on, the coherent one complex dense blocks
+    K = 3
+    b = fq.build_fock(K, 5)
+    A, _ = _dense_annihilators(b)
+    H1 = fq.second_quantize_one_body(b, op.eigenvalues[:K])
+    Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, K))
+    states = [fq.gibbs_state(H1, 2.0, 0.0, b).state,
+              fq.gibbs_state(H1 + Hp, 2.0, 0.0, b).state,
+              fq.coherent_state(np.array([0.5 + 0.3j, -0.4j, 0.2]), b).state]
+    assert [any(blk.ndim == 2 for blk in s.blocks) for s in states] == [False, True, True]
+    for state in states:
+        gamma = scipy.linalg.block_diag(
+            *[blk if blk.ndim == 2 else np.diag(blk) for blk in state.blocks])
+        for order in fq.ORDERS:
+            tuples, c = fq.symmetric_basis(K, order)
+            a = [functools.reduce(np.matmul, [A[i] for i in t]) for t in tuples]
+            ref = np.array([[c[s] * c[t] * np.trace(gamma @ a[t].T @ a[s])
+                             for t in range(len(tuples))] for s in range(len(tuples))])
+            got = fq.reduced_density(state, b, order).matrix
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), order
 
 
 def test_gibbs_single_mode_geometric():
