@@ -54,14 +54,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.config is None:
-        validate(cfg)
     if args.seed is not None:
         cfg.classical.seed = args.seed
     if args.out is not None:
         cfg.output.directory = str(args.out)
     if args.format is not None:
         cfg.output.format = args.format
+    validate(cfg)
     return cfg
 
 

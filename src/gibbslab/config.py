@@ -165,6 +165,8 @@ def validate(cfg: RunConfig) -> None:
     if i.kind == "tabulated":
         _require(bool(i.table_path), "interaction.table_path required for tabulated kind")
     _require(cfg.classical.samples > 0, "classical.samples must be positive")
+    _require(0 <= cfg.classical.seed < 2**64 - 1,  # study-2d also uses seed + 1
+             "classical.seed must be in [0, 2**64 - 2]")
     _require(cfg.study.cauchy_samples >= 2,
              "study.cauchy_samples must be at least 2 for standard errors")
     _require(q.n_max >= 0, "quantum.n_max must be nonnegative")

@@ -31,8 +31,7 @@ SCHEMA_VERSION = 1
 def write_ensemble(path, ensemble: Ensemble) -> None:
     with open(path, "wb") as fh:
         fh.write(ENSEMBLE_MAGIC)
-        fh.write(struct.pack("<IQQ", ensemble.cutoff, ensemble.size,
-                             ensemble.seed & 0xFFFFFFFFFFFFFFFF))
+        fh.write(struct.pack("<IQQ", ensemble.cutoff, ensemble.size, ensemble.seed))
         inter = np.empty((ensemble.size, ensemble.cutoff, 2))
         inter[:, :, 0] = ensemble.coefficients.real
         inter[:, :, 1] = ensemble.coefficients.imag

@@ -1,8 +1,8 @@
 """Sampling of the cylindrical Gaussian measure with covariance h^-1.
 
 Mode j of a sample is an independent complex Gaussian with mean zero and
-E|alpha_j|^2 = 1/lambda_j.  Per-sample Philox streams keyed on
-(seed, sample index) make generation order-independent and bit reproducible.
+E|alpha_j|^2 = 1/lambda_j.  Sample i is drawn from the Philox stream with key
+words [i, seed] and counter 0 (0 <= seed < 2**64), so it does not depend on n.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spectral import DomainError, OneBodyOperator
+
+# Samples drawn per block, and per batch of interaction energies.
+_SAMPLE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class Ensemble:
         return replace(self, weights=w)
 
     def truncated(self, K: int) -> "Ensemble":
-        """View of the first K modes (weights reset to one)."""
+        """Contiguous copy of the first K modes (weights reset to one)."""
         if K > self.cutoff:
             raise ValueError(f"cannot extend cutoff {self.cutoff} to {K}")
         return Ensemble(operator_hash=self.operator_hash, cutoff=K,
@@ -61,18 +64,24 @@ def _mode_scales(op: OneBodyOperator, K: int) -> np.ndarray:
 def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
     """Draw n independent samples of the first K modes.
 
-    Stream i is Philox keyed by (seed, i), so any sub-range of samples can be
-    regenerated independently and parallel generation cannot reorder draws.
+    Sample i is scale * (z[0] + 1j z[1]), z = standard_normal((2, K)), from one
+    Philox reset to key words [i, seed], counter 0 and an empty buffer: the
+    stream of Philox(key=(seed << 64) | i), for 0 <= seed < 2**64.
     """
     if K < 1 or K > op.num_modes:
         raise DomainError(f"K={K} out of range (have {op.num_modes} modes)")
     scale = _mode_scales(op, K)
     coeffs = np.empty((n, K), dtype=complex)
-    base = (int(seed) & 0xFFFFFFFFFFFFFFFF) << 64
-    for i in range(n):
-        rng = np.random.Generator(np.random.Philox(key=base | i))
-        z = rng.standard_normal((2, K))
-        coeffs[i] = scale * (z[0] + 1j * z[1])
+    bits = np.random.Philox(key=int(seed) << 64)
+    rng, state = np.random.Generator(bits), bits.state
+    buf = np.empty((min(n, _SAMPLE_CHUNK), 2, K))
+    for lo in range(0, n, _SAMPLE_CHUNK):
+        block = buf[:n - lo]
+        for j, z in enumerate(block):
+            state["state"]["key"][0] = lo + j
+            bits.state = state
+            rng.standard_normal(out=z)
+        coeffs[lo:lo + len(block)] = scale * (block[:, 0] + 1j * block[:, 1])
     return Ensemble(operator_hash=op.content_hash(), cutoff=K,
                     coefficients=coeffs, weights=np.ones(n), seed=int(seed))
 

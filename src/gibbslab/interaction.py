@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .gaussian import Ensemble
+from .gaussian import _SAMPLE_CHUNK, Ensemble
 from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diagonal
 
 # Cap on the pair Gram matrix and the pair densities it is built from,
@@ -28,8 +28,6 @@ from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diago
 MAX_GRAM_BYTES = 2**30
 # Pair densities convolved at once; bounds the FFT buffers.
 _PAIR_CHUNK = 256
-# Samples whose pair features are held at once.
-_SAMPLE_CHUNK = 1024
 
 
 def _padded_shape(grid: GridSpec) -> tuple[int, ...]:

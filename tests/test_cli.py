@@ -295,6 +295,14 @@ def test_cli_seed_override_changes_results(tmp_path):
     assert ens.seed == 99
 
 
+def test_cli_seed_out_of_range_exit_code(tmp_path, capsys):
+    # a seed is one 64-bit Philox key word, and the 2D study also uses seed + 1
+    path, _ = write_config(tmp_path)
+    for seed in ("-1", str(2**64)):
+        assert main(["sample-gaussian", "--config", str(path), "--seed", seed]) == 2
+        assert "classical.seed" in capsys.readouterr().err
+
+
 def test_cli_tabulated_potential(tmp_path):
     r = np.linspace(0.0, 12.0, 600)
     table = np.column_stack([r, 0.4 * np.exp(-r**2 / 0.72)])

@@ -1,12 +1,17 @@
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbslab import formats
-from gibbslab.gaussian import (Ensemble, fields_on_grid, sample_gaussian,
-                               sobolev_norms_sq)
+from gibbslab.gaussian import (_SAMPLE_CHUNK, Ensemble, fields_on_grid,
+                               sample_gaussian, sobolev_norms_sq)
 from gibbslab.spectral import (DomainError, GridSpec, build_one_body,
                                schatten_trace, shift_potential)
 
@@ -70,10 +75,58 @@ def test_reproducibility(op):
 
 
 def test_sample_streams_are_prefix_stable(op):
-    # per-sample streams: the first rows do not depend on n
+    # per-sample streams: the first rows do not depend on n, also when the
+    # larger ensemble is drawn in more than one block
     small = sample_gaussian(op, 4, 10, seed=7)
-    large = sample_gaussian(op, 4, 300, seed=7)
+    large = sample_gaussian(op, 4, 2 * _SAMPLE_CHUNK + 5, seed=7)
     assert np.array_equal(small.coefficients, large.coefficients[:10])
+    mid = sample_gaussian(op, 4, _SAMPLE_CHUNK + 1, seed=7)
+    assert np.array_equal(mid.coefficients, large.coefficients[:_SAMPLE_CHUNK + 1])
+
+
+@pytest.mark.parametrize("K", [1, 5])
+def test_draws_match_per_sample_philox(op, K):
+    # sample i is drawn from Philox(key=(seed << 64) | i), counter 0
+    scale = 1.0 / np.sqrt(2.0 * op.eigenvalues[:K])
+    n = _SAMPLE_CHUNK + 3
+    for seed in (0, 7, 2**63 - 1, 2**64 - 2):
+        ens = sample_gaussian(op, K, n, seed=seed)
+        expect = np.empty((n, K), dtype=complex)
+        for i in range(n):
+            rng = np.random.Generator(np.random.Philox(key=(seed << 64) | i))
+            z = rng.standard_normal((2, K))
+            expect[i] = scale * (z[0] + 1j * z[1])
+        assert np.array_equal(ens.coefficients, expect)
+
+
+def test_seed_out_of_range(op):
+    # a seed is one 64-bit Philox key word; nothing wraps around
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            sample_gaussian(op, 2, 3, seed=seed)
+
+
+def test_sampling_peak_rss():
+    # draws go through one block buffer, never a full (n, 2, K) array
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        import resource
+        from gibbslab import studies
+        from gibbslab.config import load_config
+        from gibbslab.gaussian import sample_gaussian
+        cfg = load_config(%r)
+        op = studies.shifted_operator(cfg, studies.build_model_operator(cfg))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        ens = sample_gaussian(op, 4, 200_000, 7)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(before, after, ens.coefficients.nbytes)
+    """ % str(root / "configs" / "study_1d.ini"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    before_kb, after_kb, nbytes = map(int, res.stdout.split())
+    assert (after_kb - before_kb) * 1024 <= 1.25 * nbytes
 
 
 def test_covariance_frobenius_scaling(op):
