@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .config import MAX_DENSE_MODES
 from .fock_quantum import ORDERS, symmetric_basis
@@ -147,6 +146,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def _single_mode_average(lam1: float, pair_diag: float, renormalized: bool,
                          observable) -> float:
+    import scipy.integrate
     m = 1.0 / lam1
 
     def weight(x):
@@ -176,6 +176,7 @@ def single_mode_moment(lam1: float, pair_diag: float, renormalized: bool = True)
 
 def single_mode_mean_renorm_energy(lam1: float, pair_diag: float) -> float:
     """Free-measure E[D^R] for one mode; equals the exchange term."""
+    import scipy.integrate
     m = 1.0 / lam1
     val, _ = scipy.integrate.quad(
         lambda x: 0.5 * pair_diag * (x - m) ** 2 * np.exp(-x / m) / m,

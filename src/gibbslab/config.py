@@ -157,6 +157,8 @@ def validate(cfg: RunConfig) -> None:
     _require(m.half_width > 0, "model.half_width must be positive")
     _require(m.points >= 8, "model.points must be at least 8")
     _require(m.modes >= 1, "model.modes must be at least 1")
+    _require(m.num_eigs == 0 or m.num_eigs >= m.modes,
+             "model.num_eigs must be 0 (the default) or at least model.modes")
     _require(i.kind in ("gaussian-bump", "grid-delta", "tabulated"),
              "interaction.kind unknown")
     if i.kind == "grid-delta":
@@ -183,6 +185,7 @@ def validate(cfg: RunConfig) -> None:
         _require(all(b > a for a, b in zip(sched[:-1], sched[1:])),
                  f"{name} must be strictly increasing")
     _require(all(t > 0 for t in q.t_schedule), "quantum.t_schedule must be positive")
+    _require(cfg.study.k_schedule[0] >= 1, "study.k_schedule entries must be at least 1")
     _require(h.kappa > 0, "hartree.kappa must be positive")
     _require(0 < h.damping <= 1, "hartree.damping must be in (0, 1]")
     _require(h.tol > 0, "hartree.tol must be positive")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -47,6 +46,8 @@ def free_gas_density(T: float, gap: float, d: int, measure: str = "unit") -> flo
     if d == 2:
         return fac * float(np.pi * T * (-np.log1p(-np.exp(-gap / T))))
     if d == 1:
+        import scipy.integrate
+
         def integrand(k):
             x = (k * k + gap) / T
             return 0.0 if x > 700.0 else 1.0 / np.expm1(x)
@@ -59,6 +60,7 @@ def free_gas_density(T: float, gap: float, d: int, measure: str = "unit") -> flo
 
 def free_gas_density_quadrature(T: float, gap: float, measure: str = "unit") -> float:
     """Independent 2D Cartesian quadrature of the same integral."""
+    import scipy.integrate
     k_max = np.sqrt(max(50.0 * T, 50.0 * T + gap))
 
     def integrand(ky, kx):

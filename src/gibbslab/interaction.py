@@ -166,15 +166,20 @@ def direct_term(op: OneBodyOperator, w: PairPotential, K: int) -> float:
     return float(quadratic_form(w, green_diagonal(op, K)))
 
 
-def exchange_term(op: OneBodyOperator, w: PairPotential, K: int) -> float:
+def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
+                  tensor: PairTensor | None = None) -> float:
     """(1/2) iint |G_K(x,y)|^2 w(x-y), the weighted trace of diag(Q).
 
-    diag(Q) is streamed chunk by chunk, so Q itself is never built.
+    diag(Q) comes from the leading block of tensor, a pair Gram of op and w,
+    with no convolution; a tensor cutoff below K raises ConfigurationError.
+    Without a tensor, diag(Q) is streamed chunk by chunk and Q is never built.
     """
     _check_binding(op, w)
     lam = op.eigenvalues[:K]
     b, a = np.tril_indices(K)
     fac = np.where(a == b, 1.0, 2.0) / (lam[a] * lam[b])
+    if tensor is not None:
+        return float(0.5 * fac @ np.diagonal(tensor.block(K)))
     return sum(float(fac[lo:hi] @ quadratic_form(w, rows))
                for lo, hi, rows in _pair_density_chunks(op, K))
 
@@ -213,6 +218,13 @@ class PairTensor:
         idx = _pair_index(self.mode_cutoff)
         return self.gram[idx[:, None, None, :], idx[None, :, :, None]]
 
+    def block(self, K: int) -> np.ndarray:
+        """The Gram matrix at cutoff K <= mode_cutoff, its leading block."""
+        if K > self.mode_cutoff:
+            raise ConfigurationError(f"cutoff {K} exceeds pair tensor cutoff {self.mode_cutoff}")
+        P = K * (K + 1) // 2
+        return self.gram[:P, :P]
+
 
 def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTensor:
     """Pair Gram matrix at cutoff K, refused over MAX_GRAM_BYTES.
@@ -250,11 +262,8 @@ def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTens
     diagonal pairs.  Any tensor with cutoff >= the ensemble's serves.
     """
     K = ensemble.cutoff
-    if K > tensor.mode_cutoff:
-        raise ConfigurationError(
-            f"ensemble cutoff {K} exceeds pair tensor cutoff {tensor.mode_cutoff}")
+    Q = tensor.block(K)
     b, a = np.tril_indices(K)
-    Q = tensor.gram[:len(a), :len(a)]
     c = np.where(a == b, 1.0, 2.0)
     out = np.empty(ensemble.size)
     for lo in range(0, ensemble.size, _SAMPLE_CHUNK):

@@ -339,7 +339,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
         mr, sr = _mean_stderr(renorm_by_k[K])
         zr = cg.estimate_log_zr(sub.with_weights(np.exp(-renorm_by_k[K])))
         uv_rows.append(UVPoint(K=K, direct=direct_term(op, w, K),
-                               exchange=exchange_term(op, w, K),
+                               exchange=exchange_term(op, w, K, tensor),
                                mean_bare=mb, stderr_bare=sb,
                                mean_renorm=mr, stderr_renorm=sr,
                                neg_log_zr=zr.neg_log_zr, zr_stderr=zr.stderr))

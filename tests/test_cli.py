@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +304,32 @@ def test_cli_seed_out_of_range_exit_code(tmp_path, capsys):
     for seed in ("-1", str(2**64)):
         assert main(["sample-gaussian", "--config", str(path), "--seed", seed]) == 2
         assert "classical.seed" in capsys.readouterr().err
+
+
+def test_cli_bad_mode_counts_exit_code(tmp_path, capsys):
+    # fewer eigenpairs than modes, a negative eigenpair count and a
+    # nonpositive study cutoff are config errors, not tracebacks
+    cases = [(SMALL_1D.replace("modes = 3", f"modes = 3\nnum_eigs = {n}"), cmd,
+              "model.num_eigs")
+             for n in (2, -1) for cmd in ("classical-gibbs", "quantum-gibbs")]
+    cases.append((SMALL_2D.replace("k_schedule = 8, 16", "k_schedule = -4, 8"),
+                  "study-2d-classical", "study.k_schedule"))
+    for text, cmd, field in cases:
+        path, _ = write_config(tmp_path, text=text)
+        assert main([cmd, "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+
+def test_import_does_not_load_integrate():
+    # scipy.integrate serves only the closed forms and quadratures; importing
+    # the CLI must not pay for it
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    script = "import sys, gibbslab.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert res.stdout.strip() == "False"
 
 
 def test_cli_tabulated_potential(tmp_path):

@@ -199,6 +199,22 @@ def test_direct_exchange_from_gram(op, bump):
     assert exchange_term(op, bump, K) == pytest.approx(0.5 * fac @ np.diag(Q), rel=1e-12)
 
 
+def test_exchange_from_gram_matches_streamed(op, bump, op2d, bump2d, monkeypatch):
+    # diag(Q) from a Gram's leading block against the streamed convolutions;
+    # with quadratic_form raising, the tensor path shows it convolves nothing.
+    # The tensor cutoffs stay below the eigenpair counts (12 and 24)
+    from gibbslab import interaction
+    for o, w, Kt in ((op, bump, 10), (op2d, bump2d, 20)):
+        t = build_pair_tensor(o, w, Kt)
+        streamed = {K: exchange_term(o, w, K) for K in (1, Kt // 2, Kt)}
+        with monkeypatch.context() as m:
+            m.setattr(interaction, "quadratic_form", lambda *args: 1 / 0)
+            for K, ref in streamed.items():
+                assert exchange_term(o, w, K, t) == pytest.approx(ref, rel=1e-13)
+        with pytest.raises(ConfigurationError, match="exceeds"):
+            exchange_term(o, w, Kt + 1, t)
+
+
 def test_exchange_rank_one(op, bump):
     W1 = build_pair_tensor(op, bump, 1).tensor[0, 0, 0, 0]
     lam1 = op.eigenvalues[0]

@@ -3,7 +3,9 @@ import pytest
 
 from gibbslab.cli import main
 from gibbslab.config import ConfigError, RunConfig
-from gibbslab.studies import run_study_1d, run_study_2d_classical
+from gibbslab.interaction import exchange_term
+from gibbslab.studies import (bind_potential, build_model_operator, run_study_1d,
+                              run_study_2d_classical, shifted_operator)
 
 
 def small_1d_config(**kw):
@@ -113,7 +115,7 @@ directory = {out}
 
 
 @pytest.fixture(scope="module")
-def small_2d_report():
+def small_2d_cfg():
     # s = 4 keeps the trap strictly inside the Hilbert-Schmidt class, where
     # the renormalized interaction is genuinely Cauchy and the exchange term
     # genuinely stabilizes; s = 2 sits exactly on the boundary
@@ -131,7 +133,12 @@ def small_2d_report():
     cfg.hartree.t_schedule = (4.0, 8.0, 16.0)
     cfg.hartree.damping = 0.9
     cfg.hartree.shared_modes = 10
-    return run_study_2d_classical(cfg)
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def small_2d_report(small_2d_cfg):
+    return run_study_2d_classical(small_2d_cfg)
 
 
 def test_2d_study_uv_dichotomy(small_2d_report):
@@ -149,6 +156,16 @@ def test_2d_study_wick_checks(small_2d_report):
     for r in small_2d_report.uv_points:
         assert abs(r.mean_bare - (r.direct + r.exchange)) < 4.0 * r.stderr_bare
         assert abs(r.mean_renorm - r.exchange) < 4.0 * r.stderr_renorm
+
+
+def test_2d_study_exchange_matches_streamed(small_2d_cfg, small_2d_report):
+    # the study reads exchange from its pair Gram; the streamed path agrees.
+    # The study solves for max(k_max, 96) eigenpairs
+    cfg = small_2d_cfg
+    op = shifted_operator(cfg, build_model_operator(cfg, num_eigs=96))
+    w = bind_potential(cfg, op.grid)
+    for r in small_2d_report.uv_points:
+        assert r.exchange == pytest.approx(exchange_term(op, w, r.K), rel=1e-13)
 
 
 def test_2d_study_cauchy_and_zr(small_2d_report):
