@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .interaction import PairPotential, convolve, quadratic_form
 from .spectral import DomainError, GridSpec, minus_laplacian
@@ -101,8 +100,9 @@ class RhfState:
     converged: bool
 
 
-def _thermal_eigs(grid: GridSpec, v_eff: np.ndarray, T: float):
-    H = (minus_laplacian(grid) + sp.diags(v_eff)).toarray()
+def _thermal_eigs(lap: np.ndarray, v_eff: np.ndarray, T: float):
+    H = lap.copy()
+    H.flat[::len(H) + 1] += v_eff
     eps, psi = scipy.linalg.eigh(H, driver="evd")
     if eps[0] <= 0:
         raise GapClosedError(
@@ -140,7 +140,8 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
         raise DomainError("tol must be positive")
     V = np.asarray(V, dtype=float)
     v_eff = V - nu
-    eps, psi, occ, rho = _thermal_eigs(grid, v_eff, T)
+    lap = minus_laplacian(grid).toarray()
+    eps, psi, occ, rho = _thermal_eigs(lap, v_eff, T)
     f_cur = _rhf_free_energy(V, nu, w, lam, T, eps, occ, rho, v_eff)
     theta = damping
     residual = np.inf
@@ -157,7 +158,7 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
         step = theta
         while True:
             v_try = (1.0 - step) * v_eff + step * target
-            eps_t, psi_t, occ_t, rho_t = _thermal_eigs(grid, v_try, T)
+            eps_t, psi_t, occ_t, rho_t = _thermal_eigs(lap, v_try, T)
             f_try = _rhf_free_energy(V, nu, w, lam, T, eps_t, occ_t, rho_t, v_try)
             if f_try <= f_cur + 1e-12 * max(1.0, abs(f_cur)) or step < 1e-4:
                 break

@@ -6,10 +6,12 @@ energies are quadratic forms in Q, the exchange term is a weighted trace
 of its diagonal and the Fock-space four-index tensor is a view of it.
 
 Convolutions w * rho run on a zero-padded dual grid (linear convolution via
-FFT, no wrap-around).  Densities follow the weight-folded convention of the
-spectral module: |stored field|^2 already carries the cell volume, so the
-quadrature of a double integral is a plain dot product with the convolved
-density and the kernel is sampled raw at grid offsets.
+FFT, no wrap-around).  Only the rows that hold data are transformed, and
+the result is bit-identical to transforming the zero-padded array.
+Densities follow the weight-folded convention of the spectral module:
+|stored field|^2 already carries the cell volume, so the quadrature of a
+double integral is a plain dot product with the convolved density and the
+kernel is sampled raw at grid offsets.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diago
 # Cap on the pair Gram matrix and the pair densities it is built from,
 # 8 P (P + grid points) bytes for P = K(K+1)/2 pairs.
 MAX_GRAM_BYTES = 2**30
-# Pair densities convolved at once; bounds the FFT buffers.
-_PAIR_CHUNK = 256
+# Pair densities convolved at once in the Gram build; bounds the FFT
+# buffers, which hold transforms of the data rows only.
+_PAIR_CHUNK = 64
+# Pairs per partial sum of the streamed exchange term; fixes its last bits.
+_EXCHANGE_CHUNK = 256
 
 
 def _padded_shape(grid: GridSpec) -> tuple[int, ...]:
@@ -119,18 +124,21 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
 def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
     """(w * rho)(x_i) = sum_j w(x_i - x_j) rho_j for weight-folded rho.
 
-    Accepts a single flattened density or a batch (n, total_points).
+    Accepts a single flattened density or a batch (n, total_points).  Only
+    data rows are transformed; with the 1/P^d scale applied once, as irfftn
+    does, the result is bit-identical to the zero-padded definition.
     """
-    grid = w.grid
-    shape = w.kernel.shape
-    axes = tuple(range(1, grid.dimension + 1))
-    crop = (slice(None),) + (slice(grid.points),) * grid.dimension
-    dens = density.reshape((-1,) + (grid.points,) * grid.dimension)
-    buf = np.zeros((len(dens),) + shape)
-    buf[crop] = dens
-    conv = scipy.fft.irfftn(scipy.fft.rfftn(buf, axes=axes) * w.kernel_fft,
-                            s=shape, axes=axes)
-    out = conv[crop].reshape(len(dens), -1)
+    n, d = w.grid.points, w.grid.dimension
+    P = w.kernel.shape[0]
+    dens = np.asarray(density, dtype=float).reshape((-1,) + (n,) * d)
+    f = scipy.fft.rfft(dens, n=P, axis=-1)
+    if d == 2:
+        f = scipy.fft.fft(f, n=P, axis=1)
+    f *= w.kernel_fft
+    if d == 2:
+        f = scipy.fft.ifft(f, axis=1, norm="forward", overwrite_x=True)[:, :n]
+    out = scipy.fft.irfft(f, n=P, axis=-1, norm="forward")[..., :n] * (1.0 / P**d)
+    out = out.reshape(len(dens), -1)
     return out if density.ndim == 2 else out[0]
 
 
@@ -142,9 +150,11 @@ def quadratic_form(w: PairPotential, density: np.ndarray) -> np.ndarray | float:
     return 0.5 * float(density @ conv)
 
 
-def _check_binding(op: OneBodyOperator, w: PairPotential):
+def _check_binding(op: OneBodyOperator, w: PairPotential, K: int):
     if w.grid != op.grid:
         raise ConfigurationError("pair potential bound to a different grid")
+    if K < 1 or K > op.num_modes:
+        raise ConfigurationError(f"K={K} out of range (have {op.num_modes} modes)")
 
 
 def _pair_density_chunks(op: OneBodyOperator, K: int):
@@ -162,7 +172,7 @@ def _pair_density_chunks(op: OneBodyOperator, K: int):
 
 def direct_term(op: OneBodyOperator, w: PairPotential, K: int) -> float:
     """(1/2) iint rho_K(x) w(x-y) rho_K(y); diverges with K in 2D."""
-    _check_binding(op, w)
+    _check_binding(op, w, K)
     return float(quadratic_form(w, green_diagonal(op, K)))
 
 
@@ -174,14 +184,16 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
     with no convolution; a tensor cutoff below K raises ConfigurationError.
     Without a tensor, diag(Q) is streamed chunk by chunk and Q is never built.
     """
-    _check_binding(op, w)
+    _check_binding(op, w, K)
     lam = op.eigenvalues[:K]
     b, a = np.tril_indices(K)
     fac = np.where(a == b, 1.0, 2.0) / (lam[a] * lam[b])
     if tensor is not None:
         return float(0.5 * fac @ np.diagonal(tensor.block(K)))
-    return sum(float(fac[lo:hi] @ quadratic_form(w, rows))
-               for lo, hi, rows in _pair_density_chunks(op, K))
+    q = np.concatenate([quadratic_form(w, rows)
+                        for _, _, rows in _pair_density_chunks(op, K)])
+    return sum(float(fac[lo:lo + _EXCHANGE_CHUNK] @ q[lo:lo + _EXCHANGE_CHUNK])
+               for lo in range(0, len(q), _EXCHANGE_CHUNK))
 
 
 def wick_expectation_bare(op: OneBodyOperator, w: PairPotential, K: int) -> float:
@@ -230,9 +242,9 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     """Pair Gram matrix at cutoff K, refused over MAX_GRAM_BYTES.
 
     Only the lower triangle is computed, one chunk of convolved pair
-    densities at a time; the mirror makes Q exactly symmetric.
+    densities at a time; mirroring it in place makes Q exactly symmetric.
     """
-    _check_binding(op, w)
+    _check_binding(op, w, K)
     if w.w_hat_min < -1e-10:  # beyond FFT roundoff
         warnings.warn(f"pair potential transform dips negative (min {w.w_hat_min:.3g}): "
                       "the pair Gram need not be positive semidefinite, so "
@@ -248,8 +260,9 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     for lo, hi, rows in _pair_density_chunks(op, K):
         dens[lo:hi] = rows
         Q[lo:hi, :hi] = convolve(w, rows) @ dens[:hi].T
-    Q = np.tril(Q)
-    Q += np.tril(Q, -1).T
+    del dens
+    for i in range(P - 1):
+        Q[i, i + 1:] = Q[i + 1:, i]
     return PairTensor(mode_cutoff=K, gram=Q)
 
 

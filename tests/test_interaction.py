@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from gibbslab.gaussian import Ensemble, fields_on_grid, sample_gaussian
 from gibbslab.interaction import (MAX_GRAM_BYTES, ConfigurationError,
                                   batch_interactions, build_pair_tensor,
-                                  direct_term, exchange_term,
+                                  convolve, direct_term, exchange_term,
                                   make_pair_potential, quadratic_form,
                                   wick_expectation_bare)
 from gibbslab.spectral import GridSpec, build_one_body, green_diagonal
@@ -95,6 +101,36 @@ def test_convolution_against_brute_force(bump, delta, op):
     dens = rng.random(op.grid.total_points)
     for w in (bump, delta):
         assert quadratic_form(w, dens) == pytest.approx(brute_quadratic(w, dens), rel=1e-10)
+
+
+def padded_convolve(w, density):
+    """The zero-padded definition: embed the data in the padded grid, then
+    transform the whole array."""
+    g = w.grid
+    shape = w.kernel.shape
+    axes = tuple(range(1, g.dimension + 1))
+    crop = (slice(None),) + (slice(g.points),) * g.dimension
+    dens = density.reshape((-1,) + (g.points,) * g.dimension)
+    buf = np.zeros((len(dens),) + shape)
+    buf[crop] = dens
+    conv = scipy.fft.irfftn(scipy.fft.rfftn(buf, axes=axes) * w.kernel_fft,
+                            s=shape, axes=axes)
+    out = conv[crop].reshape(len(dens), -1)
+    return out if density.ndim == 2 else out[0]
+
+
+def test_convolve_matches_padded_definition():
+    # only the data rows are transformed, yet every value equals the padded
+    # definition bit for bit, so documents built on it stay byte-identical
+    rng = np.random.default_rng(5)
+    for d, n, P in ((1, 64, 128), (1, 513, 1029), (1, 3072, 6144),
+                    (2, 24, 48), (2, 33, 66), (2, 64, 128)):
+        w = make_pair_potential("gaussian-bump", GridSpec(d, 6.0, n),
+                                amplitude=0.5, sigma=0.6)
+        assert w.kernel.shape == (P,) * d
+        batch = rng.random((4, n**d))
+        assert np.array_equal(convolve(w, batch), padded_convolve(w, batch))
+        assert np.array_equal(convolve(w, batch[1]), padded_convolve(w, batch[1]))
 
 
 def test_tabulated_matches_bump(grid, bump):
@@ -215,6 +251,14 @@ def test_exchange_from_gram_matches_streamed(op, bump, op2d, bump2d, monkeypatch
             exchange_term(o, w, Kt + 1, t)
 
 
+def test_cutoff_beyond_eigenpairs(op, bump):
+    # both read eigenpairs up to K; past the 12 computed ones they refuse
+    assert op.num_modes == 12
+    for f in (exchange_term, build_pair_tensor):
+        with pytest.raises(ConfigurationError, match=r"K=13 out of range \(have 12 modes\)"):
+            f(op, bump, 13)
+
+
 def test_exchange_rank_one(op, bump):
     W1 = build_pair_tensor(op, bump, 1).tensor[0, 0, 0, 0]
     lam1 = op.eigenvalues[0]
@@ -325,6 +369,30 @@ def test_tensor_byte_cap(bump):
     assert need > MAX_GRAM_BYTES
     with pytest.raises(ConfigurationError, match=f"K=160 needs {need} bytes"):
         build_pair_tensor(big, w, 160)
+
+
+def test_gram_peak_rss():
+    # MAX_GRAM_BYTES models the build as 8 P (P + N) bytes, Q and the P
+    # stored pair densities of N points; one chunk's FFT buffers stay small
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        import resource
+        from gibbslab.interaction import build_pair_tensor, make_pair_potential
+        from gibbslab.spectral import GridSpec, build_one_body
+        op = build_one_body(GridSpec(2, 8.0, 64), "power", 96, s=2.0)
+        w = make_pair_potential("gaussian-bump", op.grid, amplitude=0.05, sigma=1.25)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        Q = build_pair_tensor(op, w, 64).gram
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(before, after, len(Q), op.grid.total_points)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    before_kb, after_kb, P, N = map(int, res.stdout.split())
+    assert P == 64 * 65 // 2
+    assert (after_kb - before_kb) * 1024 <= 1.25 * 8 * P * (P + N)
 
 
 def test_w1111_matches_bare(op, bump):
