@@ -185,10 +185,14 @@ def validate(cfg: RunConfig) -> None:
         _require(all(b > a for a, b in zip(sched[:-1], sched[1:])),
                  f"{name} must be strictly increasing")
     _require(all(t > 0 for t in q.t_schedule), "quantum.t_schedule must be positive")
+    _require(all(t > 0 for t in h.t_schedule), "hartree.t_schedule must be positive")
     _require(cfg.study.k_schedule[0] >= 1, "study.k_schedule entries must be at least 1")
     _require(h.kappa > 0, "hartree.kappa must be positive")
     _require(0 < h.damping <= 1, "hartree.damping must be in (0, 1]")
     _require(h.tol > 0, "hartree.tol must be positive")
+    _require(h.max_iter >= 1, "hartree.max_iter must be at least 1")
+    _require(1 <= h.shared_modes <= h.points ** m.dimension,
+             "hartree.shared_modes must lie in [1, hartree.points ** model.dimension]")
     _require(h.momentum_measure in ("unit", "2pi"),
              "hartree.momentum_measure must be unit or 2pi")
     _require(cfg.output.format in ("json", "csv"),

@@ -2,11 +2,14 @@
 
 The basis is cut by total particle number; every operator here conserves
 particle number, so states and operators are block-diagonal over sectors.
-Free (diagonal) sectors keep their Gibbs blocks as bare probability vectors
-so that large cutoffs stay cheap; interacting sectors are dense.  One
-symmetric k-body basis, symmetric_basis, indexes second quantization, the
-reduced densities and the classical moments; reduced_density is the adjoint
-of second_quantize over the same stacked annihilators.
+A FockBasis is complete when built, annihilators included, so threads may
+share it.  Free (diagonal) sectors keep their Gibbs blocks as bare
+probability vectors so that large cutoffs stay cheap; interacting sectors
+are dense.  boltzmann_weights gives level probabilities and log Z under any
+particle cutoff, so the cutoff audit assembles no states.  One symmetric
+k-body basis, symmetric_basis, indexes second quantization, the reduced
+densities and the classical moments; reduced_density is the adjoint of
+second_quantize over the same stacked annihilators.
 """
 
 from __future__ import annotations
@@ -40,7 +43,12 @@ def _compositions(n: int, k: int):
 
 
 class FockBasis:
-    """Occupation-number basis over K modes with total number <= N_max."""
+    """Occupation-number basis over K modes with total number <= N_max.
+
+    Sector n holds its occupations in lexicographic order and their radix
+    codes, ascending.  annihilators[i, n] is the sparse a_i from sector n to
+    n - 1.  Everything is built here and never written afterwards.
+    """
 
     def __init__(self, num_modes: int, max_particles: int):
         if num_modes < 1 or max_particles < 0:
@@ -51,6 +59,7 @@ class FockBasis:
         self._radix = base ** np.arange(num_modes - 1, -1, -1, dtype=np.int64)
         self.occupations: list[np.ndarray] = []
         self.codes: list[np.ndarray] = []
+        self.annihilators: dict[tuple[int, int], sp.csr_matrix] = {}
         for n in range(max_particles + 1):
             occs = np.array(list(_compositions(n, num_modes)), dtype=np.int64)
             occs = occs.reshape(-1, num_modes)
@@ -60,9 +69,15 @@ class FockBasis:
             if len(occs) > MAX_SECTOR_STATES:
                 raise ConfigurationError(
                     f"sector n={n} has {len(occs)} states, over cap {MAX_SECTOR_STATES}")
+            codes = occs @ self._radix  # ascending with lex order
+            for i in range(num_modes if n else 0):  # none on the vacuum
+                src = np.nonzero(occs[:, i] > 0)[0]
+                amps = np.sqrt(occs[src, i].astype(float))
+                rows = np.searchsorted(self.codes[n - 1], codes[src] - self._radix[i])
+                self.annihilators[i, n] = sp.csr_matrix(
+                    (amps, (rows, src)), shape=(len(self.codes[n - 1]), len(occs)))
             self.occupations.append(occs)
-            self.codes.append(occs @ self._radix)  # ascending with lex order
-        self._annihilators: dict[tuple[int, int], sp.csr_matrix] = {}
+            self.codes.append(codes)
 
     @property
     def num_sectors(self) -> int:
@@ -86,26 +101,11 @@ class FockBasis:
             raise KeyError(f"occupation {tuple(occ)} not in basis")
         return n, pos
 
-    def annihilator(self, mode: int, sector: int) -> sp.csr_matrix:
-        """Sparse a_mode restricted to sector -> sector - 1."""
-        key = (mode, sector)
-        if key not in self._annihilators:
-            occs = self.occupations[sector]
-            src = np.nonzero(occs[:, mode] > 0)[0]
-            amps = np.sqrt(occs[src, mode].astype(float))
-            tgt_codes = self.codes[sector][src] - self._radix[mode]
-            rows = np.searchsorted(self.codes[sector - 1], tgt_codes)
-            mat = sp.csr_matrix(
-                (amps, (rows, src)),
-                shape=(self.sector_dim(sector - 1), self.sector_dim(sector)))
-            self._annihilators[key] = mat
-        return self._annihilators[key]
-
     def annihilate(self, modes: tuple[int, ...], sector: int) -> sp.csr_matrix:
         """a_i1 ... a_ik restricted to sector -> sector - k."""
-        op = self.annihilator(modes[-1], sector)
+        op = self.annihilators[modes[-1], sector]
         for depth, i in enumerate(reversed(modes[:-1]), start=1):
-            op = self.annihilator(i, sector - depth) @ op
+            op = self.annihilators[i, sector - depth] @ op
         return op
 
 
@@ -231,7 +231,6 @@ class SectorSpectra:
     """Eigen-decompositions of H - nu N per sector; vectors None if diagonal."""
 
     basis: FockBasis
-    nu: float
     energies: list[np.ndarray]
     vectors: list[np.ndarray | None]
 
@@ -256,7 +255,7 @@ def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis) -> SectorS
         vals, vecs = scipy.linalg.eigh(dense)
         energies.append(vals)
         vectors.append(vecs)
-    return SectorSpectra(basis=basis, nu=nu, energies=energies, vectors=vectors)
+    return SectorSpectra(basis=basis, energies=energies, vectors=vectors)
 
 
 @dataclass
@@ -269,31 +268,30 @@ class GibbsResult:
     cutoff_safe: bool
 
 
-def gibbs_from_spectra(spectra: SectorSpectra, T: float, E0: float = 0.0,
-                       max_sector: int | None = None) -> GibbsResult:
-    """Assemble exp(-(H - nu N + E0)/T)/Z from per-sector spectra.
+def boltzmann_weights(spectra: SectorSpectra, T: float, n_max: int,
+                      E0: float = 0.0) -> tuple[list[np.ndarray], float]:
+    """Probabilities of the levels of sectors 0..n_max in
+    exp(-(H - nu N + E0)/T)/Z cut at n_max particles, and log Z.
 
-    The exponentials are anchored at the global ground energy so that a
-    deep spectrum cannot underflow the partition function.
+    The exponentials are anchored at the lowest level kept so that a deep
+    spectrum cannot underflow the partition function.
     """
+    energies = spectra.energies[:n_max + 1]
+    all_min = min(float(e.min()) for e in energies)
+    weights = [np.exp(-(e - all_min) / T) for e in energies]
+    zt = sum(float(w.sum()) for w in weights)
+    return [w / zt for w in weights], float(np.log(zt) - (all_min + E0) / T)
+
+
+def gibbs_from_spectra(spectra: SectorSpectra, T: float, E0: float = 0.0) -> GibbsResult:
+    """Assemble exp(-(H - nu N + E0)/T)/Z from per-sector spectra."""
     basis = spectra.basis
-    top = basis.max_particles if max_sector is None else max_sector
-    all_min = min(float(spectra.energies[n].min()) for n in range(top + 1))
-    zt = sum(float(np.exp(-(spectra.energies[n] - all_min) / T).sum())
-             for n in range(top + 1))
-    log_Z = np.log(zt) - (all_min + E0) / T
-    blocks: list[np.ndarray] = []
-    for n in range(basis.num_sectors):
-        if n > top:
-            blocks.append(np.zeros(basis.sector_dim(n)))
-            continue
-        p = np.exp(-(spectra.energies[n] - all_min) / T) / zt
-        V = spectra.vectors[n]
-        blocks.append(p if V is None else (V * p) @ V.T)
-    state = FockState(basis=basis, blocks=blocks)
-    top_weight = state.block_trace(top)
-    return GibbsResult(state=state, log_partition=float(log_Z),
-                       free_energy=float(-T * log_Z),
+    probs, log_Z = boltzmann_weights(spectra, T, basis.max_particles, E0)
+    state = FockState(basis=basis, blocks=[p if V is None else (V * p) @ V.T
+                                           for p, V in zip(probs, spectra.vectors)])
+    top_weight = state.block_trace(basis.max_particles)
+    return GibbsResult(state=state, log_partition=log_Z,
+                       free_energy=-T * log_Z,
                        mean_particles=state.mean_particles(),
                        top_sector_weight=top_weight,
                        cutoff_safe=top_weight <= SATURATION_THRESHOLD)
@@ -465,22 +463,24 @@ class CutoffAudit:
 def cutoff_audit(H: FockOperator, T: float, nu: float, basis: FockBasis,
                  schedule: list[int], E0: float = 0.0,
                  tolerance: float | None = None) -> CutoffAudit:
-    """F and <N> against the particle cutoff, sharing one diagonalization."""
-    if sorted(schedule) != list(schedule) or len(set(schedule)) != len(schedule):
-        raise ConfigurationError("cutoff schedule must be strictly increasing")
+    """F, <N> and the top-sector weight against the particle cutoff, from one
+    diagonalization; sector weights are sums of level probabilities."""
+    if not schedule or any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
+        raise ConfigurationError("cutoff schedule must be nonempty and strictly increasing")
     if schedule[-1] > basis.max_particles:
         raise ConfigurationError("schedule exceeds basis cutoff")
     tol = 1e-6 * T if tolerance is None else tolerance
     spectra = sector_eigensystems(H, nu, basis)
     rows = []
-    prev = None
+    prev = math.nan
     for n_max in schedule:
-        res = gibbs_from_spectra(spectra, T, E0, max_sector=n_max)
-        delta = np.nan if prev is None else abs(res.free_energy - prev)
-        rows.append(CutoffAuditRow(n_max=n_max, free_energy=res.free_energy,
-                                   mean_particles=res.mean_particles,
-                                   delta_free_energy=float(delta),
-                                   top_sector_weight=res.top_sector_weight))
-        prev = res.free_energy
+        probs, log_Z = boltzmann_weights(spectra, T, n_max, E0)
+        weights = np.array([p.sum() for p in probs])
+        F = -T * log_Z
+        rows.append(CutoffAuditRow(n_max=n_max, free_energy=F,
+                                   mean_particles=float(np.arange(n_max + 1) @ weights),
+                                   delta_free_energy=abs(F - prev),
+                                   top_sector_weight=float(weights[-1])))
+        prev = F
     converged = len(rows) > 1 and rows[-1].delta_free_energy < tol
     return CutoffAudit(rows=rows, converged=converged, tolerance=tol)

@@ -32,10 +32,7 @@ def write_ensemble(path, ensemble: Ensemble) -> None:
     with open(path, "wb") as fh:
         fh.write(ENSEMBLE_MAGIC)
         fh.write(struct.pack("<IQQ", ensemble.cutoff, ensemble.size, ensemble.seed))
-        inter = np.empty((ensemble.size, ensemble.cutoff, 2))
-        inter[:, :, 0] = ensemble.coefficients.real
-        inter[:, :, 1] = ensemble.coefficients.imag
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(ensemble.coefficients.astype("<c16").tobytes())
         fh.write(ensemble.weights.astype("<f8").tobytes())
 
 
@@ -44,24 +41,20 @@ def read_ensemble(path, operator_hash: str = "") -> Ensemble:
         if fh.read(4) != ENSEMBLE_MAGIC:
             raise ValueError(f"{path}: not an ensemble dump")
         K, n, seed = struct.unpack("<IQQ", fh.read(20))
-        raw = np.frombuffer(fh.read(16 * n * K), dtype="<f8").reshape(n, K, 2)
-        coeffs = raw[:, :, 0] + 1j * raw[:, :, 1]
+        coeffs = np.frombuffer(fh.read(16 * n * K), dtype="<c16").reshape(n, K).copy()
         weights = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
     return Ensemble(operator_hash=operator_hash, cutoff=int(K),
-                    coefficients=np.ascontiguousarray(coeffs), weights=weights,
+                    coefficients=coeffs, weights=weights,
                     seed=int(seed))
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrix, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<I", m.ndim))
         fh.write(struct.pack(f"<{m.ndim}Q", *m.shape))
-        inter = np.empty(m.shape + (2,))
-        inter[..., 0] = m.real
-        inter[..., 1] = m.imag
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(m.tobytes())
 
 
 def read_matrix(path) -> np.ndarray:
@@ -70,9 +63,8 @@ def read_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: not a matrix dump")
         (ndim,) = struct.unpack("<I", fh.read(4))
         shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        count = int(np.prod(shape)) * 2
-        raw = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape + (2,))
-    return np.ascontiguousarray(raw[..., 0] + 1j * raw[..., 1])
+        count = int(np.prod(shape))
+        return np.frombuffer(fh.read(16 * count), dtype="<c16").reshape(shape).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,6 @@ def run_classical(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | None
     return cg.estimate_log_zr(ens), {k: cg.reduced_moment(ens, k) for k in orders}
 
 
-def basis_warmup(basis: fq.FockBasis) -> None:
-    """Prebuild annihilator caches so schedule threads only read them."""
-    K = basis.num_modes
-    for n in range(1, basis.num_sectors):
-        for i in range(K):
-            basis.annihilator(i, n)
-
-
 def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | None
                      ) -> tuple[fq.FockBasis, fq.SectorSpectra,
                                 Callable[[float], fq.SectorSpectra]]:
@@ -111,14 +103,14 @@ def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | N
 
     Spectra are of H - nu N, H1 from op's unshifted eigenvalues.  Pass no
     tensor at coupling_c = 0: spectra_at then returns the free spectra.
-    Otherwise each call diagonalizes afresh and nothing is kept.
+    Otherwise each call diagonalizes afresh and nothing is kept.  Calls may
+    run on several threads: they only read the basis and the operators.
     """
     K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
     basis = fq.build_fock(K, cfg.quantum.n_max)
     H1 = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
     Hpair = fq.second_quantize_pair(basis, tensor) if tensor is not None else None
     spectra_free = fq.sector_eigensystems(H1, nu, basis)
-    basis_warmup(basis)
 
     def spectra_at(T: float) -> fq.SectorSpectra:
         if Hpair is None:
@@ -188,8 +180,8 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
         spectra = spectra_at(T)
         g_int = fq.gibbs_from_spectra(spectra, T)
         g_free = fq.gibbs_from_spectra(spectra_free, T)
-        audit = abs(g_int.free_energy
-                    - fq.gibbs_from_spectra(spectra, T, max_sector=n_max - 2).free_energy)
+        _, log_Z_cut = fq.boltzmann_weights(spectra, T, n_max - 2)
+        audit = abs(g_int.free_energy + T * log_Z_cut)
         diff = (g_int.free_energy - g_free.free_energy) / T
         deltas = {f"delta_{k}": cg.trace_distance(
             fq.reduced_density(g_int.state, basis, k).matrix / T**k, moments[k].matrix)

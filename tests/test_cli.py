@@ -11,6 +11,7 @@ import pytest
 from gibbslab import formats
 from gibbslab.cli import main
 from gibbslab.config import ConfigError, RunConfig, load_config, validate
+from gibbslab.gaussian import Ensemble
 
 SMALL_1D = """
 [model]
@@ -320,6 +321,24 @@ def test_cli_bad_mode_counts_exit_code(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_cli_hartree_field_checks(tmp_path, capsys):
+    # on a 12^2 Hartree grid, shared_modes must lie in [1, 144]; a negative
+    # count used to slice off the last orbitals, zero made every distance 0,
+    # a negative max_iter reported no iterations, and a negative temperature
+    # was refused without naming its field
+    text = SMALL_2D.replace("points = 16", "points = 12")
+    cases = [(text.replace("shared_modes = 8", f"shared_modes = {n}"),
+              "hartree.shared_modes") for n in (-5, 0, 145)]
+    cases.append((text.replace("shared_modes = 8", "shared_modes = 8\nmax_iter = -3"),
+                  "hartree.max_iter"))
+    cases.append((text.replace("t_schedule = 4, 8", "t_schedule = -4, 8"),
+                  "hartree.t_schedule"))
+    for body, field in cases:
+        path, _ = write_config(tmp_path, text=body)
+        assert main(["hartree", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+
 def test_import_does_not_load_integrate():
     # scipy.integrate serves only the closed forms and quadratures; importing
     # the CLI must not pay for it
@@ -390,6 +409,25 @@ def test_matrix_format_layout(tmp_path):
     re0, im0 = struct.unpack("<dd", raw[24:40])
     assert (re0, im0) == (1.0, 2.0)
     assert np.array_equal(formats.read_matrix(p), m)
+
+
+def test_binary_roundtrip_special_values(tmp_path):
+    # the dumps carry every float64 bit: signed zeros, infinities and NaN
+    # come back as written
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5]
+    m = np.array([complex(re, im) for re in specials for im in specials]).reshape(6, 6)
+    p = tmp_path / "m.gflm"
+    formats.write_matrix(p, m)
+    back = formats.read_matrix(p)
+    assert back.flags.writeable
+    assert back.view("<f8").tobytes() == m.view("<f8").tobytes()
+    ens = Ensemble(operator_hash="", cutoff=6, coefficients=m.copy(),
+                   weights=np.array(specials), seed=3)
+    formats.write_ensemble(tmp_path / "e.gfl1", ens)
+    got = formats.read_ensemble(tmp_path / "e.gfl1")
+    assert got.coefficients.view("<f8").tobytes() == m.view("<f8").tobytes()
+    assert got.weights.tobytes() == ens.weights.tobytes()
+    assert (got.cutoff, got.size, got.seed) == (6, 6, 3)
 
 
 def test_csv_format(tmp_path):

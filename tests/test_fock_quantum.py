@@ -8,9 +8,12 @@ import scipy.linalg
 
 import gibbslab.classical_gibbs as cg
 import gibbslab.fock_quantum as fq
+from gibbslab.config import RunConfig
 from gibbslab.gaussian import Ensemble
 from gibbslab.interaction import build_pair_tensor, make_pair_potential, quadratic_form
-from gibbslab.spectral import GridSpec, build_one_body
+from gibbslab.spectral import ConfigurationError, GridSpec, build_one_body
+from gibbslab.studies import (bind_potential, build_model_operator, quantum_schedule,
+                              run_study_1d)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,40 @@ def test_basis_lexicographic_and_lookup():
             assert b.index_of(occ) == (n, idx)
     with pytest.raises(KeyError):
         b.index_of((9, 0, 0))
+
+
+def _layout(obj) -> dict:
+    """Identity and size of each attribute of obj, and the identity of each
+    entry of a list or dict attribute."""
+    out = {}
+    for name, value in vars(obj).items():
+        entries = value.values() if isinstance(value, dict) else value
+        out[name] = (id(value), np.shape(value) if isinstance(value, np.ndarray) else None,
+                     tuple(map(id, entries)) if isinstance(value, (list, dict)) else None)
+    return out
+
+
+def test_basis_read_only_after_init(op, bump):
+    # every annihilator exists once the basis is built, and assembly, the
+    # dense and diagonal Gibbs paths and both reduced densities only read it:
+    # no attribute of the basis or of an annihilator is added, replaced or
+    # resized
+    b = fq.build_fock(3, 6)
+
+    def snapshot():
+        return _layout(b), {(name, key): _layout(entry)
+                            for name, value in vars(b).items() if isinstance(value, dict)
+                            for key, entry in value.items()}
+
+    before = snapshot()
+    H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3])
+    Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3))
+    for H in (H1, H1 + Hp):
+        state = fq.gibbs_from_spectra(fq.sector_eigensystems(H, 0.0, b), 2.0).state
+        for order in fq.ORDERS:
+            fq.reduced_density(state, b, order)
+    assert snapshot() == before
+    assert sorted(b.annihilators) == [(i, n) for i in range(3) for n in range(1, 7)]
 
 
 def test_one_body_diagonal():
@@ -397,6 +434,69 @@ def test_cutoff_audit():
     assert all(b_ < a_ for a_, b_ in zip(deltas[:-1], deltas[1:]))
     F_exact = 1.0 * np.sum(np.log1p(-np.exp(-lam)))
     assert audit.rows[-1].free_energy == pytest.approx(F_exact, abs=1e-8)
+    with pytest.raises(ConfigurationError, match="schedule"):
+        fq.cutoff_audit(H, 1.0, 0.0, b, [])
+
+
+def _dense_cut_state(spectra, T, n_max, E0=0.0):
+    """Free energy and dense Gibbs state cut at n_max particles: V diag(p) V^T
+    on the sectors up to n_max (bare p on diagonal ones), zeros above."""
+    kept = spectra.energies[:n_max + 1]
+    e_min = min(float(e.min()) for e in kept)
+    z = sum(float(np.exp(-(e - e_min) / T).sum()) for e in kept)
+    blocks = []
+    for n, (e, V) in enumerate(zip(spectra.energies, spectra.vectors)):
+        p = np.exp(-(e - e_min) / T) / z if n <= n_max else np.zeros(len(e))
+        blocks.append(p if V is None else (V * p) @ V.T)
+    F = float(-T * (np.log(z) - (e_min + E0) / T))
+    return F, fq.FockState(basis=spectra.basis, blocks=blocks)
+
+
+def test_cutoff_audit_matches_dense_states(op, bump):
+    # the audit reads sector weights as sums of level probabilities; the
+    # dense states it used to assemble give the same free energies bit for
+    # bit and the same <N> and top-sector weights up to roundoff
+    K, T, nu, E0 = 3, 2.0, -0.3, 0.7
+    b = fq.build_fock(K, 8)
+    H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:K]) \
+        + fq.second_quantize_pair(b, build_pair_tensor(op, bump, K))
+    schedule = [2, 4, 6, 8]
+    audit = fq.cutoff_audit(H, T, nu, b, schedule, E0=E0)
+    spectra = fq.sector_eigensystems(H, nu, b)
+    assert sum(V is not None for V in spectra.vectors) == 7
+    prev = None
+    for row, n_max in zip(audit.rows, schedule):
+        F, state = _dense_cut_state(spectra, T, n_max, E0)
+        assert row.n_max == n_max
+        assert row.free_energy == F
+        assert row.mean_particles == pytest.approx(state.mean_particles(), rel=1e-14)
+        assert row.top_sector_weight == pytest.approx(state.block_trace(n_max), rel=1e-14)
+        if prev is None:
+            assert np.isnan(row.delta_free_energy)
+        else:
+            assert row.delta_free_energy == abs(F - prev)
+        prev = F
+
+
+def test_study_1d_audit_matches_dense_states():
+    # audit_delta_F is |F(n_max) - F(n_max - 2)| of the interacting state
+    cfg = RunConfig()
+    cfg.model.points = 128
+    cfg.model.modes = 3
+    cfg.interaction.amplitude = 0.4
+    cfg.classical.samples = 200
+    cfg.quantum.n_max = 8
+    cfg.quantum.t_schedule = (2.0, 4.0)
+    rep = run_study_1d(cfg)
+    op = build_model_operator(cfg)
+    tensor = build_pair_tensor(op, bind_potential(cfg, op.grid), cfg.model.modes)
+    _, _, spectra_at = quantum_schedule(cfg, op, tensor)
+    for p in rep.points:
+        spectra = spectra_at(p.T)
+        F_full, _ = _dense_cut_state(spectra, p.T, 8)
+        F_cut, _ = _dense_cut_state(spectra, p.T, 6)
+        assert p.free_energy_interacting == F_full
+        assert p.audit_delta_F == abs(F_full - F_cut)
 
 
 def test_number_operator(op):
