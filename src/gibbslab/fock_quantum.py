@@ -5,7 +5,10 @@ particle number, so states and operators are block-diagonal over sectors.
 A FockBasis is complete when built, annihilators included, so threads may
 share it.  Free (diagonal) sectors keep their Gibbs blocks as bare
 probability vectors so that large cutoffs stay cheap; interacting sectors
-are dense.  boltzmann_weights gives level probabilities and log Z under any
+are dense.  Given the reflection parity of each mode, a dense sector is
+diagonalized as one block per parity of the number of particles in odd
+modes, so its energies ascend within each parity block, not across the
+sector.  boltzmann_weights gives level probabilities and log Z under any
 particle cutoff, so the cutoff audit assembles no states.  One symmetric
 k-body basis, symmetric_basis, indexes second quantization, the reduced
 densities and the classical moments; reduced_density is the adjoint of
@@ -228,19 +231,34 @@ def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
 
 @dataclass
 class SectorSpectra:
-    """Eigen-decompositions of H - nu N per sector; vectors None if diagonal."""
+    """Eigen-decompositions of H - nu N per sector; vectors None if diagonal.
+
+    A dense sector's energies ascend within each parity block, not across
+    the sector; column j of its vectors belongs to energies[j].
+    """
 
     basis: FockBasis
     energies: list[np.ndarray]
     vectors: list[np.ndarray | None]
 
 
-def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis) -> SectorSpectra:
+def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis,
+                        mode_parity: np.ndarray | None = None) -> SectorSpectra:
     """Diagonalize H - nu N blockwise.
 
-    Diagonal blocks keep their basis ordering (vectors None); energies of
-    dense blocks come out ascending from the dense solver.
+    Diagonal blocks keep their basis ordering (vectors None).  Given the
+    reflection parity of each mode (spectral.mode_parity), a dense sector
+    is solved as one block per parity of the number of particles in odd
+    modes, which the pair interaction conserves: the energies are the
+    blocks' ascending spectra one after the other, and vector entries
+    between opposite-parity states are exact zeros.  Without labels the
+    sector is one block.  A coupling between the blocks above 1e-12 of the
+    sector's largest entry raises ConfigurationError.
     """
+    odd = np.zeros(basis.num_modes, dtype=bool) if mode_parity is None \
+        else np.asarray(mode_parity) < 0
+    if odd.shape != (basis.num_modes,):
+        raise ConfigurationError(f"need one parity label per mode, got shape {odd.shape}")
     energies, vectors = [], []
     for n in range(basis.num_sectors):
         block = H.blocks[n]
@@ -252,8 +270,20 @@ def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis) -> SectorS
             continue
         dense = block.toarray().astype(float)
         dense[np.diag_indices_from(dense)] -= nu * n
-        vals, vecs = scipy.linalg.eigh(dense)
-        energies.append(vals)
+        parity = basis.occupations[n][:, odd].sum(axis=1) % 2
+        cross = np.abs(dense[parity[:, None] != parity[None, :]]).max(initial=0.0)
+        if cross > 1e-12 * np.abs(dense).max():
+            raise ConfigurationError(
+                f"sector n={n} couples opposite mode parities ({cross:.3g}); "
+                "the parity labels do not fit this Hamiltonian")
+        vals, vecs, col = [], np.zeros_like(dense), 0
+        for p in np.unique(parity):
+            states = np.flatnonzero(parity == p)
+            w, v = scipy.linalg.eigh(dense[np.ix_(states, states)])
+            vecs[states, col:col + len(w)] = v
+            col += len(w)
+            vals.append(w)
+        energies.append(np.concatenate(vals))
         vectors.append(vecs)
     return SectorSpectra(basis=basis, energies=energies, vectors=vectors)
 
@@ -276,6 +306,8 @@ def boltzmann_weights(spectra: SectorSpectra, T: float, n_max: int,
     The exponentials are anchored at the lowest level kept so that a deep
     spectrum cannot underflow the partition function.
     """
+    if T <= 0:
+        raise DomainError("temperature must be positive")
     energies = spectra.energies[:n_max + 1]
     all_min = min(float(e.min()) for e in energies)
     weights = [np.exp(-(e - all_min) / T) for e in energies]
@@ -299,8 +331,6 @@ def gibbs_from_spectra(spectra: SectorSpectra, T: float, E0: float = 0.0) -> Gib
 
 def gibbs_state(H: FockOperator, T: float, nu: float, basis: FockBasis,
                 E0: float = 0.0) -> GibbsResult:
-    if T <= 0:
-        raise DomainError("temperature must be positive")
     spectra = sector_eigensystems(H, nu, basis)
     return gibbs_from_spectra(spectra, T, E0)
 

@@ -188,6 +188,23 @@ def build_one_body(grid: GridSpec, potential: str, num_eigs: int,
                            potential=V, eigenvalues=vals, eigenvectors=vecs)
 
 
+def mode_parity(op: OneBodyOperator, K: int) -> np.ndarray | None:
+    """Parity of the first K modes under the grid reflection, or None.
+
+    The reflection reverses the flattened grid vector: x -> -x in 1D and
+    (x, y) -> (-x, -y) in 2D.  Each label is the sign of <u_j, R u_j>;
+    None when some overlap misses +-1 by more than 1e-8, as for a potential
+    without that symmetry.
+    """
+    if K < 1 or K > op.num_modes:
+        raise ConfigurationError(f"K={K} out of range (have {op.num_modes} modes)")
+    U = op.eigenvectors[:, :K]
+    overlaps = np.einsum("pj,pj->j", U, U[::-1])
+    if np.any(np.abs(np.abs(overlaps) - 1.0) > 1e-8):
+        return None
+    return np.sign(overlaps).astype(int)
+
+
 def shift_potential(op: OneBodyOperator, nu: float) -> OneBodyOperator:
     """Replace every eigenvalue by lambda_j - nu; eigenvectors unchanged."""
     if nu >= op.eigenvalues[0]:

@@ -29,7 +29,7 @@ from .gaussian import sample_gaussian
 from .interaction import (PairPotential, PairTensor, batch_interactions,
                           build_pair_tensor, direct_term, exchange_term,
                           make_pair_potential, offset_sq_radii)
-from .spectral import (GridSpec, OneBodyOperator, build_one_body,
+from .spectral import (GridSpec, OneBodyOperator, build_one_body, mode_parity,
                        potential_values, schatten_trace, shift_potential)
 
 
@@ -103,19 +103,22 @@ def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | N
 
     Spectra are of H - nu N, H1 from op's unshifted eigenvalues.  Pass no
     tensor at coupling_c = 0: spectra_at then returns the free spectra.
-    Otherwise each call diagonalizes afresh and nothing is kept.  Calls may
-    run on several threads: they only read the basis and the operators.
+    Otherwise each call diagonalizes afresh, one block per reflection parity
+    when op's first K modes have labels (spectral.mode_parity), and nothing
+    is kept.  Calls may run on several threads: they only read the basis
+    and the operators.
     """
     K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
     basis = fq.build_fock(K, cfg.quantum.n_max)
     H1 = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
     Hpair = fq.second_quantize_pair(basis, tensor) if tensor is not None else None
     spectra_free = fq.sector_eigensystems(H1, nu, basis)
+    parity = mode_parity(op, K)
 
     def spectra_at(T: float) -> fq.SectorSpectra:
         if Hpair is None:
             return spectra_free
-        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu, basis)
+        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu, basis, parity)
 
     return basis, spectra_free, spectra_at
 

@@ -11,7 +11,8 @@ import gibbslab.fock_quantum as fq
 from gibbslab.config import RunConfig
 from gibbslab.gaussian import Ensemble
 from gibbslab.interaction import build_pair_tensor, make_pair_potential, quadratic_form
-from gibbslab.spectral import ConfigurationError, GridSpec, build_one_body
+from gibbslab.spectral import (ConfigurationError, DomainError, GridSpec, build_one_body,
+                               mode_parity)
 from gibbslab.studies import (bind_potential, build_model_operator, quantum_schedule,
                               run_study_1d)
 
@@ -243,6 +244,19 @@ def test_gibbs_saturation_flag():
     res = fq.gibbs_state(H, 10.0, 0.0, b)
     assert not res.cutoff_safe
     assert res.top_sector_weight > fq.SATURATION_THRESHOLD
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0])
+def test_temperature_must_be_positive(T):
+    b = fq.build_fock(2, 6)
+    H = fq.second_quantize_one_body(b, np.array([1.0, 2.5]))
+    spectra = fq.sector_eigensystems(H, 0.0, b)
+    with pytest.raises(DomainError, match="temperature must be positive"):
+        fq.gibbs_from_spectra(spectra, T)
+    with pytest.raises(DomainError, match="temperature must be positive"):
+        fq.cutoff_audit(H, T, 0.0, b, [2, 4, 6])
+    with pytest.raises(DomainError, match="temperature must be positive"):
+        fq.gibbs_state(H, T, 0.0, b)
 
 
 def test_reduced_density_free_bose_einstein():
@@ -505,3 +519,73 @@ def test_number_operator(op):
     for n in range(6):
         diag = N.blocks[n].diagonal()
         assert np.all(diag == n)
+
+
+def _interacting(op, bump, K, n_max):
+    b = fq.build_fock(K, n_max)
+    return b, fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:K]) \
+        + fq.second_quantize_pair(b, build_pair_tensor(op, bump, K))
+
+
+def test_parity_blocks_agree_with_one_block(op, bump):
+    # the pair interaction conserves the parity of the particles in odd modes:
+    # one block per parity reproduces the whole-sector solve, and the Gibbs
+    # state and both reduced densities have exact zeros between opposite
+    # parities
+    K, T, nu = 4, 2.0, -0.2
+    labels = mode_parity(op, K)
+    assert np.array_equal(labels, [1, -1, 1, -1])
+    b, H = _interacting(op, bump, K, 8)
+    whole = fq.sector_eigensystems(H, nu, b)
+    blocked = fq.sector_eigensystems(H, nu, b, labels)
+    g_whole, g_blocked = fq.gibbs_from_spectra(whole, T), fq.gibbs_from_spectra(blocked, T)
+    assert abs(g_blocked.free_energy - g_whole.free_energy) <= 1e-13 * abs(g_whole.free_energy)
+    for k in fq.ORDERS:
+        got = fq.reduced_density(g_blocked.state, b, k).matrix
+        assert np.abs(got - fq.reduced_density(g_whole.state, b, k).matrix).max() <= 1e-13, k
+        tuple_parity = np.array([np.sum(labels[list(t)] < 0) % 2
+                                 for t in fq.symmetric_basis(K, k)[0]])
+        assert np.all(got[tuple_parity[:, None] != tuple_parity[None, :]] == 0.0), k
+    dense = 0
+    for n in range(b.num_sectors):
+        e, V = blocked.energies[n], blocked.vectors[n]
+        assert (V is None) == (whole.vectors[n] is None)
+        if V is None:
+            assert np.array_equal(e, whole.energies[n])
+            continue
+        dense += 1
+        parity = b.occupations[n][:, labels < 0].sum(axis=1) % 2
+        cross = parity[:, None] != parity[None, :]
+        assert np.all(g_blocked.state.blocks[n][cross] == 0.0)
+        # each column lives on one parity class; energies ascend within it
+        col_parity = parity[np.argmax(np.abs(V), axis=0)]
+        assert np.all(V[parity[:, None] != col_parity[None, :]] == 0.0)
+        for p in (0, 1):
+            assert np.all(np.diff(e[col_parity == p]) >= 0)
+        assert np.abs(np.sort(e) - whole.energies[n]).max() <= 1e-12 * np.abs(e).max()
+    assert dense == 7
+
+
+def test_tilted_trap_has_no_parity_labels(bump):
+    x = GridSpec(1, 6.0, 200).axis()
+    op = build_one_body(GridSpec(1, 6.0, 200), "custom", 8, potential_array=x**4 + x)
+    assert mode_parity(op, 3) is None
+    b, H = _interacting(op, bump, 3, 6)
+    labelled = fq.sector_eigensystems(H, 0.0, b, mode_parity(op, 3))
+    plain = fq.sector_eigensystems(H, 0.0, b)
+    for field in ("energies", "vectors"):
+        for got, ref in zip(getattr(labelled, field), getattr(plain, field)):
+            assert (got is None and ref is None) or np.array_equal(got, ref)
+
+
+def test_parity_guard_refuses_a_coupling(op):
+    # mode 0 (even) coupled to mode 1 (odd): the labels do not fit H1, so the
+    # sector solve must refuse rather than drop the coupling
+    h1 = np.diag([1.0, 2.0, 3.0])
+    h1[0, 1] = h1[1, 0] = 0.3
+    b = fq.build_fock(3, 4)
+    H1 = fq.second_quantize_one_body(b, h1)
+    with pytest.raises(ConfigurationError, match="sector n=1"):
+        fq.sector_eigensystems(H1, 0.0, b, np.array([1, -1, 1]))
+    with pytest.raises(ConfigurationError, match="one parity label per mode"):
+        fq.sector_eigensystems(H1, 0.0, b, np.array([1, -1]))

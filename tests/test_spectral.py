@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gibbslab.config import load_config
 from gibbslab.spectral import (ConfigurationError, DomainError, GridSpec,
                                build_one_body, green_diagonal, green_kernel,
-                               schatten_trace, shift_potential)
+                               mode_parity, schatten_trace, shift_potential)
+from gibbslab.studies import build_model_operator
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,19 @@ def test_orthonormality_and_residual(quartic_op):
     for j in range(quartic_op.num_modes):
         r = np.linalg.norm(H @ U[:, j] - quartic_op.eigenvalues[j] * U[:, j])
         assert r / quartic_op.eigenvalues[j] < 1e-8
+
+
+def test_mode_parity_labels():
+    # the shipped quartic trap alternates even and odd modes; the D4 pairs of
+    # the 2D s = 2 trap are odd under inversion in any rotation
+    op = build_model_operator(load_config(Path(__file__).parents[1] / "configs/study_1d.ini"))
+    assert np.array_equal(mode_parity(op, 4), [1, -1, 1, -1])
+    op2 = build_one_body(GridSpec(2, 6.0, 48), "power", 8, s=2.0)
+    labels = mode_parity(op2, 8)
+    assert labels is not None
+    assert np.array_equal(labels, [1, -1, -1, 1, 1, 1, -1, -1])
+    with pytest.raises(ConfigurationError):
+        mode_parity(op2, 9)
 
 
 def test_shift_identity_and_arithmetic(harmonic_op):
