@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-# Resource caps, enforced here on configs and by the library on direct calls.
-# Fock spaces and order-2 moment matrices are dense in the mode count.
+# Mode cap, enforced here on configs and by the library on direct calls:
+# Fock spaces and order-2 moment matrices are dense in the mode count.  The
+# Fock sector size is checked where the space is built (fock_quantum).
 MAX_DENSE_MODES = 12
-# States in one particle-number sector of the Fock basis.
-MAX_SECTOR_STATES = 20_000
 
 
 class ConfigError(ValueError):
@@ -174,10 +172,6 @@ def validate(cfg: RunConfig) -> None:
     _require(q.n_max >= 0, "quantum.n_max must be nonnegative")
     _require(m.modes <= MAX_DENSE_MODES or q.n_max == 0,
              f"quantum runs require model.modes <= {MAX_DENSE_MODES}")
-    top_sector = math.comb(q.n_max + m.modes - 1, m.modes - 1)
-    _require(top_sector <= MAX_SECTOR_STATES,
-             f"quantum.n_max with model.modes gives a {top_sector}-state "
-             f"sector, over the {MAX_SECTOR_STATES} cap")
     for name, sched in (("quantum.t_schedule", q.t_schedule),
                         ("hartree.t_schedule", h.t_schedule),
                         ("study.k_schedule", cfg.study.k_schedule)):

@@ -2,7 +2,8 @@
 
 The basis is cut by total particle number; every operator here conserves
 particle number, so states and operators are block-diagonal over sectors.
-A FockBasis is complete when built, annihilators included, so threads may
+A FockBasis grows each sector from the one below it, one particle at a
+time, and is complete when built, annihilators included, so threads may
 share it.  Free (diagonal) sectors keep their Gibbs blocks as bare
 probability vectors so that large cutoffs stay cheap; interacting sectors
 are dense.  Given the reflection parity of each mode, a dense sector is
@@ -26,59 +27,59 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .config import MAX_SECTOR_STATES
 from .interaction import PairTensor
 from .spectral import ConfigurationError, DomainError
 
 SATURATION_THRESHOLD = 1e-6
+# States in one particle-number sector of the Fock basis.
+MAX_SECTOR_STATES = 20_000
 # Orders of the reduced densities here and of the classical moments.
 ORDERS = (1, 2)
-
-
-def _compositions(n: int, k: int):
-    """Occupation vectors summing to n over k modes, lexicographic."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 class FockBasis:
     """Occupation-number basis over K modes with total number <= N_max.
 
-    Sector n holds its occupations in lexicographic order and their radix
-    codes, ascending.  annihilators[i, n] is the sparse a_i from sector n to
-    n - 1.  Everything is built here and never written afterwards.
+    A state's radix code reads its occupations as the digits, mode 0 first,
+    of a base N_max + 1 integer, so ascending codes are lexicographic
+    occupations.  Sector n is grown from sector n - 1 by adding one particle
+    to each mode, and annihilators[i, n], the sparse a_i from sector n to
+    n - 1, is read off the same table: row r has one entry, in the column
+    of state r + e_i.  A sector over MAX_SECTOR_STATES, or codes beyond
+    int64, raise ConfigurationError before the sector is generated.
+    Everything is built here and never written afterwards.
     """
 
     def __init__(self, num_modes: int, max_particles: int):
         if num_modes < 1 or max_particles < 0:
             raise ConfigurationError("need at least one mode and N_max >= 0")
+        base = max_particles + 1
+        if max_particles * base ** (num_modes - 1) > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"radix codes of K={num_modes} modes at N_max={max_particles} overflow int64")
         self.num_modes = num_modes
         self.max_particles = max_particles
-        base = max_particles + 1
         self._radix = base ** np.arange(num_modes - 1, -1, -1, dtype=np.int64)
-        self.occupations: list[np.ndarray] = []
-        self.codes: list[np.ndarray] = []
+        self.occupations = [np.zeros((1, num_modes), dtype=np.int64)]
+        self.codes = [np.zeros(1, dtype=np.int64)]
         self.annihilators: dict[tuple[int, int], sp.csr_matrix] = {}
-        for n in range(max_particles + 1):
-            occs = np.array(list(_compositions(n, num_modes)), dtype=np.int64)
-            occs = occs.reshape(-1, num_modes)
-            expected = math.comb(n + num_modes - 1, num_modes - 1)
-            if len(occs) != expected:
-                raise RuntimeError("sector enumeration miscounted")
-            if len(occs) > MAX_SECTOR_STATES:
+        for n in range(1, max_particles + 1):
+            dim = math.comb(n + num_modes - 1, num_modes - 1)
+            if dim > MAX_SECTOR_STATES:
                 raise ConfigurationError(
-                    f"sector n={n} has {len(occs)} states, over cap {MAX_SECTOR_STATES}")
-            codes = occs @ self._radix  # ascending with lex order
-            for i in range(num_modes if n else 0):  # none on the vacuum
-                src = np.nonzero(occs[:, i] > 0)[0]
-                amps = np.sqrt(occs[src, i].astype(float))
-                rows = np.searchsorted(self.codes[n - 1], codes[src] - self._radix[i])
+                    f"sector n={n} has {dim} states, over the {MAX_SECTOR_STATES}-state "
+                    f"cap (K={num_modes}, N_max={max_particles})")
+            below = self.codes[n - 1]
+            grown = below[:, None] + self._radix
+            codes = np.unique(grown)
+            if len(codes) != dim:
+                raise RuntimeError("sector enumeration miscounted")
+            occs = codes[:, None] // self._radix % base
+            for i in range(num_modes):
+                cols = np.searchsorted(codes, grown[:, i])
                 self.annihilators[i, n] = sp.csr_matrix(
-                    (amps, (rows, src)), shape=(len(self.codes[n - 1]), len(occs)))
+                    (np.sqrt(occs[cols, i].astype(float)), (np.arange(len(below)), cols)),
+                    shape=(len(below), dim))
             self.occupations.append(occs)
             self.codes.append(codes)
 
@@ -268,7 +269,7 @@ def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis,
             energies.append(shifted_diag)
             vectors.append(None)
             continue
-        dense = block.toarray().astype(float)
+        dense = block.toarray()
         dense[np.diag_indices_from(dense)] -= nu * n
         parity = basis.occupations[n][:, odd].sum(axis=1) % 2
         cross = np.abs(dense[parity[:, None] != parity[None, :]]).max(initial=0.0)

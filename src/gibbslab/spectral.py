@@ -237,12 +237,15 @@ def schatten_trace(op: OneBodyOperator, p: float) -> SchattenTrace:
     """Sum of lambda_j^-p over computed modes plus a crude tail bound.
 
     The tail uses a least-squares fit of log lambda_j against log j on the
-    top quartile of the computed spectrum; the series is flagged likely
-    divergent when the fitted growth exponent times p is <= 1.
+    top quartile of the computed spectrum, so it needs at least 2
+    eigenpairs; the series is flagged likely divergent when the fitted
+    growth exponent times p is <= 1.
     """
     if p <= 0:
         raise DomainError("p must be positive")
     lam = op.eigenvalues
+    if len(lam) < 2:
+        raise DomainError(f"the tail fit needs at least 2 eigenpairs, have {len(lam)}")
     if np.any(lam <= 0):
         raise DomainError("all eigenvalues must be positive")
     partial = float(np.sum(lam**(-p)))

@@ -315,10 +315,25 @@ def test_cli_bad_mode_counts_exit_code(tmp_path, capsys):
              for n in (2, -1) for cmd in ("classical-gibbs", "quantum-gibbs")]
     cases.append((SMALL_2D.replace("k_schedule = 8, 16", "k_schedule = -4, 8"),
                   "study-2d-classical", "study.k_schedule"))
+    # one eigenpair passes validation but leaves no spectrum tail to fit
+    cases.append((SMALL_1D.replace("modes = 3", "modes = 1\nnum_eigs = 1"),
+                  "spectrum", "2 eigenpairs"))
     for text, cmd, field in cases:
         path, _ = write_config(tmp_path, text=text)
         assert main([cmd, "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+
+def test_cli_fock_sector_cap_at_basis(tmp_path, capsys):
+    # 8 modes at n_max = 14 validate (commands without a Fock space accept
+    # any n_max), and quantum-gibbs exits 2 when the basis reaches the first
+    # sector over the cap
+    text = SMALL_1D.replace("modes = 3", "modes = 8").replace("n_max = 10", "n_max = 14")
+    path, _ = write_config(tmp_path, text=text)
+    validate(load_config(path))
+    assert main(["quantum-gibbs", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "n=11" in err and "31824 states" in err and "20000" in err
 
 
 def test_cli_hartree_field_checks(tmp_path, capsys):

@@ -50,6 +50,16 @@ def test_basis_lexicographic_and_lookup():
         b.index_of((9, 0, 0))
 
 
+def test_basis_radix_codes_fit_int64():
+    # all N_max particles in mode 0 give the largest code, N_max * 3**(K-1):
+    # under 2**63 at K = 40, over it at K = 41
+    b = fq.build_fock(40, 2)
+    for idx, occ in enumerate(b.occupations[2]):
+        assert b.index_of(occ) == (2, idx)
+    with pytest.raises(ConfigurationError, match="overflow"):
+        fq.FockBasis(41, 2)
+
+
 def _layout(obj) -> dict:
     """Identity and size of each attribute of obj, and the identity of each
     entry of a list or dict attribute."""
