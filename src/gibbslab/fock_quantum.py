@@ -6,14 +6,13 @@ A FockBasis grows each sector from the one below it, one particle at a
 time, and is complete when built, annihilators included, so threads may
 share it.  Free (diagonal) sectors keep their Gibbs blocks as bare
 probability vectors so that large cutoffs stay cheap; interacting sectors
-are dense.  Given the reflection parity of each mode, a dense sector is
-diagonalized as one block per parity of the number of particles in odd
-modes, so its energies ascend within each parity block, not across the
-sector.  boltzmann_weights gives level probabilities and log Z under any
-particle cutoff, so the cutoff audit assembles no states.  One symmetric
-k-body basis, symmetric_basis, indexes second quantization, the reduced
-densities and the classical moments; reduced_density is the adjoint of
-second_quantize over the same stacked annihilators.
+are dense, each diagonalized per connected block of H, so the pair term's
+odd-mode parity classes are solved apart.  boltzmann_weights gives level
+probabilities and log Z under any particle cutoff, so the cutoff audit
+assembles no states.  One symmetric k-body basis, symmetric_basis, indexes
+second quantization, the reduced densities and the classical moments;
+reduced_density is the adjoint of second_quantize over the same stacked
+annihilators.
 """
 
 from __future__ import annotations
@@ -216,11 +215,19 @@ def second_quantize_one_body(basis: FockBasis, h1: np.ndarray) -> FockOperator:
 
 def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
     """(1/2) sum W_ijkl a+_i a+_j a_k a_l: since a+_i a+_j = (a_j a_i)+,
-    the order-2 kernel is Wp / 2 with Wp[(j,i),(k,l)] = W[i,j,k,l]."""
+    the order-2 kernel is Wp / 2 with Wp[(j,i),(k,l)] = W[i,j,k,l].  Given
+    mode parities, Wp between pairs of opposite parity is zeroed when all of
+    it is roundoff (<= 1e-12 of max |Wp|), so H splits by odd-mode parity."""
     K = basis.num_modes
     if tensor.mode_cutoff != K:
         raise ConfigurationError("tensor mode count does not match basis")
     Wp = tensor.tensor.transpose(1, 0, 2, 3).reshape(K * K, K * K)
+    if tensor.mode_parity is not None:
+        odd = tensor.mode_parity < 0
+        pair = (odd[:, None] ^ odd).ravel()
+        cross = pair[:, None] != pair
+        if np.abs(Wp[cross]).max(initial=0.0) <= 1e-12 * np.abs(Wp).max():
+            Wp[cross] = 0.0
     H = second_quantize(basis, 0.5 * Wp, 2)
     # clear summation-order roundoff
     return FockOperator(basis, [(0.5 * (b + b.T)).tocsr() for b in H.blocks])
@@ -234,8 +241,8 @@ def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
 class SectorSpectra:
     """Eigen-decompositions of H - nu N per sector; vectors None if diagonal.
 
-    A dense sector's energies ascend within each parity block, not across
-    the sector; column j of its vectors belongs to energies[j].
+    A dense sector's energies ascend within each connected block of H, not
+    across the sector; column j of its vectors belongs to energies[j].
     """
 
     basis: FockBasis
@@ -243,23 +250,17 @@ class SectorSpectra:
     vectors: list[np.ndarray | None]
 
 
-def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis,
-                        mode_parity: np.ndarray | None = None) -> SectorSpectra:
+def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis) -> SectorSpectra:
     """Diagonalize H - nu N blockwise.
 
-    Diagonal blocks keep their basis ordering (vectors None).  Given the
-    reflection parity of each mode (spectral.mode_parity), a dense sector
-    is solved as one block per parity of the number of particles in odd
-    modes, which the pair interaction conserves: the energies are the
-    blocks' ascending spectra one after the other, and vector entries
-    between opposite-parity states are exact zeros.  Without labels the
-    sector is one block.  A coupling between the blocks above 1e-12 of the
-    sector's largest entry raises ConfigurationError.
+    Diagonal blocks keep their basis ordering (vectors None).  A dense
+    sector is solved as one block per connected component of its
+    off-diagonal entries, in label order: the energies are the blocks'
+    ascending spectra one after the other, and vector entries between
+    blocks are exact zeros.
     """
-    odd = np.zeros(basis.num_modes, dtype=bool) if mode_parity is None \
-        else np.asarray(mode_parity) < 0
-    if odd.shape != (basis.num_modes,):
-        raise ConfigurationError(f"need one parity label per mode, got shape {odd.shape}")
+    # deferred: importing csgraph costs 3 MB and 25 ms that only Fock solves need
+    from scipy.sparse.csgraph import connected_components
     energies, vectors = [], []
     for n in range(basis.num_sectors):
         block = H.blocks[n]
@@ -271,15 +272,10 @@ def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis,
             continue
         dense = block.toarray()
         dense[np.diag_indices_from(dense)] -= nu * n
-        parity = basis.occupations[n][:, odd].sum(axis=1) % 2
-        cross = np.abs(dense[parity[:, None] != parity[None, :]]).max(initial=0.0)
-        if cross > 1e-12 * np.abs(dense).max():
-            raise ConfigurationError(
-                f"sector n={n} couples opposite mode parities ({cross:.3g}); "
-                "the parity labels do not fit this Hamiltonian")
+        count, labels = connected_components(off, directed=False)
         vals, vecs, col = [], np.zeros_like(dense), 0
-        for p in np.unique(parity):
-            states = np.flatnonzero(parity == p)
+        for c in range(count):
+            states = np.flatnonzero(labels == c)
             w, v = scipy.linalg.eigh(dense[np.ix_(states, states)])
             vecs[states, col:col + len(w)] = v
             col += len(w)
@@ -309,6 +305,9 @@ def boltzmann_weights(spectra: SectorSpectra, T: float, n_max: int,
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
+    if not 0 <= n_max <= spectra.basis.max_particles:
+        raise ConfigurationError(
+            f"particle cutoff {n_max} is outside 0..{spectra.basis.max_particles}")
     energies = spectra.energies[:n_max + 1]
     all_min = min(float(e.min()) for e in energies)
     weights = [np.exp(-(e - all_min) / T) for e in energies]
@@ -498,8 +497,8 @@ def cutoff_audit(H: FockOperator, T: float, nu: float, basis: FockBasis,
     diagonalization; sector weights are sums of level probabilities."""
     if not schedule or any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ConfigurationError("cutoff schedule must be nonempty and strictly increasing")
-    if schedule[-1] > basis.max_particles:
-        raise ConfigurationError("schedule exceeds basis cutoff")
+    if schedule[0] < 0 or schedule[-1] > basis.max_particles:
+        raise ConfigurationError(f"schedule must lie in 0..{basis.max_particles}")
     tol = 1e-6 * T if tolerance is None else tolerance
     spectra = sector_eigensystems(H, nu, basis)
     rows = []

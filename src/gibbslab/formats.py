@@ -9,13 +9,16 @@ Binary layouts (all little-endian):
   matrix  "GFLM":   magic 4s | u32 ndim | ndim u64 shape |
                     complex entries as (f64 re, f64 im), row-major.
 
-JSON output renders every float with 17 significant digits so documents are
-byte-reproducible and round-trip exactly.
+The readers raise ValueError, naming the path, on a file whose length is
+not the one its header implies.  JSON output renders every float with 17
+significant digits so documents are byte-reproducible and round-trip
+exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -36,13 +39,25 @@ def write_ensemble(path, ensemble: Ensemble) -> None:
         fh.write(ensemble.weights.astype("<f8").tobytes())
 
 
+def _header(path, raw: bytes, fmt: str, offset: int) -> tuple:
+    if len(raw) < offset + struct.calcsize(fmt):
+        raise ValueError(f"{path}: file ends inside its header")
+    return struct.unpack_from(fmt, raw, offset)
+
+
+def _check_length(path, raw: bytes, expected: int) -> None:
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, the header implies {expected}")
+
+
 def read_ensemble(path, operator_hash: str = "") -> Ensemble:
-    with open(path, "rb") as fh:
-        if fh.read(4) != ENSEMBLE_MAGIC:
-            raise ValueError(f"{path}: not an ensemble dump")
-        K, n, seed = struct.unpack("<IQQ", fh.read(20))
-        coeffs = np.frombuffer(fh.read(16 * n * K), dtype="<c16").reshape(n, K).copy()
-        weights = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+    raw = Path(path).read_bytes()
+    if raw[:4] != ENSEMBLE_MAGIC:
+        raise ValueError(f"{path}: not an ensemble dump")
+    K, n, seed = _header(path, raw, "<IQQ", 4)
+    _check_length(path, raw, 24 + 16 * n * K + 8 * n)
+    coeffs = np.frombuffer(raw, dtype="<c16", count=n * K, offset=24).reshape(n, K).copy()
+    weights = np.frombuffer(raw, dtype="<f8", count=n, offset=24 + 16 * n * K).copy()
     return Ensemble(operator_hash=operator_hash, cutoff=int(K),
                     coefficients=coeffs, weights=weights,
                     seed=int(seed))
@@ -58,13 +73,15 @@ def write_matrix(path, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MATRIX_MAGIC:
-            raise ValueError(f"{path}: not a matrix dump")
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        count = int(np.prod(shape))
-        return np.frombuffer(fh.read(16 * count), dtype="<c16").reshape(shape).copy()
+    raw = Path(path).read_bytes()
+    if raw[:4] != MATRIX_MAGIC:
+        raise ValueError(f"{path}: not a matrix dump")
+    (ndim,) = _header(path, raw, "<I", 4)
+    shape = _header(path, raw, f"<{ndim}Q", 8)
+    count = math.prod(shape)
+    _check_length(path, raw, 8 + 8 * ndim + 16 * count)
+    return np.frombuffer(raw, dtype="<c16", count=count,
+                         offset=8 + 8 * ndim).reshape(shape).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ class Ensemble:
 
     def truncated(self, K: int) -> "Ensemble":
         """Contiguous copy of the first K modes (weights reset to one)."""
-        if K > self.cutoff:
-            raise ValueError(f"cannot extend cutoff {self.cutoff} to {K}")
+        if not 1 <= K <= self.cutoff:
+            raise ValueError(f"cutoff {K} is outside 1..{self.cutoff}")
         return Ensemble(operator_hash=self.operator_hash, cutoff=K,
                         coefficients=np.ascontiguousarray(self.coefficients[:, :K]),
                         weights=np.ones(self.size), seed=self.seed)

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.fft
 
 from .gaussian import _SAMPLE_CHUNK, Ensemble
-from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diagonal
+from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diagonal, mode_parity
 
 # Cap on the pair Gram matrix and the pair densities it is built from,
 # 8 P (P + grid points) bytes for P = K(K+1)/2 pairs.
@@ -215,11 +215,13 @@ class PairTensor:
     p = (a <= b) and q = (c <= d) run over unordered pairs in (b, a) order,
     so the Gram matrix at any cutoff K' <= K is the leading K'(K'+1)/2
     block.  Q is real and symmetric, and positive semidefinite when the
-    transform of w is nonnegative.
+    transform of w is nonnegative.  Q vanishes up to roundoff between pairs
+    of opposite parity under mode_parity (spectral.mode_parity), if set.
     """
 
     mode_cutoff: int
     gram: np.ndarray = field(repr=False)
+    mode_parity: np.ndarray | None = None
 
     @property
     def tensor(self) -> np.ndarray:
@@ -263,7 +265,7 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     del dens
     for i in range(P - 1):
         Q[i, i + 1:] = Q[i + 1:, i]
-    return PairTensor(mode_cutoff=K, gram=Q)
+    return PairTensor(mode_cutoff=K, gram=Q, mode_parity=mode_parity(op, K))
 
 
 def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,

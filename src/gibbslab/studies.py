@@ -29,8 +29,8 @@ from .gaussian import sample_gaussian
 from .interaction import (PairPotential, PairTensor, batch_interactions,
                           build_pair_tensor, direct_term, exchange_term,
                           make_pair_potential, offset_sq_radii)
-from .spectral import (GridSpec, OneBodyOperator, build_one_body, mode_parity,
-                       potential_values, schatten_trace, shift_potential)
+from .spectral import (GridSpec, OneBodyOperator, build_one_body, potential_values,
+                       schatten_trace, shift_potential)
 
 
 def model_grid(cfg: RunConfig) -> GridSpec:
@@ -103,22 +103,21 @@ def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | N
 
     Spectra are of H - nu N, H1 from op's unshifted eigenvalues.  Pass no
     tensor at coupling_c = 0: spectra_at then returns the free spectra.
-    Otherwise each call diagonalizes afresh, one block per reflection parity
-    when op's first K modes have labels (spectral.mode_parity), and nothing
-    is kept.  Calls may run on several threads: they only read the basis
-    and the operators.
+    Otherwise each call diagonalizes afresh, one block per connected
+    component of each sector (one per odd-mode parity when the tensor
+    carries mode parities), and nothing is kept.  Calls may run on several
+    threads: they only read the basis and the operators.
     """
     K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
     basis = fq.build_fock(K, cfg.quantum.n_max)
     H1 = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
     Hpair = fq.second_quantize_pair(basis, tensor) if tensor is not None else None
     spectra_free = fq.sector_eigensystems(H1, nu, basis)
-    parity = mode_parity(op, K)
 
     def spectra_at(T: float) -> fq.SectorSpectra:
         if Hpair is None:
             return spectra_free
-        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu, basis, parity)
+        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu, basis)
 
     return basis, spectra_free, spectra_at
 
@@ -182,17 +181,17 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
         lam = c / T
         spectra = spectra_at(T)
         g_int = fq.gibbs_from_spectra(spectra, T)
-        g_free = fq.gibbs_from_spectra(spectra_free, T)
+        F_free = -T * fq.boltzmann_weights(spectra_free, T, n_max)[1]
         _, log_Z_cut = fq.boltzmann_weights(spectra, T, n_max - 2)
         audit = abs(g_int.free_energy + T * log_Z_cut)
-        diff = (g_int.free_energy - g_free.free_energy) / T
+        diff = (g_int.free_energy - F_free) / T
         deltas = {f"delta_{k}": cg.trace_distance(
             fq.reduced_density(g_int.state, basis, k).matrix / T**k, moments[k].matrix)
             for k in fq.ORDERS}
         return StudyPoint1D(
             T=T, lam=lam,
             free_energy_interacting=g_int.free_energy,
-            free_energy_free=g_free.free_energy,
+            free_energy_free=F_free,
             diff_over_T=diff,
             discrepancy=abs(diff - zr.neg_log_zr),
             **deltas,

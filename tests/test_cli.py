@@ -445,6 +445,24 @@ def test_binary_roundtrip_special_values(tmp_path):
     assert (got.cutoff, got.size, got.seed) == (6, 6, 3)
 
 
+def test_binary_dumps_refuse_wrong_length(tmp_path):
+    # a dump cut in its header or payload, or with trailing bytes, is refused
+    # with the path named
+    m = np.arange(6, dtype=complex).reshape(2, 3)
+    ens = Ensemble(operator_hash="", cutoff=3, coefficients=m.copy(),
+                   weights=np.ones(2), seed=1)
+    for name, write, read, header in (
+            ("m.gflm", lambda p: formats.write_matrix(p, m), formats.read_matrix, 24),
+            ("e.gfl1", lambda p: formats.write_ensemble(p, ens), formats.read_ensemble, 24)):
+        p = tmp_path / name
+        write(p)
+        raw = p.read_bytes()
+        for bad in (raw[:header - 3], raw[:-1], raw + b"\0"):
+            p.write_bytes(bad)
+            with pytest.raises(ValueError, match=name):
+                read(p)
+
+
 def test_csv_format(tmp_path):
     rows = [{"T": 2.0, "value": 1.0 / 3.0, "flag": True},
             {"T": 4.0, "value": 2.0 / 3.0, "flag": False}]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import gibbslab.classical_gibbs as cg
 import gibbslab.fock_quantum as fq
@@ -458,8 +459,12 @@ def test_cutoff_audit():
     assert all(b_ < a_ for a_, b_ in zip(deltas[:-1], deltas[1:]))
     F_exact = 1.0 * np.sum(np.log1p(-np.exp(-lam)))
     assert audit.rows[-1].free_energy == pytest.approx(F_exact, abs=1e-8)
-    with pytest.raises(ConfigurationError, match="schedule"):
-        fq.cutoff_audit(H, 1.0, 0.0, b, [])
+    for bad in ([], [-1, 2]):
+        with pytest.raises(ConfigurationError, match="schedule"):
+            fq.cutoff_audit(H, 1.0, 0.0, b, bad)
+    for bad in (-1, 31):
+        with pytest.raises(ConfigurationError, match="outside 0..30"):
+            fq.boltzmann_weights(fq.sector_eigensystems(H, 0.0, b), 1.0, bad)
 
 
 def _dense_cut_state(spectra, T, n_max, E0=0.0):
@@ -537,17 +542,33 @@ def _interacting(op, bump, K, n_max):
         + fq.second_quantize_pair(b, build_pair_tensor(op, bump, K))
 
 
-def test_parity_blocks_agree_with_one_block(op, bump):
+def _whole_sector_spectra(H, nu, b):
+    """Reference: one eigh of each shifted dense sector, no blocks."""
+    energies, vectors = [], []
+    for n, block in enumerate(H.blocks):
+        if (block - sp.diags(block.diagonal())).nnz == 0:
+            energies.append(block.diagonal() - nu * n)
+            vectors.append(None)
+            continue
+        dense = block.toarray()
+        dense[np.diag_indices_from(dense)] -= nu * n
+        w, v = scipy.linalg.eigh(dense)
+        energies.append(w)
+        vectors.append(v)
+    return fq.SectorSpectra(basis=b, energies=energies, vectors=vectors)
+
+
+def test_parity_blocks_agree_with_one_block(op, bump, monkeypatch):
     # the pair interaction conserves the parity of the particles in odd modes:
-    # one block per parity reproduces the whole-sector solve, and the Gibbs
-    # state and both reduced densities have exact zeros between opposite
-    # parities
+    # the Gram carries the mode labels, the solve finds the two blocks in H
+    # itself, reproduces the whole-sector solve, and the Gibbs state and both
+    # reduced densities have exact zeros between opposite parities
     K, T, nu = 4, 2.0, -0.2
-    labels = mode_parity(op, K)
+    labels = build_pair_tensor(op, bump, K).mode_parity
     assert np.array_equal(labels, [1, -1, 1, -1])
     b, H = _interacting(op, bump, K, 8)
-    whole = fq.sector_eigensystems(H, nu, b)
-    blocked = fq.sector_eigensystems(H, nu, b, labels)
+    whole = _whole_sector_spectra(H, nu, b)
+    blocked = fq.sector_eigensystems(H, nu, b)
     g_whole, g_blocked = fq.gibbs_from_spectra(whole, T), fq.gibbs_from_spectra(blocked, T)
     assert abs(g_blocked.free_energy - g_whole.free_energy) <= 1e-13 * abs(g_whole.free_energy)
     for k in fq.ORDERS:
@@ -556,46 +577,63 @@ def test_parity_blocks_agree_with_one_block(op, bump):
         tuple_parity = np.array([np.sum(labels[list(t)] < 0) % 2
                                  for t in fq.symmetric_basis(K, k)[0]])
         assert np.all(got[tuple_parity[:, None] != tuple_parity[None, :]] == 0.0), k
-    dense = 0
-    for n in range(b.num_sectors):
-        e, V = blocked.energies[n], blocked.vectors[n]
-        assert (V is None) == (whole.vectors[n] is None)
-        if V is None:
-            assert np.array_equal(e, whole.energies[n])
-            continue
-        dense += 1
-        parity = b.occupations[n][:, labels < 0].sum(axis=1) % 2
-        cross = parity[:, None] != parity[None, :]
-        assert np.all(g_blocked.state.blocks[n][cross] == 0.0)
-        # each column lives on one parity class; energies ascend within it
-        col_parity = parity[np.argmax(np.abs(V), axis=0)]
-        assert np.all(V[parity[:, None] != col_parity[None, :]] == 0.0)
-        for p in (0, 1):
-            assert np.all(np.diff(e[col_parity == p]) >= 0)
-        assert np.abs(np.sort(e) - whole.energies[n]).max() <= 1e-12 * np.abs(e).max()
-    assert dense == 7
+    # gibbs_state and cutoff_audit get the same blocks, given no labels
+    solve, solved = fq.sector_eigensystems, []
+    monkeypatch.setattr(fq, "sector_eigensystems",
+                        lambda *args: solved.append(solve(*args)) or solved[-1])
+    g_state = fq.gibbs_state(H, T, nu, b)
+    fq.cutoff_audit(H, T, nu, b, [6, 8])
+    assert len(solved) == 2
+    for spectra in (blocked, *solved):
+        dense = 0
+        for n in range(b.num_sectors):
+            e, V = spectra.energies[n], spectra.vectors[n]
+            assert (V is None) == (whole.vectors[n] is None)
+            if V is None:
+                assert np.array_equal(e, whole.energies[n])
+                continue
+            dense += 1
+            parity = b.occupations[n][:, labels < 0].sum(axis=1) % 2
+            cross = parity[:, None] != parity[None, :]
+            assert all(np.all(g.state.blocks[n][cross] == 0.0) for g in (g_blocked, g_state))
+            # each column lives on one parity class; energies ascend within it
+            col_parity = parity[np.argmax(np.abs(V), axis=0)]
+            assert np.all(V[parity[:, None] != col_parity[None, :]] == 0.0)
+            for p in (0, 1):
+                assert np.all(np.diff(e[col_parity == p]) >= 0)
+            assert np.abs(np.sort(e) - whole.energies[n]).max() <= 1e-12 * np.abs(e).max()
+        assert dense == 7
+
+
+def _assert_one_block(spectra, whole):
+    for field in ("energies", "vectors"):
+        for got, ref in zip(getattr(spectra, field), getattr(whole, field)):
+            assert (got is None and ref is None) or np.array_equal(got, ref)
 
 
 def test_tilted_trap_has_no_parity_labels(bump):
     x = GridSpec(1, 6.0, 200).axis()
     op = build_one_body(GridSpec(1, 6.0, 200), "custom", 8, potential_array=x**4 + x)
     assert mode_parity(op, 3) is None
+    assert build_pair_tensor(op, bump, 3).mode_parity is None
     b, H = _interacting(op, bump, 3, 6)
-    labelled = fq.sector_eigensystems(H, 0.0, b, mode_parity(op, 3))
-    plain = fq.sector_eigensystems(H, 0.0, b)
-    for field in ("energies", "vectors"):
-        for got, ref in zip(getattr(labelled, field), getattr(plain, field)):
-            assert (got is None and ref is None) or np.array_equal(got, ref)
+    _assert_one_block(fq.sector_eigensystems(H, 0.0, b), _whole_sector_spectra(H, 0.0, b))
 
 
-def test_parity_guard_refuses_a_coupling(op):
-    # mode 0 (even) coupled to mode 1 (odd): the labels do not fit H1, so the
-    # sector solve must refuse rather than drop the coupling
-    h1 = np.diag([1.0, 2.0, 3.0])
+def test_opposite_parity_coupling_merges_blocks(op, bump):
+    # the odd mode 1 coupled to the even modes 0 and 2 on top of a
+    # parity-cleaned pair term: H conserves no parity, so each dense sector
+    # is solved whole, and nothing is refused
+    b, H = _interacting(op, bump, 3, 4)
+    h1 = np.zeros((3, 3))
     h1[0, 1] = h1[1, 0] = 0.3
-    b = fq.build_fock(3, 4)
-    H1 = fq.second_quantize_one_body(b, h1)
-    with pytest.raises(ConfigurationError, match="sector n=1"):
-        fq.sector_eigensystems(H1, 0.0, b, np.array([1, -1, 1]))
-    with pytest.raises(ConfigurationError, match="one parity label per mode"):
-        fq.sector_eigensystems(H1, 0.0, b, np.array([1, -1]))
+    h1[1, 2] = h1[2, 1] = 0.2
+    coupled = H + fq.second_quantize_one_body(b, h1)
+    split = fq.sector_eigensystems(H, 0.0, b)
+    merged = fq.sector_eigensystems(coupled, 0.0, b)
+    _assert_one_block(merged, _whole_sector_spectra(coupled, 0.0, b))
+    for n in range(2, b.num_sectors):
+        parity = b.occupations[n][:, 1] % 2
+        for V, blocked in ((split.vectors[n], True), (merged.vectors[n], False)):
+            col_parity = parity[np.argmax(np.abs(V), axis=0)]
+            assert np.all(V[parity[:, None] != col_parity[None, :]] == 0.0) == blocked

@@ -208,8 +208,9 @@ def test_truncated_view(op):
     sub = ens.truncated(3)
     assert sub.cutoff == 3
     assert np.array_equal(sub.coefficients, ens.coefficients[:, :3])
-    with pytest.raises(ValueError):
-        ens.truncated(9)
+    for bad in (9, 0, -1):
+        with pytest.raises(ValueError):
+            ens.truncated(bad)
 
 
 def test_ensemble_binary_roundtrip(op, tmp_path):
