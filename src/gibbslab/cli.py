@@ -180,6 +180,11 @@ def _stabilization_rows(stab: hartree.StabilizationReport) -> list[dict]:
              "schatten_p_dist": r.schatten_p_dist} for r in stab.rows]
 
 
+def _nonconverged(cfg: RunConfig, stab: hartree.StabilizationReport) -> bool:
+    """Some Hartree fixed point stopped at hartree.max_iter."""
+    return any(r.iterations >= cfg.hartree.max_iter for r in stab.rows)
+
+
 def cmd_hartree(cfg: RunConfig, out: Path, args) -> int:
     _, _, stab = studies.run_counterterm(cfg)
     rows = _stabilization_rows(stab)
@@ -190,8 +195,7 @@ def cmd_hartree(cfg: RunConfig, out: Path, args) -> int:
                "schatten_decreasing": stab.schatten_decreasing}
     _emit(cfg, out, "hartree", results)
     formats.write_csv(out / "hartree.csv", rows)
-    nonconverged = any(r.iterations >= cfg.hartree.max_iter for r in stab.rows)
-    if args.strict and nonconverged:
+    if args.strict and _nonconverged(cfg, stab):
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -236,6 +240,8 @@ def cmd_study_2d(cfg: RunConfig, out: Path, args) -> int:
         "integrability_ok": rep.integrability_ok,
     }
     _emit(cfg, out, "study-2d-classical", results, uv_rows)
+    if args.strict and _nonconverged(cfg, rep.stabilization):
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -216,18 +216,12 @@ def second_quantize_one_body(basis: FockBasis, h1: np.ndarray) -> FockOperator:
 def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
     """(1/2) sum W_ijkl a+_i a+_j a_k a_l: since a+_i a+_j = (a_j a_i)+,
     the order-2 kernel is Wp / 2 with Wp[(j,i),(k,l)] = W[i,j,k,l].  Given
-    mode parities, Wp between pairs of opposite parity is zeroed when all of
-    it is roundoff (<= 1e-12 of max |Wp|), so H splits by odd-mode parity."""
+    mode parities, the Gram holds exact zeros between pairs of opposite
+    parity, so H splits by odd-mode parity."""
     K = basis.num_modes
     if tensor.mode_cutoff != K:
         raise ConfigurationError("tensor mode count does not match basis")
     Wp = tensor.tensor.transpose(1, 0, 2, 3).reshape(K * K, K * K)
-    if tensor.mode_parity is not None:
-        odd = tensor.mode_parity < 0
-        pair = (odd[:, None] ^ odd).ravel()
-        cross = pair[:, None] != pair
-        if np.abs(Wp[cross]).max(initial=0.0) <= 1e-12 * np.abs(Wp).max():
-            Wp[cross] = 0.0
     H = second_quantize(basis, 0.5 * Wp, 2)
     # clear summation-order roundoff
     return FockOperator(basis, [(0.5 * (b + b.T)).tocsr() for b in H.blocks])

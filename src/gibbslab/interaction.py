@@ -4,6 +4,10 @@ Every interaction energy goes through one exact engine, the pair Gram
 matrix Q[p, q] = <u_a u_b, w * u_c u_d> over unordered mode pairs: sample
 energies are quadratic forms in Q, the exchange term is a weighted trace
 of its diagonal and the Fock-space four-index tensor is a view of it.
+When the modes carry reflection labels (spectral.mode_parity), Q vanishes
+by symmetry between pairs of opposite pair parity p_a p_b, so it is built,
+stored and applied one pair class at a time and those entries are exact
+zeros.
 
 Convolutions w * rho run on a zero-padded dual grid (linear convolution via
 FFT, no wrap-around).  Only the rows that hold data are transformed, and
@@ -25,8 +29,9 @@ import scipy.fft
 from .gaussian import _SAMPLE_CHUNK, Ensemble
 from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diagonal, mode_parity
 
-# Cap on the pair Gram matrix and the pair densities it is built from,
-# 8 P (P + grid points) bytes for P = K(K+1)/2 pairs.
+# Cap on the bytes the Gram build holds: every class block and the pair
+# densities of the largest class, 8 (sum_c m_c^2 + max_c m_c N) for classes
+# of m_c pairs on N grid points; one class of P = K(K+1)/2 pairs unlabelled.
 MAX_GRAM_BYTES = 2**30
 # Pair densities convolved at once in the Gram build; bounds the FFT
 # buffers, which hold transforms of the data rows only.
@@ -157,14 +162,9 @@ def _check_binding(op: OneBodyOperator, w: PairPotential, K: int):
         raise ConfigurationError(f"K={K} out of range (have {op.num_modes} modes)")
 
 
-def _pair_density_chunks(op: OneBodyOperator, K: int):
-    """Yield (lo, hi, rows): densities u_a u_b of pairs lo..hi-1.
-
-    Pairs a <= b < K run in (b, a) order, so the pairs of any smaller cutoff
-    come first.
-    """
+def _pair_density_chunks(op: OneBodyOperator, K: int, a: np.ndarray, b: np.ndarray):
+    """Yield (lo, hi, rows): densities u_a u_b of pairs lo..hi-1 of modes a, b < K."""
     Ut = np.ascontiguousarray(op.eigenvectors[:, :K].T)
-    b, a = np.tril_indices(K)
     for lo in range(0, len(a), _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, len(a))
         yield lo, hi, Ut[a[lo:hi]] * Ut[b[lo:hi]]
@@ -180,7 +180,7 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
                   tensor: PairTensor | None = None) -> float:
     """(1/2) iint |G_K(x,y)|^2 w(x-y), the weighted trace of diag(Q).
 
-    diag(Q) comes from the leading block of tensor, a pair Gram of op and w,
+    diag(Q) is read class by class from tensor, a pair Gram of op and w,
     with no convolution; a tensor cutoff below K raises ConfigurationError.
     Without a tensor, diag(Q) is streamed chunk by chunk and Q is never built.
     """
@@ -189,9 +189,12 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
     b, a = np.tril_indices(K)
     fac = np.where(a == b, 1.0, 2.0) / (lam[a] * lam[b])
     if tensor is not None:
-        return float(0.5 * fac @ np.diagonal(tensor.block(K)))
+        diag = np.empty(len(fac))
+        for pos, Q in tensor.classes(K):
+            diag[pos] = np.diagonal(Q)
+        return float(0.5 * fac @ diag)
     q = np.concatenate([quadratic_form(w, rows)
-                        for _, _, rows in _pair_density_chunks(op, K)])
+                        for _, _, rows in _pair_density_chunks(op, K, a, b)])
     return sum(float(fac[lo:lo + _EXCHANGE_CHUNK] @ q[lo:lo + _EXCHANGE_CHUNK])
                for lo in range(0, len(q), _EXCHANGE_CHUNK))
 
@@ -210,18 +213,31 @@ def _pair_index(K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairTensor:
-    """Pair Gram matrix Q[p, q] = <u_a u_b, w * u_c u_d> in the mode basis.
+    """Pair Gram matrix Q[p, q] = <u_a u_b, w * u_c u_d>, one pair class at a time.
 
-    p = (a <= b) and q = (c <= d) run over unordered pairs in (b, a) order,
-    so the Gram matrix at any cutoff K' <= K is the leading K'(K'+1)/2
-    block.  Q is real and symmetric, and positive semidefinite when the
-    transform of w is nonnegative.  Q vanishes up to roundoff between pairs
-    of opposite parity under mode_parity (spectral.mode_parity), if set.
+    p = (a <= b) and q = (c <= d) run over unordered pairs in (b, a) order.
+    Under mode_parity (spectral.mode_parity), if set, a pair's class is its
+    parity p_a p_b and Q is zero between classes by symmetry; without labels
+    every pair is in one class.  pairs[c] lists the positions of class c's
+    pairs in ascending order and grams[c] is its block of Q, so the pairs of
+    any cutoff K' <= K are a leading run of each class and their blocks are
+    leading blocks.  Q is real and symmetric, and positive semidefinite when
+    the transform of w is nonnegative.
     """
 
     mode_cutoff: int
-    gram: np.ndarray = field(repr=False)
+    pairs: tuple[np.ndarray, ...] = field(repr=False)
+    grams: tuple[np.ndarray, ...] = field(repr=False)
     mode_parity: np.ndarray | None = None
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The whole P x P Gram matrix, exact zeros between classes."""
+        P = self.mode_cutoff * (self.mode_cutoff + 1) // 2
+        Q = np.zeros((P, P))
+        for pos, block in zip(self.pairs, self.grams):
+            Q[np.ix_(pos, pos)] = block
+        return Q
 
     @property
     def tensor(self) -> np.ndarray:
@@ -232,40 +248,55 @@ class PairTensor:
         idx = _pair_index(self.mode_cutoff)
         return self.gram[idx[:, None, None, :], idx[None, :, :, None]]
 
-    def block(self, K: int) -> np.ndarray:
-        """The Gram matrix at cutoff K <= mode_cutoff, its leading block."""
+    def classes(self, K: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(positions, Gram block) of each class's pairs at cutoff K <= mode_cutoff."""
         if K > self.mode_cutoff:
             raise ConfigurationError(f"cutoff {K} exceeds pair tensor cutoff {self.mode_cutoff}")
         P = K * (K + 1) // 2
-        return self.gram[:P, :P]
+        out = []
+        for pos, Q in zip(self.pairs, self.grams):
+            m = int(np.searchsorted(pos, P))
+            out.append((pos[:m], Q[:m, :m]))
+        return out
 
 
 def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTensor:
-    """Pair Gram matrix at cutoff K, refused over MAX_GRAM_BYTES.
+    """Pair Gram matrix at cutoff K by pair class, refused over MAX_GRAM_BYTES.
 
-    Only the lower triangle is computed, one chunk of convolved pair
-    densities at a time; mirroring it in place makes Q exactly symmetric.
+    Entries between classes are never computed.  Within a class only the
+    lower triangle is, one chunk of convolved pair densities at a time;
+    mirroring it in place makes each block exactly symmetric.  Only one
+    class's densities are held at a time.
     """
     _check_binding(op, w, K)
     if w.w_hat_min < -1e-10:  # beyond FFT roundoff
         warnings.warn(f"pair potential transform dips negative (min {w.w_hat_min:.3g}): "
                       "the pair Gram need not be positive semidefinite, so "
                       "energies may be negative and weights exp(-D) exceed 1")
-    P = K * (K + 1) // 2
-    nbytes = 8 * P * (P + op.grid.total_points)
+    labels = mode_parity(op, K)
+    b, a = np.tril_indices(K)
+    pair_class = np.ones(len(a), dtype=int) if labels is None else labels[a] * labels[b]
+    pairs = [np.flatnonzero(pair_class == s) for s in np.unique(pair_class)[::-1]]
+    N = op.grid.total_points
+    nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * N)
     if nbytes > MAX_GRAM_BYTES:
         raise ConfigurationError(
             f"pair Gram at K={K} needs {nbytes} bytes, over the "
             f"{MAX_GRAM_BYTES}-byte cap")
-    dens = np.empty((P, op.grid.total_points))
-    Q = np.zeros((P, P))
-    for lo, hi, rows in _pair_density_chunks(op, K):
-        dens[lo:hi] = rows
-        Q[lo:hi, :hi] = convolve(w, rows) @ dens[:hi].T
-    del dens
-    for i in range(P - 1):
-        Q[i, i + 1:] = Q[i + 1:, i]
-    return PairTensor(mode_cutoff=K, gram=Q, mode_parity=mode_parity(op, K))
+    grams = []
+    for pos in pairs:
+        m = len(pos)
+        dens = np.empty((m, N))
+        Q = np.zeros((m, m))
+        for lo, hi, rows in _pair_density_chunks(op, K, a[pos], b[pos]):
+            dens[lo:hi] = rows
+            Q[lo:hi, :hi] = convolve(w, rows) @ dens[:hi].T
+        del dens
+        for i in range(m - 1):
+            Q[i, i + 1:] = Q[i + 1:, i]
+        grams.append(Q)
+    return PairTensor(mode_cutoff=K, pairs=tuple(pairs), grams=tuple(grams),
+                      mode_parity=labels)
 
 
 def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
@@ -274,18 +305,22 @@ def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTens
 
     The real pair features are f_p = c_p Re(conj(alpha_a) alpha_b), c = 1 on
     diagonal pairs and 2 off them; renormalizing subtracts 1/lambda_a on the
-    diagonal pairs.  Any tensor with cutoff >= the ensemble's serves.
+    diagonal pairs.  The form is summed over the pair classes, each with its
+    own features and block.  Any tensor with cutoff >= the ensemble's serves.
     """
     K = ensemble.cutoff
-    Q = tensor.block(K)
     b, a = np.tril_indices(K)
-    c = np.where(a == b, 1.0, 2.0)
+    classes = [(a[pos], b[pos], Q) for pos, Q in tensor.classes(K)]
     out = np.empty(ensemble.size)
     for lo in range(0, ensemble.size, _SAMPLE_CHUNK):
         coeff = ensemble.coefficients[lo:lo + _SAMPLE_CHUNK]
         re, im = coeff.real, coeff.imag
-        f = c * (re[:, a] * re[:, b] + im[:, a] * im[:, b])
-        if renormalized:
-            f[:, a == b] -= 1.0 / op.eigenvalues[:K]
-        out[lo:lo + _SAMPLE_CHUNK] = 0.5 * np.einsum("ij,ij->i", f @ Q, f)
+        form = 0.0
+        for ac, bc, Q in classes:
+            diag = ac == bc
+            f = np.where(diag, 1.0, 2.0) * (re[:, ac] * re[:, bc] + im[:, ac] * im[:, bc])
+            if renormalized:
+                f[:, diag] -= 1.0 / op.eigenvalues[ac[diag]]
+            form = form + np.einsum("ij,ij->i", f @ Q, f)
+        out[lo:lo + _SAMPLE_CHUNK] = 0.5 * form
     return out

@@ -191,18 +191,19 @@ def build_one_body(grid: GridSpec, potential: str, num_eigs: int,
 def mode_parity(op: OneBodyOperator, K: int) -> np.ndarray | None:
     """Parity of the first K modes under the grid reflection, or None.
 
-    The reflection reverses the flattened grid vector: x -> -x in 1D and
-    (x, y) -> (-x, -y) in 2D.  Each label is the sign of <u_j, R u_j>;
-    None when some overlap misses +-1 by more than 1e-8, as for a potential
-    without that symmetry.
+    The reflection R reverses the flattened grid vector: x -> -x in 1D and
+    (x, y) -> (-x, -y) in 2D.  Each label p_j is the sign of <u_j, R u_j>;
+    None when some reflection defect |u_j - p_j R u_j|_2 exceeds 1e-10, as
+    for a potential without that symmetry, so a labelled mode is symmetric
+    up to roundoff.
     """
     if K < 1 or K > op.num_modes:
         raise ConfigurationError(f"K={K} out of range (have {op.num_modes} modes)")
     U = op.eigenvectors[:, :K]
-    overlaps = np.einsum("pj,pj->j", U, U[::-1])
-    if np.any(np.abs(np.abs(overlaps) - 1.0) > 1e-8):
+    labels = np.where(np.einsum("pj,pj->j", U, U[::-1]) < 0, -1, 1)
+    if np.any(np.linalg.norm(U - labels * U[::-1], axis=0) > 1e-10):
         return None
-    return np.sign(overlaps).astype(int)
+    return labels
 
 
 def shift_potential(op: OneBodyOperator, nu: float) -> OneBodyOperator:

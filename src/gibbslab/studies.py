@@ -317,7 +317,9 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
         raise ConfigError("the 2D study requires model.dimension = 2")
     ks = [int(k) for k in cfg.study.k_schedule]
     k_max = max(ks)
-    op = shifted_operator(cfg, build_model_operator(cfg, num_eigs=max(k_max, 96)))
+    # the floor of 96 eigenpairs asks for no more than the grid has
+    num_eigs = max(k_max, min(96, model_grid(cfg).total_points))
+    op = shifted_operator(cfg, build_model_operator(cfg, num_eigs=num_eigs))
     w = bind_potential(cfg, op.grid)
 
     uv_rows = []

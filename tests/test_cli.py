@@ -122,15 +122,15 @@ def test_shipped_configs_validate():
 
 
 def test_cli_gram_cap_exit_code(tmp_path, capsys):
-    # 160 modes pass validation without a quantum run, but their pair Gram
-    # matrix is over the byte cap: a config error, not a crash
+    # 200 modes pass validation without a quantum run, but their pair Gram
+    # blocks are over the byte cap: a config error, not a crash
     text = (SMALL_1D.replace("points = 128", "points = 400")
-            .replace("modes = 3", "modes = 160")
+            .replace("modes = 3", "modes = 200")
             .replace("samples = 4000", "samples = 10")
             .replace("n_max = 10", "n_max = 0"))
     path, _ = write_config(tmp_path, text=text)
     assert main(["classical-gibbs", "--config", str(path)]) == 2
-    assert "K=160 needs" in capsys.readouterr().err
+    assert "K=200 needs" in capsys.readouterr().err
 
 
 def test_cli_domain_error_exit_code(tmp_path, capsys):
@@ -212,6 +212,32 @@ def test_cli_study_2d_deterministic(tmp_path):
         "cauchy_decreasing", "stabilization", "relative_moment_trace_norm",
         "integrability_w_hat", "integrability_w_trap", "integrability_ok"]
     assert [row["K"] for row in doc["results"]["uv"]] == [8, 16]
+
+
+def test_cli_study_2d_strict_nonconverged_hartree(tmp_path):
+    # study-2d-classical --strict applies the hartree rule: exit 3 when a
+    # stabilization row stopped at hartree.max_iter, 0 when all converged
+    path, _ = write_config(tmp_path, text=SMALL_2D)
+    assert main(["study-2d-classical", "--config", str(path), "--strict"]) == 0
+    text = SMALL_2D.replace("points = 16", "points = 16\nmax_iter = 1")
+    path, out = write_config(tmp_path, text=text)
+    assert main(["study-2d-classical", "--config", str(path), "--strict"]) == 3
+    rows = json.loads((out / "study-2d-classical.json").read_text())[
+        "results"]["stabilization"]["rows"]
+    assert [r["iterations"] for r in rows] == [1, 1]
+    assert main(["hartree", "--config", str(path), "--strict"]) == 3
+    assert main(["study-2d-classical", "--config", str(path)]) == 0
+
+
+def test_cli_study_2d_small_grid(tmp_path):
+    # 9^2 = 81 grid points: the study's floor of 96 eigenpairs stops at the
+    # grid instead of refusing a num_eigs the config never set
+    text = SMALL_2D.replace("points = 24", "points = 9").replace(
+        "k_schedule = 8, 16", "k_schedule = 4, 8")
+    path, out = write_config(tmp_path, text=text)
+    assert main(["study-2d-classical", "--config", str(path)]) == 0
+    doc = json.loads((out / "study-2d-classical.json").read_text())
+    assert [row["K"] for row in doc["results"]["uv"]] == [4, 8]
 
 
 def test_cli_commands_agree_with_study_1d(tmp_path):

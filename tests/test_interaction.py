@@ -16,7 +16,7 @@ from gibbslab.interaction import (MAX_GRAM_BYTES, ConfigurationError,
                                   convolve, direct_term, exchange_term,
                                   make_pair_potential, quadratic_form,
                                   wick_expectation_bare)
-from gibbslab.spectral import GridSpec, build_one_body, green_diagonal
+from gibbslab.spectral import GridSpec, build_one_body, green_diagonal, mode_parity
 
 
 @pytest.fixture(scope="module")
@@ -360,20 +360,23 @@ def test_negative_transform_warns_at_gram_build():
 
 
 def test_tensor_byte_cap(bump):
-    # K = 160 on 400 points: 12880 pairs need 8 * 12880 * (12880 + 400)
+    # K = 200 on 400 points: the even and odd modes give pair classes of
+    # 10100 and 10000 pairs, which need 8 (10100^2 + 10000^2 + 10100 * 400)
     # bytes, over the cap; the refusal comes before any allocation
     g = GridSpec(1, 6.0, 400)
-    big = build_one_body(g, "power", 160, s=4.0)
+    big = build_one_body(g, "power", 200, s=4.0)
     w = make_pair_potential("gaussian-bump", g, amplitude=0.5, sigma=0.6)
-    need = 8 * 12880 * (12880 + 400)
+    assert np.sum(mode_parity(big, 200) < 0) == 100
+    need = 8 * (10100**2 + 10000**2 + 10100 * 400)
     assert need > MAX_GRAM_BYTES
-    with pytest.raises(ConfigurationError, match=f"K=160 needs {need} bytes"):
-        build_pair_tensor(big, w, 160)
+    with pytest.raises(ConfigurationError, match=f"K=200 needs {need} bytes"):
+        build_pair_tensor(big, w, 200)
 
 
 def test_gram_peak_rss():
-    # MAX_GRAM_BYTES models the build as 8 P (P + N) bytes, Q and the P
-    # stored pair densities of N points; one chunk's FFT buffers stay small
+    # MAX_GRAM_BYTES models the build as 8 (sum_c m_c^2 + max_c m_c N)
+    # bytes, every class block and the largest class's m_c pair densities of
+    # N points; one chunk's FFT buffers stay small
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent("""
         import resource
@@ -382,17 +385,77 @@ def test_gram_peak_rss():
         op = build_one_body(GridSpec(2, 8.0, 64), "power", 96, s=2.0)
         w = make_pair_potential("gaussian-bump", op.grid, amplitude=0.05, sigma=1.25)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        Q = build_pair_tensor(op, w, 64).gram
+        t = build_pair_tensor(op, w, 64)
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(before, after, len(Q), op.grid.total_points)
+        print(before, after, op.grid.total_points, *(len(pos) for pos in t.pairs))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
-    before_kb, after_kb, P, N = map(int, res.stdout.split())
-    assert P == 64 * 65 // 2
-    assert (after_kb - before_kb) * 1024 <= 1.25 * 8 * P * (P + N)
+    before_kb, after_kb, N, *sizes = map(int, res.stdout.split())
+    assert len(sizes) == 2 and sum(sizes) == 64 * 65 // 2
+    model = 8 * (sum(m * m for m in sizes) + max(sizes) * N)
+    assert (after_kb - before_kb) * 1024 <= 1.25 * model
+
+
+def single_class_gram(op, w, K):
+    """Every pair in one class, as the Gram was built before the blocking:
+    the lower triangle in 64-pair chunks, then mirrored."""
+    b, a = np.tril_indices(K)
+    U = op.eigenvectors[:, :K].T
+    dens = U[a] * U[b]
+    Q = np.zeros((len(a), len(a)))
+    for lo in range(0, len(a), 64):
+        hi = min(lo + 64, len(a))
+        Q[lo:hi, :hi] = convolve(w, dens[lo:hi]) @ dens[:hi].T
+    for i in range(len(a) - 1):
+        Q[i, i + 1:] = Q[i + 1:, i]
+    return Q
+
+
+@pytest.mark.parametrize("case", ["quartic-1d", "harmonic-2d"])
+def test_blocked_gram_matches_single_class(case, op, bump):
+    # on reflection-symmetric traps the pairs split by pair parity p_a p_b;
+    # the blocks agree with the single-class Gram, and the entries the blocks
+    # leave out are roundoff there (1.1e-14 of max|Q| on the 1D trap, 2.1e-15
+    # on the 2D one) and exact zeros in the assembled Gram
+    if case == "quartic-1d":
+        o, w, K = op, bump, 12
+    else:
+        o = build_one_body(GridSpec(2, 6.0, 32), "power", 20, s=2.0)
+        w, K = make_pair_potential("gaussian-bump", o.grid, amplitude=0.5, sigma=0.6), 20
+    t = build_pair_tensor(o, w, K)
+    labels = mode_parity(o, K)
+    assert labels is not None and np.array_equal(t.mode_parity, labels)
+    b, a = np.tril_indices(K)
+    pair_class = labels[a] * labels[b]
+    assert [pair_class[pos].tolist() for pos in t.pairs] == [
+        [1] * int(np.sum(pair_class > 0)), [-1] * int(np.sum(pair_class < 0))]
+    assert all(np.all(np.diff(pos) > 0) for pos in t.pairs)
+    ref = single_class_gram(o, w, K)
+    scale = np.abs(ref).max()
+    cross = pair_class[:, None] != pair_class[None, :]
+    assert np.abs(ref[cross]).max() <= 2e-14 * scale
+    Q = t.gram
+    assert np.all(Q[cross] == 0.0)
+    assert np.abs(Q - ref)[~cross].max() <= 1e-14 * scale
+    for pos, block in zip(t.pairs, t.grams):
+        assert np.array_equal(block, block.T)
+        assert np.array_equal(block, Q[np.ix_(pos, pos)])
+
+
+def test_unlabelled_gram_is_one_class(bump):
+    # a tilted trap has no reflection labels: one class, the single-class
+    # Gram bit for bit
+    g = GridSpec(1, 6.0, 200)
+    x = g.axis()
+    tilted = build_one_body(g, "custom", 8, potential_array=x**4 + x)
+    t = build_pair_tensor(tilted, bump, 8)
+    assert t.mode_parity is None and len(t.pairs) == 1
+    assert np.array_equal(t.pairs[0], np.arange(36))
+    assert np.array_equal(t.grams[0], single_class_gram(tilted, bump, 8))
+    assert np.array_equal(t.gram, t.grams[0])
 
 
 def test_w1111_matches_bare(op, bump):

@@ -70,6 +70,20 @@ def test_mode_parity_labels():
         mode_parity(op2, 9)
 
 
+def test_mode_parity_refuses_a_small_asymmetry():
+    # x^4 + 1e-5 x: every overlap <u_j, R u_j> is within 1e-8 of +-1, yet the
+    # reflection defects |u_j - p_j R u_j| are far above roundoff, so the
+    # modes get no labels
+    g = GridSpec(1, 6.0, 200)
+    x = g.axis()
+    op = build_one_body(g, "custom", 8, potential_array=x**4 + 1e-5 * x)
+    U = op.eigenvectors
+    overlaps = np.einsum("pj,pj->j", U, U[::-1])
+    assert np.all(np.abs(np.abs(overlaps) - 1.0) <= 1e-8)
+    assert np.linalg.norm(U - np.sign(overlaps) * U[::-1], axis=0).max() > 1e-10
+    assert mode_parity(op, 8) is None
+
+
 def test_shift_identity_and_arithmetic(harmonic_op):
     same = shift_potential(harmonic_op, 0.0)
     assert np.array_equal(same.eigenvalues, harmonic_op.eigenvalues)
