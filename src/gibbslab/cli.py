@@ -152,7 +152,7 @@ def cmd_quantum(cfg: RunConfig, out: Path, args) -> int:
     c = cfg.quantum.coupling_c
     tensor = None if c == 0.0 else build_pair_tensor(
         op, studies.bind_potential(cfg, op.grid), cfg.model.modes)
-    basis, _, spectra_at = studies.quantum_schedule(cfg, op, tensor)
+    _, spectra_at = studies.quantum_schedule(cfg, op, tensor)
     rows = []
     for T in cfg.quantum.t_schedule:
         res = fq.gibbs_from_spectra(spectra_at(T), T)
@@ -162,7 +162,7 @@ def cmd_quantum(cfg: RunConfig, out: Path, args) -> int:
                      "mean_particles": res.mean_particles,
                      "top_sector_weight": res.top_sector_weight,
                      "cutoff_safe": res.cutoff_safe})
-    rdms = {k: fq.reduced_density(res.state, basis, k) for k in fq.ORDERS}
+    rdms = {k: fq.reduced_density(res.state, k) for k in fq.ORDERS}
     results = {"schedule": rows,
                "final_rdm1_eigenvalues": np.linalg.eigvalsh(rdms[1].matrix)}
     _emit(cfg, out, "quantum-gibbs", results, rows)

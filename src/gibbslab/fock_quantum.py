@@ -4,15 +4,16 @@ The basis is cut by total particle number; every operator here conserves
 particle number, so states and operators are block-diagonal over sectors.
 A FockBasis grows each sector from the one below it, one particle at a
 time, and is complete when built, annihilators included, so threads may
-share it.  Free (diagonal) sectors keep their Gibbs blocks as bare
+share it; operators, states and spectra carry it, and routines read it
+from them.  Free (diagonal) sectors keep their Gibbs blocks as bare
 probability vectors so that large cutoffs stay cheap; interacting sectors
 are dense, each diagonalized per connected block of H, so the pair term's
 odd-mode parity classes are solved apart.  boltzmann_weights gives level
 probabilities and log Z under any particle cutoff, so the cutoff audit
-assembles no states.  One symmetric k-body basis, symmetric_basis, indexes
-second quantization, the reduced densities and the classical moments;
-reduced_density is the adjoint of second_quantize over the same stacked
-annihilators.
+reads given spectra and assembles no states.  One symmetric k-body basis,
+symmetric_basis, indexes second quantization, the reduced densities and
+the classical moments; reduced_density is the adjoint of second_quantize
+over the same stacked annihilators.
 """
 
 from __future__ import annotations
@@ -244,8 +245,8 @@ class SectorSpectra:
     vectors: list[np.ndarray | None]
 
 
-def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis) -> SectorSpectra:
-    """Diagonalize H - nu N blockwise.
+def sector_eigensystems(H: FockOperator, nu: float) -> SectorSpectra:
+    """Diagonalize H - nu N blockwise, on H's basis.
 
     Diagonal blocks keep their basis ordering (vectors None).  A dense
     sector is solved as one block per connected component of its
@@ -256,8 +257,7 @@ def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis) -> SectorS
     # deferred: importing csgraph costs 3 MB and 25 ms that only Fock solves need
     from scipy.sparse.csgraph import connected_components
     energies, vectors = [], []
-    for n in range(basis.num_sectors):
-        block = H.blocks[n]
+    for n, block in enumerate(H.blocks):
         shifted_diag = block.diagonal() - nu * n
         off = block - sp.diags(block.diagonal())
         if off.nnz == 0:
@@ -276,7 +276,7 @@ def sector_eigensystems(H: FockOperator, nu: float, basis: FockBasis) -> SectorS
             vals.append(w)
         energies.append(np.concatenate(vals))
         vectors.append(vecs)
-    return SectorSpectra(basis=basis, energies=energies, vectors=vectors)
+    return SectorSpectra(basis=H.basis, energies=energies, vectors=vectors)
 
 
 @dataclass
@@ -323,10 +323,8 @@ def gibbs_from_spectra(spectra: SectorSpectra, T: float, E0: float = 0.0) -> Gib
                        cutoff_safe=top_weight <= SATURATION_THRESHOLD)
 
 
-def gibbs_state(H: FockOperator, T: float, nu: float, basis: FockBasis,
-                E0: float = 0.0) -> GibbsResult:
-    spectra = sector_eigensystems(H, nu, basis)
-    return gibbs_from_spectra(spectra, T, E0)
+def gibbs_state(H: FockOperator, T: float, nu: float, E0: float = 0.0) -> GibbsResult:
+    return gibbs_from_spectra(sector_eigensystems(H, nu), T, E0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +348,19 @@ class ReducedDensityMatrix:
         return self.matrix.shape[0]
 
 
-def reduced_density(state: FockState, basis: FockBasis, order: int) -> ReducedDensityMatrix:
+def reduced_density(state: FockState, order: int) -> ReducedDensityMatrix:
     """Per sector, tr_{n-k}(S Gamma S^T), the adjoint of second_quantize: with
     rows[b] = vec(S_b), entry (a, b) is tr(S_a Gamma S_b^T) = rows[b] . vec(S_a Gamma)."""
     if order not in ORDERS:
         raise ConfigurationError("reduced density order must be 1 or 2")
-    tuples, weights = symmetric_basis(basis.num_modes, order)
+    tuples, weights = symmetric_basis(state.basis.num_modes, order)
     P = len(tuples)
     M = np.zeros((P, P), dtype=complex)
-    for n in range(order, basis.num_sectors):
+    for n in range(order, state.basis.num_sectors):
         block = state.blocks[n]
         if block.ndim == 1 and not block.any():
             continue
-        ops = [basis.annihilate(t, n) for t in tuples]
+        ops = [state.basis.annihilate(t, n) for t in tuples]
         stack = sp.vstack(ops, format="csr")
         if block.ndim == 1:
             # distinct tuples send a number state to distinct states: M is diagonal
@@ -484,17 +482,13 @@ class CutoffAudit:
     tolerance: float
 
 
-def cutoff_audit(H: FockOperator, T: float, nu: float, basis: FockBasis,
-                 schedule: list[int], E0: float = 0.0,
-                 tolerance: float | None = None) -> CutoffAudit:
-    """F, <N> and the top-sector weight against the particle cutoff, from one
-    diagonalization; sector weights are sums of level probabilities."""
+def cutoff_audit(spectra: SectorSpectra, T: float, schedule: list[int],
+                 E0: float = 0.0) -> CutoffAudit:
+    """F, <N> and the top-sector weight of spectra against the particle cutoff,
+    from level probabilities; converged once the last step moves F < 1e-6 T."""
     if not schedule or any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ConfigurationError("cutoff schedule must be nonempty and strictly increasing")
-    if schedule[0] < 0 or schedule[-1] > basis.max_particles:
-        raise ConfigurationError(f"schedule must lie in 0..{basis.max_particles}")
-    tol = 1e-6 * T if tolerance is None else tolerance
-    spectra = sector_eigensystems(H, nu, basis)
+    tol = 1e-6 * T
     rows = []
     prev = math.nan
     for n_max in schedule:

@@ -230,19 +230,18 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
                               T_schedule: list[float], kappa: float,
                               coupling_c: float = 1.0, damping: float = 0.3,
                               tol: float = 1e-8, max_iter: int = 200,
-                              shared_modes: int = 32, p: float | None = None,
+                              shared_modes: int = 32,
                               measure: str = "unit") -> StabilizationReport:
     """Solve the fixed point along a T schedule and test stabilization.
 
     The largest-T solution stands in for the limiting potential; both the
-    sup-distance delta_inf and the truncated-resolvent Schatten-p distance
-    must shrink along the schedule (the proxy anchor is excluded).
+    sup-distance delta_inf and the truncated-resolvent Schatten-p distance,
+    p = 2 in 2D and 1 in 1D, must shrink along the schedule (proxy excluded).
     The sandwich V/2 <= V_proxy - kappa <= 3V/2 is checked where V > 1.
     """
     if sorted(T_schedule) != list(T_schedule):
         raise DomainError("T schedule must be increasing")
-    if p is None:
-        p = 2.0 if grid.dimension == 2 else 1.0
+    p = 2.0 if grid.dimension == 2 else 1.0
     states, nus, lams = [], [], []
     for T in T_schedule:
         lam = coupling_c / T

@@ -29,15 +29,15 @@ import scipy.fft
 from .gaussian import _SAMPLE_CHUNK, Ensemble
 from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diagonal, mode_parity
 
-# Cap on the bytes the Gram build holds: every class block and the pair
-# densities of the largest class, 8 (sum_c m_c^2 + max_c m_c N) for classes
-# of m_c pairs on N grid points; one class of P = K(K+1)/2 pairs unlabelled.
+# Cap on the bytes the Gram build holds: every class block, the densities of
+# the largest class and one chunk's FFT working set, 8 (sum_c m_c^2 + max_c
+# m_c N + (5 - d) C P^(d-1) (P/2 + 1)) for classes of m_c pairs on N points
+# (one class unlabelled), C = _PAIR_CHUNK and padded side P: convolve holds
+# the complex spectrum of C rows and a half-size (2D) or same-size (1D) copy.
 MAX_GRAM_BYTES = 2**30
 # Pair densities convolved at once in the Gram build; bounds the FFT
 # buffers, which hold transforms of the data rows only.
 _PAIR_CHUNK = 64
-# Pairs per partial sum of the streamed exchange term; fixes its last bits.
-_EXCHANGE_CHUNK = 256
 
 
 def _padded_shape(grid: GridSpec) -> tuple[int, ...]:
@@ -142,8 +142,8 @@ def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
     f *= w.kernel_fft
     if d == 2:
         f = scipy.fft.ifft(f, axis=1, norm="forward", overwrite_x=True)[:, :n]
-    out = scipy.fft.irfft(f, n=P, axis=-1, norm="forward")[..., :n] * (1.0 / P**d)
-    out = out.reshape(len(dens), -1)
+    f = scipy.fft.irfft(f, n=P, axis=-1, norm="forward")  # frees the spectrum
+    out = (f[..., :n] * (1.0 / P**d)).reshape(len(dens), -1)
     return out if density.ndim == 2 else out[0]
 
 
@@ -188,15 +188,14 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
     lam = op.eigenvalues[:K]
     b, a = np.tril_indices(K)
     fac = np.where(a == b, 1.0, 2.0) / (lam[a] * lam[b])
-    if tensor is not None:
+    if tensor is None:
+        diag = np.concatenate([np.einsum("ij,ij->i", rows, convolve(w, rows))
+                               for _, _, rows in _pair_density_chunks(op, K, a, b)])
+    else:
         diag = np.empty(len(fac))
         for pos, Q in tensor.classes(K):
             diag[pos] = np.diagonal(Q)
-        return float(0.5 * fac @ diag)
-    q = np.concatenate([quadratic_form(w, rows)
-                        for _, _, rows in _pair_density_chunks(op, K, a, b)])
-    return sum(float(fac[lo:lo + _EXCHANGE_CHUNK] @ q[lo:lo + _EXCHANGE_CHUNK])
-               for lo in range(0, len(q), _EXCHANGE_CHUNK))
+    return float(0.5 * fac @ diag)
 
 
 def wick_expectation_bare(op: OneBodyOperator, w: PairPotential, K: int) -> float:
@@ -216,19 +215,18 @@ class PairTensor:
     """Pair Gram matrix Q[p, q] = <u_a u_b, w * u_c u_d>, one pair class at a time.
 
     p = (a <= b) and q = (c <= d) run over unordered pairs in (b, a) order.
-    Under mode_parity (spectral.mode_parity), if set, a pair's class is its
-    parity p_a p_b and Q is zero between classes by symmetry; without labels
-    every pair is in one class.  pairs[c] lists the positions of class c's
-    pairs in ascending order and grams[c] is its block of Q, so the pairs of
-    any cutoff K' <= K are a leading run of each class and their blocks are
-    leading blocks.  Q is real and symmetric, and positive semidefinite when
-    the transform of w is nonnegative.
+    When the modes carry reflection labels (spectral.mode_parity), a pair's
+    class is its parity p_a p_b and Q is zero between classes by symmetry;
+    without labels every pair is in one class.  pairs[c] lists the positions
+    of class c's pairs in ascending order and grams[c] is its block of Q, so
+    the pairs of any cutoff K' <= K are a leading run of each class and their
+    blocks are leading blocks.  Q is real and symmetric, and positive
+    semidefinite when the transform of w is nonnegative.
     """
 
     mode_cutoff: int
     pairs: tuple[np.ndarray, ...] = field(repr=False)
     grams: tuple[np.ndarray, ...] = field(repr=False)
-    mode_parity: np.ndarray | None = None
 
     @property
     def gram(self) -> np.ndarray:
@@ -277,8 +275,9 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     b, a = np.tril_indices(K)
     pair_class = np.ones(len(a), dtype=int) if labels is None else labels[a] * labels[b]
     pairs = [np.flatnonzero(pair_class == s) for s in np.unique(pair_class)[::-1]]
-    N = op.grid.total_points
-    nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * N)
+    N, d, P = op.grid.total_points, op.grid.dimension, w.kernel.shape[0]
+    nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * N
+                  + (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1))
     if nbytes > MAX_GRAM_BYTES:
         raise ConfigurationError(
             f"pair Gram at K={K} needs {nbytes} bytes, over the "
@@ -295,8 +294,7 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
         for i in range(m - 1):
             Q[i, i + 1:] = Q[i + 1:, i]
         grams.append(Q)
-    return PairTensor(mode_cutoff=K, pairs=tuple(pairs), grams=tuple(grams),
-                      mode_parity=labels)
+    return PairTensor(mode_cutoff=K, pairs=tuple(pairs), grams=tuple(grams))
 
 
 def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,

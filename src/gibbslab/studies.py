@@ -97,29 +97,29 @@ def run_classical(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | None
 
 
 def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | None
-                     ) -> tuple[fq.FockBasis, fq.SectorSpectra,
-                                Callable[[float], fq.SectorSpectra]]:
-    """Fock basis, free spectra and spectra_at(T) of H1 + (coupling_c/T) Hpair.
+                     ) -> tuple[fq.SectorSpectra, Callable[[float], fq.SectorSpectra]]:
+    """Free spectra and spectra_at(T) of H1 + (coupling_c/T) Hpair.
 
-    Spectra are of H - nu N, H1 from op's unshifted eigenvalues.  Pass no
-    tensor at coupling_c = 0: spectra_at then returns the free spectra.
-    Otherwise each call diagonalizes afresh, one block per connected
-    component of each sector (one per odd-mode parity when the tensor
-    carries mode parities), and nothing is kept.  Calls may run on several
-    threads: they only read the basis and the operators.
+    Spectra are of H - nu N on one Fock basis, which they carry; H1 is from
+    op's unshifted eigenvalues.  Pass no tensor at coupling_c = 0:
+    spectra_at then returns the free spectra.  Otherwise each call
+    diagonalizes afresh, one block per connected component of each sector
+    (one per odd-mode parity of a reflection-symmetric trap), and nothing
+    is kept.  Calls may run on several threads: they only read the basis
+    and the operators.
     """
     K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
     basis = fq.build_fock(K, cfg.quantum.n_max)
     H1 = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
     Hpair = fq.second_quantize_pair(basis, tensor) if tensor is not None else None
-    spectra_free = fq.sector_eigensystems(H1, nu, basis)
+    spectra_free = fq.sector_eigensystems(H1, nu)
 
     def spectra_at(T: float) -> fq.SectorSpectra:
         if Hpair is None:
             return spectra_free
-        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu, basis)
+        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu)
 
-    return basis, spectra_free, spectra_at
+    return spectra_free, spectra_at
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +175,17 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
 
     tensor = build_pair_tensor(op, bind_potential(cfg, op.grid), K) if c != 0.0 else None
     zr, moments = run_classical(cfg, op_meas, tensor)
-    basis, spectra_free, spectra_at = quantum_schedule(cfg, op, tensor)
+    spectra_free, spectra_at = quantum_schedule(cfg, op, tensor)
 
     def solve_point(T: float) -> StudyPoint1D:
         lam = c / T
         spectra = spectra_at(T)
         g_int = fq.gibbs_from_spectra(spectra, T)
         F_free = -T * fq.boltzmann_weights(spectra_free, T, n_max)[1]
-        _, log_Z_cut = fq.boltzmann_weights(spectra, T, n_max - 2)
-        audit = abs(g_int.free_energy + T * log_Z_cut)
+        audit = fq.cutoff_audit(spectra, T, [n_max - 2, n_max])
         diff = (g_int.free_energy - F_free) / T
         deltas = {f"delta_{k}": cg.trace_distance(
-            fq.reduced_density(g_int.state, basis, k).matrix / T**k, moments[k].matrix)
+            fq.reduced_density(g_int.state, k).matrix / T**k, moments[k].matrix)
             for k in fq.ORDERS}
         return StudyPoint1D(
             T=T, lam=lam,
@@ -198,7 +197,7 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
             mean_particles=g_int.mean_particles,
             top_sector_weight=g_int.top_sector_weight,
             cutoff_safe=g_int.cutoff_safe,
-            audit_delta_F=audit)
+            audit_delta_F=audit.rows[-1].delta_free_energy)
 
     schedule = list(cfg.quantum.t_schedule)
     if threads > 1:

@@ -39,10 +39,10 @@ def test_criterion_1_free_theory_exactness(capsys):
     K, T, nu = 4, 1.0, 0.0
     basis = fq.build_fock(K, 26)
     H = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
-    audit = fq.cutoff_audit(H, T, nu, basis, [18, 22, 26])
-    res = fq.gibbs_state(H, T, nu, basis)
+    audit = fq.cutoff_audit(fq.sector_eigensystems(H, nu), T, [18, 22, 26])
+    res = fq.gibbs_state(H, T, nu)
     lam = op.eigenvalues[:K]
-    occ = np.sort(np.linalg.eigvalsh(fq.reduced_density(res.state, basis, 1).matrix))
+    occ = np.sort(np.linalg.eigvalsh(fq.reduced_density(res.state, 1).matrix))
     be = np.sort(1.0 / np.expm1((lam - nu) / T))
     occ_err = np.abs(occ - be).max()
     # grand potential of the K-mode free gas; finite sum, sign as dictated
@@ -309,14 +309,14 @@ def test_criterion_8_structural_invariants(capsys, tmp_path):
         basis = fq.build_fock(K, n_max)
         H = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K]) \
             + fq.second_quantize_pair(basis, build_pair_tensor(op, w, K)).scaled(lam_c)
-        res = fq.gibbs_state(H, T, 0.1, basis)
+        res = fq.gibbs_state(H, T, 0.1)
         gibbs_results.append((basis, H, res, T))
         for _ in range(20):
             trial = fq.free_energy_functional(fq.random_test_state(basis, rng),
                                               H, T, 0.1)
             if not trial >= res.free_energy - 1e-9:
                 failures.append("variational principle violated")
-        shifted = fq.gibbs_state(H, T, 0.1, basis, E0=3.25)
+        shifted = fq.gibbs_state(H, T, 0.1, E0=3.25)
         if abs(shifted.free_energy - res.free_energy - 3.25) > 1e-9:
             failures.append("E0 does not shift F additively")
         block_dist = max(np.linalg.norm(np.asarray(a) - np.asarray(b))
@@ -327,7 +327,7 @@ def test_criterion_8_structural_invariants(capsys, tmp_path):
     # Hermiticity / PSD / permutation symmetry of reduced objects
     basis, H, res, T = gibbs_results[0]
     for order in (1, 2):
-        m = fq.reduced_density(res.state, basis, order).matrix
+        m = fq.reduced_density(res.state, order).matrix
         if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, np.abs(m).max()):
             failures.append(f"quantum order-{order} not Hermitian")
         if np.linalg.eigvalsh(m).min() < -1e-10:

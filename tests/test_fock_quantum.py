@@ -88,9 +88,9 @@ def test_basis_read_only_after_init(op, bump):
     H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3])
     Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3))
     for H in (H1, H1 + Hp):
-        state = fq.gibbs_from_spectra(fq.sector_eigensystems(H, 0.0, b), 2.0).state
+        state = fq.gibbs_from_spectra(fq.sector_eigensystems(H, 0.0), 2.0).state
         for order in fq.ORDERS:
-            fq.reduced_density(state, b, order)
+            fq.reduced_density(state, order)
     assert snapshot() == before
     assert sorted(b.annihilators) == [(i, n) for i in range(3) for n in range(1, 7)]
 
@@ -197,8 +197,8 @@ def test_reduced_density_dense_oracle(op, bump):
     A, _ = _dense_annihilators(b)
     H1 = fq.second_quantize_one_body(b, op.eigenvalues[:K])
     Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, K))
-    states = [fq.gibbs_state(H1, 2.0, 0.0, b).state,
-              fq.gibbs_state(H1 + Hp, 2.0, 0.0, b).state,
+    states = [fq.gibbs_state(H1, 2.0, 0.0).state,
+              fq.gibbs_state(H1 + Hp, 2.0, 0.0).state,
               fq.coherent_state(np.array([0.5 + 0.3j, -0.4j, 0.2]), b).state]
     assert [any(blk.ndim == 2 for blk in s.blocks) for s in states] == [False, True, True]
     for state in states:
@@ -209,7 +209,7 @@ def test_reduced_density_dense_oracle(op, bump):
             a = [functools.reduce(np.matmul, [A[i] for i in t]) for t in tuples]
             ref = np.array([[c[s] * c[t] * np.trace(gamma @ a[t].T @ a[s])
                              for t in range(len(tuples))] for s in range(len(tuples))])
-            got = fq.reduced_density(state, b, order).matrix
+            got = fq.reduced_density(state, order).matrix
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), order
 
 
@@ -217,7 +217,7 @@ def test_gibbs_single_mode_geometric():
     b = fq.build_fock(1, 25)
     H = fq.second_quantize_one_body(b, np.array([1.3]))
     T, nu = 0.9, 0.2
-    res = fq.gibbs_state(H, T, nu, b)
+    res = fq.gibbs_state(H, T, nu)
     x = (1.3 - nu) / T
     Z = sum(np.exp(-n * x) for n in range(26))
     assert res.log_partition == pytest.approx(np.log(Z), abs=1e-12)
@@ -231,7 +231,7 @@ def test_gibbs_low_temperature_ground_state(op, bump):
     b = fq.build_fock(2, 6)
     H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:2]) \
         + fq.second_quantize_pair(b, t).scaled(0.5)
-    res = fq.gibbs_state(H, 1e-3, 0.0, b)
+    res = fq.gibbs_state(H, 1e-3, 0.0)
     # vacuum is the ground sector here (all energies positive)
     assert res.free_energy == pytest.approx(0.0, abs=1e-6)
     assert res.state.block_trace(0) == pytest.approx(1.0, abs=1e-10)
@@ -242,8 +242,8 @@ def test_gibbs_constant_shift_invariance(op, bump):
     b = fq.build_fock(2, 8)
     H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:2]) \
         + fq.second_quantize_pair(b, t).scaled(0.2)
-    base = fq.gibbs_state(H, 1.7, 0.3, b)
-    shifted = fq.gibbs_state(H, 1.7, 0.3, b, E0=5.5)
+    base = fq.gibbs_state(H, 1.7, 0.3)
+    shifted = fq.gibbs_state(H, 1.7, 0.3, E0=5.5)
     assert shifted.free_energy - base.free_energy == pytest.approx(5.5, abs=1e-9)
     for a, bblk in zip(base.state.blocks, shifted.state.blocks):
         assert np.abs(np.asarray(a) - np.asarray(bblk)).max() < 1e-12
@@ -252,7 +252,7 @@ def test_gibbs_constant_shift_invariance(op, bump):
 def test_gibbs_saturation_flag():
     b = fq.build_fock(1, 3)
     H = fq.second_quantize_one_body(b, np.array([1.0]))
-    res = fq.gibbs_state(H, 10.0, 0.0, b)
+    res = fq.gibbs_state(H, 10.0, 0.0)
     assert not res.cutoff_safe
     assert res.top_sector_weight > fq.SATURATION_THRESHOLD
 
@@ -261,28 +261,28 @@ def test_gibbs_saturation_flag():
 def test_temperature_must_be_positive(T):
     b = fq.build_fock(2, 6)
     H = fq.second_quantize_one_body(b, np.array([1.0, 2.5]))
-    spectra = fq.sector_eigensystems(H, 0.0, b)
+    spectra = fq.sector_eigensystems(H, 0.0)
     with pytest.raises(DomainError, match="temperature must be positive"):
         fq.gibbs_from_spectra(spectra, T)
     with pytest.raises(DomainError, match="temperature must be positive"):
-        fq.cutoff_audit(H, T, 0.0, b, [2, 4, 6])
+        fq.cutoff_audit(spectra, T, [2, 4, 6])
     with pytest.raises(DomainError, match="temperature must be positive"):
-        fq.gibbs_state(H, T, 0.0, b)
+        fq.gibbs_state(H, T, 0.0)
 
 
 def test_reduced_density_free_bose_einstein():
     lam = np.array([1.0, 2.0, 3.0, 4.0])
     b = fq.build_fock(4, 26)
     H = fq.second_quantize_one_body(b, lam)
-    res = fq.gibbs_state(H, 1.0, 0.0, b)
-    rdm1 = fq.reduced_density(res.state, b, 1)
+    res = fq.gibbs_state(H, 1.0, 0.0)
+    rdm1 = fq.reduced_density(res.state, 1)
     be = 1.0 / np.expm1(lam)
     assert np.abs(np.diag(rdm1.matrix).real - be).max() < 1e-8
     off = rdm1.matrix - np.diag(np.diag(rdm1.matrix))
     assert np.abs(off).max() < 1e-12
     assert np.trace(rdm1.matrix).real == pytest.approx(res.mean_particles, abs=1e-10)
     # order 2, free product state: <a+k a+l a i a j> factorizes by Wick
-    rdm2 = fq.reduced_density(res.state, b, 2)
+    rdm2 = fq.reduced_density(res.state, 2)
     pairs = [(i, j) for i in range(4) for j in range(i, 4)]
     for col, (i, j) in enumerate(pairs):
         c2 = 1.0 if i == j else 2.0
@@ -296,8 +296,8 @@ def test_reduced_density_vacuum_and_pure_pair():
     b = fq.build_fock(3, 4)
     vac = fq.FockState(basis=b, blocks=[np.ones(1)] + [
         np.zeros(b.sector_dim(n)) for n in range(1, 5)])
-    assert not fq.reduced_density(vac, b, 1).matrix.any()
-    assert not fq.reduced_density(vac, b, 2).matrix.any()
+    assert not fq.reduced_density(vac, 1).matrix.any()
+    assert not fq.reduced_density(vac, 2).matrix.any()
     # (a+_1)^2 |0> / sqrt(2)
     blocks = [np.zeros(b.sector_dim(n)) for n in range(5)]
     vec = np.zeros(b.sector_dim(2), dtype=complex)
@@ -305,9 +305,9 @@ def test_reduced_density_vacuum_and_pure_pair():
     vec[idx] = 1.0
     blocks[2] = np.outer(vec, vec.conj())
     state = fq.FockState(basis=b, blocks=blocks)
-    g1 = fq.reduced_density(state, b, 1).matrix
+    g1 = fq.reduced_density(state, 1).matrix
     assert np.allclose(g1, np.diag([2.0, 0, 0]), atol=1e-12)
-    g2 = fq.reduced_density(state, b, 2).matrix
+    g2 = fq.reduced_density(state, 2).matrix
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
     pp = pairs.index((0, 0))
     expected = np.zeros((len(pairs), len(pairs)))
@@ -320,8 +320,8 @@ def test_rdm2_index_permutation_symmetry(op, bump):
     b = fq.build_fock(3, 7)
     H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3]) \
         + fq.second_quantize_pair(b, t).scaled(0.4)
-    res = fq.gibbs_state(H, 2.0, 0.0, b)
-    rdm2 = fq.reduced_density(res.state, b, 2)
+    res = fq.gibbs_state(H, 2.0, 0.0)
+    rdm2 = fq.reduced_density(res.state, 2)
     m = rdm2.matrix
     assert np.abs(m - m.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(m).min() > -1e-10
@@ -337,12 +337,12 @@ def test_energy_bookkeeping(op, bump):
     Hp = fq.second_quantize_pair(b, t)
     lam_coupling = 0.35
     H = H1 + Hp.scaled(lam_coupling)
-    res = fq.gibbs_state(H, 1.8, 0.0, b)
+    res = fq.gibbs_state(H, 1.8, 0.0)
     direct = sum(float(np.real(Hb.multiply(np.asarray(blk).T if blk.ndim == 2
                                            else np.diag(blk).T).sum()))
                  for Hb, blk in zip(H.blocks, res.state.blocks))
-    rdm1 = fq.reduced_density(res.state, b, 1).matrix
-    rdm2 = fq.reduced_density(res.state, b, 2).matrix
+    rdm1 = fq.reduced_density(res.state, 1).matrix
+    rdm2 = fq.reduced_density(res.state, 2).matrix
     pairs = [(i, j) for i in range(K) for j in range(i, K)]
     weights = np.array([1.0 if i == j else np.sqrt(2.0) for i, j in pairs])
     raw = rdm2 / np.outer(weights, weights)  # <a+k a+l a i a j> at ((ij),(kl))
@@ -376,7 +376,7 @@ def test_coherent_state_vacuum_and_rank_one():
     assert vac.state.block_trace(0) == pytest.approx(1.0)
     v = np.array([0.8 + 0.1j, -0.4 + 0.6j])
     rep = fq.coherent_state(v, b)
-    g1 = fq.reduced_density(rep.state, b, 1).matrix
+    g1 = fq.reduced_density(rep.state, 1).matrix
     assert np.abs(g1 - np.outer(v, v.conj())).max() < 1e-6
     evals = np.linalg.eigvalsh(g1)
     assert evals[-1] == pytest.approx(np.sum(np.abs(v) ** 2), abs=1e-6)
@@ -407,7 +407,7 @@ def test_coherent_rdm_equals_one_sample_moment():
     ens = Ensemble(operator_hash="coherent", cutoff=3, coefficients=v[None, :].copy(),
                    weights=np.ones(1), seed=0)
     for k in (1, 2):
-        g = fq.reduced_density(state, b, k).matrix
+        g = fq.reduced_density(state, k).matrix
         m = cg.reduced_moment(ens, k).matrix
         assert g.shape == m.shape
         assert np.abs(g - m).max() < 1e-15, k
@@ -426,7 +426,7 @@ def test_free_energy_functional_variational(op, bump):
     b = fq.build_fock(2, 8)
     H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:2]) \
         + fq.second_quantize_pair(b, t).scaled(0.3)
-    res = fq.gibbs_state(H, 1.2, 0.1, b)
+    res = fq.gibbs_state(H, 1.2, 0.1)
     assert fq.free_energy_functional(res.state, H, 1.2, 0.1) == pytest.approx(
         res.free_energy, abs=1e-8)
     rng = np.random.default_rng(17)
@@ -452,19 +452,20 @@ def test_free_energy_functional_pure_state_entropy():
 def test_cutoff_audit():
     lam = np.array([1.0, 2.5])
     b = fq.build_fock(2, 30)
-    H = fq.second_quantize_one_body(b, lam)
-    audit = fq.cutoff_audit(H, 1.0, 0.0, b, [10, 16, 22, 28])
+    spectra = fq.sector_eigensystems(fq.second_quantize_one_body(b, lam), 0.0)
+    audit = fq.cutoff_audit(spectra, 1.0, [10, 16, 22, 28])
     assert audit.converged
     deltas = [r.delta_free_energy for r in audit.rows[1:]]
     assert all(b_ < a_ for a_, b_ in zip(deltas[:-1], deltas[1:]))
     F_exact = 1.0 * np.sum(np.log1p(-np.exp(-lam)))
     assert audit.rows[-1].free_energy == pytest.approx(F_exact, abs=1e-8)
-    for bad in ([], [-1, 2]):
-        with pytest.raises(ConfigurationError, match="schedule"):
-            fq.cutoff_audit(H, 1.0, 0.0, b, bad)
+    with pytest.raises(ConfigurationError, match="schedule"):
+        fq.cutoff_audit(spectra, 1.0, [])
     for bad in (-1, 31):
         with pytest.raises(ConfigurationError, match="outside 0..30"):
-            fq.boltzmann_weights(fq.sector_eigensystems(H, 0.0, b), 1.0, bad)
+            fq.boltzmann_weights(spectra, 1.0, bad)
+        with pytest.raises(ConfigurationError, match="outside 0..30"):
+            fq.cutoff_audit(spectra, 1.0, sorted([bad, 2]))
 
 
 def _dense_cut_state(spectra, T, n_max, E0=0.0):
@@ -490,8 +491,8 @@ def test_cutoff_audit_matches_dense_states(op, bump):
     H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:K]) \
         + fq.second_quantize_pair(b, build_pair_tensor(op, bump, K))
     schedule = [2, 4, 6, 8]
-    audit = fq.cutoff_audit(H, T, nu, b, schedule, E0=E0)
-    spectra = fq.sector_eigensystems(H, nu, b)
+    spectra = fq.sector_eigensystems(H, nu)
+    audit = fq.cutoff_audit(spectra, T, schedule, E0=E0)
     assert sum(V is not None for V in spectra.vectors) == 7
     prev = None
     for row, n_max in zip(audit.rows, schedule):
@@ -508,7 +509,8 @@ def test_cutoff_audit_matches_dense_states(op, bump):
 
 
 def test_study_1d_audit_matches_dense_states():
-    # audit_delta_F is |F(n_max) - F(n_max - 2)| of the interacting state
+    # audit_delta_F is |F(n_max) - F(n_max - 2)| of the interacting state,
+    # the last step of cutoff_audit on the same spectra bit for bit
     cfg = RunConfig()
     cfg.model.points = 128
     cfg.model.modes = 3
@@ -519,13 +521,15 @@ def test_study_1d_audit_matches_dense_states():
     rep = run_study_1d(cfg)
     op = build_model_operator(cfg)
     tensor = build_pair_tensor(op, bind_potential(cfg, op.grid), cfg.model.modes)
-    _, _, spectra_at = quantum_schedule(cfg, op, tensor)
+    _, spectra_at = quantum_schedule(cfg, op, tensor)
     for p in rep.points:
         spectra = spectra_at(p.T)
         F_full, _ = _dense_cut_state(spectra, p.T, 8)
         F_cut, _ = _dense_cut_state(spectra, p.T, 6)
         assert p.free_energy_interacting == F_full
         assert p.audit_delta_F == abs(F_full - F_cut)
+        audit = fq.cutoff_audit(spectra, p.T, [6, 8])
+        assert p.audit_delta_F == audit.rows[-1].delta_free_energy
 
 
 def test_number_operator(op):
@@ -560,30 +564,31 @@ def _whole_sector_spectra(H, nu, b):
 
 def test_parity_blocks_agree_with_one_block(op, bump, monkeypatch):
     # the pair interaction conserves the parity of the particles in odd modes:
-    # the Gram carries the mode labels, the solve finds the two blocks in H
-    # itself, reproduces the whole-sector solve, and the Gibbs state and both
-    # reduced densities have exact zeros between opposite parities
+    # the Gram splits its pairs by the mode labels, the solve finds the two
+    # blocks in H itself, reproduces the whole-sector solve, and the Gibbs
+    # state and both reduced densities have exact zeros between opposite
+    # parities
     K, T, nu = 4, 2.0, -0.2
-    labels = build_pair_tensor(op, bump, K).mode_parity
+    labels = mode_parity(op, K)
     assert np.array_equal(labels, [1, -1, 1, -1])
+    assert len(build_pair_tensor(op, bump, K).pairs) == 2
     b, H = _interacting(op, bump, K, 8)
     whole = _whole_sector_spectra(H, nu, b)
-    blocked = fq.sector_eigensystems(H, nu, b)
+    blocked = fq.sector_eigensystems(H, nu)
     g_whole, g_blocked = fq.gibbs_from_spectra(whole, T), fq.gibbs_from_spectra(blocked, T)
     assert abs(g_blocked.free_energy - g_whole.free_energy) <= 1e-13 * abs(g_whole.free_energy)
     for k in fq.ORDERS:
-        got = fq.reduced_density(g_blocked.state, b, k).matrix
-        assert np.abs(got - fq.reduced_density(g_whole.state, b, k).matrix).max() <= 1e-13, k
+        got = fq.reduced_density(g_blocked.state, k).matrix
+        assert np.abs(got - fq.reduced_density(g_whole.state, k).matrix).max() <= 1e-13, k
         tuple_parity = np.array([np.sum(labels[list(t)] < 0) % 2
                                  for t in fq.symmetric_basis(K, k)[0]])
         assert np.all(got[tuple_parity[:, None] != tuple_parity[None, :]] == 0.0), k
-    # gibbs_state and cutoff_audit get the same blocks, given no labels
+    # gibbs_state gets the same blocks, given no labels
     solve, solved = fq.sector_eigensystems, []
     monkeypatch.setattr(fq, "sector_eigensystems",
                         lambda *args: solved.append(solve(*args)) or solved[-1])
-    g_state = fq.gibbs_state(H, T, nu, b)
-    fq.cutoff_audit(H, T, nu, b, [6, 8])
-    assert len(solved) == 2
+    g_state = fq.gibbs_state(H, T, nu)
+    assert len(solved) == 1
     for spectra in (blocked, *solved):
         dense = 0
         for n in range(b.num_sectors):
@@ -615,9 +620,9 @@ def test_tilted_trap_has_no_parity_labels(bump):
     x = GridSpec(1, 6.0, 200).axis()
     op = build_one_body(GridSpec(1, 6.0, 200), "custom", 8, potential_array=x**4 + x)
     assert mode_parity(op, 3) is None
-    assert build_pair_tensor(op, bump, 3).mode_parity is None
+    assert len(build_pair_tensor(op, bump, 3).pairs) == 1
     b, H = _interacting(op, bump, 3, 6)
-    _assert_one_block(fq.sector_eigensystems(H, 0.0, b), _whole_sector_spectra(H, 0.0, b))
+    _assert_one_block(fq.sector_eigensystems(H, 0.0), _whole_sector_spectra(H, 0.0, b))
 
 
 def test_opposite_parity_coupling_merges_blocks(op, bump):
@@ -629,8 +634,8 @@ def test_opposite_parity_coupling_merges_blocks(op, bump):
     h1[0, 1] = h1[1, 0] = 0.3
     h1[1, 2] = h1[2, 1] = 0.2
     coupled = H + fq.second_quantize_one_body(b, h1)
-    split = fq.sector_eigensystems(H, 0.0, b)
-    merged = fq.sector_eigensystems(coupled, 0.0, b)
+    split = fq.sector_eigensystems(H, 0.0)
+    merged = fq.sector_eigensystems(coupled, 0.0)
     _assert_one_block(merged, _whole_sector_spectra(coupled, 0.0, b))
     for n in range(2, b.num_sectors):
         parity = b.occupations[n][:, 1] % 2

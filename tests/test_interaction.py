@@ -237,14 +237,14 @@ def test_direct_exchange_from_gram(op, bump):
 
 def test_exchange_from_gram_matches_streamed(op, bump, op2d, bump2d, monkeypatch):
     # diag(Q) from a Gram's leading block against the streamed convolutions;
-    # with quadratic_form raising, the tensor path shows it convolves nothing.
+    # with convolve raising, the tensor path shows it convolves nothing.
     # The tensor cutoffs stay below the eigenpair counts (12 and 24)
     from gibbslab import interaction
     for o, w, Kt in ((op, bump, 10), (op2d, bump2d, 20)):
         t = build_pair_tensor(o, w, Kt)
         streamed = {K: exchange_term(o, w, K) for K in (1, Kt // 2, Kt)}
         with monkeypatch.context() as m:
-            m.setattr(interaction, "quadratic_form", lambda *args: 1 / 0)
+            m.setattr(interaction, "convolve", lambda *args: 1 / 0)
             for K, ref in streamed.items():
                 assert exchange_term(o, w, K, t) == pytest.approx(ref, rel=1e-13)
         with pytest.raises(ConfigurationError, match="exceeds"):
@@ -362,40 +362,50 @@ def test_negative_transform_warns_at_gram_build():
 def test_tensor_byte_cap(bump):
     # K = 200 on 400 points: the even and odd modes give pair classes of
     # 10100 and 10000 pairs, which need 8 (10100^2 + 10000^2 + 10100 * 400)
-    # bytes, over the cap; the refusal comes before any allocation
+    # bytes, and one 64-row chunk's FFT working set on the padded side of
+    # 800 points 8 * 4 * 64 * 401 more, over the cap; the refusal comes
+    # before any allocation
     g = GridSpec(1, 6.0, 400)
     big = build_one_body(g, "power", 200, s=4.0)
     w = make_pair_potential("gaussian-bump", g, amplitude=0.5, sigma=0.6)
     assert np.sum(mode_parity(big, 200) < 0) == 100
-    need = 8 * (10100**2 + 10000**2 + 10100 * 400)
+    assert w.kernel.shape == (800,)
+    need = 8 * (10100**2 + 10000**2 + 10100 * 400 + 4 * 64 * 401)
     assert need > MAX_GRAM_BYTES
     with pytest.raises(ConfigurationError, match=f"K=200 needs {need} bytes"):
         build_pair_tensor(big, w, 200)
 
 
 def test_gram_peak_rss():
-    # MAX_GRAM_BYTES models the build as 8 (sum_c m_c^2 + max_c m_c N)
-    # bytes, every class block and the largest class's m_c pair densities of
-    # N points; one chunk's FFT buffers stay small
+    # MAX_GRAM_BYTES models the build as every class block, the largest
+    # class's m_c pair densities of N points and one 64-row chunk's FFT
+    # working set, 1.5 complex spectra of shape (64, P, P/2 + 1) in 2D: in
+    # all 8 (sum_c m_c^2 + max_c m_c N + 3 * 64 P (P/2 + 1)) bytes.  Growth
+    # runs from the resident set just before the build to the peak of the
+    # child's own address space: ru_maxrss would carry over the peak of the
+    # test process that spawned it
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent("""
-        import resource
         from gibbslab.interaction import build_pair_tensor, make_pair_potential
         from gibbslab.spectral import GridSpec, build_one_body
+        def status_kb(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith(key))
         op = build_one_body(GridSpec(2, 8.0, 64), "power", 96, s=2.0)
         w = make_pair_potential("gaussian-bump", op.grid, amplitude=0.05, sigma=1.25)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = status_kb("VmRSS:")
         t = build_pair_tensor(op, w, 64)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(before, after, op.grid.total_points, *(len(pos) for pos in t.pairs))
+        after = status_kb("VmHWM:")
+        print(before, after, op.grid.total_points, w.kernel.shape[0],
+              *(len(pos) for pos in t.pairs))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
-    before_kb, after_kb, N, *sizes = map(int, res.stdout.split())
+    before_kb, after_kb, N, P, *sizes = map(int, res.stdout.split())
     assert len(sizes) == 2 and sum(sizes) == 64 * 65 // 2
-    model = 8 * (sum(m * m for m in sizes) + max(sizes) * N)
+    model = 8 * (sum(m * m for m in sizes) + max(sizes) * N + 3 * 64 * P * (P // 2 + 1))
     assert (after_kb - before_kb) * 1024 <= 1.25 * model
 
 
@@ -427,7 +437,7 @@ def test_blocked_gram_matches_single_class(case, op, bump):
         w, K = make_pair_potential("gaussian-bump", o.grid, amplitude=0.5, sigma=0.6), 20
     t = build_pair_tensor(o, w, K)
     labels = mode_parity(o, K)
-    assert labels is not None and np.array_equal(t.mode_parity, labels)
+    assert labels is not None
     b, a = np.tril_indices(K)
     pair_class = labels[a] * labels[b]
     assert [pair_class[pos].tolist() for pos in t.pairs] == [
@@ -452,7 +462,7 @@ def test_unlabelled_gram_is_one_class(bump):
     x = g.axis()
     tilted = build_one_body(g, "custom", 8, potential_array=x**4 + x)
     t = build_pair_tensor(tilted, bump, 8)
-    assert t.mode_parity is None and len(t.pairs) == 1
+    assert mode_parity(tilted, 8) is None and len(t.pairs) == 1
     assert np.array_equal(t.pairs[0], np.arange(36))
     assert np.array_equal(t.grams[0], single_class_gram(tilted, bump, 8))
     assert np.array_equal(t.gram, t.grams[0])
