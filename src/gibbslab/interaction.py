@@ -9,9 +9,12 @@ by symmetry between pairs of opposite pair parity p_a p_b, so it is built,
 stored and applied one pair class at a time and those entries are exact
 zeros.
 
-Convolutions w * rho run on a zero-padded dual grid (linear convolution via
-FFT, no wrap-around).  Only the rows that hold data are transformed, and
-the result is bit-identical to transforming the zero-padded array.
+Convolutions w * rho are linear (no wrap-around).  convolve runs them by FFT
+on a zero-padded dual grid, transforming only the rows that hold data, and is
+bit-identical to transforming the zero-padded array.  Pair densities in the
+Gram build and the streamed exchange term are convolved as Tx rho Ty with two
+n x n Toeplitz tables instead when a 2D kernel is rank one (the Gaussian
+bump), equal to the FFT up to roundoff.
 Densities follow the weight-folded convention of the spectral module:
 |stored field|^2 already carries the cell volume, so the quadrature of a
 double integral is a plain dot product with the convolved density and the
@@ -30,13 +33,15 @@ from .gaussian import _SAMPLE_CHUNK, Ensemble
 from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diagonal, mode_parity
 
 # Cap on the bytes the Gram build holds: every class block, the densities of
-# the largest class and one chunk's FFT working set, 8 (sum_c m_c^2 + max_c
-# m_c N + (5 - d) C P^(d-1) (P/2 + 1)) for classes of m_c pairs on N points
-# (one class unlabelled), C = _PAIR_CHUNK and padded side P: convolve holds
-# the complex spectrum of C rows and a half-size (2D) or same-size (1D) copy.
+# the largest class and one chunk's convolution working set, 8 (sum_c m_c^2 +
+# max_c m_c N + X) for classes of m_c pairs on N points (one class
+# unlabelled) and C = _PAIR_CHUNK.  With Toeplitz tables X = 2 C N, the two
+# products; otherwise X = (5 - d) C P^(d-1) (P/2 + 1) on padded side P:
+# convolve holds the complex spectrum of C rows and a half-size (2D) or
+# same-size (1D) copy.
 MAX_GRAM_BYTES = 2**30
-# Pair densities convolved at once in the Gram build; bounds the FFT
-# buffers, which hold transforms of the data rows only.
+# Pair densities convolved at once in the Gram build and the streamed
+# exchange term; bounds the convolution buffers.
 _PAIR_CHUNK = 64
 
 
@@ -62,9 +67,12 @@ class PairPotential:
     """Even pair potential bound to a grid.
 
     kernel holds w at every offset of the padded difference grid;
-    kernel_fft is its real FFT, reused by all convolutions.  w_hat_zero is
-    the analytic integral of w; w_hat_grid tabulates the numerical Fourier
-    transform on the dual grid.
+    kernel_fft is its real FFT, reused by all FFT convolutions.  w_hat_zero
+    is the analytic integral of w; w_hat_grid tabulates the numerical
+    Fourier transform on the dual grid.  toeplitz holds the n x n tables
+    (Tx, Ty), Tx[i, k] = w(x_i - x_k, 0) and Ty[j, l] = w(0, y_j - y_l) /
+    w(0, 0), when a 2D kernel is rank one on the offsets a linear
+    convolution reads; it is None in 1D and for any other kernel.
     """
 
     kind: str
@@ -75,6 +83,7 @@ class PairPotential:
     w_hat_zero: float
     w_hat_grid: np.ndarray = field(repr=False)
     w_hat_min: float
+    toeplitz: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
 
 
 def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
@@ -119,11 +128,23 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
     if not np.array_equal(kernel, kernel[reflect]):
         raise ConfigurationError("pair potential kernel is not even on the grid")
 
+    # Toeplitz tables when w = outer(w[:, 0], w[0, :] / w[0, 0]) to 1e-14 of
+    # max|w| on the offsets |dx|, |dy| <= n - 1 a linear convolution reads
+    toeplitz = None
+    if grid.dimension == 2 and kernel[0, 0] != 0.0:
+        n, P = grid.points, shape[0]
+        near = np.r_[0:n, P - n + 1:P]
+        rank_one = np.outer(kernel[near, 0], kernel[0, near] / kernel[0, 0])
+        if np.abs(kernel[np.ix_(near, near)] - rank_one).max() <= 1e-14 * np.abs(kernel).max():
+            off = np.subtract.outer(np.arange(n), np.arange(n)) % P
+            toeplitz = (kernel[off, 0], kernel[0, off] / kernel[0, 0])
+
     kfft = scipy.fft.rfftn(kernel)
     w_hat_grid = kfft.real * grid.cell_volume
     return PairPotential(kind=kind, params=params, grid=grid, kernel=kernel,
                          kernel_fft=kfft, w_hat_zero=w_hat_zero,
-                         w_hat_grid=w_hat_grid, w_hat_min=float(w_hat_grid.min()))
+                         w_hat_grid=w_hat_grid, w_hat_min=float(w_hat_grid.min()),
+                         toeplitz=toeplitz)
 
 
 def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
@@ -145,6 +166,14 @@ def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
     f = scipy.fft.irfft(f, n=P, axis=-1, norm="forward")  # frees the spectrum
     out = (f[..., :n] * (1.0 / P**d)).reshape(len(dens), -1)
     return out if density.ndim == 2 else out[0]
+
+
+def _convolve_pairs(w: PairPotential, rows: np.ndarray) -> np.ndarray:
+    """convolve(w, rows), as the products Tx rho Ty when w has Toeplitz tables."""
+    if w.toeplitz is None:
+        return convolve(w, rows)
+    Tx, Ty = w.toeplitz
+    return (Tx @ rows.reshape(-1, *Tx.shape) @ Ty).reshape(rows.shape)
 
 
 def quadratic_form(w: PairPotential, density: np.ndarray) -> np.ndarray | float:
@@ -182,14 +211,15 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
 
     diag(Q) is read class by class from tensor, a pair Gram of op and w,
     with no convolution; a tensor cutoff below K raises ConfigurationError.
-    Without a tensor, diag(Q) is streamed chunk by chunk and Q is never built.
+    Without a tensor, diag(Q) is streamed chunk by chunk, convolved as in
+    build_pair_tensor, and Q is never built.
     """
     _check_binding(op, w, K)
     lam = op.eigenvalues[:K]
     b, a = np.tril_indices(K)
     fac = np.where(a == b, 1.0, 2.0) / (lam[a] * lam[b])
     if tensor is None:
-        diag = np.concatenate([np.einsum("ij,ij->i", rows, convolve(w, rows))
+        diag = np.concatenate([np.einsum("ij,ij->i", rows, _convolve_pairs(w, rows))
                                for _, _, rows in _pair_density_chunks(op, K, a, b)])
     else:
         diag = np.empty(len(fac))
@@ -264,7 +294,9 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     Entries between classes are never computed.  Within a class only the
     lower triangle is, one chunk of convolved pair densities at a time;
     mirroring it in place makes each block exactly symmetric.  Only one
-    class's densities are held at a time.
+    class's densities are held at a time.  A chunk is convolved by two
+    Toeplitz products when w has them (rank-one 2D kernels) and by FFT
+    otherwise; the cap counts the working set of the route taken.
     """
     _check_binding(op, w, K)
     if w.w_hat_min < -1e-10:  # beyond FFT roundoff
@@ -276,8 +308,9 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     pair_class = np.ones(len(a), dtype=int) if labels is None else labels[a] * labels[b]
     pairs = [np.flatnonzero(pair_class == s) for s in np.unique(pair_class)[::-1]]
     N, d, P = op.grid.total_points, op.grid.dimension, w.kernel.shape[0]
-    nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * N
-                  + (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1))
+    work = (2 * _PAIR_CHUNK * N if w.toeplitz is not None
+            else (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1))
+    nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * N + work)
     if nbytes > MAX_GRAM_BYTES:
         raise ConfigurationError(
             f"pair Gram at K={K} needs {nbytes} bytes, over the "
@@ -289,7 +322,7 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
         Q = np.zeros((m, m))
         for lo, hi, rows in _pair_density_chunks(op, K, a[pos], b[pos]):
             dens[lo:hi] = rows
-            Q[lo:hi, :hi] = convolve(w, rows) @ dens[:hi].T
+            Q[lo:hi, :hi] = _convolve_pairs(w, rows) @ dens[:hi].T
         del dens
         for i in range(m - 1):
             Q[i, i + 1:] = Q[i + 1:, i]

@@ -107,18 +107,23 @@ def test_seed_out_of_range(op):
 
 
 def test_sampling_peak_rss():
-    # draws go through one block buffer, never a full (n, 2, K) array
+    # draws go through one block buffer, never a full (n, 2, K) array.
+    # Growth runs from the resident set just before sampling to the peak of
+    # the child's own address space: ru_maxrss would carry over the peak of
+    # the test process that spawned it
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent("""
-        import resource
         from gibbslab import studies
         from gibbslab.config import load_config
         from gibbslab.gaussian import sample_gaussian
+        def status_kb(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith(key))
         cfg = load_config(%r)
         op = studies.shifted_operator(cfg, studies.build_model_operator(cfg))
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = status_kb("VmRSS:")
         ens = sample_gaussian(op, 4, 200_000, 7)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        after = status_kb("VmHWM:")
         print(before, after, ens.coefficients.nbytes)
     """ % str(root / "configs" / "study_1d.ini"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

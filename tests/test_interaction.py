@@ -237,14 +237,16 @@ def test_direct_exchange_from_gram(op, bump):
 
 def test_exchange_from_gram_matches_streamed(op, bump, op2d, bump2d, monkeypatch):
     # diag(Q) from a Gram's leading block against the streamed convolutions;
-    # with convolve raising, the tensor path shows it convolves nothing.
-    # The tensor cutoffs stay below the eigenpair counts (12 and 24)
+    # with both convolution routes raising, the tensor path shows it
+    # convolves nothing.  The tensor cutoffs stay below the eigenpair counts
+    # (12 and 24)
     from gibbslab import interaction
     for o, w, Kt in ((op, bump, 10), (op2d, bump2d, 20)):
         t = build_pair_tensor(o, w, Kt)
         streamed = {K: exchange_term(o, w, K) for K in (1, Kt // 2, Kt)}
         with monkeypatch.context() as m:
             m.setattr(interaction, "convolve", lambda *args: 1 / 0)
+            m.setattr(interaction, "_convolve_pairs", lambda *args: 1 / 0)
             for K, ref in streamed.items():
                 assert exchange_term(o, w, K, t) == pytest.approx(ref, rel=1e-13)
         with pytest.raises(ConfigurationError, match="exceeds"):
@@ -376,37 +378,66 @@ def test_tensor_byte_cap(bump):
         build_pair_tensor(big, w, 200)
 
 
-def test_gram_peak_rss():
-    # MAX_GRAM_BYTES models the build as every class block, the largest
-    # class's m_c pair densities of N points and one 64-row chunk's FFT
-    # working set, 1.5 complex spectra of shape (64, P, P/2 + 1) in 2D: in
-    # all 8 (sum_c m_c^2 + max_c m_c N + 3 * 64 P (P/2 + 1)) bytes.  Growth
-    # runs from the resident set just before the build to the peak of the
-    # child's own address space: ru_maxrss would carry over the peak of the
-    # test process that spawned it
+def exp_table():
+    """Radial (offset, value) table of 0.05 exp(-r / 1.25): not rank one in 2D.
+    gram_growth's child builds the same table."""
+    r = np.linspace(0.0, 30.0, 3001)
+    return np.column_stack([r, 0.05 * np.exp(-r / 1.25)])
+
+
+def gram_growth(kind):
+    """(growth, byte model, separable) of the K = 64 Gram build on 64² in a
+    fresh child.
+
+    MAX_GRAM_BYTES models the build as every class block, the largest
+    class's m_c pair densities of N points and one 64-row chunk's
+    convolution working set: two 64 x N Toeplitz products for a rank-one
+    kernel, else 1.5 complex spectra of shape (64, P, P/2 + 1).  Growth runs
+    from the resident set just before the build to the peak of the child's
+    own address space: ru_maxrss would carry over the peak of the test
+    process that spawned it.
+    """
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent("""
+        import numpy as np
         from gibbslab.interaction import build_pair_tensor, make_pair_potential
         from gibbslab.spectral import GridSpec, build_one_body
         def status_kb(key):
             with open("/proc/self/status") as f:
                 return next(int(line.split()[1]) for line in f if line.startswith(key))
         op = build_one_body(GridSpec(2, 8.0, 64), "power", 96, s=2.0)
-        w = make_pair_potential("gaussian-bump", op.grid, amplitude=0.05, sigma=1.25)
+        r = np.linspace(0.0, 30.0, 3001)
+        w = make_pair_potential(%r, op.grid, amplitude=0.05, sigma=1.25,
+                                table=np.column_stack([r, 0.05 * np.exp(-r / 1.25)]))
         before = status_kb("VmRSS:")
         t = build_pair_tensor(op, w, 64)
         after = status_kb("VmHWM:")
-        print(before, after, op.grid.total_points, w.kernel.shape[0],
-              *(len(pos) for pos in t.pairs))
-    """)
+        print(before, after, int(w.toeplitz is not None), op.grid.total_points,
+              w.kernel.shape[0], *(len(pos) for pos in t.pairs))
+    """ % kind)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
-    before_kb, after_kb, N, P, *sizes = map(int, res.stdout.split())
+    before_kb, after_kb, separable, N, P, *sizes = map(int, res.stdout.split())
     assert len(sizes) == 2 and sum(sizes) == 64 * 65 // 2
-    model = 8 * (sum(m * m for m in sizes) + max(sizes) * N + 3 * 64 * P * (P // 2 + 1))
-    assert (after_kb - before_kb) * 1024 <= 1.25 * model
+    work = 2 * 64 * N if separable else 3 * 64 * P * (P // 2 + 1)
+    model = 8 * (sum(m * m for m in sizes) + max(sizes) * N + work)
+    return (after_kb - before_kb) * 1024, model, bool(separable)
+
+
+def test_gram_peak_rss():
+    # the Gaussian bump is rank one: Toeplitz products and their model
+    growth, model, separable = gram_growth("gaussian-bump")
+    assert separable
+    assert growth <= 1.25 * model
+
+
+def test_gram_peak_rss_fft_model():
+    # a tabulated exponential fails the rank-one check and stays on the FFT
+    growth, model, separable = gram_growth("tabulated")
+    assert not separable
+    assert growth <= 1.25 * model
 
 
 def single_class_gram(op, w, K):
@@ -424,17 +455,21 @@ def single_class_gram(op, w, K):
     return Q
 
 
-@pytest.mark.parametrize("case", ["quartic-1d", "harmonic-2d"])
+@pytest.mark.parametrize("case", ["quartic-1d", "harmonic-2d", "delta-2d"])
 def test_blocked_gram_matches_single_class(case, op, bump):
     # on reflection-symmetric traps the pairs split by pair parity p_a p_b;
     # the blocks agree with the single-class Gram, and the entries the blocks
     # leave out are roundoff there (1.1e-14 of max|Q| on the 1D trap, 2.1e-15
-    # on the 2D one) and exact zeros in the assembled Gram
+    # on the 2D one) and exact zeros in the assembled Gram.  The 2D kernels
+    # are rank one, so their blocks come from Toeplitz products and the
+    # single-class Gram, built with convolve, is an FFT oracle for them
     if case == "quartic-1d":
         o, w, K = op, bump, 12
     else:
         o = build_one_body(GridSpec(2, 6.0, 32), "power", 20, s=2.0)
-        w, K = make_pair_potential("gaussian-bump", o.grid, amplitude=0.5, sigma=0.6), 20
+        kind = "gaussian-bump" if case == "harmonic-2d" else "grid-delta"
+        w, K = make_pair_potential(kind, o.grid, amplitude=0.5, sigma=0.6), 20
+        assert w.toeplitz is not None
     t = build_pair_tensor(o, w, K)
     labels = mode_parity(o, K)
     assert labels is not None
@@ -466,6 +501,38 @@ def test_unlabelled_gram_is_one_class(bump):
     assert np.array_equal(t.pairs[0], np.arange(36))
     assert np.array_equal(t.grams[0], single_class_gram(tilted, bump, 8))
     assert np.array_equal(t.gram, t.grams[0])
+
+
+def test_pair_potential_toeplitz_tables(grid, bump, delta, bump2d):
+    # only rank-one 2D kernels carry tables: Tx[i, k] = w(x_i - x_k, 0) and
+    # Ty[j, l] = w(0, y_j - y_l) / w(0, 0)
+    g2 = bump2d.grid
+    dx = np.subtract.outer(np.arange(g2.points), np.arange(g2.points)) * g2.spacing
+    Tx, Ty = bump2d.toeplitz
+    assert np.allclose(Tx, 0.5 * np.exp(-dx**2 / (2 * 0.6**2)), rtol=1e-14, atol=0)
+    assert np.allclose(Ty, Tx / 0.5, rtol=1e-14, atol=0)
+    Tx, Ty = make_pair_potential("grid-delta", g2, amplitude=0.4).toeplitz
+    assert np.array_equal(Tx, 0.4 / g2.cell_volume * np.eye(g2.points))
+    assert np.array_equal(Ty, np.eye(g2.points))
+    exp2d = make_pair_potential("tabulated", g2, table=exp_table())
+    flat = make_pair_potential("gaussian-bump", g2, amplitude=0.0, sigma=0.6)
+    tab1d = make_pair_potential("tabulated", grid, table=exp_table())
+    for w in (bump, delta, tab1d, exp2d, flat):
+        assert w.toeplitz is None
+
+
+def test_non_separable_gram_stays_on_fft(op, bump, delta, monkeypatch):
+    # a 2D kernel that fails the rank-one check, and every 1D kernel, build
+    # the Gram by FFT bit for bit
+    from gibbslab import interaction
+    o2 = build_one_body(GridSpec(2, 6.0, 32), "power", 20, s=2.0)
+    exp2d = make_pair_potential("tabulated", o2.grid, table=exp_table())
+    for o, w, K in ((o2, exp2d, 20), (op, bump, 12), (op, delta, 12)):
+        t = build_pair_tensor(o, w, K)
+        with monkeypatch.context() as m:
+            m.setattr(interaction, "_convolve_pairs", interaction.convolve)
+            ref = build_pair_tensor(o, w, K)
+        assert all(np.array_equal(a, b) for a, b in zip(t.grams, ref.grams))
 
 
 def test_w1111_matches_bare(op, bump):
