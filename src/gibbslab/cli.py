@@ -31,6 +31,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+def _thread_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gibbslab",
                                 description="Gibbs states of trapped Bose gases")
@@ -43,7 +49,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="INI config file; defaults apply when omitted")
         sp.add_argument("--seed", type=int, default=None, help="override classical.seed")
         sp.add_argument("--out", type=Path, default=None, help="override output.directory")
-        sp.add_argument("--threads", type=int, default=1,
+        sp.add_argument("--threads", type=_thread_count, default=1,
                         help="worker threads over study-1d's temperature "
                              "schedule; the other commands ignore it")
         sp.add_argument("--format", choices=("json", "csv"), default=None)

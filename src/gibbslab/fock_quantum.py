@@ -3,17 +3,19 @@
 The basis is cut by total particle number; every operator here conserves
 particle number, so states and operators are block-diagonal over sectors.
 A FockBasis grows each sector from the one below it, one particle at a
-time, and is complete when built, annihilators included, so threads may
-share it; operators, states and spectra carry it, and routines read it
-from them.  Free (diagonal) sectors keep their Gibbs blocks as bare
-probability vectors so that large cutoffs stay cheap; interacting sectors
-are dense, each diagonalized per connected block of H, so the pair term's
-odd-mode parity classes are solved apart.  boltzmann_weights gives level
-probabilities and log Z under any particle cutoff, so the cutoff audit
-reads given spectra and assembles no states.  One symmetric k-body basis,
-symmetric_basis, indexes second quantization, the reduced densities and
-the classical moments; reduced_density is the adjoint of second_quantize
-over the same stacked annihilators.
+time, and is complete when built, annihilators and their k-body stacks
+included, so threads may share it; operators, states and spectra carry
+it, and routines read it from them.  Free (diagonal) sectors keep their
+Gibbs blocks as bare probability vectors so that large cutoffs stay cheap;
+interacting sectors are dense, each diagonalized per connected block of H
+by divide and conquer, so the pair term's odd-mode parity classes are
+solved apart.  Spectra keep one set of vectors per block, and the Gibbs
+state is assembled block by block into dense sector blocks.
+boltzmann_weights gives level probabilities and log Z under any particle
+cutoff, so the cutoff audit reads given spectra and assembles no states.
+One symmetric k-body basis, symmetric_basis, indexes second quantization,
+the reduced densities and the classical moments; reduced_density is the
+adjoint of second_quantize over the same stacked annihilators.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ class FockBasis:
     occupations.  Sector n is grown from sector n - 1 by adding one particle
     to each mode, and annihilators[i, n], the sparse a_i from sector n to
     n - 1, is read off the same table: row r has one entry, in the column
-    of state r + e_i.  A sector over MAX_SECTOR_STATES, or codes beyond
-    int64, raise ConfigurationError before the sector is generated.
-    Everything is built here and never written afterwards.
+    of state r + e_i.  stacks[k, n], for k in ORDERS and n >= k, stacks
+    a_t from sector n to n - k over the symmetric_basis tuples t, block
+    after block; each of its rows also holds exactly one entry.  A sector
+    over MAX_SECTOR_STATES, or codes beyond int64, raise ConfigurationError
+    before the sector is generated.  Everything is built here and never
+    written afterwards.
     """
 
     def __init__(self, num_modes: int, max_particles: int):
@@ -82,6 +87,8 @@ class FockBasis:
                     shape=(len(below), dim))
             self.occupations.append(occs)
             self.codes.append(codes)
+        self.stacks = {(order, n): self.build_stack(order, n)
+                       for order in ORDERS for n in range(order, max_particles + 1)}
 
     @property
     def num_sectors(self) -> int:
@@ -105,12 +112,16 @@ class FockBasis:
             raise KeyError(f"occupation {tuple(occ)} not in basis")
         return n, pos
 
-    def annihilate(self, modes: tuple[int, ...], sector: int) -> sp.csr_matrix:
-        """a_i1 ... a_ik restricted to sector -> sector - k."""
-        op = self.annihilators[modes[-1], sector]
-        for depth, i in enumerate(reversed(modes[:-1]), start=1):
-            op = self.annihilators[i, sector - depth] @ op
-        return op
+    def build_stack(self, order: int, sector: int) -> sp.csr_matrix:
+        """a_t = a_t1 ... a_tk from sector to sector - k, stacked over the
+        symmetric_basis tuples t; stored as stacks[k, sector] for k in ORDERS."""
+        ops = []
+        for t in symmetric_basis(self.num_modes, order)[0]:
+            op = self.annihilators[t[-1], sector]
+            for depth, i in enumerate(reversed(t[:-1]), start=1):
+                op = self.annihilators[i, sector - depth] @ op
+            ops.append(op)
+        return sp.vstack(ops, format="csr")
 
 
 @dataclass
@@ -184,7 +195,7 @@ def second_quantize(basis: FockBasis, kernel: np.ndarray, order: int) -> FockOpe
 
     Annihilators commute, so the kernel folds onto the symmetric_basis tuples
     as F^T kernel F, F mapping each ordered tuple to its sorted one; sector n
-    is S^T (folded kron I) S with S stacking a_t over those tuples.
+    is S^T (folded kron I) S with S the basis's stack of that order.
     """
     tuples, _ = symmetric_basis(basis.num_modes, order)
     cols = [tuples.index(tuple(sorted(t)))
@@ -197,7 +208,7 @@ def second_quantize(basis: FockBasis, kernel: np.ndarray, order: int) -> FockOpe
         if n < order:
             blocks.append(sp.csr_matrix((d, d)))
             continue
-        stack = sp.vstack([basis.annihilate(t, n) for t in tuples], format="csr")
+        stack = basis.stacks[order, n] if order in ORDERS else basis.build_stack(order, n)
         big = sp.kron(folded, sp.identity(basis.sector_dim(n - order), format="csr"))
         blocks.append((stack.T @ (big @ stack)).tocsr())
     return FockOperator(basis, blocks)
@@ -236,13 +247,16 @@ def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
 class SectorSpectra:
     """Eigen-decompositions of H - nu N per sector; vectors None if diagonal.
 
-    A dense sector's energies ascend within each connected block of H, not
-    across the sector; column j of its vectors belongs to energies[j].
+    A dense sector's vectors are one (states, V) pair per connected block
+    of H: the block's state indices in the sector, ascending, and its
+    eigenvectors, one column per level.  Its energies are the blocks'
+    ascending spectra one block after the other, so columns of successive
+    blocks belong to successive runs of energies.
     """
 
     basis: FockBasis
     energies: list[np.ndarray]
-    vectors: list[np.ndarray | None]
+    vectors: list[list[tuple[np.ndarray, np.ndarray]] | None]
 
 
 def sector_eigensystems(H: FockOperator, nu: float) -> SectorSpectra:
@@ -250,9 +264,10 @@ def sector_eigensystems(H: FockOperator, nu: float) -> SectorSpectra:
 
     Diagonal blocks keep their basis ordering (vectors None).  A dense
     sector is solved as one block per connected component of its
-    off-diagonal entries, in label order: the energies are the blocks'
-    ascending spectra one after the other, and vector entries between
-    blocks are exact zeros.
+    off-diagonal entries, in label order, each by divide and conquer
+    (LAPACK evd).  An m-state block needs 1 + 6m + 2m^2 doubles of solver
+    workspace, against O(m) for the MRRR driver, and its vectors take m^2:
+    with two parity blocks about half the d^2 of a whole-sector solve.
     """
     # deferred: importing csgraph costs 3 MB and 25 ms that only Fock solves need
     from scipy.sparse.csgraph import connected_components
@@ -264,18 +279,17 @@ def sector_eigensystems(H: FockOperator, nu: float) -> SectorSpectra:
             energies.append(shifted_diag)
             vectors.append(None)
             continue
-        dense = block.toarray()
-        dense[np.diag_indices_from(dense)] -= nu * n
         count, labels = connected_components(off, directed=False)
-        vals, vecs, col = [], np.zeros_like(dense), 0
+        vals, blocks = [], []
         for c in range(count):
             states = np.flatnonzero(labels == c)
-            w, v = scipy.linalg.eigh(dense[np.ix_(states, states)])
-            vecs[states, col:col + len(w)] = v
-            col += len(w)
+            sub = block[np.ix_(states, states)].toarray()
+            sub[np.diag_indices_from(sub)] -= nu * n
+            w, v = scipy.linalg.eigh(sub, overwrite_a=True, driver="evd")
             vals.append(w)
+            blocks.append((states, v))
         energies.append(np.concatenate(vals))
-        vectors.append(vecs)
+        vectors.append(blocks)
     return SectorSpectra(basis=H.basis, energies=energies, vectors=vectors)
 
 
@@ -309,11 +323,22 @@ def boltzmann_weights(spectra: SectorSpectra, T: float, n_max: int,
     return [w / zt for w in weights], float(np.log(zt) - (all_min + E0) / T)
 
 
+def _dense_block(p: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The sector's V diag(p) V^T, one (V_b * p_b) @ V_b^T per block."""
+    rho = np.zeros((len(p), len(p)))
+    col = 0
+    for states, V in blocks:
+        rho[np.ix_(states, states)] = (V * p[col:col + len(states)]) @ V.T
+        col += len(states)
+    return rho
+
+
 def gibbs_from_spectra(spectra: SectorSpectra, T: float, E0: float = 0.0) -> GibbsResult:
-    """Assemble exp(-(H - nu N + E0)/T)/Z from per-sector spectra."""
+    """Assemble exp(-(H - nu N + E0)/T)/Z from per-sector spectra, each
+    dense sector block by block into a dense FockState block."""
     basis = spectra.basis
     probs, log_Z = boltzmann_weights(spectra, T, basis.max_particles, E0)
-    state = FockState(basis=basis, blocks=[p if V is None else (V * p) @ V.T
+    state = FockState(basis=basis, blocks=[p if V is None else _dense_block(p, V)
                                            for p, V in zip(probs, spectra.vectors)])
     top_weight = state.block_trace(basis.max_particles)
     return GibbsResult(state=state, log_partition=log_Z,
@@ -349,26 +374,26 @@ class ReducedDensityMatrix:
 
 
 def reduced_density(state: FockState, order: int) -> ReducedDensityMatrix:
-    """Per sector, tr_{n-k}(S Gamma S^T), the adjoint of second_quantize: with
-    rows[b] = vec(S_b), entry (a, b) is tr(S_a Gamma S_b^T) = rows[b] . vec(S_a Gamma)."""
+    """Per sector, tr_{n-k}(S Gamma S^T), the adjoint of second_quantize, over
+    the basis's stacks S = [S_a]: entry (a, b) is tr(S_a Gamma S_b^T).  Row r
+    of S_a holds one entry, vals[a, r] in column cols[a, r], so that trace is
+    sum_r vals[a, r] vals[b, r] Gamma[cols[a, r], cols[b, r]]."""
     if order not in ORDERS:
         raise ConfigurationError("reduced density order must be 1 or 2")
-    tuples, weights = symmetric_basis(state.basis.num_modes, order)
-    P = len(tuples)
+    _, weights = symmetric_basis(state.basis.num_modes, order)
+    P = len(weights)
     M = np.zeros((P, P), dtype=complex)
     for n in range(order, state.basis.num_sectors):
         block = state.blocks[n]
         if block.ndim == 1 and not block.any():
             continue
-        ops = [state.basis.annihilate(t, n) for t in tuples]
-        stack = sp.vstack(ops, format="csr")
+        stack = state.basis.stacks[order, n]
+        cols, vals = stack.indices.reshape(P, -1), stack.data.reshape(P, -1)
         if block.ndim == 1:
             # distinct tuples send a number state to distinct states: M is diagonal
-            M[np.diag_indices(P)] += (stack.multiply(stack) @ block).reshape(P, -1).sum(axis=1)
+            M[np.diag_indices(P)] += (vals * vals * block[cols]).sum(axis=1)
         else:
-            rows = stack.reshape(P, -1).tocsr()
-            for a, op in enumerate(ops):
-                M[a] += rows @ (op @ block).ravel()
+            M += np.einsum("ar,br,abr->ab", vals, vals, block[cols[:, None], cols[None]])
     M *= weights[:, None] * weights[None, :]
     return ReducedDensityMatrix(order=order, matrix=M)
 

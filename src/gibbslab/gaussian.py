@@ -73,12 +73,16 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
     scale = _mode_scales(op, K)
     coeffs = np.empty((n, K), dtype=complex)
     bits = np.random.Philox(key=int(seed) << 64)
-    rng, state = np.random.Generator(bits), bits.state
+    rng = np.random.Generator(bits)
+    # plain-int lists: the state setter reads them faster than numpy arrays
+    key = [0, int(seed)]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     buf = np.empty((min(n, _SAMPLE_CHUNK), 2, K))
     for lo in range(0, n, _SAMPLE_CHUNK):
         block = buf[:n - lo]
         for j, z in enumerate(block):
-            state["state"]["key"][0] = lo + j
+            key[0] = lo + j
             bits.state = state
             rng.standard_normal(out=z)
         coeffs[lo:lo + len(block)] = scale * (block[:, 0] + 1j * block[:, 1])

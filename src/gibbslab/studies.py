@@ -103,10 +103,11 @@ def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | N
     Spectra are of H - nu N on one Fock basis, which they carry; H1 is from
     op's unshifted eigenvalues.  Pass no tensor at coupling_c = 0:
     spectra_at then returns the free spectra.  Otherwise each call
-    diagonalizes afresh, one block per connected component of each sector
-    (one per odd-mode parity of a reflection-symmetric trap), and nothing
-    is kept.  Calls may run on several threads: they only read the basis
-    and the operators.
+    diagonalizes afresh by divide and conquer, one block per connected
+    component of each sector (one per odd-mode parity of a
+    reflection-symmetric trap), returns each block's vectors apart, and
+    keeps nothing.  Calls may run on several threads: they only read the
+    basis, built complete with its annihilator stacks, and the operators.
     """
     K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
     basis = fq.build_fock(K, cfg.quantum.n_max)

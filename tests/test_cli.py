@@ -181,6 +181,18 @@ def test_cli_study_1d_n_max_floor(tmp_path, capsys):
         assert "quantum.n_max" in capsys.readouterr().err
 
 
+def test_cli_threads_below_one_exit_code(tmp_path, capsys):
+    # a thread count below 1 is refused when the arguments are parsed,
+    # before any config is read or work is done
+    path, out = write_config(tmp_path)
+    for threads in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["study-1d", "--config", str(path), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_out_names_existing_file(tmp_path, capsys):
     path, _ = write_config(tmp_path)
     taken = tmp_path / "taken"

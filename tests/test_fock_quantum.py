@@ -73,10 +73,10 @@ def _layout(obj) -> dict:
 
 
 def test_basis_read_only_after_init(op, bump):
-    # every annihilator exists once the basis is built, and assembly, the
-    # dense and diagonal Gibbs paths and both reduced densities only read it:
-    # no attribute of the basis or of an annihilator is added, replaced or
-    # resized
+    # every annihilator and annihilator stack exists once the basis is
+    # built, and assembly, the dense and diagonal Gibbs paths and both
+    # reduced densities only read it: no attribute of the basis, of an
+    # annihilator or of a stack is added, replaced or resized
     b = fq.build_fock(3, 6)
 
     def snapshot():
@@ -93,6 +93,14 @@ def test_basis_read_only_after_init(op, bump):
             fq.reduced_density(state, order)
     assert snapshot() == before
     assert sorted(b.annihilators) == [(i, n) for i in range(3) for n in range(1, 7)]
+    assert sorted(b.stacks) == [(k, n) for k in fq.ORDERS for n in range(k, 7)]
+    for (k, n), stack in b.stacks.items():
+        # one entry per row, which reduced_density reads as index tables
+        P = len(fq.symmetric_basis(3, k)[0])
+        assert stack.shape == (P * b.sector_dim(n - k), b.sector_dim(n))
+        assert np.array_equal(stack.indptr, np.arange(stack.shape[0] + 1))
+        assert np.all(stack.data > 0)
+        assert (stack != b.build_stack(k, n)).nnz == 0
 
 
 def test_one_body_diagonal():
@@ -477,9 +485,24 @@ def _dense_cut_state(spectra, T, n_max, E0=0.0):
     blocks = []
     for n, (e, V) in enumerate(zip(spectra.energies, spectra.vectors)):
         p = np.exp(-(e - e_min) / T) / z if n <= n_max else np.zeros(len(e))
-        blocks.append(p if V is None else (V * p) @ V.T)
+        blocks.append(p if V is None else _block_matrix(V, p))
     F = float(-T * (np.log(z) - (e_min + E0) / T))
     return F, fq.FockState(basis=spectra.basis, blocks=blocks)
+
+
+def _embedded(blocks, d):
+    """Per-block vectors as one d x d matrix, zero between blocks."""
+    full, col = np.zeros((d, d)), 0
+    for states, V in blocks:
+        full[states, col:col + len(states)] = V
+        col += len(states)
+    return full
+
+
+def _block_matrix(blocks, diag):
+    """The dense sector matrix V diag(diag) V^T of per-block vectors."""
+    V = _embedded(blocks, len(diag))
+    return (V * diag) @ V.T
 
 
 def test_cutoff_audit_matches_dense_states(op, bump):
@@ -546,8 +569,8 @@ def _interacting(op, bump, K, n_max):
         + fq.second_quantize_pair(b, build_pair_tensor(op, bump, K))
 
 
-def _whole_sector_spectra(H, nu, b):
-    """Reference: one eigh of each shifted dense sector, no blocks."""
+def _whole_sector_spectra(H, nu, b, driver="evd"):
+    """Reference: one eigh of each shifted dense sector, one block each."""
     energies, vectors = [], []
     for n, block in enumerate(H.blocks):
         if (block - sp.diags(block.diagonal())).nnz == 0:
@@ -556,10 +579,28 @@ def _whole_sector_spectra(H, nu, b):
             continue
         dense = block.toarray()
         dense[np.diag_indices_from(dense)] -= nu * n
-        w, v = scipy.linalg.eigh(dense)
+        w, v = scipy.linalg.eigh(dense, driver=driver)
         energies.append(w)
-        vectors.append(v)
+        vectors.append([(np.arange(len(w)), v)])
     return fq.SectorSpectra(basis=b, energies=energies, vectors=vectors)
+
+
+def _assert_parity_blocks(spectra, b, odd_modes, blocked):
+    """Every dense sector holds two blocks, each on one parity class of the
+    particles in odd_modes, ascending within, if blocked; one block if not."""
+    for n, V in enumerate(spectra.vectors):
+        if V is None:
+            continue
+        parity = b.occupations[n][:, odd_modes].sum(axis=1) % 2
+        assert len(V) == (2 if blocked else 1), n
+        col = 0
+        for states, vecs in V:
+            assert vecs.shape == (len(states), len(states))
+            assert len(np.unique(parity[states])) == 1 or not blocked
+            assert np.all(np.diff(spectra.energies[n][col:col + len(states)]) >= 0)
+            col += len(states)
+        all_states = np.sort(np.concatenate([states for states, _ in V]))
+        assert np.array_equal(all_states, np.arange(len(parity)))
 
 
 def test_parity_blocks_agree_with_one_block(op, bump, monkeypatch):
@@ -573,7 +614,7 @@ def test_parity_blocks_agree_with_one_block(op, bump, monkeypatch):
     assert np.array_equal(labels, [1, -1, 1, -1])
     assert len(build_pair_tensor(op, bump, K).pairs) == 2
     b, H = _interacting(op, bump, K, 8)
-    whole = _whole_sector_spectra(H, nu, b)
+    whole = _whole_sector_spectra(H, nu, b, driver="evr")
     blocked = fq.sector_eigensystems(H, nu)
     g_whole, g_blocked = fq.gibbs_from_spectra(whole, T), fq.gibbs_from_spectra(blocked, T)
     assert abs(g_blocked.free_energy - g_whole.free_energy) <= 1e-13 * abs(g_whole.free_energy)
@@ -590,6 +631,8 @@ def test_parity_blocks_agree_with_one_block(op, bump, monkeypatch):
     g_state = fq.gibbs_state(H, T, nu)
     assert len(solved) == 1
     for spectra in (blocked, *solved):
+        # each block lives on one parity class; energies ascend within it
+        _assert_parity_blocks(spectra, b, labels < 0, blocked=True)
         dense = 0
         for n in range(b.num_sectors):
             e, V = spectra.energies[n], spectra.vectors[n]
@@ -601,19 +644,39 @@ def test_parity_blocks_agree_with_one_block(op, bump, monkeypatch):
             parity = b.occupations[n][:, labels < 0].sum(axis=1) % 2
             cross = parity[:, None] != parity[None, :]
             assert all(np.all(g.state.blocks[n][cross] == 0.0) for g in (g_blocked, g_state))
-            # each column lives on one parity class; energies ascend within it
+            # each column lives on one parity class
+            V = _embedded(V, b.sector_dim(n))
             col_parity = parity[np.argmax(np.abs(V), axis=0)]
             assert np.all(V[parity[:, None] != col_parity[None, :]] == 0.0)
-            for p in (0, 1):
-                assert np.all(np.diff(e[col_parity == p]) >= 0)
             assert np.abs(np.sort(e) - whole.energies[n]).max() <= 1e-12 * np.abs(e).max()
         assert dense == 7
 
 
+def test_block_solves_match_whole_sector_oracle(op, bump):
+    # per-block divide-and-conquer spectra against one MRRR solve of each
+    # whole sector: the Gibbs state, both reduced densities and the free
+    # energy agree to roundoff
+    K, T, nu = 4, 2.0, -0.2
+    b, H = _interacting(op, bump, K, 8)
+    g_blocked = fq.gibbs_from_spectra(fq.sector_eigensystems(H, nu), T)
+    g_whole = fq.gibbs_from_spectra(_whole_sector_spectra(H, nu, b, driver="evr"), T)
+    assert abs(g_blocked.free_energy - g_whole.free_energy) <= 1e-13 * abs(g_whole.free_energy)
+    for got, ref in zip(g_blocked.state.blocks, g_whole.state.blocks):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13
+    for k in fq.ORDERS:
+        got = fq.reduced_density(g_blocked.state, k).matrix
+        assert np.abs(got - fq.reduced_density(g_whole.state, k).matrix).max() <= 1e-13, k
+
+
 def _assert_one_block(spectra, whole):
-    for field in ("energies", "vectors"):
-        for got, ref in zip(getattr(spectra, field), getattr(whole, field)):
-            assert (got is None and ref is None) or np.array_equal(got, ref)
+    for got, ref in zip(spectra.energies, whole.energies):
+        assert np.array_equal(got, ref)
+    for got, ref in zip(spectra.vectors, whole.vectors):
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert len(got) == len(ref) == 1
+            assert np.array_equal(got[0][0], ref[0][0]) and np.array_equal(got[0][1], ref[0][1])
 
 
 def test_tilted_trap_has_no_parity_labels(bump):
@@ -622,7 +685,9 @@ def test_tilted_trap_has_no_parity_labels(bump):
     assert mode_parity(op, 3) is None
     assert len(build_pair_tensor(op, bump, 3).pairs) == 1
     b, H = _interacting(op, bump, 3, 6)
-    _assert_one_block(fq.sector_eigensystems(H, 0.0), _whole_sector_spectra(H, 0.0, b))
+    spectra = fq.sector_eigensystems(H, 0.0)
+    _assert_parity_blocks(spectra, b, [1], blocked=False)
+    _assert_one_block(spectra, _whole_sector_spectra(H, 0.0, b))
 
 
 def test_opposite_parity_coupling_merges_blocks(op, bump):
@@ -637,8 +702,11 @@ def test_opposite_parity_coupling_merges_blocks(op, bump):
     split = fq.sector_eigensystems(H, 0.0)
     merged = fq.sector_eigensystems(coupled, 0.0)
     _assert_one_block(merged, _whole_sector_spectra(coupled, 0.0, b))
+    _assert_parity_blocks(split, b, [1], blocked=True)
+    _assert_parity_blocks(merged, b, [1], blocked=False)
     for n in range(2, b.num_sectors):
         parity = b.occupations[n][:, 1] % 2
-        for V, blocked in ((split.vectors[n], True), (merged.vectors[n], False)):
+        for spectra, blocked in ((split, True), (merged, False)):
+            V = _embedded(spectra.vectors[n], b.sector_dim(n))
             col_parity = parity[np.argmax(np.abs(V), axis=0)]
             assert np.all(V[parity[:, None] != col_parity[None, :]] == 0.0) == blocked
