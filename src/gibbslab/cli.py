@@ -186,6 +186,13 @@ def _stabilization_rows(stab: hartree.StabilizationReport) -> list[dict]:
              "schatten_p_dist": r.schatten_p_dist} for r in stab.rows]
 
 
+def _stabilization_flags(stab: hartree.StabilizationReport) -> dict:
+    """The four verdicts of a stabilization report, in document order."""
+    return {"sandwich_ok": stab.sandwich_ok, "sandwich_margin": stab.sandwich_margin,
+            "delta_decreasing": stab.delta_decreasing,
+            "schatten_decreasing": stab.schatten_decreasing}
+
+
 def _nonconverged(cfg: RunConfig, stab: hartree.StabilizationReport) -> bool:
     """Some Hartree fixed point stopped at hartree.max_iter."""
     return any(r.iterations >= cfg.hartree.max_iter for r in stab.rows)
@@ -195,10 +202,7 @@ def cmd_hartree(cfg: RunConfig, out: Path, args) -> int:
     _, _, stab = studies.run_counterterm(cfg)
     rows = _stabilization_rows(stab)
     results = {"rows": rows, "p": stab.p, "shared_modes": stab.shared_modes,
-               "sandwich_ok": stab.sandwich_ok,
-               "sandwich_margin": stab.sandwich_margin,
-               "delta_decreasing": stab.delta_decreasing,
-               "schatten_decreasing": stab.schatten_decreasing}
+               **_stabilization_flags(stab)}
     _emit(cfg, out, "hartree", results)
     formats.write_csv(out / "hartree.csv", rows)
     if args.strict and _nonconverged(cfg, stab):
@@ -233,13 +237,8 @@ def cmd_study_2d(cfg: RunConfig, out: Path, args) -> int:
         "direct_growing": rep.direct_growing,
         "exchange_increments_shrinking": rep.exchange_increments_shrinking,
         "cauchy_decreasing": rep.cauchy_decreasing,
-        "stabilization": {
-            "rows": _stabilization_rows(rep.stabilization),
-            "sandwich_ok": rep.stabilization.sandwich_ok,
-            "sandwich_margin": rep.stabilization.sandwich_margin,
-            "delta_decreasing": rep.stabilization.delta_decreasing,
-            "schatten_decreasing": rep.stabilization.schatten_decreasing,
-        },
+        "stabilization": {"rows": _stabilization_rows(rep.stabilization),
+                          **_stabilization_flags(rep.stabilization)},
         "relative_moment_trace_norm": rep.relative_moment_trace_norm,
         "integrability_w_hat": rep.integrability_w_hat,
         "integrability_w_trap": rep.integrability_w_trap,

@@ -185,6 +185,7 @@ def validate(cfg: RunConfig) -> None:
     _require(0 < h.damping <= 1, "hartree.damping must be in (0, 1]")
     _require(h.tol > 0, "hartree.tol must be positive")
     _require(h.max_iter >= 1, "hartree.max_iter must be at least 1")
+    _require(h.points >= 8, "hartree.points must be at least 8")
     _require(1 <= h.shared_modes <= h.points ** m.dimension,
              "hartree.shared_modes must lie in [1, hartree.points ** model.dimension]")
     _require(h.momentum_measure in ("unit", "2pi"),

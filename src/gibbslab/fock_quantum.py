@@ -3,9 +3,9 @@
 The basis is cut by total particle number; every operator here conserves
 particle number, so states and operators are block-diagonal over sectors.
 A FockBasis grows each sector from the one below it, one particle at a
-time, and is complete when built, annihilators and their k-body stacks
-included, so threads may share it; operators, states and spectra carry
-it, and routines read it from them.  Free (diagonal) sectors keep their
+time, and is complete when built, its k-body index tables included, so
+threads may share it; operators, states and spectra carry it, and
+routines read it from them.  Free (diagonal) sectors keep their
 Gibbs blocks as bare probability vectors so that large cutoffs stay cheap;
 interacting sectors are dense, each diagonalized per connected block of H
 by divide and conquer, so the pair term's odd-mode parity classes are
@@ -14,8 +14,8 @@ state is assembled block by block into dense sector blocks.
 boltzmann_weights gives level probabilities and log Z under any particle
 cutoff, so the cutoff audit reads given spectra and assembles no states.
 One symmetric k-body basis, symmetric_basis, indexes second quantization,
-the reduced densities and the classical moments; reduced_density is the
-adjoint of second_quantize over the same stacked annihilators.
+the reduced densities and the classical moments; second_quantize scatters
+over the same index tables that reduced_density gathers from.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .interaction import PairTensor
+from .interaction import PairTensor, _pair_index
 from .spectral import ConfigurationError, DomainError
 
 SATURATION_THRESHOLD = 1e-6
@@ -45,14 +45,14 @@ class FockBasis:
     A state's radix code reads its occupations as the digits, mode 0 first,
     of a base N_max + 1 integer, so ascending codes are lexicographic
     occupations.  Sector n is grown from sector n - 1 by adding one particle
-    to each mode, and annihilators[i, n], the sparse a_i from sector n to
-    n - 1, is read off the same table: row r has one entry, in the column
-    of state r + e_i.  stacks[k, n], for k in ORDERS and n >= k, stacks
-    a_t from sector n to n - k over the symmetric_basis tuples t, block
-    after block; each of its rows also holds exactly one entry.  A sector
-    over MAX_SECTOR_STATES, or codes beyond int64, raise ConfigurationError
+    to each mode.  tables[k, n], for k in ORDERS and n >= k, is the index
+    table (cols, vals) of a_t = a_t1 ... a_tk from sector n to n - k over
+    the P symmetric_basis tuples t, both P x d_{n-k}: a_t sends state
+    cols[t, r] of sector n to state r of sector n - k with amplitude
+    vals[t, r], and every other state to zero.  A sector over
+    MAX_SECTOR_STATES, or codes beyond int64, raise ConfigurationError
     before the sector is generated.  Everything is built here and never
-    written afterwards.
+    written afterwards; the tables are read-only arrays.
     """
 
     def __init__(self, num_modes: int, max_particles: int):
@@ -67,28 +67,31 @@ class FockBasis:
         self._radix = base ** np.arange(num_modes - 1, -1, -1, dtype=np.int64)
         self.occupations = [np.zeros((1, num_modes), dtype=np.int64)]
         self.codes = [np.zeros(1, dtype=np.int64)]
-        self.annihilators: dict[tuple[int, int], sp.csr_matrix] = {}
         for n in range(1, max_particles + 1):
             dim = math.comb(n + num_modes - 1, num_modes - 1)
             if dim > MAX_SECTOR_STATES:
                 raise ConfigurationError(
                     f"sector n={n} has {dim} states, over the {MAX_SECTOR_STATES}-state "
                     f"cap (K={num_modes}, N_max={max_particles})")
-            below = self.codes[n - 1]
-            grown = below[:, None] + self._radix
-            codes = np.unique(grown)
+            codes = np.unique(self.codes[n - 1][:, None] + self._radix)
             if len(codes) != dim:
                 raise RuntimeError("sector enumeration miscounted")
-            occs = codes[:, None] // self._radix % base
-            for i in range(num_modes):
-                cols = np.searchsorted(codes, grown[:, i])
-                self.annihilators[i, n] = sp.csr_matrix(
-                    (np.sqrt(occs[cols, i].astype(float)), (np.arange(len(below)), cols)),
-                    shape=(len(below), dim))
-            self.occupations.append(occs)
+            self.occupations.append(codes[:, None] // self._radix % base)
             self.codes.append(codes)
-        self.stacks = {(order, n): self.build_stack(order, n)
-                       for order in ORDERS for n in range(order, max_particles + 1)}
+        self.tables = {}
+        for order in ORDERS:
+            tuples = np.array(symmetric_basis(num_modes, order)[0])
+            shifts = self._radix[tuples].sum(axis=1)[:, None]
+            for n in range(order, max_particles + 1):
+                below = self.occupations[n - order]
+                cols = np.searchsorted(self.codes[n], self.codes[n - order] + shifts)
+                vals = np.ones(cols.shape)
+                for j in range(order):
+                    # occupation of mode t_j once t_1 .. t_j are added to state r
+                    added = (tuples[:, :j + 1] == tuples[:, j:j + 1]).sum(axis=1)
+                    vals = vals * np.sqrt((below[:, tuples[:, j]] + added).T.astype(float))
+                cols.flags.writeable = vals.flags.writeable = False
+                self.tables[order, n] = cols, vals
 
     @property
     def num_sectors(self) -> int:
@@ -111,17 +114,6 @@ class FockBasis:
         if pos >= len(self.codes[n]) or self.codes[n][pos] != code:
             raise KeyError(f"occupation {tuple(occ)} not in basis")
         return n, pos
-
-    def build_stack(self, order: int, sector: int) -> sp.csr_matrix:
-        """a_t = a_t1 ... a_tk from sector to sector - k, stacked over the
-        symmetric_basis tuples t; stored as stacks[k, sector] for k in ORDERS."""
-        ops = []
-        for t in symmetric_basis(self.num_modes, order)[0]:
-            op = self.annihilators[t[-1], sector]
-            for depth, i in enumerate(reversed(t[:-1]), start=1):
-                op = self.annihilators[i, sector - depth] @ op
-            ops.append(op)
-        return sp.vstack(ops, format="csr")
 
 
 @dataclass
@@ -191,50 +183,52 @@ def symmetric_basis(K: int, order: int) -> tuple[list[tuple[int, ...]], np.ndarr
 
 
 def second_quantize(basis: FockBasis, kernel: np.ndarray, order: int) -> FockOperator:
-    """sum kernel[s, t] (a_s)+ a_t over ordered k-tuples s, t in row-major order.
+    """sum kernel[s, t] (a_s)+ a_t over the P symmetric_basis tuples s, t.
 
-    Annihilators commute, so the kernel folds onto the symmetric_basis tuples
-    as F^T kernel F, F mapping each ordered tuple to its sorted one; sector n
-    is S^T (folded kron I) S with S the basis's stack of that order.
+    a_s sends state cols[s, r] of sector n to state r of sector n - k with
+    amplitude vals[s, r], (cols, vals) the basis's table, so sector n is one
+    COO scatter of kernel[s, t] vals[s, r] vals[t, r] at (cols[s, r],
+    cols[t, r]): the adjoint of reduced_density's gather.
     """
-    tuples, _ = symmetric_basis(basis.num_modes, order)
-    cols = [tuples.index(tuple(sorted(t)))
-            for t in itertools.product(range(basis.num_modes), repeat=order)]
-    F = sp.identity(len(tuples), format="csr")[cols]
-    folded = sp.csr_matrix((F.T @ np.asarray(kernel, dtype=float)) @ F)
-    blocks = []
-    for n in range(basis.num_sectors):
-        d = basis.sector_dim(n)
-        if n < order:
-            blocks.append(sp.csr_matrix((d, d)))
-            continue
-        stack = basis.stacks[order, n] if order in ORDERS else basis.build_stack(order, n)
-        big = sp.kron(folded, sp.identity(basis.sector_dim(n - order), format="csr"))
-        blocks.append((stack.T @ (big @ stack)).tocsr())
+    if order not in ORDERS:
+        raise ConfigurationError(f"second quantization order must be in {ORDERS}")
+    P = math.comb(basis.num_modes + order - 1, order)
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.shape != (P, P):
+        raise ConfigurationError(f"order-{order} kernel must be {P}x{P}")
+    s, t = np.nonzero(kernel)
+    blocks = [sp.csr_matrix((basis.sector_dim(n),) * 2) for n in range(basis.num_sectors)]
+    for n in range(order, basis.num_sectors):
+        cols, vals = basis.tables[order, n]
+        data = (kernel[s, t][:, None] * vals[s] * vals[t]).ravel()
+        blocks[n] = sp.csr_matrix((data, (cols[s].ravel(), cols[t].ravel())),
+                                  shape=blocks[n].shape)
     return FockOperator(basis, blocks)
 
 
 def second_quantize_one_body(basis: FockBasis, h1: np.ndarray) -> FockOperator:
     """Second quantization of a K x K one-body matrix, sum h_ij a+_i a_j."""
     h1 = np.asarray(h1, dtype=float)
-    K = basis.num_modes
-    if h1.shape == (K,):
-        h1 = np.diag(h1)
-    if h1.shape != (K, K):
-        raise ConfigurationError(f"one-body matrix must be {K}x{K}")
-    return second_quantize(basis, h1, 1)
+    return second_quantize(basis, np.diag(h1) if h1.shape == (basis.num_modes,) else h1, 1)
 
 
 def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
-    """(1/2) sum W_ijkl a+_i a+_j a_k a_l: since a+_i a+_j = (a_j a_i)+,
-    the order-2 kernel is Wp / 2 with Wp[(j,i),(k,l)] = W[i,j,k,l].  Given
-    mode parities, the Gram holds exact zeros between pairs of opposite
-    parity, so H splits by odd-mode parity."""
+    """(1/2) sum W_ijkl a+_i a+_j a_k a_l with W[i,j,k,l] = Q[{i,l},{j,k}].
+
+    Since a_p a_q = a_q a_p, on the symmetric_basis pairs (p <= q), (r <= u)
+    the order-2 kernel is (Q[{p,r},{q,u}] + Q[{p,u},{q,r}]) / ((1 + d_pq)
+    (1 + d_ru)), gathered straight from the Gram.  Given mode parities, the
+    Gram holds exact zeros between pairs of opposite parity, so H splits by
+    odd-mode parity."""
     K = basis.num_modes
     if tensor.mode_cutoff != K:
         raise ConfigurationError("tensor mode count does not match basis")
-    Wp = tensor.tensor.transpose(1, 0, 2, 3).reshape(K * K, K * K)
-    H = second_quantize(basis, 0.5 * Wp, 2)
+    p, q = np.array(symmetric_basis(K, 2)[0]).T
+    idx, Q = _pair_index(K), tensor.gram
+    kernel = (Q[idx[p[:, None], p], idx[q[:, None], q]]
+              + Q[idx[p[:, None], q], idx[q[:, None], p]])
+    mult = np.where(p == q, 2.0, 1.0)
+    H = second_quantize(basis, kernel / np.outer(mult, mult), 2)
     # clear summation-order roundoff
     return FockOperator(basis, [(0.5 * (b + b.T)).tocsr() for b in H.blocks])
 
@@ -374,24 +368,21 @@ class ReducedDensityMatrix:
 
 
 def reduced_density(state: FockState, order: int) -> ReducedDensityMatrix:
-    """Per sector, tr_{n-k}(S Gamma S^T), the adjoint of second_quantize, over
-    the basis's stacks S = [S_a]: entry (a, b) is tr(S_a Gamma S_b^T).  Row r
-    of S_a holds one entry, vals[a, r] in column cols[a, r], so that trace is
+    """Per sector, entry (a, b) is tr(a_a Gamma a_b^T), the adjoint of
+    second_quantize: with the basis's table (cols, vals), a gather of
     sum_r vals[a, r] vals[b, r] Gamma[cols[a, r], cols[b, r]]."""
     if order not in ORDERS:
         raise ConfigurationError("reduced density order must be 1 or 2")
     _, weights = symmetric_basis(state.basis.num_modes, order)
-    P = len(weights)
-    M = np.zeros((P, P), dtype=complex)
+    M = np.zeros((len(weights),) * 2, dtype=complex)
     for n in range(order, state.basis.num_sectors):
         block = state.blocks[n]
         if block.ndim == 1 and not block.any():
             continue
-        stack = state.basis.stacks[order, n]
-        cols, vals = stack.indices.reshape(P, -1), stack.data.reshape(P, -1)
+        cols, vals = state.basis.tables[order, n]
         if block.ndim == 1:
             # distinct tuples send a number state to distinct states: M is diagonal
-            M[np.diag_indices(P)] += (vals * vals * block[cols]).sum(axis=1)
+            M[np.diag_indices_from(M)] += (vals * vals * block[cols]).sum(axis=1)
         else:
             M += np.einsum("ar,br,abr->ab", vals, vals, block[cols[:, None], cols[None]])
     M *= weights[:, None] * weights[None, :]

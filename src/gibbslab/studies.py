@@ -107,7 +107,7 @@ def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | N
     component of each sector (one per odd-mode parity of a
     reflection-symmetric trap), returns each block's vectors apart, and
     keeps nothing.  Calls may run on several threads: they only read the
-    basis, built complete with its annihilator stacks, and the operators.
+    basis, built complete with its index tables, and the operators.
     """
     K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
     basis = fq.build_fock(K, cfg.quantum.n_max)

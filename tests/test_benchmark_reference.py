@@ -4,18 +4,25 @@ perfbench/run.py rejects a sample whose results drift from the reference
 document recorded for its seed by more than 1e-12 relative (absolute below
 magnitude 1).  Running both workloads at their default seeds here catches
 such drift, say from a changed eigensolver, before a benchmark run does.
+Each runs as a benchmark sample does: `python -m gibbslab.cli` in a fresh
+interpreter whose environment sets no BLAS thread count, so gibbslab pins
+BLAS before scipy loads it.  Inside pytest another test module may already
+have loaded scipy.linalg, and the 2D study's degenerate eigenspaces move
+its results when scipy's BLAS runs on more than one thread.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from gibbslab.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
 RTOL = 1e-12
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def differences(got, ref, where="results"):
@@ -44,9 +51,13 @@ def differences(got, ref, where="results"):
     ("study-2d-classical", "perfbench/configs/study_2d.ini", 11, "study-2d-seed11.json"),
 ], ids=["study-1d", "study-2d"])
 def test_results_match_benchmark_reference(tmp_path, command, config, seed, reference):
-    argv = [command, "--config", str(ROOT / config), "--threads", "1",
+    argv = [command, "--config", config, "--threads", "1",
             "--seed", str(seed), "--out", str(tmp_path)]
-    assert main(argv) == 0
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-m", "gibbslab.cli", *argv], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
     got = json.loads((tmp_path / f"{command}.json").read_text(encoding="utf-8"))
     ref = json.loads((ROOT / "perfbench/reference" / reference).read_text(encoding="utf-8"))
     assert differences(got["results"], ref["results"]) == []

@@ -392,6 +392,21 @@ def test_cli_hartree_field_checks(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_cli_hartree_points_floor(tmp_path, capsys):
+    # 5^2 = 25 Hartree grid points hold shared_modes = 4, but the grid needs
+    # 8 points per axis: refused at validation, naming the field, before the
+    # 2D study runs its UV half or writes anything
+    text = SMALL_2D.replace("points = 16", "points = 5").replace(
+        "shared_modes = 8", "shared_modes = 4")
+    path, out = write_config(tmp_path, text=text)
+    with pytest.raises(ConfigError, match="hartree.points"):
+        validate(load_config(path))
+    for command in ("study-2d-classical", "hartree"):
+        assert main([command, "--config", str(path)]) == 2
+        assert "hartree.points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_import_does_not_load_integrate():
     # scipy.integrate serves only the closed forms and quadratures; importing
     # the CLI must not pay for it
@@ -402,6 +417,27 @@ def test_import_does_not_load_integrate():
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("script, pinned, warns", [
+    ("import scipy.linalg, gibbslab", False, True),
+    ("import gibbslab, scipy.linalg", False, False),
+    ("import numpy, gibbslab", False, False),
+    ("import scipy.linalg, gibbslab", True, False),
+], ids=["scipy-first", "gibbslab-first", "numpy-first", "caller-pinned"])
+def test_import_warns_when_blas_pin_comes_late(script, pinned, warns):
+    # OpenBLAS reads its thread count when scipy.linalg loads it, so the pin
+    # set on import comes too late once scipy.linalg is loaded, unless the
+    # caller set OPENBLAS_NUM_THREADS
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    if pinned:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    res = subprocess.run([sys.executable, "-W", "always", "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert ("RuntimeWarning: scipy.linalg was imported before gibbslab" in res.stderr) == warns
 
 
 def test_cli_tabulated_potential(tmp_path):

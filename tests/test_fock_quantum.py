@@ -73,16 +73,15 @@ def _layout(obj) -> dict:
 
 
 def test_basis_read_only_after_init(op, bump):
-    # every annihilator and annihilator stack exists once the basis is
-    # built, and assembly, the dense and diagonal Gibbs paths and both
-    # reduced densities only read it: no attribute of the basis, of an
-    # annihilator or of a stack is added, replaced or resized
+    # every index table exists once the basis is built, and assembly, the
+    # dense and diagonal Gibbs paths and both reduced densities only read
+    # it: no attribute of the basis or array of a table is added, replaced
+    # or resized
     b = fq.build_fock(3, 6)
 
     def snapshot():
-        return _layout(b), {(name, key): _layout(entry)
-                            for name, value in vars(b).items() if isinstance(value, dict)
-                            for key, entry in value.items()}
+        return _layout(b), {key: [(id(a), a.shape) for a in table]
+                            for key, table in b.tables.items()}
 
     before = snapshot()
     H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3])
@@ -92,15 +91,37 @@ def test_basis_read_only_after_init(op, bump):
         for order in fq.ORDERS:
             fq.reduced_density(state, order)
     assert snapshot() == before
-    assert sorted(b.annihilators) == [(i, n) for i in range(3) for n in range(1, 7)]
-    assert sorted(b.stacks) == [(k, n) for k in fq.ORDERS for n in range(k, 7)]
-    for (k, n), stack in b.stacks.items():
-        # one entry per row, which reduced_density reads as index tables
-        P = len(fq.symmetric_basis(3, k)[0])
-        assert stack.shape == (P * b.sector_dim(n - k), b.sector_dim(n))
-        assert np.array_equal(stack.indptr, np.arange(stack.shape[0] + 1))
-        assert np.all(stack.data > 0)
-        assert (stack != b.build_stack(k, n)).nnz == 0
+    assert sorted(b.tables) == [(k, n) for k in fq.ORDERS for n in range(k, 7)]
+    # each table is a_t = a_t1 ... a_tk between sectors, exactly
+    A, offsets = _dense_annihilators(b)
+    for (k, n), (cols, vals) in b.tables.items():
+        tuples, _ = fq.symmetric_basis(3, k)
+        assert cols.shape == vals.shape == (len(tuples), b.sector_dim(n - k))
+        for t, (c, v) in enumerate(zip(cols, vals)):
+            a_t = functools.reduce(np.matmul, [A[i] for i in tuples[t]])
+            ref = a_t[offsets[n - k]:offsets[n - k + 1], offsets[n]:offsets[n + 1]]
+            got = np.zeros_like(ref)
+            got[np.arange(len(c)), c] = v
+            assert np.array_equal(got, ref), (k, n, t)
+
+
+def test_basis_tables_read_only():
+    b = fq.build_fock(2, 4)
+    for cols, vals in b.tables.values():
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0, 0] = 0.0
+
+
+def test_second_quantize_rejects_kernel_shape_and_order():
+    b = fq.build_fock(3, 4)
+    with pytest.raises(ConfigurationError, match="6x6"):
+        fq.second_quantize(b, np.eye(9), 2)  # ordered pairs, not the symmetric basis
+    with pytest.raises(ConfigurationError, match="3x3"):
+        fq.second_quantize_one_body(b, np.eye(2))
+    with pytest.raises(ConfigurationError, match="order"):
+        fq.second_quantize(b, np.eye(10), 3)
 
 
 def test_one_body_diagonal():
@@ -168,7 +189,7 @@ def _dense_annihilators(b):
 def test_second_quantization_dense_oracle(op, bump):
     # every sector block against sums of products of dense full-space a_i;
     # sectors with three or more particles and tuples with repeated modes are
-    # where a wrong fold multiplicity would show
+    # where a wrong kernel multiplicity would show
     K = 3
     b = fq.build_fock(K, 4)
     A, offsets = _dense_annihilators(b)
@@ -176,18 +197,12 @@ def test_second_quantization_dense_oracle(op, bump):
     h = rng.standard_normal((K, K))  # not symmetric
     t = build_pair_tensor(op, bump, K)
     W = t.tensor
-    ordered = list(itertools.product(range(K), repeat=3))
-    a3 = [A[i] @ A[j] @ A[k] for i, j, k in ordered]
-    kernel3 = rng.standard_normal((K**3, K**3))
     cases = [
         (fq.second_quantize_one_body(b, h),
          sum(h[i, j] * A[i].T @ A[j] for i in range(K) for j in range(K))),
         (fq.second_quantize_pair(b, t),
          sum(0.5 * W[i, j, k, l] * A[i].T @ A[j].T @ A[k] @ A[l]
              for i, j, k, l in itertools.product(range(K), repeat=4))),
-        (fq.second_quantize(b, kernel3, 3),
-         sum(kernel3[p, q] * a3[p].T @ a3[q]
-             for p in range(len(ordered)) for q in range(len(ordered)))),
     ]
     for H, full in cases:
         for n in range(b.num_sectors):
