@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 # Mode cap, enforced here on configs and by the library on direct calls:
@@ -89,17 +89,6 @@ class RunConfig:
         return asdict(self)
 
 
-_SECTION_TYPES = {
-    "model": ModelConfig,
-    "interaction": InteractionConfig,
-    "classical": ClassicalConfig,
-    "quantum": QuantumConfig,
-    "hartree": HartreeConfig,
-    "output": OutputConfig,
-    "study": StudyConfig,
-}
-
-
 def _coerce(name: str, raw: str, default):
     raw = raw.strip()
     try:
@@ -128,11 +117,11 @@ def load_config(path) -> RunConfig:
     parser.read_string(text)
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _SECTION_TYPES:
+        if section not in {f.name for f in fields(cfg)}:
             raise ConfigError(f"unknown section [{section}]")
         target = getattr(cfg, section)
         for key, raw in parser.items(section):
-            if not hasattr(target, key):
+            if key not in {f.name for f in fields(target)}:
                 raise ConfigError(f"unknown field {section}.{key}")
             default = getattr(target, key)
             setattr(target, key, _coerce(f"{section}.{key}", raw, default))

@@ -54,13 +54,6 @@ class Ensemble:
                         weights=np.ones(self.size), seed=self.seed)
 
 
-def _mode_scales(op: OneBodyOperator, K: int) -> np.ndarray:
-    lam = op.eigenvalues[:K]
-    if np.any(lam <= 0):
-        raise DomainError("Gaussian measure needs a positive operator; shift first")
-    return 1.0 / np.sqrt(2.0 * lam)
-
-
 def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
     """Draw n independent samples of the first K modes.
 
@@ -68,9 +61,10 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
     Philox reset to key words [i, seed], counter 0 and an empty buffer: the
     stream of Philox(key=(seed << 64) | i), for 0 <= seed < 2**64.
     """
-    if K < 1 or K > op.num_modes:
-        raise DomainError(f"K={K} out of range (have {op.num_modes} modes)")
-    scale = _mode_scales(op, K)
+    lam, _ = op.modes(K)
+    if np.any(lam <= 0):
+        raise DomainError("Gaussian measure needs a positive operator; shift first")
+    scale = 1.0 / np.sqrt(2.0 * lam)
     coeffs = np.empty((n, K), dtype=complex)
     bits = np.random.Philox(key=int(seed) << 64)
     rng = np.random.Generator(bits)
@@ -92,12 +86,12 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
 
 def sobolev_norms_sq(ensemble: Ensemble, op: OneBodyOperator, t: float) -> np.ndarray:
     """sum_j lambda_j^t |alpha_j|^2 of every sample."""
-    lam = op.eigenvalues[:ensemble.cutoff]
+    lam, _ = op.modes(ensemble.cutoff)
     return (np.abs(ensemble.coefficients) ** 2 * lam**t).sum(axis=1)
 
 
 def fields_on_grid(ensemble: Ensemble, op: OneBodyOperator) -> np.ndarray:
     """(n, total_points) synthesis sum_j alpha_j u_j of every sample
     (weight-folded convention)."""
-    U = op.eigenvectors[:, :ensemble.cutoff]
+    _, U = op.modes(ensemble.cutoff)
     return ensemble.coefficients @ U.T

@@ -114,11 +114,11 @@ def _thermal_eigs(lap: np.ndarray, v_eff: np.ndarray, T: float):
     return eps, psi, occ, rho
 
 
-def _rhf_free_energy(V, nu, w, lam, T, eps, occ, rho, v_eff) -> float:
-    """Energy trace + direct term - T * entropy at the current iterate."""
+def _rhf_free_energy(V, nu, lam, T, eps, occ, rho, conv, v_eff) -> float:
+    """Energy trace + direct term - T * entropy at an iterate; conv = w * rho."""
     # tr[(-Lap + V - nu) gamma] = sum eps f - int (V_eff - V + nu) rho
     energy = float(eps @ occ) - float((v_eff - V + nu) @ rho)
-    direct = lam * float(quadratic_form(w, rho))
+    direct = lam * (0.5 * float(rho @ conv))
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(occ > 0,
                        (1.0 + occ) * np.log1p(occ) - occ * np.log(occ), 0.0)
@@ -132,43 +132,44 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
     """Damped fixed-point iteration for the self-consistent potential.
 
     The step is V <- (1 - theta) V_old + theta (V + lam rho*w - nu) with
-    backtracking on theta whenever the free energy increases.
+    backtracking on theta whenever the free energy increases.  Each trial
+    potential costs one eigh and one convolution w * rho, which give its free
+    energy, the next target and the residual the returned state reports.
     """
     if not 0 < damping <= 1:
         raise DomainError("damping must be in (0, 1]")
     if tol <= 0:
         raise DomainError("tol must be positive")
+    if max_iter < 0:
+        raise DomainError("max_iter must be nonnegative")
     V = np.asarray(V, dtype=float)
-    v_eff = V - nu
     lap = minus_laplacian(grid).toarray()
-    eps, psi, occ, rho = _thermal_eigs(lap, v_eff, T)
-    f_cur = _rhf_free_energy(V, nu, w, lam, T, eps, occ, rho, v_eff)
-    theta = damping
-    residual = np.inf
     denom = 1.0 + np.abs(V)
 
-    for it in range(1, max_iter + 1):
-        target = V + lam * convolve(w, rho) - nu
+    def evaluate(v_eff):
+        eps, psi, occ, rho = _thermal_eigs(lap, v_eff, T)
+        conv = convolve(w, rho)
+        return (v_eff, eps, psi, occ, rho, conv,
+                _rhf_free_energy(V, nu, lam, T, eps, occ, rho, conv, v_eff))
+
+    v_eff, eps, psi, occ, rho, conv, f_cur = evaluate(V - nu)
+    for it in range(max_iter + 1):
+        target = V + lam * conv - nu
         residual = float(np.max(np.abs(target - v_eff) / denom))
-        if residual < tol:
-            return RhfState(grid=grid, effective_potential=v_eff, energies=eps,
-                            orbitals=psi, occupations=occ, density=rho,
-                            free_energy=f_cur, residual=residual,
-                            iterations=it - 1, converged=True)
-        step = theta
+        if residual < tol or it == max_iter:
+            break
+        step = damping
         while True:
-            v_try = (1.0 - step) * v_eff + step * target
-            eps_t, psi_t, occ_t, rho_t = _thermal_eigs(lap, v_try, T)
-            f_try = _rhf_free_energy(V, nu, w, lam, T, eps_t, occ_t, rho_t, v_try)
-            if f_try <= f_cur + 1e-12 * max(1.0, abs(f_cur)) or step < 1e-4:
+            trial = evaluate((1.0 - step) * v_eff + step * target)
+            if trial[-1] <= f_cur + 1e-12 * max(1.0, abs(f_cur)) or step < 1e-4:
                 break
             step *= 0.5
-        v_eff, eps, psi, occ, rho, f_cur = v_try, eps_t, psi_t, occ_t, rho_t, f_try
+        v_eff, eps, psi, occ, rho, conv, f_cur = trial
 
     return RhfState(grid=grid, effective_potential=v_eff, energies=eps,
                     orbitals=psi, occupations=occ, density=rho,
                     free_energy=f_cur, residual=residual,
-                    iterations=max_iter, converged=False)
+                    iterations=it, converged=residual < tol)
 
 
 def fixed_point_residual(state: RhfState, V: np.ndarray, w: PairPotential,

@@ -185,15 +185,22 @@ def quadratic_form(w: PairPotential, density: np.ndarray) -> np.ndarray | float:
 
 
 def _check_binding(op: OneBodyOperator, w: PairPotential, K: int):
+    """op.modes(K), once w is bound to op's grid."""
     if w.grid != op.grid:
         raise ConfigurationError("pair potential bound to a different grid")
-    if K < 1 or K > op.num_modes:
-        raise ConfigurationError(f"K={K} out of range (have {op.num_modes} modes)")
+    return op.modes(K)
 
 
-def _pair_density_chunks(op: OneBodyOperator, K: int, a: np.ndarray, b: np.ndarray):
-    """Yield (lo, hi, rows): densities u_a u_b of pairs lo..hi-1 of modes a, b < K."""
-    Ut = np.ascontiguousarray(op.eigenvectors[:, :K].T)
+def _pairs(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modes a <= b of the unordered pairs of cutoff K in (b, a) order, and each
+    pair's multiplicity: 1 on the diagonal, 2 off it."""
+    b, a = np.tril_indices(K)
+    return a, b, np.where(a == b, 1.0, 2.0)
+
+
+def _pair_density_chunks(U: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Yield (lo, hi, rows): densities u_a u_b of pairs lo..hi-1 of the columns of U."""
+    Ut = np.ascontiguousarray(U.T)
     for lo in range(0, len(a), _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, len(a))
         yield lo, hi, Ut[a[lo:hi]] * Ut[b[lo:hi]]
@@ -214,13 +221,12 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
     Without a tensor, diag(Q) is streamed chunk by chunk, convolved as in
     build_pair_tensor, and Q is never built.
     """
-    _check_binding(op, w, K)
-    lam = op.eigenvalues[:K]
-    b, a = np.tril_indices(K)
-    fac = np.where(a == b, 1.0, 2.0) / (lam[a] * lam[b])
+    lam, U = _check_binding(op, w, K)
+    a, b, mult = _pairs(K)
+    fac = mult / (lam[a] * lam[b])
     if tensor is None:
         diag = np.concatenate([np.einsum("ij,ij->i", rows, _convolve_pairs(w, rows))
-                               for _, _, rows in _pair_density_chunks(op, K, a, b)])
+                               for _, _, rows in _pair_density_chunks(U, a, b)])
     else:
         diag = np.empty(len(fac))
         for pos, Q in tensor.classes(K):
@@ -298,13 +304,13 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     Toeplitz products when w has them (rank-one 2D kernels) and by FFT
     otherwise; the cap counts the working set of the route taken.
     """
-    _check_binding(op, w, K)
+    _, U = _check_binding(op, w, K)
     if w.w_hat_min < -1e-10:  # beyond FFT roundoff
         warnings.warn(f"pair potential transform dips negative (min {w.w_hat_min:.3g}): "
                       "the pair Gram need not be positive semidefinite, so "
                       "energies may be negative and weights exp(-D) exceed 1")
     labels = mode_parity(op, K)
-    b, a = np.tril_indices(K)
+    a, b, _ = _pairs(K)
     pair_class = np.ones(len(a), dtype=int) if labels is None else labels[a] * labels[b]
     pairs = [np.flatnonzero(pair_class == s) for s in np.unique(pair_class)[::-1]]
     N, d, P = op.grid.total_points, op.grid.dimension, w.kernel.shape[0]
@@ -320,7 +326,7 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
         m = len(pos)
         dens = np.empty((m, N))
         Q = np.zeros((m, m))
-        for lo, hi, rows in _pair_density_chunks(op, K, a[pos], b[pos]):
+        for lo, hi, rows in _pair_density_chunks(U, a[pos], b[pos]):
             dens[lo:hi] = rows
             Q[lo:hi, :hi] = _convolve_pairs(w, rows) @ dens[:hi].T
         del dens
@@ -340,17 +346,17 @@ def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTens
     own features and block.  Any tensor with cutoff >= the ensemble's serves.
     """
     K = ensemble.cutoff
-    b, a = np.tril_indices(K)
-    classes = [(a[pos], b[pos], Q) for pos, Q in tensor.classes(K)]
+    a, b, mult = _pairs(K)
+    classes = [(a[pos], b[pos], mult[pos], Q) for pos, Q in tensor.classes(K)]
     out = np.empty(ensemble.size)
     for lo in range(0, ensemble.size, _SAMPLE_CHUNK):
         coeff = ensemble.coefficients[lo:lo + _SAMPLE_CHUNK]
         re, im = coeff.real, coeff.imag
         form = 0.0
-        for ac, bc, Q in classes:
-            diag = ac == bc
-            f = np.where(diag, 1.0, 2.0) * (re[:, ac] * re[:, bc] + im[:, ac] * im[:, bc])
+        for ac, bc, mc, Q in classes:
+            f = mc * (re[:, ac] * re[:, bc] + im[:, ac] * im[:, bc])
             if renormalized:
+                diag = ac == bc
                 f[:, diag] -= 1.0 / op.eigenvalues[ac[diag]]
             form = form + np.einsum("ij,ij->i", f @ Q, f)
         out[lo:lo + _SAMPLE_CHUNK] = 0.5 * form

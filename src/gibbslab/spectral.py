@@ -138,6 +138,12 @@ class OneBodyOperator:
     def unshifted_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues + self.shift
 
+    def modes(self, K: int) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues[:K], eigenvectors[:, :K]) of the first K computed modes."""
+        if K < 1 or K > self.num_modes:
+            raise ConfigurationError(f"K={K} out of range (have {self.num_modes} modes)")
+        return self.eigenvalues[:K], self.eigenvectors[:, :K]
+
     def hamiltonian(self) -> sp.csr_matrix:
         """Sparse h including the current shift."""
         H = minus_laplacian(self.grid) + sp.diags(self.potential - self.shift)
@@ -197,9 +203,7 @@ def mode_parity(op: OneBodyOperator, K: int) -> np.ndarray | None:
     for a potential without that symmetry, so a labelled mode is symmetric
     up to roundoff.
     """
-    if K < 1 or K > op.num_modes:
-        raise ConfigurationError(f"K={K} out of range (have {op.num_modes} modes)")
-    U = op.eigenvectors[:, :K]
+    _, U = op.modes(K)
     labels = np.where(np.einsum("pj,pj->j", U, U[::-1]) < 0, -1, 1)
     if np.any(np.linalg.norm(U - labels * U[::-1], axis=0) > 1e-10):
         return None
@@ -284,17 +288,13 @@ class GreenKernel:
 
 
 def green_kernel(op: OneBodyOperator, K: int) -> GreenKernel:
-    if K < 1 or K > op.num_modes:
-        raise ConfigurationError(f"K={K} out of range (have {op.num_modes} modes)")
-    U = op.eigenvectors[:, :K]
-    G = (U / op.eigenvalues[:K]) @ U.T
+    lam, U = op.modes(K)
+    G = (U / lam) @ U.T
     G = 0.5 * (G + G.T)
     return GreenKernel(mode_cutoff=K, matrix=G, diagonal=np.diag(G).copy())
 
 
 def green_diagonal(op: OneBodyOperator, K: int) -> np.ndarray:
     """Diagonal of G_K without materializing the full kernel."""
-    if K < 1 or K > op.num_modes:
-        raise ConfigurationError(f"K={K} out of range (have {op.num_modes} modes)")
-    U = op.eigenvectors[:, :K]
-    return (U**2 / op.eigenvalues[:K]).sum(axis=1)
+    lam, U = op.modes(K)
+    return (U**2 / lam).sum(axis=1)

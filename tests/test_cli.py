@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -66,6 +67,17 @@ def test_config_rejects_unknown_field(tmp_path):
     bad = path.read_text().replace("[interaction]", "[interaction]\nwhatever = 3")
     path.write_text(bad)
     with pytest.raises(ConfigError, match="whatever"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("[output]", "[echo]\nx = 1\n\n[output]", "[echo]"),  # a RunConfig method
+    ("[output]", "[bogus]\nx = 1\n\n[output]", "[bogus]"),
+    ("[model]", "[model]\nbogus = 1", "model.bogus"),
+])
+def test_config_rejects_unknown_names(tmp_path, old, new, name):
+    path, _ = write_config(tmp_path, text=SMALL_1D.replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(name)):
         load_config(path)
 
 

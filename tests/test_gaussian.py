@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from gibbslab import formats
 from gibbslab.gaussian import (_SAMPLE_CHUNK, Ensemble, fields_on_grid,
                                sample_gaussian, sobolev_norms_sq)
-from gibbslab.spectral import (DomainError, GridSpec, build_one_body,
-                               schatten_trace, shift_potential)
+from gibbslab.spectral import (ConfigurationError, DomainError, GridSpec,
+                               build_one_body, schatten_trace, shift_potential)
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +196,11 @@ def test_parseval(op):
 def test_requires_positive_operator(op):
     shifted = shift_potential(op, op.eigenvalues[0] - 1e-9)
     assert shifted.eigenvalues[0] > 0  # legal but tiny
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError, match=r"K=40 out of range"):
         sample_gaussian(op, 40, 5, seed=1)  # more modes than computed
+    with pytest.raises(DomainError, match="positive operator"):
+        negative = replace(op, eigenvalues=op.eigenvalues - op.eigenvalues[1])
+        sample_gaussian(negative, 2, 5, seed=1)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1),

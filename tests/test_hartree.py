@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import gibbslab.hartree as ha
+from gibbslab import interaction
 from gibbslab.interaction import make_pair_potential, quadratic_form
-from gibbslab.spectral import GridSpec, potential_values
+from gibbslab.spectral import DomainError, GridSpec, potential_values
 
 
 @pytest.fixture(scope="module")
@@ -122,10 +123,23 @@ def test_rhf_variational(grid1d, trap1d, bump1d):
     lam, nu, T = 0.3, -1.0, 3.0
     st = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T, lam, nu)
     free = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T, 0.0, nu)
-    f_of_free_state = ha._rhf_free_energy(trap1d, nu, bump1d, lam, T,
-                                          free.energies, free.occupations,
-                                          free.density, free.effective_potential)
+    f_of_free_state = ha._rhf_free_energy(trap1d, nu, lam, T, free.energies,
+                                          free.occupations, free.density,
+                                          ha.convolve(bump1d, free.density),
+                                          free.effective_potential)
     assert st.free_energy <= f_of_free_state + 1e-10
+
+
+def test_rhf_one_convolution_per_trial(grid1d, trap1d, bump1d, monkeypatch):
+    # each trial potential is evaluated once: one eigh and one convolution,
+    # counting those quadratic_form makes
+    calls = []
+    for mod, name in ((ha, "_thermal_eigs"), (ha, "convolve"), (interaction, "convolve")):
+        f = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _f=f, _n=name: calls.append(_n) or _f(*a))
+    st = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T=3.0, lam=0.3, nu=-1.0)
+    assert st.converged and st.iterations >= 3
+    assert calls.count("convolve") == calls.count("_thermal_eigs") > st.iterations
 
 
 def test_rhf_gauge_shift_invariance(grid1d, trap1d, bump1d):
@@ -143,11 +157,17 @@ def test_rhf_gap_closure_aborts(grid1d, trap1d, bump1d):
 
 
 def test_rhf_nonconvergence_flag(grid1d, trap1d, bump1d):
-    st = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T=3.0, lam=0.4,
-                                  nu=-1.0, damping=0.05, max_iter=2)
-    assert not st.converged
-    assert st.iterations == 2
-    assert st.residual > 0
+    # stopped at max_iter, the state reports the residual of the potential
+    # it returns, not of the iterate before it
+    for max_iter in (2, 0):
+        st = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T=3.0, lam=0.4,
+                                      nu=-1.0, damping=0.05, max_iter=max_iter)
+        assert not st.converged
+        assert st.iterations == max_iter
+        assert st.residual == ha.fixed_point_residual(st, trap1d, bump1d, 0.4, -1.0) > 0
+    with pytest.raises(DomainError, match="max_iter"):
+        ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T=3.0, lam=0.4, nu=-1.0,
+                                 max_iter=-1)
 
 
 def test_reference_energy(grid1d, trap1d, bump1d):

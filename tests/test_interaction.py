@@ -16,7 +16,8 @@ from gibbslab.interaction import (MAX_GRAM_BYTES, ConfigurationError,
                                   convolve, direct_term, exchange_term,
                                   make_pair_potential, quadratic_form,
                                   wick_expectation_bare)
-from gibbslab.spectral import GridSpec, build_one_body, green_diagonal, mode_parity
+from gibbslab.spectral import (GridSpec, build_one_body, green_diagonal, green_kernel,
+                               mode_parity)
 
 
 @pytest.fixture(scope="module")
@@ -254,11 +255,19 @@ def test_exchange_from_gram_matches_streamed(op, bump, op2d, bump2d, monkeypatch
 
 
 def test_cutoff_beyond_eigenpairs(op, bump):
-    # both read eigenpairs up to K; past the 12 computed ones they refuse
+    # every reader of the first K eigenpairs refuses K outside 1..12, the
+    # computed ones, through OneBodyOperator.modes
     assert op.num_modes == 12
-    for f in (exchange_term, build_pair_tensor):
-        with pytest.raises(ConfigurationError, match=r"K=13 out of range \(have 12 modes\)"):
-            f(op, bump, 13)
+    readers = [lambda K: sample_gaussian(op, K, 5, seed=1),
+               lambda K: green_kernel(op, K), lambda K: green_diagonal(op, K),
+               lambda K: mode_parity(op, K)]
+    readers += [lambda K, f=f: f(op, bump, K)
+                for f in (direct_term, exchange_term, build_pair_tensor)]
+    for f in readers:
+        for K in (0, 13):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^K={K} out of range \(have 12 modes\)$"):
+                f(K)
 
 
 def test_exchange_rank_one(op, bump):
