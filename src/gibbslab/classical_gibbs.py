@@ -79,10 +79,6 @@ class ReducedMoment:
     stderr: np.ndarray
     ess: float
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _weighted_moment(features: np.ndarray, weights: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -125,13 +121,6 @@ def reduced_moment(ensemble: Ensemble, order: int) -> ReducedMoment:
                          ess=effective_sample_size(ensemble.weights))
 
 
-def pseudo_moment(ensemble: Ensemble) -> np.ndarray:
-    """E[alpha_i alpha_j] without conjugation; zero by phase invariance."""
-    a = ensemble.coefficients
-    wsum = ensemble.weights.sum()
-    return (a.T * ensemble.weights) @ a / wsum
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of absolute eigenvalues of the Hermitian difference."""
     diff = np.asarray(a) - np.asarray(b)
@@ -141,49 +130,3 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     if not np.allclose(diff, herm, atol=1e-8 * max(1.0, np.abs(diff).max())):
         raise ConfigurationError("trace distance defined for Hermitian difference")
     return float(np.abs(np.linalg.eigvalsh(herm)).sum())
-
-
-# ---------------------------------------------------------------------------
-# Single-mode closed forms.  With one mode, X = |alpha_1|^2 is exponential
-# with mean m = 1/lambda_1 and every interacting quantity reduces to a
-# one-dimensional integral over the weight profile.
-
-
-def _single_mode_average(lam1: float, pair_diag: float, renormalized: bool,
-                         observable) -> float:
-    import scipy.integrate
-    m = 1.0 / lam1
-
-    def weight(x):
-        shift = m if renormalized else 0.0
-        return np.exp(-0.5 * pair_diag * (x - shift) ** 2)
-
-    def dens(x):
-        return np.exp(-x / m) / m
-
-    num, _ = scipy.integrate.quad(lambda x: observable(x) * weight(x) * dens(x),
-                                  0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return num
-
-
-def single_mode_log_zr(lam1: float, pair_diag: float, renormalized: bool = True) -> float:
-    """-log E[exp(-D)] for one mode with W_1111 = pair_diag."""
-    z = _single_mode_average(lam1, pair_diag, renormalized, lambda x: 1.0)
-    return -float(np.log(z))
-
-
-def single_mode_moment(lam1: float, pair_diag: float, renormalized: bool = True) -> float:
-    """Interacting E[|alpha_1|^2] for one mode."""
-    z = _single_mode_average(lam1, pair_diag, renormalized, lambda x: 1.0)
-    num = _single_mode_average(lam1, pair_diag, renormalized, lambda x: x)
-    return float(num / z)
-
-
-def single_mode_mean_renorm_energy(lam1: float, pair_diag: float) -> float:
-    """Free-measure E[D^R] for one mode; equals the exchange term."""
-    import scipy.integrate
-    m = 1.0 / lam1
-    val, _ = scipy.integrate.quad(
-        lambda x: 0.5 * pair_diag * (x - m) ** 2 * np.exp(-x / m) / m,
-        0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return float(val)

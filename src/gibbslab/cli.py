@@ -193,9 +193,9 @@ def _stabilization_flags(stab: hartree.StabilizationReport) -> dict:
             "schatten_decreasing": stab.schatten_decreasing}
 
 
-def _nonconverged(cfg: RunConfig, stab: hartree.StabilizationReport) -> bool:
-    """Some Hartree fixed point stopped at hartree.max_iter."""
-    return any(r.iterations >= cfg.hartree.max_iter for r in stab.rows)
+def _nonconverged(stab: hartree.StabilizationReport) -> bool:
+    """Some Hartree fixed point stopped with its residual not under hartree.tol."""
+    return not all(r.converged for r in stab.rows)
 
 
 def cmd_hartree(cfg: RunConfig, out: Path, args) -> int:
@@ -205,7 +205,7 @@ def cmd_hartree(cfg: RunConfig, out: Path, args) -> int:
                **_stabilization_flags(stab)}
     _emit(cfg, out, "hartree", results)
     formats.write_csv(out / "hartree.csv", rows)
-    if args.strict and _nonconverged(cfg, stab):
+    if args.strict and _nonconverged(stab):
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -245,7 +245,7 @@ def cmd_study_2d(cfg: RunConfig, out: Path, args) -> int:
         "integrability_ok": rep.integrability_ok,
     }
     _emit(cfg, out, "study-2d-classical", results, uv_rows)
-    if args.strict and _nonconverged(cfg, rep.stabilization):
+    if args.strict and _nonconverged(rep.stabilization):
         return EXIT_NUMERICAL
     return EXIT_OK
 

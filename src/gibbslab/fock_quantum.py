@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +149,6 @@ class FockState:
         b = self.blocks[n]
         return float(b.sum().real) if b.ndim == 1 else float(np.trace(b).real)
 
-    def trace(self) -> float:
-        return sum(self.block_trace(n) for n in range(self.basis.num_sectors))
-
     def sector_weights(self) -> np.ndarray:
         return np.array([self.block_trace(n) for n in range(self.basis.num_sectors)])
 
@@ -162,12 +158,6 @@ class FockState:
 
 def build_fock(K: int, N_max: int) -> FockBasis:
     return FockBasis(K, N_max)
-
-
-def number_operator(basis: FockBasis) -> FockOperator:
-    blocks = [sp.identity(basis.sector_dim(n), format="csr") * float(n)
-              for n in range(basis.num_sectors)]
-    return FockOperator(basis, blocks)
 
 
 def symmetric_basis(K: int, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -362,10 +352,6 @@ class ReducedDensityMatrix:
     order: int
     matrix: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 def reduced_density(state: FockState, order: int) -> ReducedDensityMatrix:
     """Per sector, entry (a, b) is tr(a_a Gamma a_b^T), the adjoint of
@@ -387,95 +373,6 @@ def reduced_density(state: FockState, order: int) -> ReducedDensityMatrix:
             M += np.einsum("ar,br,abr->ab", vals, vals, block[cols[:, None], cols[None]])
     M *= weights[:, None] * weights[None, :]
     return ReducedDensityMatrix(order=order, matrix=M)
-
-
-# ---------------------------------------------------------------------------
-# Coherent states and the free-energy functional
-
-
-@dataclass(frozen=True)
-class CoherentReport:
-    state: FockState
-    captured_mass: float  # truncated share of the untruncated norm
-    mean_particles: float
-    truncation_warning: bool
-
-
-def coherent_state(v: np.ndarray, basis: FockBasis) -> CoherentReport:
-    """Block-diagonal compression of the coherent state built on v.
-
-    The n-particle component is proportional to the n-fold tensor power of v
-    over sqrt(n!); the state is renormalized on the truncated space.  All
-    number-conserving observables agree with the untruncated coherent state
-    up to the discarded Poisson tail.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (basis.num_modes,):
-        raise ConfigurationError(f"need {basis.num_modes} mode amplitudes")
-    norm_sq = float(np.sum(np.abs(v) ** 2))
-    warn = norm_sq >= basis.max_particles / 2.0
-    if warn:
-        warnings.warn(f"|v|^2 = {norm_sq:.3g} is large for N_max = "
-                      f"{basis.max_particles}; truncation error may be sizable")
-    amps = []
-    total = 0.0
-    for n in range(basis.num_sectors):
-        occs = basis.occupations[n]
-        log_fact = np.array([sum(math.lgamma(c + 1) for c in occ) for occ in occs])
-        with np.errstate(divide="ignore"):
-            mags = np.exp(occs @ np.log(np.abs(v) + 1e-300) - 0.5 * log_fact)
-        phases = np.exp(1j * (occs @ np.angle(v)))
-        c = mags * phases
-        c[~np.isfinite(c)] = 0.0
-        amps.append(c)
-        total += float(np.sum(np.abs(c) ** 2))
-    blocks = [np.outer(c, c.conj()) / total for c in amps]
-    state = FockState(basis=basis, blocks=blocks)
-    captured = total / float(np.exp(norm_sq))
-    return CoherentReport(state=state, captured_mass=captured,
-                          mean_particles=state.mean_particles(),
-                          truncation_warning=warn)
-
-
-def _block_entropy_sum(block: np.ndarray) -> float:
-    """sum p log p over one block's spectrum with 0 log 0 = 0."""
-    p = block if block.ndim == 1 else np.linalg.eigvalsh(block)
-    p = np.real(p)
-    p = np.clip(p, 0.0, None)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask])))
-
-
-def free_energy_functional(state: FockState, H: FockOperator, T: float,
-                           nu: float, E0: float = 0.0) -> float:
-    """tr((H - nu N + E0) Gamma) + T tr(Gamma log Gamma)."""
-    energy = 0.0
-    ent = 0.0
-    for n in range(state.basis.num_sectors):
-        block = state.blocks[n]
-        Hn = H.blocks[n]
-        if block.ndim == 1:
-            tr_block = float(block.sum().real)
-            energy += float(Hn.diagonal() @ np.real(block))
-        else:
-            tr_block = float(np.trace(block).real)
-            energy += float(np.real(Hn.multiply(block.T).sum()))
-        energy += (E0 - nu * n) * tr_block
-        ent += _block_entropy_sum(block)
-    return energy + T * ent
-
-
-def random_test_state(basis: FockBasis, rng: np.random.Generator) -> FockState:
-    """Random number-conserving density operator, for variational checks."""
-    blocks = []
-    total = 0.0
-    for n in range(basis.num_sectors):
-        d = basis.sector_dim(n)
-        G = rng.standard_normal((d, min(d, 4))) + 1j * rng.standard_normal((d, min(d, 4)))
-        B = G @ G.conj().T
-        blocks.append(B)
-        total += float(np.trace(B).real)
-    return FockState(basis=basis, blocks=[b / total for b in blocks])
 
 
 # ---------------------------------------------------------------------------

@@ -82,16 +82,3 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
         coeffs[lo:lo + len(block)] = scale * (block[:, 0] + 1j * block[:, 1])
     return Ensemble(operator_hash=op.content_hash(), cutoff=K,
                     coefficients=coeffs, weights=np.ones(n), seed=int(seed))
-
-
-def sobolev_norms_sq(ensemble: Ensemble, op: OneBodyOperator, t: float) -> np.ndarray:
-    """sum_j lambda_j^t |alpha_j|^2 of every sample."""
-    lam, _ = op.modes(ensemble.cutoff)
-    return (np.abs(ensemble.coefficients) ** 2 * lam**t).sum(axis=1)
-
-
-def fields_on_grid(ensemble: Ensemble, op: OneBodyOperator) -> np.ndarray:
-    """(n, total_points) synthesis sum_j alpha_j u_j of every sample
-    (weight-folded convention)."""
-    _, U = op.modes(ensemble.cutoff)
-    return ensemble.coefficients @ U.T

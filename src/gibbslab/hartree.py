@@ -57,20 +57,6 @@ def free_gas_density(T: float, gap: float, d: int, measure: str = "unit") -> flo
     raise DomainError("free gas density implemented for d in {1, 2}")
 
 
-def free_gas_density_quadrature(T: float, gap: float, measure: str = "unit") -> float:
-    """Independent 2D Cartesian quadrature of the same integral."""
-    import scipy.integrate
-    k_max = np.sqrt(max(50.0 * T, 50.0 * T + gap))
-
-    def integrand(ky, kx):
-        x = (kx * kx + ky * ky + gap) / T
-        return 0.0 if x > 700.0 else 1.0 / np.expm1(x)
-
-    val, _ = scipy.integrate.dblquad(integrand, 0.0, k_max, 0.0, k_max,
-                                     epsabs=1e-12, epsrel=1e-10)
-    return _measure_factor(measure, 2) * 4.0 * float(val)
-
-
 def counterterm_chemical_potential(T: float, lam: float, kappa: float,
                                    w: PairPotential, measure: str = "unit") -> float:
     """nu = lam * w_hat(0) * rho0(T, kappa) - kappa."""
@@ -172,13 +158,6 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
                     iterations=it, converged=residual < tol)
 
 
-def fixed_point_residual(state: RhfState, V: np.ndarray, w: PairPotential,
-                         lam: float, nu: float) -> float:
-    """Re-evaluate the map on the returned potential."""
-    target = V + lam * convolve(w, state.density) - nu
-    return float(np.max(np.abs(target - state.effective_potential) / (1.0 + np.abs(V))))
-
-
 def reference_energy(state: RhfState, w: PairPotential, lam: float) -> float:
     """(lam/2) iint rho(x) w(x-y) rho(y) at the solved density."""
     return lam * float(quadratic_form(w, state.density))
@@ -209,6 +188,7 @@ class StabilizationRow:
     nu: float
     iterations: int
     residual: float
+    converged: bool
     free_energy: float
     reference_energy: float
     delta_inf: float
@@ -260,7 +240,8 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
                                     - proxy.effective_potential) / denom))
         dist = truncated_inverse_distance(st, proxy, shared_modes, p)
         rows.append(StabilizationRow(T=T, lam=lam, nu=nu, iterations=st.iterations,
-                                     residual=st.residual, free_energy=st.free_energy,
+                                     residual=st.residual, converged=st.converged,
+                                     free_energy=st.free_energy,
                                      reference_energy=reference_energy(st, w, lam),
                                      delta_inf=delta, schatten_p_dist=dist))
     region = V > 1.0

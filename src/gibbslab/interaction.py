@@ -3,7 +3,7 @@
 Every interaction energy goes through one exact engine, the pair Gram
 matrix Q[p, q] = <u_a u_b, w * u_c u_d> over unordered mode pairs: sample
 energies are quadratic forms in Q, the exchange term is a weighted trace
-of its diagonal and the Fock-space four-index tensor is a view of it.
+of its diagonal and the Fock-space pair operator gathers its kernel from it.
 When the modes carry reflection labels (spectral.mode_parity), Q vanishes
 by symmetry between pairs of opposite pair parity p_a p_b, so it is built,
 stored and applied one pair class at a time and those entries are exact
@@ -234,11 +234,6 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
     return float(0.5 * fac @ diag)
 
 
-def wick_expectation_bare(op: OneBodyOperator, w: PairPotential, K: int) -> float:
-    """Exact free-measure expectation of the bare interaction at cutoff K."""
-    return direct_term(op, w, K) + exchange_term(op, w, K)
-
-
 def _pair_index(K: int) -> np.ndarray:
     """idx[a, b]: position of the unordered pair {a, b} in the (b, a) order."""
     i = np.arange(K)
@@ -272,15 +267,6 @@ class PairTensor:
         for pos, block in zip(self.pairs, self.grams):
             Q[np.ix_(pos, pos)] = block
         return Q
-
-    @property
-    def tensor(self) -> np.ndarray:
-        """Fock-space view W[i,j,k,l] = iint u_i(x) u_j(y) w(x-y) u_l(x) u_k(y).
-
-        W[i,j,k,l] = Q[(i,l), (j,k)], exactly exchange- and Hermitian-symmetric.
-        """
-        idx = _pair_index(self.mode_cutoff)
-        return self.gram[idx[:, None, None, :], idx[None, :, :, None]]
 
     def classes(self, K: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """(positions, Gram block) of each class's pairs at cutoff K <= mode_cutoff."""

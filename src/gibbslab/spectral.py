@@ -9,7 +9,7 @@ vectors are orthonormal as bare numpy arrays.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -144,11 +144,6 @@ class OneBodyOperator:
             raise ConfigurationError(f"K={K} out of range (have {self.num_modes} modes)")
         return self.eigenvalues[:K], self.eigenvectors[:, :K]
 
-    def hamiltonian(self) -> sp.csr_matrix:
-        """Sparse h including the current shift."""
-        H = minus_laplacian(self.grid) + sp.diags(self.potential - self.shift)
-        return H.tocsr()
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(f"{self.grid.dimension}:{self.grid.half_width!r}:{self.grid.points}".encode())
@@ -233,10 +228,6 @@ class SchattenTrace:
     growth_exponent: float  # fitted b in lambda_j ~ j^b
     likely_divergent: bool
 
-    @property
-    def total(self) -> float:
-        return self.partial_sum + self.tail_estimate
-
 
 def schatten_trace(op: OneBodyOperator, p: float) -> SchattenTrace:
     """Sum of lambda_j^-p over computed modes plus a crude tail bound.
@@ -269,29 +260,6 @@ def schatten_trace(op: OneBodyOperator, p: float) -> SchattenTrace:
         tail = float(np.exp(-a * p) * J**(1.0 - b * p) / (b * p - 1.0))
     return SchattenTrace(p=p, partial_sum=partial, tail_estimate=tail,
                          growth_exponent=b, likely_divergent=divergent)
-
-
-@dataclass(frozen=True)
-class GreenKernel:
-    """Truncated Green kernel G_K = sum_j u_j u_j^T / lambda_j.
-
-    matrix and diagonal use the stored (weight-folded) vectors, so the
-    diagonal already carries the cell volume: summing it gives the trace.
-    """
-
-    mode_cutoff: int
-    matrix: np.ndarray
-    diagonal: np.ndarray = field(repr=False)
-
-    def trace(self) -> float:
-        return float(np.sum(self.diagonal))
-
-
-def green_kernel(op: OneBodyOperator, K: int) -> GreenKernel:
-    lam, U = op.modes(K)
-    G = (U / lam) @ U.T
-    G = 0.5 * (G + G.T)
-    return GreenKernel(mode_cutoff=K, matrix=G, diagonal=np.diag(G).copy())
 
 
 def green_diagonal(op: OneBodyOperator, K: int) -> np.ndarray:

@@ -1,0 +1,226 @@
+"""Independent references the tests check gibbslab against.
+
+Closed forms, quadratures, coherent states and the variational free-energy
+functional: each computes a quantity the package computes another way, or
+builds an input no command needs.  None of it is library API.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+
+from gibbslab.fock_quantum import FockBasis, FockOperator, FockState
+from gibbslab.gaussian import Ensemble
+from gibbslab.hartree import RhfState, _measure_factor
+from gibbslab.interaction import PairPotential, PairTensor, _pair_index, convolve
+from gibbslab.spectral import ConfigurationError, OneBodyOperator, minus_laplacian
+
+# ---------------------------------------------------------------------------
+# One-body operator and pair tensor
+
+
+def hamiltonian(op: OneBodyOperator) -> sp.csr_matrix:
+    """Sparse h including the current shift."""
+    H = minus_laplacian(op.grid) + sp.diags(op.potential - op.shift)
+    return H.tocsr()
+
+
+def fock_tensor(tensor: PairTensor) -> np.ndarray:
+    """Fock-space view W[i,j,k,l] = iint u_i(x) u_j(y) w(x-y) u_l(x) u_k(y).
+
+    W[i,j,k,l] = Q[(i,l), (j,k)], exactly exchange- and Hermitian-symmetric.
+    """
+    idx = _pair_index(tensor.mode_cutoff)
+    return tensor.gram[idx[:, None, None, :], idx[None, :, :, None]]
+
+
+# ---------------------------------------------------------------------------
+# Gaussian samples
+
+
+def sobolev_norms_sq(ensemble: Ensemble, op: OneBodyOperator, t: float) -> np.ndarray:
+    """sum_j lambda_j^t |alpha_j|^2 of every sample."""
+    lam, _ = op.modes(ensemble.cutoff)
+    return (np.abs(ensemble.coefficients) ** 2 * lam**t).sum(axis=1)
+
+
+def fields_on_grid(ensemble: Ensemble, op: OneBodyOperator) -> np.ndarray:
+    """(n, total_points) synthesis sum_j alpha_j u_j of every sample
+    (weight-folded convention)."""
+    _, U = op.modes(ensemble.cutoff)
+    return ensemble.coefficients @ U.T
+
+
+# ---------------------------------------------------------------------------
+# Classical measure
+
+
+def pseudo_moment(ensemble: Ensemble) -> np.ndarray:
+    """E[alpha_i alpha_j] without conjugation; zero by phase invariance."""
+    a = ensemble.coefficients
+    wsum = ensemble.weights.sum()
+    return (a.T * ensemble.weights) @ a / wsum
+
+
+# Single-mode closed forms.  With one mode, X = |alpha_1|^2 is exponential
+# with mean m = 1/lambda_1 and every interacting quantity reduces to a
+# one-dimensional integral over the weight profile.
+
+
+def _single_mode_average(lam1: float, pair_diag: float, renormalized: bool,
+                         observable) -> float:
+    import scipy.integrate
+    m = 1.0 / lam1
+
+    def weight(x):
+        shift = m if renormalized else 0.0
+        return np.exp(-0.5 * pair_diag * (x - shift) ** 2)
+
+    def dens(x):
+        return np.exp(-x / m) / m
+
+    num, _ = scipy.integrate.quad(lambda x: observable(x) * weight(x) * dens(x),
+                                  0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
+    return num
+
+
+def single_mode_log_zr(lam1: float, pair_diag: float, renormalized: bool = True) -> float:
+    """-log E[exp(-D)] for one mode with W_1111 = pair_diag."""
+    z = _single_mode_average(lam1, pair_diag, renormalized, lambda x: 1.0)
+    return -float(np.log(z))
+
+
+def single_mode_moment(lam1: float, pair_diag: float, renormalized: bool = True) -> float:
+    """Interacting E[|alpha_1|^2] for one mode."""
+    z = _single_mode_average(lam1, pair_diag, renormalized, lambda x: 1.0)
+    num = _single_mode_average(lam1, pair_diag, renormalized, lambda x: x)
+    return float(num / z)
+
+
+def single_mode_mean_renorm_energy(lam1: float, pair_diag: float) -> float:
+    """Free-measure E[D^R] for one mode; equals the exchange term."""
+    import scipy.integrate
+    m = 1.0 / lam1
+    val, _ = scipy.integrate.quad(
+        lambda x: 0.5 * pair_diag * (x - m) ** 2 * np.exp(-x / m) / m,
+        0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
+    return float(val)
+
+
+# ---------------------------------------------------------------------------
+# Reduced Hartree
+
+
+def free_gas_density_quadrature(T: float, gap: float, measure: str = "unit") -> float:
+    """Independent 2D Cartesian quadrature of the same integral."""
+    import scipy.integrate
+    k_max = np.sqrt(max(50.0 * T, 50.0 * T + gap))
+
+    def integrand(ky, kx):
+        x = (kx * kx + ky * ky + gap) / T
+        return 0.0 if x > 700.0 else 1.0 / np.expm1(x)
+
+    val, _ = scipy.integrate.dblquad(integrand, 0.0, k_max, 0.0, k_max,
+                                     epsabs=1e-12, epsrel=1e-10)
+    return _measure_factor(measure, 2) * 4.0 * float(val)
+
+
+def fixed_point_residual(state: RhfState, V: np.ndarray, w: PairPotential,
+                         lam: float, nu: float) -> float:
+    """Re-evaluate the map on the returned potential."""
+    target = V + lam * convolve(w, state.density) - nu
+    return float(np.max(np.abs(target - state.effective_potential) / (1.0 + np.abs(V))))
+
+
+# ---------------------------------------------------------------------------
+# Coherent states and the free-energy functional
+
+
+@dataclass(frozen=True)
+class CoherentReport:
+    state: FockState
+    captured_mass: float  # truncated share of the untruncated norm
+    mean_particles: float
+    truncation_warning: bool
+
+
+def coherent_state(v: np.ndarray, basis: FockBasis) -> CoherentReport:
+    """Block-diagonal compression of the coherent state built on v.
+
+    The n-particle component is proportional to the n-fold tensor power of v
+    over sqrt(n!); the state is renormalized on the truncated space.  All
+    number-conserving observables agree with the untruncated coherent state
+    up to the discarded Poisson tail.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (basis.num_modes,):
+        raise ConfigurationError(f"need {basis.num_modes} mode amplitudes")
+    norm_sq = float(np.sum(np.abs(v) ** 2))
+    warn = norm_sq >= basis.max_particles / 2.0
+    if warn:
+        warnings.warn(f"|v|^2 = {norm_sq:.3g} is large for N_max = "
+                      f"{basis.max_particles}; truncation error may be sizable")
+    amps = []
+    total = 0.0
+    for n in range(basis.num_sectors):
+        occs = basis.occupations[n]
+        log_fact = np.array([sum(math.lgamma(c + 1) for c in occ) for occ in occs])
+        with np.errstate(divide="ignore"):
+            mags = np.exp(occs @ np.log(np.abs(v) + 1e-300) - 0.5 * log_fact)
+        phases = np.exp(1j * (occs @ np.angle(v)))
+        c = mags * phases
+        c[~np.isfinite(c)] = 0.0
+        amps.append(c)
+        total += float(np.sum(np.abs(c) ** 2))
+    blocks = [np.outer(c, c.conj()) / total for c in amps]
+    state = FockState(basis=basis, blocks=blocks)
+    captured = total / float(np.exp(norm_sq))
+    return CoherentReport(state=state, captured_mass=captured,
+                          mean_particles=state.mean_particles(),
+                          truncation_warning=warn)
+
+
+def _block_entropy_sum(block: np.ndarray) -> float:
+    """sum p log p over one block's spectrum with 0 log 0 = 0."""
+    p = block if block.ndim == 1 else np.linalg.eigvalsh(block)
+    p = np.real(p)
+    p = np.clip(p, 0.0, None)
+    mask = p > 0.0
+    return float(np.sum(p[mask] * np.log(p[mask])))
+
+
+def free_energy_functional(state: FockState, H: FockOperator, T: float,
+                           nu: float, E0: float = 0.0) -> float:
+    """tr((H - nu N + E0) Gamma) + T tr(Gamma log Gamma)."""
+    energy = 0.0
+    ent = 0.0
+    for n in range(state.basis.num_sectors):
+        block = state.blocks[n]
+        Hn = H.blocks[n]
+        if block.ndim == 1:
+            tr_block = float(block.sum().real)
+            energy += float(Hn.diagonal() @ np.real(block))
+        else:
+            tr_block = float(np.trace(block).real)
+            energy += float(np.real(Hn.multiply(block.T).sum()))
+        energy += (E0 - nu * n) * tr_block
+        ent += _block_entropy_sum(block)
+    return energy + T * ent
+
+
+def random_test_state(basis: FockBasis, rng: np.random.Generator) -> FockState:
+    """Random number-conserving density operator, for variational checks."""
+    blocks = []
+    total = 0.0
+    for n in range(basis.num_sectors):
+        d = basis.sector_dim(n)
+        G = rng.standard_normal((d, min(d, 4))) + 1j * rng.standard_normal((d, min(d, 4)))
+        B = G @ G.conj().T
+        blocks.append(B)
+        total += float(np.trace(B).real)
+    return FockState(basis=basis, blocks=[b / total for b in blocks])

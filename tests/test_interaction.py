@@ -10,14 +10,14 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from gibbslab.gaussian import Ensemble, fields_on_grid, sample_gaussian
+from gibbslab.gaussian import Ensemble, sample_gaussian
 from gibbslab.interaction import (MAX_GRAM_BYTES, ConfigurationError,
                                   batch_interactions, build_pair_tensor,
                                   convolve, direct_term, exchange_term,
-                                  make_pair_potential, quadratic_form,
-                                  wick_expectation_bare)
-from gibbslab.spectral import (GridSpec, build_one_body, green_diagonal, green_kernel,
-                               mode_parity)
+                                  make_pair_potential, quadratic_form)
+from gibbslab.spectral import GridSpec, build_one_body, green_diagonal, mode_parity
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def energy(op, w, coeffs, renormalized=False) -> float:
 
 def grid_oracle(ens, op, w, renormalized):
     """Grid quadrature of (1/2) iint rho w rho with rho = |u|^2 (- rho_K)."""
-    rho = np.abs(fields_on_grid(ens, op)) ** 2
+    rho = np.abs(oracles.fields_on_grid(ens, op)) ** 2
     if renormalized:
         rho = rho - green_diagonal(op, ens.cutoff)
     return quadratic_form(w, rho)
@@ -176,7 +176,7 @@ def test_phase_invariance(op, bump):
 
 
 def test_renormalized_single_mode_closed_form(op, bump):
-    W1 = build_pair_tensor(op, bump, 1).tensor[0, 0, 0, 0]
+    W1 = oracles.fock_tensor(build_pair_tensor(op, bump, 1))[0, 0, 0, 0]
     lam1 = op.eigenvalues[0]
     for amp in (0.3, 1.7):
         expected = 0.5 * (amp**2 - 1.0 / lam1) ** 2 * W1
@@ -259,8 +259,7 @@ def test_cutoff_beyond_eigenpairs(op, bump):
     # computed ones, through OneBodyOperator.modes
     assert op.num_modes == 12
     readers = [lambda K: sample_gaussian(op, K, 5, seed=1),
-               lambda K: green_kernel(op, K), lambda K: green_diagonal(op, K),
-               lambda K: mode_parity(op, K)]
+               lambda K: green_diagonal(op, K), lambda K: mode_parity(op, K)]
     readers += [lambda K, f=f: f(op, bump, K)
                 for f in (direct_term, exchange_term, build_pair_tensor)]
     for f in readers:
@@ -271,7 +270,7 @@ def test_cutoff_beyond_eigenpairs(op, bump):
 
 
 def test_exchange_rank_one(op, bump):
-    W1 = build_pair_tensor(op, bump, 1).tensor[0, 0, 0, 0]
+    W1 = oracles.fock_tensor(build_pair_tensor(op, bump, 1))[0, 0, 0, 0]
     lam1 = op.eigenvalues[0]
     assert exchange_term(op, bump, 1) == pytest.approx(0.5 * W1 / lam1**2, rel=1e-12)
     assert direct_term(op, bump, 1) == pytest.approx(exchange_term(op, bump, 1), rel=1e-12)
@@ -282,15 +281,9 @@ def test_exchange_two_paths(op, delta):
     K = 5
     t = build_pair_tensor(op, delta, K)
     lam = op.eigenvalues[:K]
-    oracle = 0.5 * sum(t.tensor[a, b, a, b] / (lam[a] * lam[b])
+    oracle = 0.5 * sum(oracles.fock_tensor(t)[a, b, a, b] / (lam[a] * lam[b])
                        for a in range(K) for b in range(K))
     assert exchange_term(op, delta, K) == pytest.approx(oracle, rel=1e-10)
-
-
-def test_wick_sum(op, bump):
-    K = 4
-    total = wick_expectation_bare(op, bump, K)
-    assert total == pytest.approx(direct_term(op, bump, K) + exchange_term(op, bump, K))
 
 
 def test_wick_identities_monte_carlo(op, bump):
@@ -302,7 +295,7 @@ def test_wick_identities_monte_carlo(op, bump):
         ren = batch_interactions(sub, op, tensor, renormalized=True)
         mb, sb = bare.mean(), bare.std(ddof=1) / np.sqrt(len(bare))
         mr, sr = ren.mean(), ren.std(ddof=1) / np.sqrt(len(ren))
-        assert abs(mb - wick_expectation_bare(op, bump, K)) < 4.0 * sb
+        assert abs(mb - (direct_term(op, bump, K) + exchange_term(op, bump, K))) < 4.0 * sb
         assert abs(mr - exchange_term(op, bump, K)) < 4.0 * sr
 
 
@@ -333,7 +326,7 @@ def test_direct_diverges_exchange_stabilizes_2d():
 
 def test_pair_tensor_symmetries(op, bump):
     # exact: both symmetries are index identities of the symmetric Gram
-    t = build_pair_tensor(op, bump, 4).tensor
+    t = oracles.fock_tensor(build_pair_tensor(op, bump, 4))
     assert np.array_equal(t, t.transpose(1, 0, 3, 2))  # particle exchange
     assert np.array_equal(t, t.transpose(3, 2, 1, 0))  # hermiticity (real)
 
@@ -341,7 +334,7 @@ def test_pair_tensor_symmetries(op, bump):
 def test_pair_tensor_constant_potential_factorizes(op):
     # sigma much larger than the box makes w effectively constant = a
     flat = make_pair_potential("gaussian-bump", op.grid, amplitude=0.7, sigma=500.0)
-    t = build_pair_tensor(op, flat, 3).tensor
+    t = oracles.fock_tensor(build_pair_tensor(op, flat, 3))
     K = 3
     expected = 0.7 * np.einsum("il,jk->ijkl", np.eye(K), np.eye(K))
     assert np.abs(t - expected).max() < 1e-3
@@ -547,7 +540,7 @@ def test_non_separable_gram_stays_on_fft(op, bump, delta, monkeypatch):
 def test_w1111_matches_bare(op, bump):
     t = build_pair_tensor(op, bump, 1)
     oracle = grid_oracle(one([1.0]), op, bump, renormalized=False)[0]
-    assert t.tensor[0, 0, 0, 0] == pytest.approx(2.0 * oracle, rel=1e-12)
+    assert oracles.fock_tensor(t)[0, 0, 0, 0] == pytest.approx(2.0 * oracle, rel=1e-12)
 
 
 @given(theta=st.floats(min_value=0.0, max_value=2 * np.pi),
