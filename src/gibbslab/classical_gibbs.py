@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_DENSE_MODES
+from .config import MAX_DENSE_MODES, ConfigurationError
 from .fock_quantum import ORDERS, symmetric_basis
 from .gaussian import Ensemble
 from .interaction import PairTensor, batch_interactions
-from .spectral import ConfigurationError, OneBodyOperator
+from .spectral import OneBodyOperator
 
 ESS_FLOOR_FRACTION = 0.05
 
@@ -74,10 +74,8 @@ class ReducedMoment:
     tuple's mode coefficients: at order 1, (i, j) = E[alpha_i conj(alpha_j)].
     """
 
-    order: int
     matrix: np.ndarray
     stderr: np.ndarray
-    ess: float
 
 
 def _weighted_moment(features: np.ndarray, weights: np.ndarray
@@ -117,8 +115,7 @@ def reduced_moment(ensemble: Ensemble, order: int) -> ReducedMoment:
         for i in t[1:]:
             feats[:, col] *= a[:, i]
     M, se = _weighted_moment(feats, ensemble.weights)
-    return ReducedMoment(order=order, matrix=M, stderr=se,
-                         ess=effective_sample_size(ensemble.weights))
+    return ReducedMoment(matrix=M, stderr=se)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

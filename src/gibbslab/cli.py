@@ -1,10 +1,10 @@
 """Experiment runner.
 
 Subcommands: spectrum, sample-gaussian, classical-gibbs, quantum-gibbs,
-hartree, study-1d, study-2d-classical.  Exit codes: 0 success, 2 config
-error, 3 numerical failure (nonconvergence or unsafe cutoffs under
---strict).  Result documents are deterministic; wall-clock metadata goes to
-a separate meta.json.
+hartree, study-1d, study-2d-classical.  Exit codes: 0 success, 2 refused
+input (ConfigurationError), 3 numerical failure (ArithmeticError, or under
+--strict nonconvergence or unsafe cutoffs).  Result documents are
+deterministic; wall-clock metadata goes to a separate meta.json.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from . import fock_quantum as fq
 from . import formats, hartree, studies
-from .config import ConfigError, RunConfig, load_config, validate
+from .config import ConfigurationError, RunConfig, load_config, validate
 from .gaussian import sample_gaussian
 from .interaction import build_pair_tensor
-from .spectral import ConfigurationError, DomainError, schatten_trace
+from .spectral import schatten_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,10 +87,8 @@ def _emit(cfg: RunConfig, out: Path, name: str, results: dict,
         path = out / f"{name}.csv"
         formats.write_csv(path, rows)
         written.append(path)
-    meta = out / "meta.json"
-    meta.write_text(json.dumps({"written_at": time.time(),
-                                "gibbslab_version": __version__}) + "\n",
-                    encoding="utf-8")
+    meta = {"written_at": time.time(), "gibbslab_version": __version__}
+    (out / "meta.json").write_text(json.dumps(meta) + "\n", encoding="utf-8")
     return written
 
 
@@ -266,15 +264,15 @@ def main(argv=None) -> int:
     try:
         cfg = _load(args)
         out = _outdir(cfg)
-    except (ConfigError, OSError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, out, args)
-    except (ConfigError, ConfigurationError, DomainError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (hartree.GapClosedError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

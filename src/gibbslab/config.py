@@ -10,10 +10,13 @@ from pathlib import Path
 # Fock spaces and order-2 moment matrices are dense in the mode count.  The
 # Fock sector size is checked where the space is built (fock_quantum).
 MAX_DENSE_MODES = 12
+# Bytes of one dense working set: the pair Gram build and the solve of one
+# block of a Fock sector are each refused over it.
+MAX_DENSE_BYTES = 2**30
 
 
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
+class ConfigurationError(ValueError):
+    """Refused input: a bad field or argument, or a working set over a cap."""
 
 
 @dataclass
@@ -108,7 +111,7 @@ def _coerce(name: str, raw: str, default):
             return tuple(elem(p) for p in parts)
         return raw
     except ValueError as exc:
-        raise ConfigError(f"field {name}: cannot parse {raw!r}") from exc
+        raise ConfigurationError(f"field {name}: cannot parse {raw!r}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -118,11 +121,11 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig()
     for section in parser.sections():
         if section not in {f.name for f in fields(cfg)}:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ConfigurationError(f"unknown section [{section}]")
         target = getattr(cfg, section)
         for key, raw in parser.items(section):
             if key not in {f.name for f in fields(target)}:
-                raise ConfigError(f"unknown field {section}.{key}")
+                raise ConfigurationError(f"unknown field {section}.{key}")
             default = getattr(target, key)
             setattr(target, key, _coerce(f"{section}.{key}", raw, default))
     validate(cfg)
@@ -131,7 +134,7 @@ def load_config(path) -> RunConfig:
 
 def _require(cond: bool, message: str):
     if not cond:
-        raise ConfigError(message)
+        raise ConfigurationError(message)
 
 
 def validate(cfg: RunConfig) -> None:

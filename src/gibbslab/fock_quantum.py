@@ -12,7 +12,8 @@ by divide and conquer, so the pair term's odd-mode parity classes are
 solved apart.  Spectra keep one set of vectors per block, and the Gibbs
 state is assembled block by block into dense sector blocks.
 boltzmann_weights gives level probabilities and log Z under any particle
-cutoff, so the cutoff audit reads given spectra and assembles no states.
+cutoff; the Gibbs state and the cutoff audit read <N> and the top-sector
+weight from them, so the audit assembles no states.
 One symmetric k-body basis, symmetric_basis, indexes second quantization,
 the reduced densities and the classical moments; second_quantize scatters
 over the same index tables that reduced_density gathers from.
@@ -28,8 +29,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .config import MAX_DENSE_BYTES, ConfigurationError
 from .interaction import PairTensor, _pair_index
-from .spectral import ConfigurationError, DomainError
 
 SATURATION_THRESHOLD = 1e-6
 # States in one particle-number sector of the Fock basis.
@@ -145,16 +146,6 @@ class FockState:
     basis: FockBasis
     blocks: list[np.ndarray]
 
-    def block_trace(self, n: int) -> float:
-        b = self.blocks[n]
-        return float(b.sum().real) if b.ndim == 1 else float(np.trace(b).real)
-
-    def sector_weights(self) -> np.ndarray:
-        return np.array([self.block_trace(n) for n in range(self.basis.num_sectors)])
-
-    def mean_particles(self) -> float:
-        return float(np.dot(np.arange(self.basis.num_sectors), self.sector_weights()))
-
 
 def build_fock(K: int, N_max: int) -> FockBasis:
     return FockBasis(K, N_max)
@@ -250,22 +241,32 @@ def sector_eigensystems(H: FockOperator, nu: float) -> SectorSpectra:
     sector is solved as one block per connected component of its
     off-diagonal entries, in label order, each by divide and conquer
     (LAPACK evd).  An m-state block needs 1 + 6m + 2m^2 doubles of solver
-    workspace, against O(m) for the MRRR driver, and its vectors take m^2:
-    with two parity blocks about half the d^2 of a whole-sector solve.
+    workspace, against O(m) for the MRRR driver, and m^2 each for the dense
+    block and its vectors: with two parity blocks about half the d^2 of a
+    whole-sector solve.  Before any block is made dense, a block whose
+    8 (4m^2 + 6m + 1) bytes exceed MAX_DENSE_BYTES raises ConfigurationError.
     """
     # deferred: importing csgraph costs 3 MB and 25 ms that only Fock solves need
     from scipy.sparse.csgraph import connected_components
-    energies, vectors = [], []
+    components = []
     for n, block in enumerate(H.blocks):
-        shifted_diag = block.diagonal() - nu * n
         off = block - sp.diags(block.diagonal())
-        if off.nnz == 0:
-            energies.append(shifted_diag)
+        labels = connected_components(off, directed=False)[1] if off.nnz else None
+        m = 0 if labels is None else int(np.bincount(labels).max())
+        nbytes = 8 * (4 * m * m + 6 * m + 1)
+        if nbytes > MAX_DENSE_BYTES:
+            raise ConfigurationError(
+                f"sector n={n}: a {m}-state block needs {nbytes} bytes to solve, "
+                f"over the {MAX_DENSE_BYTES}-byte cap")
+        components.append(labels)
+    energies, vectors = [], []
+    for n, (block, labels) in enumerate(zip(H.blocks, components)):
+        if labels is None:
+            energies.append(block.diagonal() - nu * n)
             vectors.append(None)
             continue
-        count, labels = connected_components(off, directed=False)
         vals, blocks = [], []
-        for c in range(count):
+        for c in range(labels.max() + 1):
             states = np.flatnonzero(labels == c)
             sub = block[np.ix_(states, states)].toarray()
             sub[np.diag_indices_from(sub)] -= nu * n
@@ -296,7 +297,7 @@ def boltzmann_weights(spectra: SectorSpectra, T: float, n_max: int,
     spectrum cannot underflow the partition function.
     """
     if T <= 0:
-        raise DomainError("temperature must be positive")
+        raise ConfigurationError("temperature must be positive")
     if not 0 <= n_max <= spectra.basis.max_particles:
         raise ConfigurationError(
             f"particle cutoff {n_max} is outside 0..{spectra.basis.max_particles}")
@@ -305,6 +306,12 @@ def boltzmann_weights(spectra: SectorSpectra, T: float, n_max: int,
     weights = [np.exp(-(e - all_min) / T) for e in energies]
     zt = sum(float(w.sum()) for w in weights)
     return [w / zt for w in weights], float(np.log(zt) - (all_min + E0) / T)
+
+
+def _particle_scalars(probs: list[np.ndarray]) -> tuple[float, float]:
+    """<N> and the top sector's weight from boltzmann_weights' probabilities."""
+    weights = np.array([p.sum() for p in probs])
+    return float(np.arange(len(weights)) @ weights), float(weights[-1])
 
 
 def _dense_block(p: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -324,10 +331,9 @@ def gibbs_from_spectra(spectra: SectorSpectra, T: float, E0: float = 0.0) -> Gib
     probs, log_Z = boltzmann_weights(spectra, T, basis.max_particles, E0)
     state = FockState(basis=basis, blocks=[p if V is None else _dense_block(p, V)
                                            for p, V in zip(probs, spectra.vectors)])
-    top_weight = state.block_trace(basis.max_particles)
+    mean_N, top_weight = _particle_scalars(probs)
     return GibbsResult(state=state, log_partition=log_Z,
-                       free_energy=-T * log_Z,
-                       mean_particles=state.mean_particles(),
+                       free_energy=-T * log_Z, mean_particles=mean_N,
                        top_sector_weight=top_weight,
                        cutoff_safe=top_weight <= SATURATION_THRESHOLD)
 
@@ -392,7 +398,6 @@ class CutoffAuditRow:
 class CutoffAudit:
     rows: list[CutoffAuditRow]
     converged: bool
-    tolerance: float
 
 
 def cutoff_audit(spectra: SectorSpectra, T: float, schedule: list[int],
@@ -401,17 +406,15 @@ def cutoff_audit(spectra: SectorSpectra, T: float, schedule: list[int],
     from level probabilities; converged once the last step moves F < 1e-6 T."""
     if not schedule or any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ConfigurationError("cutoff schedule must be nonempty and strictly increasing")
-    tol = 1e-6 * T
     rows = []
     prev = math.nan
     for n_max in schedule:
         probs, log_Z = boltzmann_weights(spectra, T, n_max, E0)
-        weights = np.array([p.sum() for p in probs])
+        mean_N, top_weight = _particle_scalars(probs)
         F = -T * log_Z
-        rows.append(CutoffAuditRow(n_max=n_max, free_energy=F,
-                                   mean_particles=float(np.arange(n_max + 1) @ weights),
+        rows.append(CutoffAuditRow(n_max=n_max, free_energy=F, mean_particles=mean_N,
                                    delta_free_energy=abs(F - prev),
-                                   top_sector_weight=float(weights[-1])))
+                                   top_sector_weight=top_weight))
         prev = F
-    converged = len(rows) > 1 and rows[-1].delta_free_energy < tol
-    return CutoffAudit(rows=rows, converged=converged, tolerance=tol)
+    converged = len(rows) > 1 and rows[-1].delta_free_energy < 1e-6 * T
+    return CutoffAudit(rows=rows, converged=converged)

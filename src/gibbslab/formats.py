@@ -10,14 +10,15 @@ Binary layouts (all little-endian):
                     complex entries as (f64 re, f64 im), row-major.
 
 The readers raise ValueError, naming the path, on a file whose length is
-not the one its header implies.  JSON output renders every float with 17
-significant digits so documents are byte-reproducible and round-trip
-exactly.
+not the one its header implies.  JSON and CSV print every float as its
+shortest round-trip repr, so documents are byte-reproducible and read back
+exactly; JSON keeps NaN and +-Infinity as the tokens NaN and +-Infinity.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import struct
 from pathlib import Path
@@ -85,55 +86,22 @@ def read_matrix(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic JSON with fixed float rendering
+# JSON and CSV
 
 
-def format_float(x: float) -> str:
-    if np.isnan(x):
-        return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
-
-
-def _render(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, complex):
-        _render({"re": obj.real, "im": obj.imag}, out)
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            _render(str(k), out)
-            out.append(":")
-            _render(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.append("[")
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            _render(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
+def _jsonable(obj):
+    """What json cannot encode itself: arrays, numpy integers, complex numbers."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def dumps(document: dict) -> str:
-    out: list = []
-    _render(document, out)
-    return "".join(out)
+    return json.dumps(document, separators=(",", ":"), default=_jsonable)
 
 
 def write_json(path, kind: str, results: dict, config_echo: dict | None = None) -> None:
@@ -145,14 +113,9 @@ def write_json(path, kind: str, results: dict, config_echo: dict | None = None) 
 
 
 def write_csv(path, rows: list[dict]) -> None:
-    """One row per schedule point, floats at 17 significant digits."""
-    if not rows:
-        Path(path).write_text("", encoding="utf-8")
-        return
-    fields = list(rows[0].keys())
+    """One row per schedule point under a header of the first row's keys."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([format_float(v) if isinstance(v, (float, np.floating))
-                             else v for v in (row[f] for f in fields)])
+        if rows:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0].keys())
+            writer.writerows([row[f] for f in rows[0]] for row in rows)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import DomainError, OneBodyOperator
+from .config import ConfigurationError
+from .spectral import OneBodyOperator
 
 # Samples drawn per block, and per batch of interaction energies.
 _SAMPLE_CHUNK = 1024
@@ -63,7 +64,7 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
     """
     lam, _ = op.modes(K)
     if np.any(lam <= 0):
-        raise DomainError("Gaussian measure needs a positive operator; shift first")
+        raise ConfigurationError("Gaussian measure needs a positive operator; shift first")
     scale = 1.0 / np.sqrt(2.0 * lam)
     coeffs = np.empty((n, K), dtype=complex)
     bits = np.random.Philox(key=int(seed) << 64)

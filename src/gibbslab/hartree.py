@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .config import ConfigurationError
 from .interaction import PairPotential, convolve, quadratic_form
-from .spectral import DomainError, GridSpec, minus_laplacian
+from .spectral import GridSpec, minus_laplacian
 
 # The momentum integral for the free-gas density is taken without a
 # (2 pi)^-d factor by default; '2pi' switches that factor on.
@@ -27,7 +28,7 @@ def _measure_factor(measure: str, d: int) -> float:
         return 1.0
     if measure == "2pi":
         return (2.0 * np.pi) ** (-d)
-    raise DomainError(f"momentum measure must be one of {MOMENTUM_MEASURES}")
+    raise ConfigurationError(f"momentum measure must be one of {MOMENTUM_MEASURES}")
 
 
 def free_gas_density(T: float, gap: float, d: int, measure: str = "unit") -> float:
@@ -38,9 +39,9 @@ def free_gas_density(T: float, gap: float, d: int, measure: str = "unit") -> flo
     dimension it is evaluated by adaptive quadrature.
     """
     if gap <= 0:
-        raise DomainError("gap must be positive")
+        raise ConfigurationError("gap must be positive")
     if T <= 0:
-        raise DomainError("temperature must be positive")
+        raise ConfigurationError("temperature must be positive")
     fac = _measure_factor(measure, d)
     if d == 2:
         return fac * float(np.pi * T * (-np.log1p(-np.exp(-gap / T))))
@@ -54,14 +55,14 @@ def free_gas_density(T: float, gap: float, d: int, measure: str = "unit") -> flo
         val, _ = scipy.integrate.quad(integrand, 0.0, np.inf,
                                       epsabs=1e-12, epsrel=1e-12, limit=400)
         return fac * 2.0 * float(val)
-    raise DomainError("free gas density implemented for d in {1, 2}")
+    raise ConfigurationError("free gas density implemented for d in {1, 2}")
 
 
 def counterterm_chemical_potential(T: float, lam: float, kappa: float,
                                    w: PairPotential, measure: str = "unit") -> float:
     """nu = lam * w_hat(0) * rho0(T, kappa) - kappa."""
     if kappa <= 0:
-        raise DomainError("kappa must be positive")
+        raise ConfigurationError("kappa must be positive")
     rho0 = free_gas_density(T, kappa, w.grid.dimension, measure)
     return lam * w.w_hat_zero * rho0 - kappa
 
@@ -123,11 +124,11 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
     energy, the next target and the residual the returned state reports.
     """
     if not 0 < damping <= 1:
-        raise DomainError("damping must be in (0, 1]")
+        raise ConfigurationError("damping must be in (0, 1]")
     if tol <= 0:
-        raise DomainError("tol must be positive")
+        raise ConfigurationError("tol must be positive")
     if max_iter < 0:
-        raise DomainError("max_iter must be nonnegative")
+        raise ConfigurationError("max_iter must be nonnegative")
     V = np.asarray(V, dtype=float)
     lap = minus_laplacian(grid).toarray()
     denom = 1.0 + np.abs(V)
@@ -221,7 +222,7 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
     The sandwich V/2 <= V_proxy - kappa <= 3V/2 is checked where V > 1.
     """
     if sorted(T_schedule) != list(T_schedule):
-        raise DomainError("T schedule must be increasing")
+        raise ConfigurationError("T schedule must be increasing")
     p = 2.0 if grid.dimension == 2 else 1.0
     states, nus, lams = [], [], []
     for T in T_schedule:

@@ -29,17 +29,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
+from .config import MAX_DENSE_BYTES, ConfigurationError
 from .gaussian import _SAMPLE_CHUNK, Ensemble
-from .spectral import ConfigurationError, GridSpec, OneBodyOperator, green_diagonal, mode_parity
+from .spectral import GridSpec, OneBodyOperator, green_diagonal, mode_parity
 
-# Cap on the bytes the Gram build holds: every class block, the densities of
-# the largest class and one chunk's convolution working set, 8 (sum_c m_c^2 +
-# max_c m_c N + X) for classes of m_c pairs on N points (one class
-# unlabelled) and C = _PAIR_CHUNK.  With Toeplitz tables X = 2 C N, the two
-# products; otherwise X = (5 - d) C P^(d-1) (P/2 + 1) on padded side P:
-# convolve holds the complex spectrum of C rows and a half-size (2D) or
-# same-size (1D) copy.
-MAX_GRAM_BYTES = 2**30
+# The Gram build holds, against MAX_DENSE_BYTES, every class block, the
+# densities of the largest class and one chunk's convolution working set,
+# 8 (sum_c m_c^2 + max_c m_c N + X) bytes for classes of m_c pairs on N
+# points (one class unlabelled) and C = _PAIR_CHUNK.  With Toeplitz tables
+# X = 2 C N, the two products; otherwise X = (5 - d) C P^(d-1) (P/2 + 1) on
+# padded side P: convolve holds the complex spectrum of C rows and a
+# half-size (2D) or same-size (1D) copy.
+#
 # Pair densities convolved at once in the Gram build and the streamed
 # exchange term; bounds the convolution buffers.
 _PAIR_CHUNK = 64
@@ -281,7 +282,7 @@ class PairTensor:
 
 
 def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTensor:
-    """Pair Gram matrix at cutoff K by pair class, refused over MAX_GRAM_BYTES.
+    """Pair Gram matrix at cutoff K by pair class, refused over MAX_DENSE_BYTES.
 
     Entries between classes are never computed.  Within a class only the
     lower triangle is, one chunk of convolved pair densities at a time;
@@ -303,10 +304,10 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     work = (2 * _PAIR_CHUNK * N if w.toeplitz is not None
             else (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1))
     nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * N + work)
-    if nbytes > MAX_GRAM_BYTES:
+    if nbytes > MAX_DENSE_BYTES:
         raise ConfigurationError(
             f"pair Gram at K={K} needs {nbytes} bytes, over the "
-            f"{MAX_GRAM_BYTES}-byte cap")
+            f"{MAX_DENSE_BYTES}-byte cap")
     grams = []
     for pos in pairs:
         m = len(pos)

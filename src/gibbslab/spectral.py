@@ -16,18 +16,12 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .config import ConfigurationError
+
 # Dense diagonalization below this many grid points, Lanczos above.
 _DENSE_LIMIT = 1500
 # Refuse grids that would not fit a desk machine.
 MAX_GRID_POINTS = 300_000
-
-
-class ConfigurationError(ValueError):
-    """Bad construction parameters (grid, mode counts, potential)."""
-
-
-class DomainError(ValueError):
-    """Parameters outside the mathematical domain of an operation."""
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,7 @@ def mode_parity(op: OneBodyOperator, K: int) -> np.ndarray | None:
 def shift_potential(op: OneBodyOperator, nu: float) -> OneBodyOperator:
     """Replace every eigenvalue by lambda_j - nu; eigenvectors unchanged."""
     if nu >= op.eigenvalues[0]:
-        raise DomainError(
+        raise ConfigurationError(
             f"shift nu={nu} >= lowest eigenvalue {op.eigenvalues[0]}: "
             "measure would be undefined")
     return OneBodyOperator(grid=op.grid, potential_kind=op.potential_kind,
@@ -238,12 +232,12 @@ def schatten_trace(op: OneBodyOperator, p: float) -> SchattenTrace:
     growth exponent times p is <= 1.
     """
     if p <= 0:
-        raise DomainError("p must be positive")
+        raise ConfigurationError("p must be positive")
     lam = op.eigenvalues
     if len(lam) < 2:
-        raise DomainError(f"the tail fit needs at least 2 eigenpairs, have {len(lam)}")
+        raise ConfigurationError(f"the tail fit needs at least 2 eigenpairs, have {len(lam)}")
     if np.any(lam <= 0):
-        raise DomainError("all eigenvalues must be positive")
+        raise ConfigurationError("all eigenvalues must be positive")
     partial = float(np.sum(lam**(-p)))
 
     J = len(lam)

@@ -24,7 +24,7 @@ import numpy as np
 from . import classical_gibbs as cg
 from . import fock_quantum as fq
 from . import hartree
-from .config import MAX_DENSE_MODES, ConfigError, RunConfig
+from .config import MAX_DENSE_MODES, ConfigurationError, RunConfig
 from .gaussian import sample_gaussian
 from .interaction import (PairPotential, PairTensor, batch_interactions,
                           build_pair_tensor, direct_term, exchange_term,
@@ -57,7 +57,7 @@ def bind_potential(cfg: RunConfig, grid: GridSpec) -> PairPotential:
         try:
             table = np.loadtxt(i.table_path)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"interaction.table_path {i.table_path!r}: {exc}") from exc
+            raise ConfigurationError(f"interaction.table_path {i.table_path!r}: {exc}") from exc
         return make_pair_potential("tabulated", grid, table=table)
     return make_pair_potential(i.kind, grid, amplitude=i.amplitude, sigma=i.sigma)
 
@@ -159,18 +159,16 @@ class Study1DReport:
 
 def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
     if cfg.model.dimension != 1:
-        raise ConfigError("the 1D study requires model.dimension = 1")
+        raise ConfigurationError("the 1D study requires model.dimension = 1")
     if cfg.quantum.n_max < 2:
-        raise ConfigError("the 1D study's cutoff audit needs quantum.n_max >= 2")
-    K = cfg.model.modes
-    n_max = cfg.quantum.n_max
-    c = cfg.quantum.coupling_c
+        raise ConfigurationError("the 1D study's cutoff audit needs quantum.n_max >= 2")
+    K, n_max, c = cfg.model.modes, cfg.quantum.n_max, cfg.quantum.coupling_c
 
     op = build_model_operator(cfg)
     op_meas = shifted_operator(cfg, op)
     trace = schatten_trace(op_meas, 1.0)
     if trace.likely_divergent:
-        raise ConfigError(
+        raise ConfigurationError(
             "1D study needs a trace-class trap (growth exponent "
             f"{trace.growth_exponent:.3f} at p=1 looks divergent)")
 
@@ -200,12 +198,8 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
             cutoff_safe=g_int.cutoff_safe,
             audit_delta_F=audit.rows[-1].delta_free_energy)
 
-    schedule = list(cfg.quantum.t_schedule)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(solve_point, schedule))
-    else:
-        points = [solve_point(T) for T in schedule]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        points = list(pool.map(solve_point, cfg.quantum.t_schedule))
 
     discrepancies = [p.discrepancy for p in points]
     return Study1DReport(
@@ -314,7 +308,7 @@ def fine_check_potential(cfg: RunConfig) -> PairPotential:
 
 def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
     if cfg.model.dimension != 2:
-        raise ConfigError("the 2D study requires model.dimension = 2")
+        raise ConfigurationError("the 2D study requires model.dimension = 2")
     ks = [int(k) for k in cfg.study.k_schedule]
     k_max = max(ks)
     # the floor of 96 eigenpairs asks for no more than the grid has

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from gibbslab.config import ConfigurationError
 from gibbslab.fock_quantum import FockBasis, FockOperator, FockState
 from gibbslab.gaussian import Ensemble
 from gibbslab.hartree import RhfState, _measure_factor
 from gibbslab.interaction import PairPotential, PairTensor, _pair_index, convolve
-from gibbslab.spectral import ConfigurationError, OneBodyOperator, minus_laplacian
+from gibbslab.spectral import OneBodyOperator, minus_laplacian
 
 # ---------------------------------------------------------------------------
 # One-body operator and pair tensor
@@ -141,6 +142,12 @@ def fixed_point_residual(state: RhfState, V: np.ndarray, w: PairPotential,
 # Coherent states and the free-energy functional
 
 
+def sector_weights(state: FockState) -> np.ndarray:
+    """The trace of each sector block of state; a 1-D block is a diagonal."""
+    return np.array([b.sum().real if b.ndim == 1 else np.trace(b).real
+                     for b in state.blocks])
+
+
 @dataclass(frozen=True)
 class CoherentReport:
     state: FockState
@@ -181,7 +188,8 @@ def coherent_state(v: np.ndarray, basis: FockBasis) -> CoherentReport:
     state = FockState(basis=basis, blocks=blocks)
     captured = total / float(np.exp(norm_sq))
     return CoherentReport(state=state, captured_mass=captured,
-                          mean_particles=state.mean_particles(),
+                          mean_particles=float(np.arange(basis.num_sectors)
+                                               @ sector_weights(state)),
                           truncation_warning=warn)
 
 

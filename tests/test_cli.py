@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import struct
@@ -11,7 +12,7 @@ import pytest
 
 from gibbslab import formats
 from gibbslab.cli import main
-from gibbslab.config import ConfigError, RunConfig, load_config, validate
+from gibbslab.config import ConfigurationError, RunConfig, load_config, validate
 from gibbslab.gaussian import Ensemble
 
 SMALL_1D = """
@@ -66,7 +67,7 @@ def test_config_rejects_unknown_field(tmp_path):
     path, _ = write_config(tmp_path, model_extra=[])
     bad = path.read_text().replace("[interaction]", "[interaction]\nwhatever = 3")
     path.write_text(bad)
-    with pytest.raises(ConfigError, match="whatever"):
+    with pytest.raises(ConfigurationError, match="whatever"):
         load_config(path)
 
 
@@ -77,7 +78,7 @@ def test_config_rejects_unknown_field(tmp_path):
 ])
 def test_config_rejects_unknown_names(tmp_path, old, new, name):
     path, _ = write_config(tmp_path, text=SMALL_1D.replace(old, new))
-    with pytest.raises(ConfigError, match=re.escape(name)):
+    with pytest.raises(ConfigurationError, match=re.escape(name)):
         load_config(path)
 
 
@@ -85,23 +86,23 @@ def test_config_cross_field_checks():
     cfg = RunConfig()
     cfg.model.dimension = 2
     cfg.interaction.kind = "grid-delta"
-    with pytest.raises(ConfigError, match="grid-delta"):
+    with pytest.raises(ConfigurationError, match="grid-delta"):
         validate(cfg)
     cfg = RunConfig()
     cfg.quantum.t_schedule = (4.0, 2.0)
-    with pytest.raises(ConfigError, match="increasing"):
+    with pytest.raises(ConfigurationError, match="increasing"):
         validate(cfg)
     cfg = RunConfig()
     cfg.model.modes = 13
-    with pytest.raises(ConfigError, match="modes"):
+    with pytest.raises(ConfigurationError, match="modes"):
         validate(cfg)
     cfg = RunConfig()
     cfg.model.s = 0.5
-    with pytest.raises(ConfigError, match="model.s"):
+    with pytest.raises(ConfigurationError, match="model.s"):
         validate(cfg)
     cfg = RunConfig()
     cfg.interaction.kind = "tabulated"
-    with pytest.raises(ConfigError, match="table_path"):
+    with pytest.raises(ConfigurationError, match="table_path"):
         validate(cfg)
 
 
@@ -111,7 +112,7 @@ def test_config_cauchy_samples_floor():
     for n in (0, 1):
         cfg = RunConfig()
         cfg.study.cauchy_samples = n
-        with pytest.raises(ConfigError, match="study.cauchy_samples"):
+        with pytest.raises(ConfigurationError, match="study.cauchy_samples"):
             validate(cfg)
     cfg = RunConfig()
     cfg.study.cauchy_samples = 2
@@ -427,7 +428,7 @@ def test_cli_hartree_points_floor(tmp_path, capsys):
     text = SMALL_2D.replace("points = 16", "points = 5").replace(
         "shared_modes = 8", "shared_modes = 4")
     path, out = write_config(tmp_path, text=text)
-    with pytest.raises(ConfigError, match="hartree.points"):
+    with pytest.raises(ConfigurationError, match="hartree.points"):
         validate(load_config(path))
     for command in ("study-2d-classical", "hartree"):
         assert main([command, "--config", str(path)]) == 2
@@ -504,14 +505,29 @@ def test_json_determinism(tmp_path):
     assert (out / "meta.json").exists()
 
 
-def test_seventeen_digit_floats_roundtrip():
+def test_json_floats_roundtrip():
     rng = np.random.default_rng(1)
     for x in rng.standard_normal(100) * 10.0 ** rng.integers(-30, 30, 100):
-        assert float(formats.format_float(x)) == x
-    doc = formats.dumps({"x": 0.1 + 0.2, "arr": np.array([1.5, np.pi])})
+        assert json.loads(formats.dumps({"x": x}))["x"] == x
+    doc = formats.dumps({"x": 0.1 + 0.2, "arr": np.array([1.5, np.pi]),
+                         "neg_zero": -0.0, "two": 2.0, "n": np.int64(3), "z": 1 - 2j,
+                         "special": [math.nan, math.inf, -math.inf]})
     parsed = json.loads(doc)
     assert parsed["x"] == 0.1 + 0.2
     assert parsed["arr"][1] == np.pi
+    assert math.copysign(1.0, parsed["neg_zero"]) == -1.0
+    assert isinstance(parsed["two"], float) and parsed["two"] == 2.0
+    assert parsed["n"] == 3 and parsed["z"] == {"re": 1.0, "im": -2.0}
+    assert '"special":[NaN,Infinity,-Infinity]' in doc
+
+
+def test_output_path_with_tab_is_escaped(tmp_path):
+    out = tmp_path / "out\tdir"
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL_1D.format(out=out), encoding="utf-8")
+    assert main(["spectrum", "--config", str(path)]) == 0
+    doc = json.loads((out / "spectrum.json").read_text(encoding="utf-8"))
+    assert doc["config"]["output"]["directory"] == str(out)
 
 
 def test_matrix_format_layout(tmp_path):

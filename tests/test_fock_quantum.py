@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ import scipy.sparse as sp
 
 import gibbslab.classical_gibbs as cg
 import gibbslab.fock_quantum as fq
-from gibbslab.config import RunConfig
+from gibbslab.config import MAX_DENSE_BYTES, ConfigurationError, RunConfig
 from gibbslab.gaussian import Ensemble
 from gibbslab.interaction import build_pair_tensor, make_pair_potential, quadratic_form
-from gibbslab.spectral import (ConfigurationError, DomainError, GridSpec, build_one_body,
-                               mode_parity)
+from gibbslab.spectral import GridSpec, build_one_body, mode_parity
 from gibbslab.studies import (bind_potential, build_model_operator, quantum_schedule,
                               run_study_1d)
 
@@ -61,6 +61,32 @@ def test_basis_radix_codes_fit_int64():
         assert b.index_of(occ) == (2, idx)
     with pytest.raises(ConfigurationError, match="overflow"):
         fq.FockBasis(41, 2)
+
+
+def test_sector_solve_over_byte_cap_is_refused_before_allocating(monkeypatch):
+    # hopping along a chain of 8 modes joins each sector into one block;
+    # sector 8 of FockBasis(8, 9) has 6435 states, whose dense block, vectors
+    # and evd workspace take 8 (4 m^2 + 6 m + 1) bytes, over the cap
+    b = fq.FockBasis(8, 9)
+    h1 = np.diag(np.arange(1.0, 9.0)) - np.eye(8, k=1) - np.eye(8, k=-1)
+    H = fq.second_quantize_one_body(b, h1)
+    m = b.sector_dim(8)
+    need = 8 * (4 * m * m + 6 * m + 1)
+    assert m == 6435 and need > MAX_DENSE_BYTES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was solved")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError,
+                           match=f"sector n=8: a 6435-state block needs {need} bytes"):
+            fq.sector_eigensystems(H, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
 
 
 def _layout(obj) -> dict:
@@ -259,7 +285,7 @@ def test_gibbs_low_temperature_ground_state(op, bump):
     res = fq.gibbs_state(H, 1e-3, 0.0)
     # vacuum is the ground sector here (all energies positive)
     assert res.free_energy == pytest.approx(0.0, abs=1e-6)
-    assert res.state.block_trace(0) == pytest.approx(1.0, abs=1e-10)
+    assert oracles.sector_weights(res.state)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gibbs_constant_shift_invariance(op, bump):
@@ -287,11 +313,11 @@ def test_temperature_must_be_positive(T):
     b = fq.build_fock(2, 6)
     H = fq.second_quantize_one_body(b, np.array([1.0, 2.5]))
     spectra = fq.sector_eigensystems(H, 0.0)
-    with pytest.raises(DomainError, match="temperature must be positive"):
+    with pytest.raises(ConfigurationError, match="temperature must be positive"):
         fq.gibbs_from_spectra(spectra, T)
-    with pytest.raises(DomainError, match="temperature must be positive"):
+    with pytest.raises(ConfigurationError, match="temperature must be positive"):
         fq.cutoff_audit(spectra, T, [2, 4, 6])
-    with pytest.raises(DomainError, match="temperature must be positive"):
+    with pytest.raises(ConfigurationError, match="temperature must be positive"):
         fq.gibbs_state(H, T, 0.0)
 
 
@@ -392,13 +418,13 @@ def test_coherent_state_poisson():
     v2 = 1.5**2 + 0.5**2
     assert abs(rep.mean_particles - v2) < 1e-6
     assert abs(rep.captured_mass - 1.0) < 1e-6
-    assert rep.state.sector_weights().sum() == pytest.approx(1.0, abs=1e-12)
+    assert oracles.sector_weights(rep.state).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_state_vacuum_and_rank_one():
     b = fq.build_fock(2, 20)
     vac = oracles.coherent_state(np.zeros(2, dtype=complex), b)
-    assert vac.state.block_trace(0) == pytest.approx(1.0)
+    assert oracles.sector_weights(vac.state)[0] == pytest.approx(1.0)
     v = np.array([0.8 + 0.1j, -0.4 + 0.6j])
     rep = oracles.coherent_state(v, b)
     g1 = fq.reduced_density(rep.state, 1).matrix
@@ -537,10 +563,12 @@ def test_cutoff_audit_matches_dense_states(op, bump):
     prev = None
     for row, n_max in zip(audit.rows, schedule):
         F, state = _dense_cut_state(spectra, T, n_max, E0)
+        weights = oracles.sector_weights(state)
         assert row.n_max == n_max
         assert row.free_energy == F
-        assert row.mean_particles == pytest.approx(state.mean_particles(), rel=1e-14)
-        assert row.top_sector_weight == pytest.approx(state.block_trace(n_max), rel=1e-14)
+        assert row.mean_particles == pytest.approx(np.arange(len(weights)) @ weights,
+                                                   rel=1e-14)
+        assert row.top_sector_weight == pytest.approx(weights[n_max], rel=1e-14)
         if prev is None:
             assert np.isnan(row.delta_free_energy)
         else:

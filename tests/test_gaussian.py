@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbslab import formats
+from gibbslab.config import ConfigurationError
 from gibbslab.gaussian import _SAMPLE_CHUNK, Ensemble, sample_gaussian
-from gibbslab.spectral import (ConfigurationError, DomainError, GridSpec,
-                               build_one_body, schatten_trace, shift_potential)
+from gibbslab.spectral import GridSpec, build_one_body, schatten_trace, shift_potential
 
 from oracles import fields_on_grid, sobolev_norms_sq
 
@@ -199,7 +199,7 @@ def test_requires_positive_operator(op):
     assert shifted.eigenvalues[0] > 0  # legal but tiny
     with pytest.raises(ConfigurationError, match=r"K=40 out of range"):
         sample_gaussian(op, 40, 5, seed=1)  # more modes than computed
-    with pytest.raises(DomainError, match="positive operator"):
+    with pytest.raises(ConfigurationError, match="positive operator"):
         negative = replace(op, eigenvalues=op.eigenvalues - op.eigenvalues[1])
         sample_gaussian(negative, 2, 5, seed=1)
 

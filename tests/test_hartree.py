@@ -3,8 +3,9 @@ import pytest
 
 import gibbslab.hartree as ha
 from gibbslab import interaction
+from gibbslab.config import ConfigurationError
 from gibbslab.interaction import make_pair_potential, quadratic_form
-from gibbslab.spectral import DomainError, GridSpec, potential_values
+from gibbslab.spectral import GridSpec, potential_values
 
 import oracles
 
@@ -167,7 +168,7 @@ def test_rhf_nonconvergence_flag(grid1d, trap1d, bump1d):
         assert not st.converged
         assert st.iterations == max_iter
         assert st.residual == oracles.fixed_point_residual(st, trap1d, bump1d, 0.4, -1.0) > 0
-    with pytest.raises(DomainError, match="max_iter"):
+    with pytest.raises(ConfigurationError, match="max_iter"):
         ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T=3.0, lam=0.4, nu=-1.0,
                                  max_iter=-1)
 

@@ -10,9 +10,9 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from gibbslab.config import MAX_DENSE_BYTES, ConfigurationError
 from gibbslab.gaussian import Ensemble, sample_gaussian
-from gibbslab.interaction import (MAX_GRAM_BYTES, ConfigurationError,
-                                  batch_interactions, build_pair_tensor,
+from gibbslab.interaction import (batch_interactions, build_pair_tensor,
                                   convolve, direct_term, exchange_term,
                                   make_pair_potential, quadratic_form)
 from gibbslab.spectral import GridSpec, build_one_body, green_diagonal, mode_parity
@@ -375,7 +375,7 @@ def test_tensor_byte_cap(bump):
     assert np.sum(mode_parity(big, 200) < 0) == 100
     assert w.kernel.shape == (800,)
     need = 8 * (10100**2 + 10000**2 + 10100 * 400 + 4 * 64 * 401)
-    assert need > MAX_GRAM_BYTES
+    assert need > MAX_DENSE_BYTES
     with pytest.raises(ConfigurationError, match=f"K=200 needs {need} bytes"):
         build_pair_tensor(big, w, 200)
 
@@ -391,9 +391,9 @@ def gram_growth(kind):
     """(growth, byte model, separable) of the K = 64 Gram build on 64² in a
     fresh child.
 
-    MAX_GRAM_BYTES models the build as every class block, the largest
-    class's m_c pair densities of N points and one 64-row chunk's
-    convolution working set: two 64 x N Toeplitz products for a rank-one
+    The byte model checked against MAX_DENSE_BYTES counts every class
+    block, the largest class's m_c pair densities of N points and one
+    64-row chunk's convolution working set: two 64 x N Toeplitz products for a rank-one
     kernel, else 1.5 complex spectra of shape (64, P, P/2 + 1).  Growth runs
     from the resident set just before the build to the peak of the child's
     own address space: ru_maxrss would carry over the peak of the test

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gibbslab.config import load_config
-from gibbslab.spectral import (ConfigurationError, DomainError, GridSpec,
-                               build_one_body, green_diagonal, mode_parity,
+from gibbslab.config import ConfigurationError, load_config
+from gibbslab.spectral import (GridSpec, build_one_body, green_diagonal, mode_parity,
                                schatten_trace, shift_potential)
 from gibbslab.studies import build_model_operator
 
@@ -96,7 +95,7 @@ def test_shift_identity_and_arithmetic(harmonic_op):
 
 
 def test_shift_at_ground_energy_rejected(box_op):
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         shift_potential(box_op, box_op.eigenvalues[0])
 
 

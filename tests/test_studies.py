@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gibbslab.cli import main
-from gibbslab.config import ConfigError, RunConfig
+from gibbslab.config import ConfigurationError, RunConfig
 from gibbslab.interaction import exchange_term
 from gibbslab.studies import (bind_potential, build_model_operator, run_study_1d,
                               run_study_2d_classical, shifted_operator)
@@ -27,7 +27,7 @@ def test_study_requires_1d():
     cfg = small_1d_config()
     cfg.model.dimension = 2
     cfg.model.s = 2.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigurationError):
         run_study_1d(cfg)
 
 
