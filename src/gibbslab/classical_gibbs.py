@@ -1,9 +1,9 @@
 """Interacting classical measure by importance reweighting of Gaussian ensembles.
 
-The interacting measure is z_r^-1 exp(-D[u]) d(free measure); with a
-positive-transform potential D >= 0, so weights live in (0, 1] and plain
-importance sampling from the free measure is exact.  Everything is reported
-with effective-sample-size diagnostics.
+The measure z_r^-1 exp(-D[u]) d(free measure) is sampled exactly by weighting
+free samples by exp(-D), stored as exp(-(D - min D)) with min D as the
+ensemble's energy_floor, and reported with effective-sample-size diagnostics.
+Moments stream over sample blocks, their memory independent of the sample count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import MAX_DENSE_MODES, ConfigurationError
 from .fock_quantum import ORDERS, symmetric_basis
-from .gaussian import Ensemble
+from .gaussian import _SAMPLE_CHUNK, Ensemble
 from .interaction import PairTensor, batch_interactions
 from .spectral import OneBodyOperator
 
@@ -31,16 +31,22 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(s * s / np.square(weights).sum())
 
 
+def weigh(ensemble: Ensemble, energies: np.ndarray) -> Ensemble:
+    """exp(-D) as exp(-(D - min D)), energy_floor min D; ArithmeticError unless min D is finite."""
+    floor = float(np.min(energies))
+    if not np.isfinite(floor):
+        raise ArithmeticError(f"lowest interaction energy is {floor}")
+    return ensemble.with_weights(np.exp(floor - energies), floor)
+
+
 def reweight(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
              renormalized: bool) -> Ensemble:
     """Attach weights exp(-D[u]) for the bare or renormalized interaction."""
-    D = batch_interactions(ensemble, op, tensor, renormalized)
-    out = ensemble.with_weights(np.exp(-D))
+    out = weigh(ensemble, batch_interactions(ensemble, op, tensor, renormalized))
     ess = effective_sample_size(out.weights)
     if ess < ESS_FLOOR_FRACTION * out.size:
-        warnings.warn(
-            f"effective sample size {ess:.1f} below {ESS_FLOOR_FRACTION:.0%} of n={out.size}; "
-            "results are low-confidence", LowEffectiveSampleSize)
+        warnings.warn(f"effective sample size {ess:.1f} below {ESS_FLOOR_FRACTION:.0%} of "
+                      f"n={out.size}; results are low-confidence", LowEffectiveSampleSize)
     return out
 
 
@@ -53,16 +59,14 @@ class PartitionEstimate:
 
 
 def estimate_log_zr(ensemble: Ensemble) -> PartitionEstimate:
-    """-log of the mean weight with a delta-method standard error."""
+    """-log z_r = energy_floor - log mean w, delta-method stderr; stderr and ESS are scale-free."""
     w = ensemble.weights
     n = len(w)
     mean = float(w.mean())
-    if mean <= 0:
-        raise ArithmeticError("all weights vanished")
     stderr = float(w.std(ddof=1) / (np.sqrt(n) * mean)) if n > 1 else np.inf
     ess = effective_sample_size(w)
-    return PartitionEstimate(neg_log_zr=-np.log(mean), stderr=stderr, ess=ess,
-                             low_confidence=ess < ESS_FLOOR_FRACTION * n)
+    return PartitionEstimate(ensemble.energy_floor - np.log(mean), stderr, ess,
+                             ess < ESS_FLOOR_FRACTION * n)
 
 
 @dataclass(frozen=True)
@@ -78,44 +82,39 @@ class ReducedMoment:
     stderr: np.ndarray
 
 
-def _weighted_moment(features: np.ndarray, weights: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """M and its ratio-estimator stderr sqrt(sum_s w_s^2 |f_i f_j* - M_ij|^2) / sum w,
-    expanded into three GEMMs (the real one first, so its temporaries go
-    before the complex ones) with roundoff below zero clipped.  The complex
-    ones share one conjugate and one weighted buffer: a second buffer raised
-    study-1d's peak RSS by 12 MB."""
-    wsum = weights.sum()
-    w2 = weights**2
-    abs2 = np.abs(features) ** 2
-    acc = (abs2.T * w2) @ abs2
-    del abs2
-    conj = features.conj()
-    scaled = features.T * weights
-    M = scaled @ conj / wsum
-    M = 0.5 * (M + M.conj().T)
-    np.multiply(features.T, w2, out=scaled)
-    acc -= 2.0 * np.real(M.conj() * (scaled @ conj))
-    acc += np.abs(M) ** 2 * w2.sum()
-    se = np.sqrt(np.clip(acc, 0.0, None)) / wsum
-    return M, se
-
-
 def reduced_moment(ensemble: Ensemble, order: int) -> ReducedMoment:
+    """One pass over blocks of _SAMPLE_CHUNK samples in O(_SAMPLE_CHUNK P) memory.
+
+    The (chunk, P) features f_s = (c_t alpha_t)_t of a block add to sum w f f^H,
+    sum w^2 f f^H and sum w^2 |f|^2 |f|^T.  The stderr sqrt(sum w^2 |f f^H - M|^2)
+    / sum w is their expansion, roundoff below zero clipped."""
     if order not in ORDERS:
         raise ConfigurationError("moment order must be 1 or 2")
     if order == 2 and ensemble.cutoff > MAX_DENSE_MODES:
-        raise ConfigurationError(
-            f"order-2 moments capped at K={MAX_DENSE_MODES} modes")
-    a = ensemble.coefficients
-    tuples, weights = symmetric_basis(ensemble.cutoff, order)
-    feats = np.empty((ensemble.size, len(tuples)), dtype=complex)
-    for col, t in enumerate(tuples):
-        feats[:, col] = weights[col] * a[:, t[0]]
-        for i in t[1:]:
-            feats[:, col] *= a[:, i]
-    M, se = _weighted_moment(feats, ensemble.weights)
-    return ReducedMoment(matrix=M, stderr=se)
+        raise ConfigurationError(f"order-2 moments capped at K={MAX_DENSE_MODES} modes")
+    tuples, c = symmetric_basis(ensemble.cutoff, order)
+    modes = np.array(tuples).T
+    wff, w2ff = np.zeros((2, len(c), len(c)), dtype=complex)
+    w2aa = np.zeros((len(c), len(c)))
+    for lo in range(0, ensemble.size, _SAMPLE_CHUNK):
+        a = ensemble.coefficients[lo:lo + _SAMPLE_CHUNK]
+        w = ensemble.weights[lo:lo + _SAMPLE_CHUNK]
+        f = c * a.take(modes[0], axis=1)
+        for m in modes[1:]:
+            f *= a[:, m]
+        abs2 = np.abs(f) ** 2
+        w2aa += (abs2.T * w**2) @ abs2
+        conj = f.conj()
+        scaled = f.T * w
+        wff += scaled @ conj
+        np.multiply(f.T, w**2, out=scaled)
+        w2ff += scaled @ conj
+    wsum = ensemble.weights.sum()
+    M = wff / wsum
+    M = 0.5 * (M + M.conj().T)
+    acc = w2aa - 2.0 * np.real(M.conj() * w2ff)
+    acc += np.abs(M) ** 2 * np.square(ensemble.weights).sum()
+    return ReducedMoment(matrix=M, stderr=np.sqrt(np.clip(acc, 0.0, None)) / wsum)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

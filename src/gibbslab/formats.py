@@ -4,7 +4,7 @@ Binary layouts (all little-endian):
 
   ensemble "GFL1":  magic 4s | u32 K | u64 n | u64 seed |
                     n*K complex coefficients as (f64 re, f64 im), row-major
-                    by sample | n f64 weights.
+                    by sample | n f64 weights, without energy_floor.
 
   matrix  "GFLM":   magic 4s | u32 ndim | ndim u64 shape |
                     complex entries as (f64 re, f64 im), row-major.

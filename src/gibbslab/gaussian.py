@@ -22,8 +22,8 @@ _SAMPLE_CHUNK = 1024
 class Ensemble:
     """Ordered collection of field samples sharing one mode cutoff.
 
-    coefficients is (n, K) complex; weights is (n,).  operator_hash ties the
-    ensemble to the operator whose spectrum defined the covariance.
+    coefficients is (n, K) complex; weights is (n,), exp(energy_floor) times
+    the importance weights.  operator_hash names the covariance's operator.
     """
 
     operator_hash: str
@@ -31,6 +31,7 @@ class Ensemble:
     coefficients: np.ndarray
     weights: np.ndarray
     seed: int
+    energy_floor: float = 0.0
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
@@ -40,11 +41,11 @@ class Ensemble:
     def size(self) -> int:
         return self.coefficients.shape[0]
 
-    def with_weights(self, weights: np.ndarray) -> "Ensemble":
+    def with_weights(self, weights: np.ndarray, energy_floor: float = 0.0) -> "Ensemble":
         w = np.ascontiguousarray(weights, dtype=float)
         if w.shape != (self.size,):
             raise ValueError("weight array has wrong length")
-        return replace(self, weights=w)
+        return replace(self, weights=w, energy_floor=energy_floor)
 
     def truncated(self, K: int) -> "Ensemble":
         """Contiguous copy of the first K modes (weights reset to one)."""

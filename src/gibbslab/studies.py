@@ -327,7 +327,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
         renorm_by_k[K] = batch_interactions(sub, op, tensor, renormalized=True)
         mb, sb = _mean_stderr(bare_by_k[K])
         mr, sr = _mean_stderr(renorm_by_k[K])
-        zr = cg.estimate_log_zr(sub.with_weights(np.exp(-renorm_by_k[K])))
+        zr = cg.estimate_log_zr(cg.weigh(sub, renorm_by_k[K]))
         uv_rows.append(UVPoint(K=K, direct=direct_term(op, w, K),
                                exchange=exchange_term(op, w, K, tensor),
                                mean_bare=mb, stderr_bare=sb,

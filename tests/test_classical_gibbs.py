@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gibbslab import classical_gibbs as cg
 from gibbslab import fock_quantum as fq
-from gibbslab.gaussian import Ensemble, sample_gaussian
-from gibbslab.interaction import build_pair_tensor, make_pair_potential
+from gibbslab.gaussian import _SAMPLE_CHUNK, Ensemble, sample_gaussian
+from gibbslab.interaction import batch_interactions, build_pair_tensor, make_pair_potential
 from gibbslab.spectral import GridSpec, build_one_body
 
 import oracles
@@ -60,7 +66,8 @@ def test_single_mode_weights_closed_form(op, bump):
     W1 = oracles.fock_tensor(bump1)[0, 0, 0, 0]
     x = np.abs(ens.coefficients[:, 0]) ** 2
     expected = np.exp(-0.5 * W1 * (x - 1.0 / op.eigenvalues[0]) ** 2)
-    assert np.abs(out.weights - expected).max() < 1e-12
+    # stored as exp(-(D - min D)): the importance weights are scaled back
+    assert np.abs(out.weights * np.exp(-out.energy_floor) - expected).max() < 1e-12
 
 
 def test_weights_bounded_by_one(ensemble, op, bump4):
@@ -131,8 +138,9 @@ def test_free_moment_k2_isserlis(ensemble, op):
 
 
 def test_moment_stderr_explicit_sum(op):
-    # the three-GEMM stderr against sqrt(sum_s w_s^2 |f_s f_s^* - M|^2) / sum w
-    # over the symmetric-basis features f_s of each sample
+    # the stderr, expanded into three accumulated sums, against
+    # sqrt(sum_s w_s^2 |f_s f_s^* - M|^2) / sum w over the symmetric-basis
+    # features f_s of each sample
     ens = sample_gaussian(op, 3, 50, seed=9)
     w = np.random.default_rng(3).uniform(0.05, 1.0, ens.size)
     ens = ens.with_weights(w)
@@ -151,6 +159,78 @@ def test_moment_stderr_explicit_sum(op):
         mom = cg.reduced_moment(one, order)
         assert np.all(np.isfinite(mom.stderr)) and mom.stderr.min() >= 0.0, order
         assert mom.stderr.max() <= 1e-6 * np.abs(mom.matrix).max(), order
+
+
+def test_streamed_moment_matches_dense_oracle():
+    # block boundaries of the one pass: a lone sample, one block short of,
+    # at and just past _SAMPLE_CHUNK, and a ragged last block
+    C = _SAMPLE_CHUNK
+    rng = np.random.default_rng(17)
+    for n in (1, C - 1, C, C + 1, 3 * C + 5):
+        a = rng.standard_normal((n, 6)).view(complex)
+        ens = Ensemble(operator_hash="", cutoff=3, coefficients=a,
+                       weights=rng.uniform(0.05, 1.0, n), seed=0)
+        for order in fq.ORDERS:
+            mom = cg.reduced_moment(ens, order)
+            M, se = oracles.dense_moment(ens, order)
+            scale = np.abs(M).max()
+            assert np.abs(mom.matrix - M).max() <= 1e-13 * scale, (n, order)
+            if n == 1:
+                # one sample: both stderrs are the expansion's cancellation
+                # roundoff, clipped at zero
+                assert max(mom.stderr.max(), se.max()) <= 1e-6 * scale, order
+            else:
+                assert np.all(np.abs(mom.stderr - se) <= 1e-12 * se), (n, order)
+
+
+def test_moment_peak_rss():
+    # the order-2 moment at the K = 12 cap on 100k samples holds one block's
+    # features and its products, never (n, P) arrays (P = 78, 125 MB each).
+    # Growth runs from the resident set just before the call to the peak of
+    # the child's own address space: ru_maxrss would carry over the peak of
+    # the test process that spawned it
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        import numpy as np
+        from gibbslab import classical_gibbs as cg
+        from gibbslab.gaussian import Ensemble
+        def status_kb(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith(key))
+        rng = np.random.default_rng(5)
+        n = 100_000
+        ens = Ensemble(operator_hash="", cutoff=12,
+                       coefficients=rng.standard_normal((n, 24)).view(complex),
+                       weights=rng.uniform(0.05, 1.0, n), seed=0)
+        before = status_kb("VmRSS:")
+        cg.reduced_moment(ens, 2)
+        after = status_kb("VmHWM:")
+        print(before, after)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    before_kb, after_kb = map(int, res.stdout.split())
+    assert (after_kb - before_kb) * 1024 <= 16 * 2**20
+
+
+def test_log_domain_weights(ensemble, op, bump4):
+    # exp(-(D + 800)) underflows to zero for every sample; stored relative
+    # to min D, the weights, ESS and moments are those of D, and -log z_r
+    # moves by 800
+    D = batch_interactions(ensemble, op, bump4, False)
+    base, shifted = cg.weigh(ensemble, D), cg.weigh(ensemble, D + 800.0)
+    assert shifted.weights.max() == 1.0
+    eb, es = cg.estimate_log_zr(base), cg.estimate_log_zr(shifted)
+    assert es.neg_log_zr == pytest.approx(eb.neg_log_zr + 800.0, rel=1e-12)
+    assert es.ess == pytest.approx(eb.ess, rel=1e-13)
+    for order in fq.ORDERS:
+        mb, ms = cg.reduced_moment(base, order), cg.reduced_moment(shifted, order)
+        assert np.abs(ms.matrix - mb.matrix).max() <= 1e-13 * np.abs(mb.matrix).max()
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ArithmeticError):
+            cg.weigh(ensemble, np.where(np.arange(ensemble.size) < 3, bad, np.inf))
 
 
 def test_moment_mass_consistency(ensemble, op, bump4):
