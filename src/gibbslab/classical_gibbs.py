@@ -45,8 +45,9 @@ def reweight(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
     out = weigh(ensemble, batch_interactions(ensemble, op, tensor, renormalized))
     ess = effective_sample_size(out.weights)
     if ess < ESS_FLOOR_FRACTION * out.size:
-        warnings.warn(f"effective sample size {ess:.1f} below {ESS_FLOOR_FRACTION:.0%} of "
-                      f"n={out.size}; results are low-confidence", LowEffectiveSampleSize)
+        warnings.warn(
+            f"effective sample size {ess:.1f} below {ESS_FLOOR_FRACTION:.0%} of n={out.size}; "
+            "results are low-confidence", LowEffectiveSampleSize)
     return out
 
 
@@ -63,10 +64,12 @@ def estimate_log_zr(ensemble: Ensemble) -> PartitionEstimate:
     w = ensemble.weights
     n = len(w)
     mean = float(w.mean())
+    if mean <= 0:
+        raise ArithmeticError("all weights vanished")
     stderr = float(w.std(ddof=1) / (np.sqrt(n) * mean)) if n > 1 else np.inf
     ess = effective_sample_size(w)
-    return PartitionEstimate(ensemble.energy_floor - np.log(mean), stderr, ess,
-                             ess < ESS_FLOOR_FRACTION * n)
+    return PartitionEstimate(neg_log_zr=ensemble.energy_floor - np.log(mean), stderr=stderr,
+                             ess=ess, low_confidence=ess < ESS_FLOOR_FRACTION * n)
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,8 @@ def reduced_moment(ensemble: Ensemble, order: int) -> ReducedMoment:
     if order not in ORDERS:
         raise ConfigurationError("moment order must be 1 or 2")
     if order == 2 and ensemble.cutoff > MAX_DENSE_MODES:
-        raise ConfigurationError(f"order-2 moments capped at K={MAX_DENSE_MODES} modes")
+        raise ConfigurationError(
+            f"order-2 moments capped at K={MAX_DENSE_MODES} modes")
     tuples, c = symmetric_basis(ensemble.cutoff, order)
     modes = np.array(tuples).T
     wff, w2ff = np.zeros((2, len(c), len(c)), dtype=complex)

@@ -4,7 +4,8 @@ Binary layouts (all little-endian):
 
   ensemble "GFL1":  magic 4s | u32 K | u64 n | u64 seed |
                     n*K complex coefficients as (f64 re, f64 im), row-major
-                    by sample | n f64 weights, without energy_floor.
+                    by sample | n f64 weights.  An ensemble with a nonzero
+                    energy_floor is refused: the layout does not hold it.
 
   matrix  "GFLM":   magic 4s | u32 ndim | ndim u64 shape |
                     complex entries as (f64 re, f64 im), row-major.
@@ -33,6 +34,8 @@ SCHEMA_VERSION = 1
 
 
 def write_ensemble(path, ensemble: Ensemble) -> None:
+    if ensemble.energy_floor != 0.0:
+        raise ValueError(f"{path}: GFL1 holds no energy_floor ({ensemble.energy_floor})")
     with open(path, "wb") as fh:
         fh.write(ENSEMBLE_MAGIC)
         fh.write(struct.pack("<IQQ", ensemble.cutoff, ensemble.size, ensemble.seed))

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from gibbslab.config import ConfigurationError
-from gibbslab.fock_quantum import FockBasis, FockOperator, FockState, symmetric_basis
+from gibbslab.fock_quantum import FockBasis, FockOperator, FockState
 from gibbslab.gaussian import Ensemble
 from gibbslab.hartree import RhfState, _measure_factor
 from gibbslab.interaction import PairPotential, PairTensor, _pair_index, convolve
@@ -66,42 +66,6 @@ def pseudo_moment(ensemble: Ensemble) -> np.ndarray:
     a = ensemble.coefficients
     wsum = ensemble.weights.sum()
     return (a.T * ensemble.weights) @ a / wsum
-
-
-def _weighted_moment(features: np.ndarray, weights: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """M and its ratio-estimator stderr sqrt(sum_s w_s^2 |f_i f_j* - M_ij|^2) / sum w,
-    expanded into three GEMMs (the real one first, so its temporaries go
-    before the complex ones) with roundoff below zero clipped.  The complex
-    ones share one conjugate and one weighted buffer: a second buffer raised
-    study-1d's peak RSS by 12 MB."""
-    wsum = weights.sum()
-    w2 = weights**2
-    abs2 = np.abs(features) ** 2
-    acc = (abs2.T * w2) @ abs2
-    del abs2
-    conj = features.conj()
-    scaled = features.T * weights
-    M = scaled @ conj / wsum
-    M = 0.5 * (M + M.conj().T)
-    np.multiply(features.T, w2, out=scaled)
-    acc -= 2.0 * np.real(M.conj() * (scaled @ conj))
-    acc += np.abs(M) ** 2 * w2.sum()
-    se = np.sqrt(np.clip(acc, 0.0, None)) / wsum
-    return M, se
-
-
-def dense_moment(ensemble: Ensemble, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced moment and its stderr from the whole (n, P) feature array
-    at once, one basis tuple per column."""
-    a = ensemble.coefficients
-    tuples, weights = symmetric_basis(ensemble.cutoff, order)
-    feats = np.empty((ensemble.size, len(tuples)), dtype=complex)
-    for col, t in enumerate(tuples):
-        feats[:, col] = weights[col] * a[:, t[0]]
-        for i in t[1:]:
-            feats[:, col] *= a[:, i]
-    return _weighted_moment(feats, ensemble.weights)
 
 
 # Single-mode closed forms.  With one mode, X = |alpha_1|^2 is exponential

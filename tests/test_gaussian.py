@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gibbslab import classical_gibbs as cg
 from gibbslab import formats
 from gibbslab.config import ConfigurationError
 from gibbslab.gaussian import _SAMPLE_CHUNK, Ensemble, sample_gaussian
@@ -232,6 +233,20 @@ def test_ensemble_binary_roundtrip(op, tmp_path):
     assert back.cutoff == 5 and back.size == 37 and back.seed == 17
     assert np.array_equal(back.coefficients, ens.coefficients)
     assert np.array_equal(back.weights, ens.weights)
+
+
+def test_ensemble_dump_refuses_energy_floor(op, tmp_path):
+    # weighed weights are relative to exp(-min D), which GFL1 does not hold:
+    # reading them back would move -log z_r by min D, so the write is refused
+    ens = sample_gaussian(op, 2, 10, seed=4)
+    weighed = cg.weigh(ens, np.linspace(800.0, 801.0, 10))
+    path = tmp_path / "e.gfl1"
+    with pytest.raises(ValueError, match="energy_floor"):
+        formats.write_ensemble(path, weighed)
+    assert not path.exists()
+    formats.write_ensemble(path, cg.weigh(ens, np.linspace(0.0, 1.0, 10)))
+    back = formats.read_ensemble(path)
+    assert np.array_equal(back.weights, np.exp(-np.linspace(0.0, 1.0, 10)))
 
 
 def test_ensemble_binary_layout(op, tmp_path):
