@@ -1,20 +1,23 @@
 """Pair interaction functionals on field samples.
 
 Every interaction energy goes through one exact engine, the pair Gram
-matrix Q[p, q] = <u_a u_b, w * u_c u_d> over unordered mode pairs: sample
-energies are quadratic forms in Q, the exchange term is a weighted trace
-of its diagonal and the Fock-space pair operator gathers its kernel from it.
+matrix Q[p, q] = <u_a u_b, w * u_c u_d> over unordered mode pairs: bare
+sample energies are quadratic forms in Q, the Wick-renormalized ones add a
+shift read off one product Qc (the mean-field potential in mode
+coordinates), the exchange term is a weighted trace of its diagonal and the
+Fock-space pair operator gathers its kernel from it.
 When the modes carry reflection labels (spectral.mode_parity), Q vanishes
 by symmetry between pairs of opposite pair parity p_a p_b, so it is built,
 stored and applied one pair class at a time and those entries are exact
 zeros.
 
-Convolutions w * rho are linear (no wrap-around).  convolve runs them by FFT
-on a zero-padded dual grid, transforming only the rows that hold data, and is
-bit-identical to transforming the zero-padded array.  Pair densities in the
-Gram build and the streamed exchange term are convolved as Tx rho Ty with two
-n x n Toeplitz tables instead when a 2D kernel is rank one (the Gaussian
-bump), equal to the FFT up to roundoff.
+Convolutions w * rho are linear (no wrap-around).  convolve runs them by
+numpy's FFT on a zero-padded dual grid of 11-smooth side, transforming only
+the rows that hold data, and is bit-identical to transforming the
+zero-padded array.  Pair densities in the Gram build and the streamed
+exchange term are convolved as Tx rho Ty with two n x n Toeplitz tables
+instead when a 2D kernel is rank one (the Gaussian bump), equal to the FFT
+up to roundoff.
 Densities follow the weight-folded convention of the spectral module:
 |stored field|^2 already carries the cell volume, so the quadrature of a
 double integral is a plain dot product with the convolved density and the
@@ -27,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .config import MAX_DENSE_BYTES, ConfigurationError
 from .gaussian import _SAMPLE_CHUNK, Ensemble
@@ -42,12 +44,26 @@ from .spectral import GridSpec, OneBodyOperator, green_diagonal, mode_parity
 # half-size (2D) or same-size (1D) copy.
 #
 # Pair densities convolved at once in the Gram build and the streamed
-# exchange term; bounds the convolution buffers.
+# exchange term; bounds the convolution buffers.  Times _SAMPLE_CHUNK, it
+# also bounds the pair features of one sample block of batch_interactions.
 _PAIR_CHUNK = 64
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n >= 1, a fast pocketfft length."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def _padded_shape(grid: GridSpec) -> tuple[int, ...]:
-    P = scipy.fft.next_fast_len(2 * grid.points - 1)
+    P = _next_fast_len(2 * grid.points - 1)
     return (P,) * grid.dimension
 
 
@@ -140,7 +156,7 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
             off = np.subtract.outer(np.arange(n), np.arange(n)) % P
             toeplitz = (kernel[off, 0], kernel[0, off] / kernel[0, 0])
 
-    kfft = scipy.fft.rfftn(kernel)
+    kfft = np.fft.rfftn(kernel)
     w_hat_grid = kfft.real * grid.cell_volume
     return PairPotential(kind=kind, params=params, grid=grid, kernel=kernel,
                          kernel_fft=kfft, w_hat_zero=w_hat_zero,
@@ -158,13 +174,13 @@ def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
     n, d = w.grid.points, w.grid.dimension
     P = w.kernel.shape[0]
     dens = np.asarray(density, dtype=float).reshape((-1,) + (n,) * d)
-    f = scipy.fft.rfft(dens, n=P, axis=-1)
+    f = np.fft.rfft(dens, n=P, axis=-1)
     if d == 2:
-        f = scipy.fft.fft(f, n=P, axis=1)
+        f = np.fft.fft(f, n=P, axis=1)
     f *= w.kernel_fft
     if d == 2:
-        f = scipy.fft.ifft(f, axis=1, norm="forward", overwrite_x=True)[:, :n]
-    f = scipy.fft.irfft(f, n=P, axis=-1, norm="forward")  # frees the spectrum
+        f = np.fft.ifft(f, axis=1, norm="forward", out=f)[:, :n]
+    f = np.fft.irfft(f, n=P, axis=-1, norm="forward")  # frees the spectrum
     out = (f[..., :n] * (1.0 / P**d)).reshape(len(dens), -1)
     return out if density.ndim == 2 else out[0]
 
@@ -323,28 +339,53 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     return PairTensor(mode_cutoff=K, pairs=tuple(pairs), grams=tuple(grams))
 
 
-def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
-                       renormalized: bool) -> np.ndarray:
-    """Bare or renormalized interaction 0.5 f^T Q f of every sample.
+def wick_shift(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor) -> np.ndarray:
+    """Renormalized minus bare interaction of every sample, 1/2 c^T Q c - Re<alpha, V alpha>.
 
-    The real pair features are f_p = c_p Re(conj(alpha_a) alpha_b), c = 1 on
-    diagonal pairs and 2 off them; renormalizing subtracts 1/lambda_a on the
-    diagonal pairs.  The form is summed over the pair classes, each with its
-    own features and block.  Any tensor with cutoff >= the ensemble's serves.
+    c_p = 1/lambda_a on the diagonal pairs p = (a, a) and 0 off them, so
+    (Qc)_p = <u_a u_b, w * rho_K> and V[a, b] = (Qc)_{ab} is the mean-field
+    potential w * rho_K in mode coordinates; 1/2 c^T Q c is the direct term.
+    One sample costs O(K^2), against O(P^2) for a second quadratic form.
     """
     K = ensemble.cutoff
-    a, b, mult = _pairs(K)
-    classes = [(a[pos], b[pos], mult[pos], Q) for pos, Q in tensor.classes(K)]
+    a, b, _ = _pairs(K)
+    c = np.where(a == b, 1.0 / op.eigenvalues[a], 0.0)
+    Qc = np.empty(len(c))
+    for pos, Q in tensor.classes(K):
+        Qc[pos] = Q @ c[pos]
+    V = Qc[_pair_index(K)]
     out = np.empty(ensemble.size)
     for lo in range(0, ensemble.size, _SAMPLE_CHUNK):
         coeff = ensemble.coefficients[lo:lo + _SAMPLE_CHUNK]
         re, im = coeff.real, coeff.imag
+        out[lo:lo + _SAMPLE_CHUNK] = (np.einsum("ij,ij->i", re @ V, re)
+                                      + np.einsum("ij,ij->i", im @ V, im))
+    return 0.5 * float(c @ Qc) - out
+
+
+def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
+                       renormalized: bool) -> np.ndarray:
+    """Bare or renormalized interaction 0.5 (f - c)^T Q (f - c) of every sample.
+
+    The real pair features are f_p = m_p Re(conj(alpha_a) alpha_b), m = 1 on
+    diagonal pairs and 2 off them; renormalizing subtracts c_p = 1/lambda_a
+    on the diagonal pairs, which adds wick_shift to the bare form (c = 0).
+    The bare form is summed over the pair classes, each with its own
+    features and block, in blocks of at most _SAMPLE_CHUNK samples and
+    _SAMPLE_CHUNK x _PAIR_CHUNK features.  Any tensor with cutoff >= the
+    ensemble's serves.
+    """
+    K = ensemble.cutoff
+    a, b, mult = _pairs(K)
+    classes = [(a[pos], b[pos], mult[pos], Q) for pos, Q in tensor.classes(K)]
+    step = min(_SAMPLE_CHUNK, max(1, _SAMPLE_CHUNK * _PAIR_CHUNK // len(a)))
+    out = np.empty(ensemble.size)
+    for lo in range(0, ensemble.size, step):
+        coeff = ensemble.coefficients[lo:lo + step]
+        re, im = coeff.real, coeff.imag
         form = 0.0
         for ac, bc, mc, Q in classes:
             f = mc * (re[:, ac] * re[:, bc] + im[:, ac] * im[:, bc])
-            if renormalized:
-                diag = ac == bc
-                f[:, diag] -= 1.0 / op.eigenvalues[ac[diag]]
             form = form + np.einsum("ij,ij->i", f @ Q, f)
-        out[lo:lo + _SAMPLE_CHUNK] = 0.5 * form
-    return out
+        out[lo:lo + step] = 0.5 * form
+    return out + wick_shift(ensemble, op, tensor) if renormalized else out

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import ConfigurationError
 
@@ -170,6 +169,8 @@ def build_one_body(grid: GridSpec, potential: str, num_eigs: int,
         dense = H.toarray()
         vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, num_eigs - 1])
     else:
+        import scipy.sparse.linalg as spla  # only here: importing it is slow
+
         # Shift-invert at zero: h is positive definite (V >= 0, Dirichlet).
         # Fixed start vector keeps ARPACK output deterministic.
         v0 = np.ones(n)

@@ -28,7 +28,7 @@ from .config import MAX_DENSE_MODES, ConfigurationError, RunConfig
 from .gaussian import sample_gaussian
 from .interaction import (PairPotential, PairTensor, batch_interactions,
                           build_pair_tensor, direct_term, exchange_term,
-                          make_pair_potential, offset_sq_radii)
+                          make_pair_potential, offset_sq_radii, wick_shift)
 from .spectral import (GridSpec, OneBodyOperator, build_one_body, potential_values,
                        schatten_trace, shift_potential)
 
@@ -324,7 +324,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
     for K in ks:
         sub = ens.truncated(K)
         bare_by_k[K] = batch_interactions(sub, op, tensor, renormalized=False)
-        renorm_by_k[K] = batch_interactions(sub, op, tensor, renormalized=True)
+        renorm_by_k[K] = bare_by_k[K] + wick_shift(sub, op, tensor)
         mb, sb = _mean_stderr(bare_by_k[K])
         mr, sr = _mean_stderr(renorm_by_k[K])
         zr = cg.estimate_log_zr(cg.weigh(sub, renorm_by_k[K]))

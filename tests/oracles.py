@@ -57,6 +57,25 @@ def fields_on_grid(ensemble: Ensemble, op: OneBodyOperator) -> np.ndarray:
     return ensemble.coefficients @ U.T
 
 
+def renormalized_energies(ensemble: Ensemble, op: OneBodyOperator,
+                          tensor: PairTensor) -> np.ndarray:
+    """(1/2)(f - c)^T Q (f - c) of every sample, one at a time on the whole Gram.
+
+    f_p = m_p Re(conj(alpha_a) alpha_b) with m = 1 on diagonal pairs and 2
+    off them, c_p = 1/lambda_a on the diagonal pairs; pairs of the
+    ensemble's cutoff are the Gram's leading block.
+    """
+    b, a = np.tril_indices(ensemble.cutoff)
+    Q = tensor.gram[:len(a), :len(a)]
+    c = np.where(a == b, 1.0 / op.eigenvalues[a], 0.0)
+    m = np.where(a == b, 1.0, 2.0)
+    out = np.empty(ensemble.size)
+    for i, alpha in enumerate(ensemble.coefficients):
+        g = m * (np.conj(alpha[a]) * alpha[b]).real - c
+        out[i] = 0.5 * g @ Q @ g
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Classical measure
 

@@ -436,13 +436,16 @@ def test_cli_hartree_points_floor(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_import_does_not_load_integrate():
-    # scipy.integrate serves only the closed forms and quadratures; importing
-    # the CLI must not pay for it
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.fft", "scipy.special",
+                                    "scipy.sparse.linalg"])
+def test_import_does_not_load(module):
+    # scipy.integrate serves only the closed forms and quadratures and
+    # scipy.sparse.linalg only Lanczos on large grids; the FFTs are numpy's.
+    # Importing the CLI must not pay for any of them
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    script = "import sys, gibbslab.cli; print('scipy.integrate' in sys.modules)"
+    script = f"import sys, gibbslab.cli; print({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert res.stdout.strip() == "False"

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from gibbslab.config import MAX_DENSE_BYTES, ConfigurationError
 from gibbslab.gaussian import Ensemble, sample_gaussian
-from gibbslab.interaction import (batch_interactions, build_pair_tensor,
+from gibbslab.interaction import (_next_fast_len, batch_interactions, build_pair_tensor,
                                   convolve, direct_term, exchange_term,
-                                  make_pair_potential, quadratic_form)
+                                  make_pair_potential, quadratic_form, wick_shift)
 from gibbslab.spectral import GridSpec, build_one_body, green_diagonal, mode_parity
 
 import oracles
@@ -134,6 +134,10 @@ def test_convolve_matches_padded_definition():
         assert np.array_equal(convolve(w, batch[1]), padded_convolve(w, batch[1]))
 
 
+def test_next_fast_len_matches_scipy():
+    assert all(_next_fast_len(n) == scipy.fft.next_fast_len(n) for n in range(1, 20001))
+
+
 def test_tabulated_matches_bump(grid, bump):
     r = np.linspace(0, 15.0, 4001)
     table = np.column_stack([r, 0.5 * np.exp(-(r**2) / (2 * 0.6**2))])
@@ -212,6 +216,35 @@ def test_mode_path_equals_grid_path(op, bump, op2d, bump2d):
                 a = batch_interactions(sub, o, tensor, renorm)
                 b = grid_oracle(sub, o, w, renorm)
                 assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+
+
+def test_wick_shift_against_per_sample_oracle(op2d, bump2d, grid, bump):
+    # bare form plus shift against (1/2)(f - c)^T Q (f - c) sample by sample,
+    # with reflection labels (2D) and without them (a tilted 1D trap), at the
+    # tensor's cutoff and at a smaller one served by its leading blocks
+    x = grid.axis()
+    tilted = build_one_body(grid, "custom", 8, potential_array=x**4 + x)
+    assert mode_parity(op2d, 24) is not None and mode_parity(tilted, 8) is None
+    for o, w, K in ((op2d, bump2d, 24), (tilted, bump, 8)):
+        tensor = build_pair_tensor(o, w, K)
+        ens = sample_gaussian(o, K, 300, seed=10)
+        for sub in (ens, ens.truncated(K // 2)):
+            ref = oracles.renormalized_energies(sub, o, tensor)
+            bare = batch_interactions(sub, o, tensor, renormalized=False)
+            tol = 1e-13 * np.abs(ref).max()
+            assert np.abs(bare + wick_shift(sub, o, tensor) - ref).max() <= tol
+            assert np.abs(batch_interactions(sub, o, tensor, True) - ref).max() <= tol
+
+
+def test_zero_field_wick_shift_is_direct_term():
+    # at alpha = 0 only (1/2) c^T Q c is left: the direct term, through the
+    # Gram rather than a convolution of rho_K
+    op2 = build_one_body(GridSpec(2, 8.0, 32), "power", 64, s=2.0)
+    w2 = make_pair_potential("gaussian-bump", op2.grid, amplitude=0.05, sigma=1.25)
+    tensor = build_pair_tensor(op2, w2, 64)
+    for K in (8, 16, 32, 64):
+        shift = wick_shift(one(np.zeros(K)), op2, tensor)[0]
+        assert shift == pytest.approx(direct_term(op2, w2, K), rel=1e-14)
 
 
 def test_gram_leading_block(op, bump, op2d, bump2d):
@@ -440,6 +473,38 @@ def test_gram_peak_rss_fft_model():
     growth, model, separable = gram_growth("tabulated")
     assert not separable
     assert growth <= 1.25 * model
+
+
+def test_energy_peak_rss():
+    # renormalized energies at K = 64 (2080 pairs) on 1000 samples hold one
+    # block of at most _SAMPLE_CHUNK x _PAIR_CHUNK pair features, never the
+    # (1000, m_c) features of a whole pair class and their products.  The
+    # tensor is built first on a 1D grid small enough that the build's own
+    # peak stays far below the bound
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        from gibbslab.gaussian import sample_gaussian
+        from gibbslab.interaction import (batch_interactions, build_pair_tensor,
+                                          make_pair_potential)
+        from gibbslab.spectral import GridSpec, build_one_body
+        def status_kb(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith(key))
+        op = build_one_body(GridSpec(1, 6.0, 200), "power", 64, s=4.0)
+        w = make_pair_potential("gaussian-bump", op.grid, amplitude=0.5, sigma=0.6)
+        tensor = build_pair_tensor(op, w, 64)
+        ens = sample_gaussian(op, 64, 1000, seed=3)
+        before = status_kb("VmRSS:")
+        batch_interactions(ens, op, tensor, renormalized=True)
+        after = status_kb("VmHWM:")
+        print(before, after)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    before_kb, after_kb = map(int, res.stdout.split())
+    assert (after_kb - before_kb) * 1024 <= 8 * 2**20
 
 
 def single_class_gram(op, w, K):
