@@ -14,10 +14,12 @@ zeros.
 Convolutions w * rho are linear (no wrap-around).  convolve runs them by
 numpy's FFT on a zero-padded dual grid of 11-smooth side, transforming only
 the rows that hold data, and is bit-identical to transforming the
-zero-padded array.  Pair densities in the Gram build and the streamed
-exchange term are convolved as Tx rho Ty with two n x n Toeplitz tables
-instead when a 2D kernel is rank one (the Gaussian bump), equal to the FFT
-up to roundoff.
+zero-padded array.  When a 2D kernel is rank one (the Gaussian bump), the
+Gram build and the streamed exchange term instead project each pair density
+onto the eigenvectors of its two n x n Toeplitz tables, T = V diag(s) V^T,
+keeping only the rx x ry coefficients above the tables' numerical rank (38
+per axis for the shipped bump), and weigh them by sx (x) sy; this equals
+the FFT up to roundoff.
 Densities follow the weight-folded convention of the spectral module:
 |stored field|^2 already carries the cell volume, so the quadrature of a
 double integral is a plain dot product with the convolved density and the
@@ -35,16 +37,18 @@ from .config import MAX_DENSE_BYTES, ConfigurationError
 from .gaussian import _SAMPLE_CHUNK, Ensemble
 from .spectral import GridSpec, OneBodyOperator, green_diagonal, mode_parity
 
-# The Gram build holds, against MAX_DENSE_BYTES, every class block, the
-# densities of the largest class and one chunk's convolution working set,
-# 8 (sum_c m_c^2 + max_c m_c N + X) bytes for classes of m_c pairs on N
-# points (one class unlabelled) and C = _PAIR_CHUNK.  With Toeplitz tables
-# X = 2 C N, the two products; otherwise X = (5 - d) C P^(d-1) (P/2 + 1) on
-# padded side P: convolve holds the complex spectrum of C rows and a
-# half-size (2D) or same-size (1D) copy.
+# The Gram build holds, against MAX_DENSE_BYTES, every class block, the H
+# held columns of the largest class's pairs and one chunk's working set,
+# 8 (sum_c m_c^2 + max_c m_c H + X) bytes for classes of m_c pairs (one
+# class unlabelled) and C = _PAIR_CHUNK.  With eigenfactors of ranks rx, ry
+# on an n x n grid of N points H = rx ry and X = C (N + n ry + 2 rx ry): the
+# chunk's densities, their half projection, held and weighted coefficients.
+# By FFT on padded side P, H = N and X = (5 - d) C P^(d-1) (P/2 + 1):
+# convolve holds the complex spectrum of C rows and a half-size (2D) or
+# same-size (1D) copy.
 #
-# Pair densities convolved at once in the Gram build and the streamed
-# exchange term; bounds the convolution buffers.  Times _SAMPLE_CHUNK, it
+# Pair densities projected or convolved at once in the Gram build and the
+# streamed exchange term; bounds their buffers.  Times _SAMPLE_CHUNK, it
 # also bounds the pair features of one sample block of batch_interactions.
 _PAIR_CHUNK = 64
 
@@ -185,12 +189,38 @@ def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
     return out if density.ndim == 2 else out[0]
 
 
-def _convolve_pairs(w: PairPotential, rows: np.ndarray) -> np.ndarray:
-    """convolve(w, rows), as the products Tx rho Ty when w has Toeplitz tables."""
+def _kernel_factors(w: PairPotential):
+    """Eigenfactors ((sx, Vx), (sy, Vy)) of w's Toeplitz tables, None without them.
+
+    Each table T = V diag(s) V^T keeps the eigenpairs with |s| > n eps max|s|,
+    numpy's matrix_rank default; the signs of s are kept, so T need not be
+    semidefinite.
+    """
     if w.toeplitz is None:
-        return convolve(w, rows)
-    Tx, Ty = w.toeplitz
-    return (Tx @ rows.reshape(-1, *Tx.shape) @ Ty).reshape(rows.shape)
+        return None
+    factors = []
+    for T in w.toeplitz:
+        s, V = np.linalg.eigh(T)
+        keep = np.abs(s) > len(s) * np.finfo(float).eps * np.abs(s).max()
+        factors.append((s[keep], V[:, keep]))
+    return tuple(factors)
+
+
+def _pair_features(w: PairPotential, factors, rows: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(held, left) of a chunk of pair densities: <rho_p, w * rho_q> = left_p . held_q.
+
+    factors come from _kernel_factors(w).  Without them held = rows and left
+    = convolve(w, rows); with them held = Vx^T rho Vy flattened to rx ry
+    columns and left = held (sx (x) sy).
+    """
+    if factors is None:
+        return rows, convolve(w, rows)
+    (sx, Vx), (sy, Vy) = factors
+    n = len(Vx)
+    half = (rows.reshape(-1, n) @ Vy).reshape(-1, n, len(sy))
+    held = (Vx.T @ half).reshape(len(rows), -1)
+    return held, held * np.outer(sx, sy).ravel()
 
 
 def quadratic_form(w: PairPotential, density: np.ndarray) -> np.ndarray | float:
@@ -215,12 +245,15 @@ def _pairs(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, np.where(a == b, 1.0, 2.0)
 
 
-def _pair_density_chunks(U: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Yield (lo, hi, rows): densities u_a u_b of pairs lo..hi-1 of the columns of U."""
-    Ut = np.ascontiguousarray(U.T)
-    for lo in range(0, len(a), _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, len(a))
-        yield lo, hi, Ut[a[lo:hi]] * Ut[b[lo:hi]]
+def _pair_densities(Ut: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Densities u_a u_b of the pairs (a, b), one row each, of the modes in the rows of Ut.
+
+    The callers pass a chunk's densities straight to _pair_features, so they
+    are freed with it and never held next to the following chunk's.
+    """
+    rows = Ut[a]
+    rows *= Ut[b]
+    return rows
 
 
 def direct_term(op: OneBodyOperator, w: PairPotential, K: int) -> float:
@@ -235,15 +268,18 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
 
     diag(Q) is read class by class from tensor, a pair Gram of op and w,
     with no convolution; a tensor cutoff below K raises ConfigurationError.
-    Without a tensor, diag(Q) is streamed chunk by chunk, convolved as in
-    build_pair_tensor, and Q is never built.
+    Without a tensor, diag(Q) is streamed chunk by chunk, projected or
+    convolved as in build_pair_tensor, and Q is never built.
     """
     lam, U = _check_binding(op, w, K)
     a, b, mult = _pairs(K)
     fac = mult / (lam[a] * lam[b])
     if tensor is None:
-        diag = np.concatenate([np.einsum("ij,ij->i", rows, _convolve_pairs(w, rows))
-                               for _, _, rows in _pair_density_chunks(U, a, b)])
+        factors, Ut = _kernel_factors(w), np.ascontiguousarray(U.T)
+        diag = np.concatenate([
+            np.einsum("ij,ij->i", *_pair_features(w, factors, _pair_densities(
+                Ut, a[lo:lo + _PAIR_CHUNK], b[lo:lo + _PAIR_CHUNK])))
+            for lo in range(0, len(a), _PAIR_CHUNK)])
     else:
         diag = np.empty(len(fac))
         for pos, Q in tensor.classes(K):
@@ -301,11 +337,13 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     """Pair Gram matrix at cutoff K by pair class, refused over MAX_DENSE_BYTES.
 
     Entries between classes are never computed.  Within a class only the
-    lower triangle is, one chunk of convolved pair densities at a time;
-    mirroring it in place makes each block exactly symmetric.  Only one
-    class's densities are held at a time.  A chunk is convolved by two
-    Toeplitz products when w has them (rank-one 2D kernels) and by FFT
-    otherwise; the cap counts the working set of the route taken.
+    lower triangle is, one chunk of pair densities at a time, as the
+    products of its left features with the held features of the pairs
+    before it (_pair_features); mirroring it in place makes each block
+    exactly symmetric.  Only one class's held features are kept at a time:
+    the rx ry eigenfactor coefficients of each density when w has Toeplitz
+    tables (rank-one 2D kernels), else the densities themselves, convolved
+    by FFT.  The cap counts the working set of the route taken.
     """
     _, U = _check_binding(op, w, K)
     if w.w_hat_min < -1e-10:  # beyond FFT roundoff
@@ -316,23 +354,31 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     a, b, _ = _pairs(K)
     pair_class = np.ones(len(a), dtype=int) if labels is None else labels[a] * labels[b]
     pairs = [np.flatnonzero(pair_class == s) for s in np.unique(pair_class)[::-1]]
+    factors = _kernel_factors(w)
     N, d, P = op.grid.total_points, op.grid.dimension, w.kernel.shape[0]
-    work = (2 * _PAIR_CHUNK * N if w.toeplitz is not None
-            else (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1))
-    nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * N + work)
+    if factors is None:
+        H, work = N, (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1)
+    else:
+        rx, ry = len(factors[0][0]), len(factors[1][0])
+        H, work = rx * ry, _PAIR_CHUNK * (N + op.grid.points * ry + 2 * rx * ry)
+    nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * H + work)
     if nbytes > MAX_DENSE_BYTES:
         raise ConfigurationError(
             f"pair Gram at K={K} needs {nbytes} bytes, over the "
             f"{MAX_DENSE_BYTES}-byte cap")
+    Ut = np.ascontiguousarray(U.T)
     grams = []
     for pos in pairs:
-        m = len(pos)
-        dens = np.empty((m, N))
+        ac, bc, m = a[pos], b[pos], len(pos)
+        held = np.empty((m, H))
         Q = np.zeros((m, m))
-        for lo, hi, rows in _pair_density_chunks(U, a[pos], b[pos]):
-            dens[lo:hi] = rows
-            Q[lo:hi, :hi] = _convolve_pairs(w, rows) @ dens[:hi].T
-        del dens
+        for lo in range(0, m, _PAIR_CHUNK):
+            hi = min(lo + _PAIR_CHUNK, m)
+            held[lo:hi], left = _pair_features(
+                w, factors, _pair_densities(Ut, ac[lo:hi], bc[lo:hi]))
+            Q[lo:hi, :hi] = left @ held[:hi].T
+            del left  # not held through the next chunk's convolution
+        del held
         for i in range(m - 1):
             Q[i, i + 1:] = Q[i + 1:, i]
         grams.append(Q)

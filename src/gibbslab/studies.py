@@ -333,6 +333,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
                                mean_bare=mb, stderr_bare=sb,
                                mean_renorm=mr, stderr_renorm=sr,
                                neg_log_zr=zr.neg_log_zr, zr_stderr=zr.stderr))
+    del tensor  # not held through the Hartree stage, which sets its own peak
 
     cauchy_rows = []
     for K, K2 in zip(ks[:-1], ks[1:]):

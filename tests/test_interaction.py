@@ -280,7 +280,7 @@ def test_exchange_from_gram_matches_streamed(op, bump, op2d, bump2d, monkeypatch
         streamed = {K: exchange_term(o, w, K) for K in (1, Kt // 2, Kt)}
         with monkeypatch.context() as m:
             m.setattr(interaction, "convolve", lambda *args: 1 / 0)
-            m.setattr(interaction, "_convolve_pairs", lambda *args: 1 / 0)
+            m.setattr(interaction, "_pair_features", lambda *args: 1 / 0)
             for K, ref in streamed.items():
                 assert exchange_term(o, w, K, t) == pytest.approx(ref, rel=1e-13)
         with pytest.raises(ConfigurationError, match="exceeds"):
@@ -425,12 +425,15 @@ def gram_growth(kind):
     fresh child.
 
     The byte model checked against MAX_DENSE_BYTES counts every class
-    block, the largest class's m_c pair densities of N points and one
-    64-row chunk's convolution working set: two 64 x N Toeplitz products for a rank-one
-    kernel, else 1.5 complex spectra of shape (64, P, P/2 + 1).  Growth runs
-    from the resident set just before the build to the peak of the child's
-    own address space: ru_maxrss would carry over the peak of the test
-    process that spawned it.
+    block, the held features of the largest class's m_c pairs and one
+    64-row chunk's working set.  A rank-one kernel holds rx ry eigenfactor
+    coefficients per pair, rx and ry the numerical ranks of its Toeplitz
+    tables, and a chunk's projection holds 64 (N + n ry + 2 rx ry) numbers
+    on an n x n grid of N points; otherwise the pairs hold their densities
+    of N points and a chunk 1.5 complex spectra of shape (64, P, P/2 + 1).
+    Growth runs from the resident set just before the build to the peak of
+    the child's own address space: ru_maxrss would carry over the peak of
+    the test process that spawned it.
     """
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent("""
@@ -447,22 +450,27 @@ def gram_growth(kind):
         before = status_kb("VmRSS:")
         t = build_pair_tensor(op, w, 64)
         after = status_kb("VmHWM:")
+        ranks = [np.linalg.matrix_rank(T, hermitian=True) for T in w.toeplitz or ()]
         print(before, after, int(w.toeplitz is not None), op.grid.total_points,
-              w.kernel.shape[0], *(len(pos) for pos in t.pairs))
+              w.kernel.shape[0], *(ranks or (0, 0)), *(len(pos) for pos in t.pairs))
     """ % kind)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
-    before_kb, after_kb, separable, N, P, *sizes = map(int, res.stdout.split())
+    before_kb, after_kb, separable, N, P, rx, ry, *sizes = map(int, res.stdout.split())
     assert len(sizes) == 2 and sum(sizes) == 64 * 65 // 2
-    work = 2 * 64 * N if separable else 3 * 64 * P * (P // 2 + 1)
-    model = 8 * (sum(m * m for m in sizes) + max(sizes) * N + work)
+    if separable:
+        held, work = rx * ry, 64 * (N + 64 * ry + 2 * rx * ry)
+    else:
+        held, work = N, 3 * 64 * P * (P // 2 + 1)
+    model = 8 * (sum(m * m for m in sizes) + max(sizes) * held + work)
     return (after_kb - before_kb) * 1024, model, bool(separable)
 
 
 def test_gram_peak_rss():
-    # the Gaussian bump is rank one: Toeplitz products and their model
+    # the Gaussian bump is rank one: eigenfactor coefficients, far fewer
+    # than the 4096 grid points, and their model
     growth, model, separable = gram_growth("gaussian-bump")
     assert separable
     assert growth <= 1.25 * model
@@ -528,8 +536,9 @@ def test_blocked_gram_matches_single_class(case, op, bump):
     # the blocks agree with the single-class Gram, and the entries the blocks
     # leave out are roundoff there (1.1e-14 of max|Q| on the 1D trap, 2.1e-15
     # on the 2D one) and exact zeros in the assembled Gram.  The 2D kernels
-    # are rank one, so their blocks come from Toeplitz products and the
-    # single-class Gram, built with convolve, is an FFT oracle for them
+    # are rank one, so their blocks come from the eigenfactors of their
+    # Toeplitz tables and the single-class Gram, built with convolve, is an
+    # FFT oracle for them
     if case == "quartic-1d":
         o, w, K = op, bump, 12
     else:
@@ -597,9 +606,29 @@ def test_non_separable_gram_stays_on_fft(op, bump, delta, monkeypatch):
     for o, w, K in ((o2, exp2d, 20), (op, bump, 12), (op, delta, 12)):
         t = build_pair_tensor(o, w, K)
         with monkeypatch.context() as m:
-            m.setattr(interaction, "_convolve_pairs", interaction.convolve)
+            m.setattr(interaction, "_pair_features",
+                      lambda w, factors, rows: (rows, interaction.convolve(w, rows)))
             ref = build_pair_tensor(o, w, K)
         assert all(np.array_equal(a, b) for a, b in zip(t.grams, ref.grams))
+
+
+def test_signed_kernel_gram():
+    # a Gaussian bump of negative amplitude: every kept eigenvalue of Tx is
+    # negative, and fewer are kept than the grid has points.  Its Gram
+    # matches the FFT oracle and is minus the positive bump's, so the
+    # eigenfactors keep their signs instead of clipping them
+    from gibbslab import interaction
+    o = build_one_body(GridSpec(2, 8.0, 64), "power", 20, s=2.0)
+    pos = make_pair_potential("gaussian-bump", o.grid, amplitude=0.05, sigma=1.25)
+    neg = make_pair_potential("gaussian-bump", o.grid, amplitude=-0.05, sigma=1.25)
+    (sx, _), (sy, _) = interaction._kernel_factors(neg)
+    assert np.all(sx < 0) and np.all(sy > 0) and len(sx) < 64
+    with pytest.warns(UserWarning, match="dips negative"):
+        Q = build_pair_tensor(o, neg, 20).gram
+    ref = single_class_gram(o, neg, 20)
+    scale = np.abs(ref).max()
+    assert np.abs(Q - ref).max() <= 1e-14 * scale
+    assert np.abs(Q + build_pair_tensor(o, pos, 20).gram).max() <= 1e-14 * scale
 
 
 def test_w1111_matches_bare(op, bump):
