@@ -19,7 +19,9 @@ Gram build and the streamed exchange term instead project each pair density
 onto the eigenvectors of its two n x n Toeplitz tables, T = V diag(s) V^T,
 keeping only the rx x ry coefficients above the tables' numerical rank (38
 per axis for the shipped bump), and weigh them by sx (x) sy; this equals
-the FFT up to roundoff.
+the FFT up to roundoff.  Those eigenvectors have exact parities px, py
+(spectral.reflection_eigh), so a density of parity p keeps only the
+coefficients with px_i py_j = p, half of them.
 Densities follow the weight-folded convention of the spectral module:
 |stored field|^2 already carries the cell volume, so the quadrature of a
 double integral is a plain dot product with the convolved density and the
@@ -35,15 +37,17 @@ import numpy as np
 
 from .config import MAX_DENSE_BYTES, ConfigurationError
 from .gaussian import _SAMPLE_CHUNK, Ensemble
-from .spectral import GridSpec, OneBodyOperator, green_diagonal, mode_parity
+from .spectral import (GridSpec, OneBodyOperator, green_diagonal, mode_parity,
+                       reflection_eigh)
 
-# The Gram build holds, against MAX_DENSE_BYTES, every class block, the H
-# held columns of the largest class's pairs and one chunk's working set,
-# 8 (sum_c m_c^2 + max_c m_c H + X) bytes for classes of m_c pairs (one
-# class unlabelled) and C = _PAIR_CHUNK.  With eigenfactors of ranks rx, ry
-# on an n x n grid of N points H = rx ry and X = C (N + n ry + 2 rx ry): the
-# chunk's densities, their half projection, held and weighted coefficients.
-# By FFT on padded side P, H = N and X = (5 - d) C P^(d-1) (P/2 + 1):
+# The Gram build holds, against MAX_DENSE_BYTES, every class block, the H_c
+# held columns of one class's m_c pairs at a time and one chunk's working set,
+# 8 (sum_c m_c^2 + max_c m_c H_c + X) bytes (one class unlabelled) with
+# C = _PAIR_CHUNK.  With eigenfactors of ranks rx, ry on an n x n grid of N
+# points H_c counts the coefficients of the class's parity (722 for the
+# shipped bump; rx ry unlabelled) and X = C (N + n ry + 2 rx ry): the chunk's
+# densities, their half projection, its coefficients, then held and weighted.
+# By FFT on padded side P, H_c = N and X = (5 - d) C P^(d-1) (P/2 + 1):
 # convolve holds the complex spectrum of C rows and a half-size (2D) or
 # same-size (1D) copy.
 #
@@ -190,37 +194,40 @@ def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
 
 
 def _kernel_factors(w: PairPotential):
-    """Eigenfactors ((sx, Vx), (sy, Vy)) of w's Toeplitz tables, None without them.
+    """Eigenfactors ((sx, Vx, px), (sy, Vy, py)) of w's Toeplitz tables, None without them.
 
-    Each table T = V diag(s) V^T keeps the eigenpairs with |s| > n eps max|s|,
-    numpy's matrix_rank default; the signs of s are kept, so T need not be
-    semidefinite.
+    Each table T = V diag(s) V^T comes from spectral.reflection_eigh, each
+    vector with its parity, and keeps the eigenpairs of both parities with
+    |s| > n eps max|s|, numpy's matrix_rank default; the signs of s are
+    kept, so T need not be semidefinite.
     """
     if w.toeplitz is None:
         return None
     factors = []
     for T in w.toeplitz:
-        s, V = np.linalg.eigh(T)
+        s, V, parity = reflection_eigh(T)
         keep = np.abs(s) > len(s) * np.finfo(float).eps * np.abs(s).max()
-        factors.append((s[keep], V[:, keep]))
+        factors.append((s[keep], V[:, keep], parity[keep]))
     return tuple(factors)
 
 
-def _pair_features(w: PairPotential, factors, rows: np.ndarray
+def _pair_features(w: PairPotential, factors, rows: np.ndarray, cols: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(held, left) of a chunk of pair densities: <rho_p, w * rho_q> = left_p . held_q.
 
     factors come from _kernel_factors(w).  Without them held = rows and left
     = convolve(w, rows); with them held = Vx^T rho Vy flattened to rx ry
-    columns and left = held (sx (x) sy).
+    columns, or to cols of them, and left = held (sx (x) sy).
     """
     if factors is None:
         return rows, convolve(w, rows)
-    (sx, Vx), (sy, Vy) = factors
+    (sx, Vx, _), (sy, Vy, _) = factors
     n = len(Vx)
-    half = (rows.reshape(-1, n) @ Vy).reshape(-1, n, len(sy))
-    held = (Vx.T @ half).reshape(len(rows), -1)
-    return held, held * np.outer(sx, sy).ravel()
+    held = (Vx.T @ (rows.reshape(-1, n) @ Vy).reshape(-1, n, len(sy))).reshape(len(rows), -1)
+    weight = np.outer(sx, sy).ravel()
+    if cols is not None:
+        held, weight = held[:, cols], weight[cols]
+    return held, held * weight
 
 
 def quadratic_form(w: PairPotential, density: np.ndarray) -> np.ndarray | float:
@@ -243,6 +250,26 @@ def _pairs(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pair's multiplicity: 1 on the diagonal, 2 off it."""
     b, a = np.tril_indices(K)
     return a, b, np.where(a == b, 1.0, 2.0)
+
+
+def _pair_classes(op: OneBodyOperator, K: int, factors
+                  ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(positions, held columns) of each pair class at cutoff K, even class first.
+
+    A labelled pair's class is its parity p = p_a p_b; unlabelled pairs are
+    one class.  Reversing both axes flips eigenfactor coefficient (i, j) by
+    px_i py_j, so a labelled class holds those with px_i py_j = p; columns
+    is None (all) otherwise.
+    """
+    labels = mode_parity(op, K)
+    a, b, _ = _pairs(K)
+    if labels is None:
+        return [(np.arange(len(a)), None)]
+    pair_class = labels[a] * labels[b]
+    coeff = None if factors is None else np.outer(factors[0][2], factors[1][2]).ravel()
+    return [(np.flatnonzero(pair_class == p),
+             None if coeff is None else np.flatnonzero(coeff == p))
+            for p in (1, -1) if np.any(pair_class == p)]
 
 
 def _pair_densities(Ut: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,19 +296,22 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
     diag(Q) is read class by class from tensor, a pair Gram of op and w,
     with no convolution; a tensor cutoff below K raises ConfigurationError.
     Without a tensor, diag(Q) is streamed chunk by chunk, projected or
-    convolved as in build_pair_tensor, and Q is never built.
+    convolved as in build_pair_tensor (FFT features, which ignore the
+    class, in pair order), and Q is never built.
     """
     lam, U = _check_binding(op, w, K)
     a, b, mult = _pairs(K)
     fac = mult / (lam[a] * lam[b])
+    diag = np.empty(len(fac))
     if tensor is None:
         factors, Ut = _kernel_factors(w), np.ascontiguousarray(U.T)
-        diag = np.concatenate([
-            np.einsum("ij,ij->i", *_pair_features(w, factors, _pair_densities(
-                Ut, a[lo:lo + _PAIR_CHUNK], b[lo:lo + _PAIR_CHUNK])))
-            for lo in range(0, len(a), _PAIR_CHUNK)])
+        classes = [(np.arange(len(a)), None)] if factors is None else _pair_classes(op, K, factors)
+        for pos, cols in classes:
+            for lo in range(0, len(pos), _PAIR_CHUNK):
+                p = pos[lo:lo + _PAIR_CHUNK]
+                diag[p] = np.einsum("ij,ij->i", *_pair_features(
+                    w, factors, _pair_densities(Ut, a[p], b[p]), cols))
     else:
-        diag = np.empty(len(fac))
         for pos, Q in tensor.classes(K):
             diag[pos] = np.diagonal(Q)
     return float(0.5 * fac @ diag)
@@ -341,48 +371,50 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     products of its left features with the held features of the pairs
     before it (_pair_features); mirroring it in place makes each block
     exactly symmetric.  Only one class's held features are kept at a time:
-    the rx ry eigenfactor coefficients of each density when w has Toeplitz
-    tables (rank-one 2D kernels), else the densities themselves, convolved
-    by FFT.  The cap counts the working set of the route taken.
+    the eigenfactor coefficients of each density when w has Toeplitz tables
+    (rank-one 2D kernels), those of the class's parity when it has one,
+    else the densities themselves, convolved by FFT.  The cap counts the
+    working set of the route taken.
     """
     _, U = _check_binding(op, w, K)
     if w.w_hat_min < -1e-10:  # beyond FFT roundoff
         warnings.warn(f"pair potential transform dips negative (min {w.w_hat_min:.3g}): "
                       "the pair Gram need not be positive semidefinite, so "
                       "energies may be negative and weights exp(-D) exceed 1")
-    labels = mode_parity(op, K)
     a, b, _ = _pairs(K)
-    pair_class = np.ones(len(a), dtype=int) if labels is None else labels[a] * labels[b]
-    pairs = [np.flatnonzero(pair_class == s) for s in np.unique(pair_class)[::-1]]
     factors = _kernel_factors(w)
+    classes = _pair_classes(op, K, factors)
     N, d, P = op.grid.total_points, op.grid.dimension, w.kernel.shape[0]
     if factors is None:
-        H, work = N, (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1)
+        full, work = N, (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1)
     else:
         rx, ry = len(factors[0][0]), len(factors[1][0])
-        H, work = rx * ry, _PAIR_CHUNK * (N + op.grid.points * ry + 2 * rx * ry)
-    nbytes = 8 * (sum(len(pos) ** 2 for pos in pairs) + max(len(pos) for pos in pairs) * H + work)
+        full, work = rx * ry, _PAIR_CHUNK * (N + op.grid.points * ry + 2 * rx * ry)
+    widths = [full if cols is None else len(cols) for _, cols in classes]
+    nbytes = 8 * (sum(len(pos) ** 2 for pos, _ in classes)
+                  + max(len(pos) * H for (pos, _), H in zip(classes, widths)) + work)
     if nbytes > MAX_DENSE_BYTES:
         raise ConfigurationError(
             f"pair Gram at K={K} needs {nbytes} bytes, over the "
             f"{MAX_DENSE_BYTES}-byte cap")
     Ut = np.ascontiguousarray(U.T)
     grams = []
-    for pos in pairs:
+    for (pos, cols), H in zip(classes, widths):
         ac, bc, m = a[pos], b[pos], len(pos)
         held = np.empty((m, H))
         Q = np.zeros((m, m))
         for lo in range(0, m, _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, m)
             held[lo:hi], left = _pair_features(
-                w, factors, _pair_densities(Ut, ac[lo:hi], bc[lo:hi]))
+                w, factors, _pair_densities(Ut, ac[lo:hi], bc[lo:hi]), cols)
             Q[lo:hi, :hi] = left @ held[:hi].T
             del left  # not held through the next chunk's convolution
         del held
         for i in range(m - 1):
             Q[i, i + 1:] = Q[i + 1:, i]
         grams.append(Q)
-    return PairTensor(mode_cutoff=K, pairs=tuple(pairs), grams=tuple(grams))
+    return PairTensor(mode_cutoff=K, pairs=tuple(pos for pos, _ in classes),
+                      grams=tuple(grams))
 
 
 def wick_shift(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor) -> np.ndarray:

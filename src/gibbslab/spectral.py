@@ -200,6 +200,32 @@ def mode_parity(op: OneBodyOperator, K: int) -> np.ndarray | None:
     return labels
 
 
+def reflection_eigh(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending eigenpairs (s, V, parity) of a symmetric T commuting with the reversal J.
+
+    T = [[A, B], [JBJ, JAJ]] (a centre row and column between for odd n)
+    folds into the halves A + BJ and A - BJ, whose vectors v unfold to
+    [v; +-Jv]/sqrt(2), so V[::-1] == parity * V bit for bit.  For odd n the
+    centre joins the even half scaled by sqrt(2).
+    """
+    if not np.array_equal(T, T[::-1, ::-1]):
+        raise ValueError("matrix does not commute with the grid reversal")
+    n, m = len(T), len(T) // 2
+    A, BJ = T[:m, :m], T[:m, n - m:][:, ::-1]
+    even = A + BJ
+    if n % 2:
+        c = np.sqrt(2.0) * T[:m, m]
+        even = np.block([[even, c[:, None]], [c[None, :], T[m, m]]])
+    (s_even, v_even), (s_odd, v_odd) = np.linalg.eigh(even), np.linalg.eigh(A - BJ)
+    V = np.zeros((n, n))
+    V[:m] = np.sqrt(0.5) * np.c_[v_even[:m], v_odd]
+    V[m:n - m, :len(s_even)] = v_even[m:]
+    parity = np.r_[np.ones(len(s_even), dtype=int), -np.ones(m, dtype=int)]
+    V[n - m:] = parity * V[:m][::-1]
+    order = np.argsort(np.r_[s_even, s_odd], kind="stable")
+    return np.r_[s_even, s_odd][order], V[:, order], parity[order]
+
+
 def shift_potential(op: OneBodyOperator, nu: float) -> OneBodyOperator:
     """Replace every eigenvalue by lambda_j - nu; eigenvectors unchanged."""
     if nu >= op.eigenvalues[0]:

@@ -425,12 +425,16 @@ def gram_growth(kind):
     fresh child.
 
     The byte model checked against MAX_DENSE_BYTES counts every class
-    block, the held features of the largest class's m_c pairs and one
-    64-row chunk's working set.  A rank-one kernel holds rx ry eigenfactor
-    coefficients per pair, rx and ry the numerical ranks of its Toeplitz
-    tables, and a chunk's projection holds 64 (N + n ry + 2 rx ry) numbers
-    on an n x n grid of N points; otherwise the pairs hold their densities
-    of N points and a chunk 1.5 complex spectra of shape (64, P, P/2 + 1).
+    block, the held features of each class's m_c pairs, one class at a
+    time, and one 64-row chunk's working set.  A rank-one kernel's tables
+    have numerical ranks ex + ox and ey + oy, split by the parity of their
+    eigenvectors under the grid reversal (the ranks of the tables projected
+    on the even and odd vectors, at the tolerance of the whole table).  A
+    pair of the even class holds ex ey + ox oy eigenfactor coefficients and
+    one of the odd class ex oy + ox ey, those whose parity matches its
+    own, and a chunk's projection holds 64 (N + n ry + 2 rx ry) numbers on
+    an n x n grid of N points; otherwise the pairs hold their densities of
+    N points and a chunk 1.5 complex spectra of shape (64, P, P/2 + 1).
     Growth runs from the resident set just before the build to the peak of
     the child's own address space: ru_maxrss would carry over the peak of
     the test process that spawned it.
@@ -450,21 +454,27 @@ def gram_growth(kind):
         before = status_kb("VmRSS:")
         t = build_pair_tensor(op, w, 64)
         after = status_kb("VmHWM:")
-        ranks = [np.linalg.matrix_rank(T, hermitian=True) for T in w.toeplitz or ()]
+        def parity_ranks(T):
+            tol = len(T) * np.finfo(float).eps * np.abs(np.linalg.eigvalsh(T)).max()
+            proj = [(np.eye(len(T)) + p * np.eye(len(T))[::-1]) / 2 for p in (1, -1)]
+            return [np.linalg.matrix_rank(P @ T @ P, tol=tol, hermitian=True) for P in proj]
+        ranks = [r for T in w.toeplitz or () for r in parity_ranks(T)]
         print(before, after, int(w.toeplitz is not None), op.grid.total_points,
-              w.kernel.shape[0], *(ranks or (0, 0)), *(len(pos) for pos in t.pairs))
+              w.kernel.shape[0], *(ranks or (0,) * 4), *(len(pos) for pos in t.pairs))
     """ % kind)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
-    before_kb, after_kb, separable, N, P, rx, ry, *sizes = map(int, res.stdout.split())
+    before_kb, after_kb, separable, N, P, ex, ox, ey, oy, *sizes = map(
+        int, res.stdout.split())
     assert len(sizes) == 2 and sum(sizes) == 64 * 65 // 2
     if separable:
-        held, work = rx * ry, 64 * (N + 64 * ry + 2 * rx * ry)
+        rx, ry = ex + ox, ey + oy
+        held, work = (ex * ey + ox * oy, ex * oy + ox * ey), 64 * (N + 64 * ry + 2 * rx * ry)
     else:
-        held, work = N, 3 * 64 * P * (P // 2 + 1)
-    model = 8 * (sum(m * m for m in sizes) + max(sizes) * held + work)
+        held, work = (N, N), 3 * 64 * P * (P // 2 + 1)
+    model = 8 * (sum(m * m for m in sizes) + max(m * h for m, h in zip(sizes, held)) + work)
     return (after_kb - before_kb) * 1024, model, bool(separable)
 
 
@@ -530,20 +540,21 @@ def single_class_gram(op, w, K):
     return Q
 
 
-@pytest.mark.parametrize("case", ["quartic-1d", "harmonic-2d", "delta-2d"])
+@pytest.mark.parametrize("case", ["quartic-1d", "harmonic-2d", "harmonic-2d-33", "delta-2d"])
 def test_blocked_gram_matches_single_class(case, op, bump):
     # on reflection-symmetric traps the pairs split by pair parity p_a p_b;
     # the blocks agree with the single-class Gram, and the entries the blocks
     # leave out are roundoff there (1.1e-14 of max|Q| on the 1D trap, 2.1e-15
     # on the 2D one) and exact zeros in the assembled Gram.  The 2D kernels
     # are rank one, so their blocks come from the eigenfactors of their
-    # Toeplitz tables and the single-class Gram, built with convolve, is an
-    # FFT oracle for them
+    # Toeplitz tables, folded on an even (32) or odd (33) side, and the
+    # single-class Gram, built with convolve, is an FFT oracle for them
     if case == "quartic-1d":
         o, w, K = op, bump, 12
     else:
-        o = build_one_body(GridSpec(2, 6.0, 32), "power", 20, s=2.0)
-        kind = "gaussian-bump" if case == "harmonic-2d" else "grid-delta"
+        n = 33 if case == "harmonic-2d-33" else 32
+        o = build_one_body(GridSpec(2, 6.0, n), "power", 20, s=2.0)
+        kind = "grid-delta" if case == "delta-2d" else "gaussian-bump"
         w, K = make_pair_potential(kind, o.grid, amplitude=0.5, sigma=0.6), 20
         assert w.toeplitz is not None
     t = build_pair_tensor(o, w, K)
@@ -607,9 +618,67 @@ def test_non_separable_gram_stays_on_fft(op, bump, delta, monkeypatch):
         t = build_pair_tensor(o, w, K)
         with monkeypatch.context() as m:
             m.setattr(interaction, "_pair_features",
-                      lambda w, factors, rows: (rows, interaction.convolve(w, rows)))
+                      lambda w, factors, rows, cols: (rows, interaction.convolve(w, rows)))
             ref = build_pair_tensor(o, w, K)
         assert all(np.array_equal(a, b) for a, b in zip(t.grams, ref.grams))
+
+
+def held_widths(monkeypatch, o, w, K):
+    """The Gram of o and w at cutoff K, and the held width of each chunk."""
+    from gibbslab import interaction
+    widths, features = [], interaction._pair_features
+
+    def recorded(*args):
+        held, left = features(*args)
+        widths.append(held.shape[1])
+        return held, left
+
+    with monkeypatch.context() as m:
+        m.setattr(interaction, "_pair_features", recorded)
+        Q = build_pair_tensor(o, w, K).gram
+    return Q, widths
+
+
+@pytest.mark.parametrize("n, L, sigma", [(32, 6.0, 0.6), (33, 6.0, 0.6), (64, 8.0, 1.25)])
+def test_parity_half_gram(n, L, sigma, monkeypatch):
+    # a labelled class holds only the eigenfactor coefficients px_i py_j of
+    # its own parity: those of the other parity are roundoff in every pair
+    # density, also on study-2d's 64² grid and bump (amplitude aside), whose
+    # tables keep eigenvalues below 4e-13 of the largest, 19 even and 19 odd
+    # per axis: 722 of 38 x 38 coefficients per class.
+    # test_blocked_gram_matches_single_class checks the Gram
+    from gibbslab import interaction
+    o = build_one_body(GridSpec(2, L, n), "power", 20, s=2.0)
+    w = make_pair_potential("gaussian-bump", o.grid, amplitude=0.5, sigma=sigma)
+    (_, Vx, px), (_, Vy, py) = interaction._kernel_factors(w)
+    labels = mode_parity(o, 20)
+    assert labels is not None
+    b, a = np.tril_indices(20)
+    U = o.eigenvectors[:, :20].reshape(n, n, 20)
+    for i, j in zip(a, b):
+        coeff = Vx.T @ (U[:, :, i] * U[:, :, j]) @ Vy
+        other = np.outer(px, py) != labels[i] * labels[j]
+        assert np.abs(coeff[other]).max() <= 1e-13 * np.abs(coeff).max()
+    _, widths = held_widths(monkeypatch, o, w, 20)
+    assert sorted(set(widths)) == sorted({np.sum(np.outer(px, py) == p) for p in (1, -1)})
+    if n == 64:
+        assert len(px) == len(py) == 38 and set(widths) == {722}
+
+
+def test_unlabelled_gram_holds_all_coefficients(monkeypatch):
+    # a tilted 2D trap has no reflection labels: its one class holds all
+    # rx ry coefficients of the bump's eigenfactors and matches the oracle
+    from gibbslab import interaction
+    g = GridSpec(2, 6.0, 32)
+    x, y = g.coordinates().T
+    tilted = build_one_body(g, "custom", 12, potential_array=x**2 + y**2 + x)
+    w = make_pair_potential("gaussian-bump", g, amplitude=0.5, sigma=0.6)
+    assert mode_parity(tilted, 12) is None and w.toeplitz is not None
+    (sx, _, _), (sy, _, _) = interaction._kernel_factors(w)
+    Q, widths = held_widths(monkeypatch, tilted, w, 12)
+    assert set(widths) == {len(sx) * len(sy)}
+    ref = single_class_gram(tilted, w, 12)
+    assert np.abs(Q - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_signed_kernel_gram():
@@ -621,7 +690,7 @@ def test_signed_kernel_gram():
     o = build_one_body(GridSpec(2, 8.0, 64), "power", 20, s=2.0)
     pos = make_pair_potential("gaussian-bump", o.grid, amplitude=0.05, sigma=1.25)
     neg = make_pair_potential("gaussian-bump", o.grid, amplitude=-0.05, sigma=1.25)
-    (sx, _), (sy, _) = interaction._kernel_factors(neg)
+    (sx, _, _), (sy, _, _) = interaction._kernel_factors(neg)
     assert np.all(sx < 0) and np.all(sy > 0) and len(sx) < 64
     with pytest.warns(UserWarning, match="dips negative"):
         Q = build_pair_tensor(o, neg, 20).gram

@@ -2,12 +2,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from gibbslab.config import ConfigurationError, load_config
 from gibbslab.spectral import (GridSpec, build_one_body, green_diagonal, mode_parity,
-                               schatten_trace, shift_potential)
-from gibbslab.studies import build_model_operator
+                               reflection_eigh, schatten_trace, shift_potential)
+from gibbslab.studies import bind_potential, build_model_operator
 
 import oracles
 
@@ -83,6 +84,33 @@ def test_mode_parity_refuses_a_small_asymmetry():
     assert np.all(np.abs(np.abs(overlaps) - 1.0) <= 1e-8)
     assert np.linalg.norm(U - np.sign(overlaps) * U[::-1], axis=0).max() > 1e-10
     assert mode_parity(op, 8) is None
+
+
+@pytest.mark.parametrize("n", [64, 33])
+def test_reflection_eigh(n):
+    # on the study-2d bump's Toeplitz tables and a random symmetric Toeplitz
+    # matrix: exact parities, eigh's eigenvalues and an orthonormal basis;
+    # numpy's matrix_rank rule keeps as many pairs as on eigh's eigenvalues,
+    # 19 even and 19 odd per axis of the 64 x 64 tables
+    cfg = load_config(Path(__file__).parents[1] / "perfbench/configs/study_2d.ini")
+    w = bind_potential(cfg, GridSpec(2, cfg.model.half_width, n))
+    random = scipy.linalg.toeplitz(np.random.default_rng(n).standard_normal(n))
+    eps = np.finfo(float).eps
+    for T in (*w.toeplitz, random):
+        s, V, parity = reflection_eigh(T)
+        ref = np.linalg.eigvalsh(T)
+        scale = np.abs(ref).max()
+        assert np.array_equal(V[::-1], parity * V)
+        assert np.sum(parity > 0) == (n + 1) // 2 and np.sum(parity < 0) == n // 2
+        assert np.abs(s - ref).max() <= 1e-14 * scale
+        assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-14
+        assert np.abs(T @ V - V * s).max() <= 1e-14 * scale
+        keep = np.abs(s) > n * eps * scale
+        assert np.sum(keep) == np.sum(np.abs(ref) > n * eps * scale)
+        if n == 64 and T is not random:
+            assert np.sum(parity[keep] > 0) == np.sum(parity[keep] < 0) == 19
+    with pytest.raises(ValueError, match="reversal"):
+        reflection_eigh(np.diag(np.arange(n, dtype=float)))
 
 
 def test_shift_identity_and_arithmetic(harmonic_op):
