@@ -9,8 +9,10 @@ routines read it from them.  Free (diagonal) sectors keep their
 Gibbs blocks as bare probability vectors so that large cutoffs stay cheap;
 interacting sectors are dense, each diagonalized per connected block of H
 by divide and conquer, so the pair term's odd-mode parity classes are
-solved apart.  Spectra keep one set of vectors per block, and the Gibbs
-state is assembled block by block into dense sector blocks.
+solved apart.  A BlockPlan finds the blocks once for every operator of one
+sparsity pattern, such as H1 + g Hpair at each g != 0.  Spectra keep one
+set of vectors per block, and the Gibbs state keeps one dense matrix per
+block, never the zeros between blocks.
 boltzmann_weights gives level probabilities and log Z under any particle
 cutoff; the Gibbs state and the cutoff audit read <N> and the top-sector
 weight from them, so the audit assembles no states.
@@ -141,10 +143,16 @@ class FockOperator:
 
 @dataclass
 class FockState:
-    """Block-diagonal density operator; 1-D block means a diagonal block."""
+    """Density operator, block-diagonal over sectors and within them.
+
+    blocks[n] is a 1-D vector for a diagonal sector, else a list of
+    (states, block) pairs: a block's state indices in the sector, ascending,
+    and its dense matrix on them.  Entries between two pairs' states are
+    zero; a whole dense sector is the one-pair case.
+    """
 
     basis: FockBasis
-    blocks: list[np.ndarray]
+    blocks: list[np.ndarray | list[tuple[np.ndarray, np.ndarray]]]
 
 
 def build_fock(K: int, N_max: int) -> FockBasis:
@@ -234,47 +242,145 @@ class SectorSpectra:
     vectors: list[list[tuple[np.ndarray, np.ndarray]] | None]
 
 
-def sector_eigensystems(H: FockOperator, nu: float) -> SectorSpectra:
-    """Diagonalize H - nu N blockwise, on H's basis.
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    Diagonal blocks keep their basis ordering (vectors None).  A dense
-    sector is solved as one block per connected component of its
-    off-diagonal entries, in label order, each by divide and conquer
-    (LAPACK evd).  An m-state block needs 1 + 6m + 2m^2 doubles of solver
-    workspace, against O(m) for the MRRR driver, and m^2 each for the dense
-    block and its vectors: with two parity blocks about half the d^2 of a
-    whole-sector solve.  Before any block is made dense, a block whose
-    8 (4m^2 + 6m + 1) bytes exceed MAX_DENSE_BYTES raises ConfigurationError.
+
+def _component_labels(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
+    """Connected-component labels of the graph on d states with edges
+    (rows, cols), either direction, numbered by their smallest state.
+
+    Label propagation with pointer jumping: each tree's root hooks onto the
+    least root across its edges, then every state follows its pointers to
+    a root, until no edge joins two roots.  The roots are then each
+    component's smallest state, so labels come in scipy.sparse.csgraph's
+    order.
     """
-    # deferred: importing csgraph costs 3 MB and 25 ms that only Fock solves need
-    from scipy.sparse.csgraph import connected_components
-    components = []
-    for n, block in enumerate(H.blocks):
-        off = block - sp.diags(block.diagonal())
-        labels = connected_components(off, directed=False)[1] if off.nnz else None
-        m = 0 if labels is None else int(np.bincount(labels).max())
+    rows, cols = np.r_[rows, cols], np.r_[cols, rows]
+    root = np.arange(d)
+    while True:
+        low = root.copy()
+        np.minimum.at(low, root[rows], root[cols])
+        while not np.array_equal(low, jumped := low[low]):
+            low = jumped
+        if np.array_equal(low, root):
+            return np.unique(root, return_inverse=True)[1]
+        root = low
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """The connected blocks of an operator's sectors and where its entries go.
+
+    patterns[n] is sector n's CSR (indptr, indices).  sectors[n] is None if
+    the sector has no nonzero entry off the diagonal, else one (states, src,
+    dst) per connected component of those entries, in label order: the
+    block's states in the sector, ascending, the positions src in the
+    sector's CSR data of the entries inside the block, and their flat
+    positions dst in the dense m x m block.  The plan serves every operator
+    with the same patterns, whatever its values.  Its arrays are read-only,
+    so threads may share it.
+    """
+
+    patterns: list[tuple[np.ndarray, np.ndarray]]
+    sectors: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None]
+
+    def fits(self, H: FockOperator) -> bool:
+        return len(H.blocks) == len(self.patterns) and all(
+            np.array_equal(b.indptr, indptr) and np.array_equal(b.indices, indices)
+            for b, (indptr, indices) in zip(H.blocks, self.patterns))
+
+
+def block_plan(H: FockOperator) -> BlockPlan:
+    """H's connected blocks, found once for every operator of H's pattern.
+
+    H1 + g Hpair has one pattern at every coupling g != 0, unless an entry
+    cancels exactly, so a plan of H1 + Hpair serves a whole schedule.
+    """
+    patterns, sectors = [], []
+    for block in H.blocks:
+        d = block.shape[0]
+        rows, cols = np.repeat(np.arange(d), np.diff(block.indptr)), block.indices
+        patterns.append(_frozen(block.indptr.copy(), cols.copy()))
+        off = (rows != cols) & (block.data != 0)
+        if not off.any():
+            sectors.append(None)
+            continue
+        labels = _component_labels(rows[off], cols[off], d)
+        sizes = np.bincount(labels)
+        order = np.argsort(labels, kind="stable")
+        local = np.empty(d, dtype=np.intp)
+        local[order] = np.arange(d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        src = np.flatnonzero(labels[rows] == labels[cols])
+        owner = labels[rows[src]]
+        by = np.argsort(owner, kind="stable")
+        src, owner = src[by], owner[by]
+        dst = local[rows[src]] * sizes[owner] + local[cols[src]]
+        states = np.split(order, np.cumsum(sizes)[:-1])
+        edges = np.cumsum(np.bincount(owner, minlength=len(sizes)))[:-1]
+        sectors.append([_frozen(*blk) for blk in
+                        zip(states, np.split(src, edges), np.split(dst, edges))])
+    return BlockPlan(patterns=patterns, sectors=sectors)
+
+
+def _check_bytes(plan: BlockPlan) -> None:
+    """Refuse, over MAX_DENSE_BYTES, a block's solve, 8 (4m^2 + 6m + 1)
+    bytes for m states, or the vectors of all blocks, 8 sum m^2, plus the
+    largest solve."""
+    held = solve = 0
+    for n, blocks in enumerate(plan.sectors):
+        if blocks is None:
+            continue
+        m = max(len(states) for states, _, _ in blocks)
         nbytes = 8 * (4 * m * m + 6 * m + 1)
         if nbytes > MAX_DENSE_BYTES:
             raise ConfigurationError(
                 f"sector n={n}: a {m}-state block needs {nbytes} bytes to solve, "
                 f"over the {MAX_DENSE_BYTES}-byte cap")
-        components.append(labels)
+        held += 8 * sum(len(states) ** 2 for states, _, _ in blocks)
+        solve = max(solve, nbytes)
+    if held + solve > MAX_DENSE_BYTES:
+        raise ConfigurationError(
+            f"the spectra hold {held} bytes of vectors and their largest block "
+            f"solve needs {solve} more, over the {MAX_DENSE_BYTES}-byte cap")
+
+
+def sector_eigensystems(H: FockOperator, nu: float, plan: BlockPlan | None = None
+                        ) -> SectorSpectra:
+    """Diagonalize H - nu N blockwise, on H's basis.
+
+    Diagonal sectors keep their basis ordering (vectors None).  A dense
+    sector is solved as one block per connected component of its nonzero
+    off-diagonal entries, in label order, from plan if it fits H's pattern,
+    else from block_plan(H).  Each block is filled from H's entries and
+    solved by divide and conquer (LAPACK evd): 1 + 6m + 2m^2 doubles of
+    workspace for m states, against O(m) for the MRRR driver, and m^2 each
+    for the block and its vectors, so two parity blocks need about half the
+    d^2 of a whole-sector solve.  _check_bytes refuses the blocks, with
+    ConfigurationError, before any is made dense.
+    """
+    if plan is None or not plan.fits(H):
+        plan = block_plan(H)
+    _check_bytes(plan)
     energies, vectors = [], []
-    for n, (block, labels) in enumerate(zip(H.blocks, components)):
-        if labels is None:
+    for n, (block, blocks) in enumerate(zip(H.blocks, plan.sectors)):
+        if blocks is None:
             energies.append(block.diagonal() - nu * n)
             vectors.append(None)
             continue
-        vals, blocks = [], []
-        for c in range(labels.max() + 1):
-            states = np.flatnonzero(labels == c)
-            sub = block[np.ix_(states, states)].toarray()
-            sub[np.diag_indices_from(sub)] -= nu * n
+        vals, vecs = [], []
+        for states, src, dst in blocks:
+            m = len(states)
+            sub = np.zeros((m, m))
+            sub.flat[dst] = block.data[src]
+            sub.flat[::m + 1] -= nu * n
             w, v = scipy.linalg.eigh(sub, overwrite_a=True, driver="evd")
             vals.append(w)
-            blocks.append((states, v))
+            vecs.append((states, v))
         energies.append(np.concatenate(vals))
-        vectors.append(blocks)
+        vectors.append(vecs)
     return SectorSpectra(basis=H.basis, energies=energies, vectors=vectors)
 
 
@@ -314,22 +420,23 @@ def _particle_scalars(probs: list[np.ndarray]) -> tuple[float, float]:
     return float(np.arange(len(weights)) @ weights), float(weights[-1])
 
 
-def _dense_block(p: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The sector's V diag(p) V^T, one (V_b * p_b) @ V_b^T per block."""
-    rho = np.zeros((len(p), len(p)))
-    col = 0
+def _gibbs_blocks(p: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]]
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(states, (V_b * p_b) @ V_b^T) of each block, p_b its run of p."""
+    out, col = [], 0
     for states, V in blocks:
-        rho[np.ix_(states, states)] = (V * p[col:col + len(states)]) @ V.T
+        out.append((states, (V * p[col:col + len(states)]) @ V.T))
         col += len(states)
-    return rho
+    return out
 
 
 def gibbs_from_spectra(spectra: SectorSpectra, T: float, E0: float = 0.0) -> GibbsResult:
-    """Assemble exp(-(H - nu N + E0)/T)/Z from per-sector spectra, each
-    dense sector block by block into a dense FockState block."""
+    """Assemble exp(-(H - nu N + E0)/T)/Z from per-sector spectra: bare
+    probabilities on diagonal sectors, one dense matrix per block of the
+    others, on the block's states, and nothing between blocks."""
     basis = spectra.basis
     probs, log_Z = boltzmann_weights(spectra, T, basis.max_particles, E0)
-    state = FockState(basis=basis, blocks=[p if V is None else _dense_block(p, V)
+    state = FockState(basis=basis, blocks=[p if V is None else _gibbs_blocks(p, V)
                                            for p, V in zip(probs, spectra.vectors)])
     mean_N, top_weight = _particle_scalars(probs)
     return GibbsResult(state=state, log_partition=log_Z,
@@ -359,24 +466,41 @@ class ReducedDensityMatrix:
     matrix: np.ndarray
 
 
+def _gathered(blocks: list[tuple[np.ndarray, np.ndarray]], cols: np.ndarray) -> np.ndarray:
+    """Gamma[cols[a, r], cols[b, r]] of a sector held as (states, block)
+    pairs, read from the block that holds both states, zero if none does."""
+    d = sum(len(states) for states, _ in blocks)
+    key, loc = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)
+    for k, (states, _) in enumerate(blocks):
+        key[states], loc[states] = k, np.arange(len(states))
+    key, loc = key[cols], loc[cols]
+    out = 0.0
+    for k, (_, G) in enumerate(blocks):
+        inside = (key[:, None] == k) & (key[None] == k)
+        out = out + np.where(inside, G.take(loc[:, None] * len(G) + loc[None], mode="clip"), 0.0)
+    return out
+
+
 def reduced_density(state: FockState, order: int) -> ReducedDensityMatrix:
     """Per sector, entry (a, b) is tr(a_a Gamma a_b^T), the adjoint of
     second_quantize: with the basis's table (cols, vals), a gather of
-    sum_r vals[a, r] vals[b, r] Gamma[cols[a, r], cols[b, r]]."""
+    sum_r vals[a, r] vals[b, r] Gamma[cols[a, r], cols[b, r]], read per
+    block of a dense sector (_gathered)."""
     if order not in ORDERS:
         raise ConfigurationError("reduced density order must be 1 or 2")
     _, weights = symmetric_basis(state.basis.num_modes, order)
     M = np.zeros((len(weights),) * 2, dtype=complex)
     for n in range(order, state.basis.num_sectors):
         block = state.blocks[n]
-        if block.ndim == 1 and not block.any():
+        diagonal = isinstance(block, np.ndarray)
+        if diagonal and not block.any():
             continue
         cols, vals = state.basis.tables[order, n]
-        if block.ndim == 1:
+        if diagonal:
             # distinct tuples send a number state to distinct states: M is diagonal
             M[np.diag_indices_from(M)] += (vals * vals * block[cols]).sum(axis=1)
         else:
-            M += np.einsum("ar,br,abr->ab", vals, vals, block[cols[:, None], cols[None]])
+            M += np.einsum("ar,br,abr->ab", vals, vals, _gathered(block, cols))
     M *= weights[:, None] * weights[None, :]
     return ReducedDensityMatrix(order=order, matrix=M)
 

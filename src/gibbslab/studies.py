@@ -102,23 +102,27 @@ def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | N
 
     Spectra are of H - nu N on one Fock basis, which they carry; H1 is from
     op's unshifted eigenvalues.  Pass no tensor at coupling_c = 0:
-    spectra_at then returns the free spectra.  Otherwise each call
-    diagonalizes afresh by divide and conquer, one block per connected
-    component of each sector (one per odd-mode parity of a
-    reflection-symmetric trap), returns each block's vectors apart, and
+    spectra_at then returns the free spectra.  Otherwise the connected
+    blocks of each sector (one per odd-mode parity of a
+    reflection-symmetric trap) are found once, as the block_plan of
+    H1 + Hpair, whose pattern H1 + g Hpair shares at every g != 0; each call
+    fills those blocks from H1 + (coupling_c/T) Hpair, diagonalizes them
+    afresh by divide and conquer, returns each block's vectors apart, and
     keeps nothing.  Calls may run on several threads: they only read the
-    basis, built complete with its index tables, and the operators.
+    basis, built complete with its index tables, the read-only plan and
+    the operators.
     """
     K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
     basis = fq.build_fock(K, cfg.quantum.n_max)
     H1 = fq.second_quantize_one_body(basis, op.unshifted_eigenvalues[:K])
-    Hpair = fq.second_quantize_pair(basis, tensor) if tensor is not None else None
     spectra_free = fq.sector_eigensystems(H1, nu)
+    if tensor is None:
+        return spectra_free, lambda T: spectra_free
+    Hpair = fq.second_quantize_pair(basis, tensor)
+    plan = fq.block_plan(H1 + Hpair)
 
     def spectra_at(T: float) -> fq.SectorSpectra:
-        if Hpair is None:
-            return spectra_free
-        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu)
+        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu, plan)
 
     return spectra_free, spectra_at
 

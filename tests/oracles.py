@@ -161,10 +161,21 @@ def fixed_point_residual(state: RhfState, V: np.ndarray, w: PairPotential,
 # Coherent states and the free-energy functional
 
 
+def dense_sector(block) -> np.ndarray:
+    """A FockState sector as one dense d x d matrix, zero between its blocks."""
+    if isinstance(block, np.ndarray):
+        return np.diag(block)
+    d = sum(len(states) for states, _ in block)
+    out = np.zeros((d, d), dtype=np.result_type(*(G for _, G in block)))
+    for states, G in block:
+        out[np.ix_(states, states)] = G
+    return out
+
+
 def sector_weights(state: FockState) -> np.ndarray:
-    """The trace of each sector block of state; a 1-D block is a diagonal."""
-    return np.array([b.sum().real if b.ndim == 1 else np.trace(b).real
-                     for b in state.blocks])
+    """The trace of each sector of state."""
+    return np.array([b.sum().real if isinstance(b, np.ndarray)
+                     else sum(np.trace(G).real for _, G in b) for b in state.blocks])
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,7 @@ def coherent_state(v: np.ndarray, basis: FockBasis) -> CoherentReport:
         c[~np.isfinite(c)] = 0.0
         amps.append(c)
         total += float(np.sum(np.abs(c) ** 2))
-    blocks = [np.outer(c, c.conj()) / total for c in amps]
+    blocks = [[(np.arange(len(c)), np.outer(c, c.conj()) / total)] for c in amps]
     state = FockState(basis=basis, blocks=blocks)
     captured = total / float(np.exp(norm_sq))
     return CoherentReport(state=state, captured_mass=captured,
@@ -212,11 +223,9 @@ def coherent_state(v: np.ndarray, basis: FockBasis) -> CoherentReport:
                           truncation_warning=warn)
 
 
-def _block_entropy_sum(block: np.ndarray) -> float:
-    """sum p log p over one block's spectrum with 0 log 0 = 0."""
-    p = block if block.ndim == 1 else np.linalg.eigvalsh(block)
-    p = np.real(p)
-    p = np.clip(p, 0.0, None)
+def _entropy_sum(p: np.ndarray) -> float:
+    """sum p log p over a spectrum with 0 log 0 = 0."""
+    p = np.clip(np.real(p), 0.0, None)
     mask = p > 0.0
     return float(np.sum(p[mask] * np.log(p[mask])))
 
@@ -229,14 +238,17 @@ def free_energy_functional(state: FockState, H: FockOperator, T: float,
     for n in range(state.basis.num_sectors):
         block = state.blocks[n]
         Hn = H.blocks[n]
-        if block.ndim == 1:
+        if isinstance(block, np.ndarray):
             tr_block = float(block.sum().real)
             energy += float(Hn.diagonal() @ np.real(block))
+            ent += _entropy_sum(block)
         else:
-            tr_block = float(np.trace(block).real)
-            energy += float(np.real(Hn.multiply(block.T).sum()))
+            tr_block = 0.0
+            for states, G in block:
+                tr_block += float(np.trace(G).real)
+                energy += float(np.real(Hn[np.ix_(states, states)].multiply(G.T).sum()))
+                ent += _entropy_sum(np.linalg.eigvalsh(G))
         energy += (E0 - nu * n) * tr_block
-        ent += _block_entropy_sum(block)
     return energy + T * ent
 
 
@@ -250,4 +262,4 @@ def random_test_state(basis: FockBasis, rng: np.random.Generator) -> FockState:
         B = G @ G.conj().T
         blocks.append(B)
         total += float(np.trace(B).real)
-    return FockState(basis=basis, blocks=[b / total for b in blocks])
+    return FockState(basis=basis, blocks=[[(np.arange(len(B)), B / total)] for B in blocks])

@@ -321,7 +321,7 @@ def test_criterion_8_structural_invariants(capsys, tmp_path):
         shifted = fq.gibbs_state(H, T, 0.1, E0=3.25)
         if abs(shifted.free_energy - res.free_energy - 3.25) > 1e-9:
             failures.append("E0 does not shift F additively")
-        block_dist = max(np.linalg.norm(np.asarray(a) - np.asarray(b))
+        block_dist = max(np.linalg.norm(oracles.dense_sector(a) - oracles.dense_sector(b))
                          for a, b in zip(res.state.blocks, shifted.state.blocks))
         if block_dist > 1e-12:
             failures.append("E0 changed the Gibbs blocks")

@@ -1,7 +1,12 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,25 +105,38 @@ def _layout(obj) -> dict:
     return out
 
 
+def _plan_arrays(plan):
+    return [a for pattern in plan.patterns for a in pattern] + [
+        a for blocks in plan.sectors if blocks is not None for block in blocks for a in block]
+
+
 def test_basis_read_only_after_init(op, bump):
     # every index table exists once the basis is built, and assembly, the
     # dense and diagonal Gibbs paths and both reduced densities only read
     # it: no attribute of the basis or array of a table is added, replaced
-    # or resized
+    # or resized.  So do the solves of a schedule, which threads share, with
+    # the block plan: its arrays are read-only and stay in place
     b = fq.build_fock(3, 6)
+    H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3])
+    Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3))
+    plan = fq.block_plan(H1 + Hp)
 
     def snapshot():
         return _layout(b), {key: [(id(a), a.shape) for a in table]
-                            for key, table in b.tables.items()}
+                            for key, table in b.tables.items()}, [
+            (id(a), a.shape, a.tobytes()) for a in _plan_arrays(plan)]
 
     before = snapshot()
-    H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3])
-    Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3))
-    for H in (H1, H1 + Hp):
-        state = fq.gibbs_from_spectra(fq.sector_eigensystems(H, 0.0), 2.0).state
+    assert len(before[2]) > 2 * b.num_sectors
+    for H, g in ((H1, None), (H1 + Hp, None), (H1 + Hp.scaled(0.5), plan)):
+        spectra = fq.sector_eigensystems(H, 0.0, g)
+        state = fq.gibbs_from_spectra(spectra, 2.0).state
         for order in fq.ORDERS:
             fq.reduced_density(state, order)
     assert snapshot() == before
+    for a in _plan_arrays(plan):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
     assert sorted(b.tables) == [(k, n) for k in fq.ORDERS for n in range(k, 7)]
     # each table is a_t = a_t1 ... a_tk between sectors, exactly
     A, offsets = _dense_annihilators(b)
@@ -251,10 +269,9 @@ def test_reduced_density_dense_oracle(op, bump):
     states = [fq.gibbs_state(H1, 2.0, 0.0).state,
               fq.gibbs_state(H1 + Hp, 2.0, 0.0).state,
               oracles.coherent_state(np.array([0.5 + 0.3j, -0.4j, 0.2]), b).state]
-    assert [any(blk.ndim == 2 for blk in s.blocks) for s in states] == [False, True, True]
+    assert [any(isinstance(blk, list) for blk in s.blocks) for s in states] == [False, True, True]
     for state in states:
-        gamma = scipy.linalg.block_diag(
-            *[blk if blk.ndim == 2 else np.diag(blk) for blk in state.blocks])
+        gamma = scipy.linalg.block_diag(*map(oracles.dense_sector, state.blocks))
         for order in fq.ORDERS:
             tuples, c = fq.symmetric_basis(K, order)
             a = [functools.reduce(np.matmul, [A[i] for i in t]) for t in tuples]
@@ -297,7 +314,7 @@ def test_gibbs_constant_shift_invariance(op, bump):
     shifted = fq.gibbs_state(H, 1.7, 0.3, E0=5.5)
     assert shifted.free_energy - base.free_energy == pytest.approx(5.5, abs=1e-9)
     for a, bblk in zip(base.state.blocks, shifted.state.blocks):
-        assert np.abs(np.asarray(a) - np.asarray(bblk)).max() < 1e-12
+        assert np.abs(oracles.dense_sector(a) - oracles.dense_sector(bblk)).max() < 1e-12
 
 
 def test_gibbs_saturation_flag():
@@ -354,7 +371,7 @@ def test_reduced_density_vacuum_and_pure_pair():
     vec = np.zeros(b.sector_dim(2), dtype=complex)
     _, idx = b.index_of((2, 0, 0))
     vec[idx] = 1.0
-    blocks[2] = np.outer(vec, vec.conj())
+    blocks[2] = [(np.arange(len(vec)), np.outer(vec, vec.conj()))]
     state = fq.FockState(basis=b, blocks=blocks)
     g1 = fq.reduced_density(state, 1).matrix
     assert np.allclose(g1, np.diag([2.0, 0, 0]), atol=1e-12)
@@ -389,8 +406,7 @@ def test_energy_bookkeeping(op, bump):
     lam_coupling = 0.35
     H = H1 + Hp.scaled(lam_coupling)
     res = fq.gibbs_state(H, 1.8, 0.0)
-    direct = sum(float(np.real(Hb.multiply(np.asarray(blk).T if blk.ndim == 2
-                                           else np.diag(blk).T).sum()))
+    direct = sum(float(np.real(Hb.multiply(oracles.dense_sector(blk).T).sum()))
                  for Hb, blk in zip(H.blocks, res.state.blocks))
     rdm1 = fq.reduced_density(res.state, 1).matrix
     rdm2 = fq.reduced_density(res.state, 2).matrix
@@ -493,7 +509,7 @@ def test_free_energy_functional_pure_state_entropy():
     blocks = [np.zeros(b.sector_dim(n)) for n in range(5)]
     vec = np.zeros(b.sector_dim(2), dtype=complex)
     vec[0] = 1.0
-    blocks[2] = np.outer(vec, vec.conj())
+    blocks[2] = [(np.arange(len(vec)), np.outer(vec, vec.conj()))]
     state = fq.FockState(basis=b, blocks=blocks)
     occ = b.occupations[2][0]
     energy = float(occ @ np.array([1.0, 2.0]))
@@ -528,7 +544,7 @@ def _dense_cut_state(spectra, T, n_max, E0=0.0):
     blocks = []
     for n, (e, V) in enumerate(zip(spectra.energies, spectra.vectors)):
         p = np.exp(-(e - e_min) / T) / z if n <= n_max else np.zeros(len(e))
-        blocks.append(p if V is None else _block_matrix(V, p))
+        blocks.append(p if V is None else [(np.arange(len(p)), _block_matrix(V, p))])
     F = float(-T * (np.log(z) - (e_min + E0) / T))
     return F, fq.FockState(basis=spectra.basis, blocks=blocks)
 
@@ -689,7 +705,11 @@ def test_parity_blocks_agree_with_one_block(op, bump, monkeypatch):
             dense += 1
             parity = b.occupations[n][:, labels < 0].sum(axis=1) % 2
             cross = parity[:, None] != parity[None, :]
-            assert all(np.all(g.state.blocks[n][cross] == 0.0) for g in (g_blocked, g_state))
+            for g in (g_blocked, g_state):
+                # one matrix per parity class, nothing held between them
+                assert len(g.state.blocks[n]) == 2
+                assert all(len(np.unique(parity[states])) == 1 for states, _ in g.state.blocks[n])
+                assert np.all(oracles.dense_sector(g.state.blocks[n])[cross] == 0.0)
             # each column lives on one parity class
             V = _embedded(V, b.sector_dim(n))
             col_parity = parity[np.argmax(np.abs(V), axis=0)]
@@ -708,6 +728,8 @@ def test_block_solves_match_whole_sector_oracle(op, bump):
     g_whole = fq.gibbs_from_spectra(_whole_sector_spectra(H, nu, b, driver="evr"), T)
     assert abs(g_blocked.free_energy - g_whole.free_energy) <= 1e-13 * abs(g_whole.free_energy)
     for got, ref in zip(g_blocked.state.blocks, g_whole.state.blocks):
+        assert isinstance(got, list) == isinstance(ref, list)
+        got, ref = oracles.dense_sector(got), oracles.dense_sector(ref)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13
     for k in fq.ORDERS:
@@ -756,3 +778,190 @@ def test_opposite_parity_coupling_merges_blocks(op, bump):
             V = _embedded(spectra.vectors[n], b.sector_dim(n))
             col_parity = parity[np.argmax(np.abs(V), axis=0)]
             assert np.all(V[parity[:, None] != col_parity[None, :]] == 0.0) == blocked
+
+
+def _csgraph_spectra(H, nu):
+    """Reference: each sector's blocks from scipy.sparse.csgraph, cut out of
+    H by fancy indexing and solved by divide and conquer."""
+    from scipy.sparse.csgraph import connected_components
+    energies, vectors = [], []
+    for n, block in enumerate(H.blocks):
+        off = block - sp.diags(block.diagonal())
+        if off.nnz == 0:
+            energies.append(block.diagonal() - nu * n)
+            vectors.append(None)
+            continue
+        labels = connected_components(off, directed=False)[1]
+        vals, vecs = [], []
+        for c in range(labels.max() + 1):
+            states = np.flatnonzero(labels == c)
+            sub = block[np.ix_(states, states)].toarray()
+            sub[np.diag_indices_from(sub)] -= nu * n
+            w, v = scipy.linalg.eigh(sub, driver="evd")
+            vals.append(w)
+            vecs.append((states, v))
+        energies.append(np.concatenate(vals))
+        vectors.append(vecs)
+    return fq.SectorSpectra(basis=H.basis, energies=energies, vectors=vectors)
+
+
+def _assert_same_spectra(got, ref):
+    for e, e_ref, V, V_ref in zip(got.energies, ref.energies, got.vectors, ref.vectors):
+        assert np.array_equal(e, e_ref)
+        assert (V is None) == (V_ref is None)
+        if V is not None:
+            assert len(V) == len(V_ref)
+            for (s, v), (s_ref, v_ref) in zip(V, V_ref):
+                assert np.array_equal(s, s_ref) and np.array_equal(v, v_ref)
+
+
+def _plan_cases(op, bump):
+    """(H1, Hpair, parity-split) of the three block structures: parity
+    blocks, a tilted trap's one block, and the odd mode coupled to the even
+    ones by a non-diagonal H1."""
+    cases = []
+    b = fq.build_fock(4, 8)
+    H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:4])
+    cases.append((H1, fq.second_quantize_pair(b, build_pair_tensor(op, bump, 4)), True))
+    x = GridSpec(1, 6.0, 200).axis()
+    tilted = build_one_body(GridSpec(1, 6.0, 200), "custom", 8, potential_array=x**4 + x)
+    b = fq.build_fock(3, 6)
+    cases.append((fq.second_quantize_one_body(b, tilted.unshifted_eigenvalues[:3]),
+                  fq.second_quantize_pair(b, build_pair_tensor(tilted, bump, 3)), False))
+    b = fq.build_fock(3, 5)
+    h1 = np.diag(op.unshifted_eigenvalues[:3])
+    h1[0, 1] = h1[1, 0] = 0.3
+    h1[1, 2] = h1[2, 1] = 0.2
+    cases.append((fq.second_quantize_one_body(b, h1),
+                  fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3)), False))
+    return cases
+
+
+def test_planned_spectra_match_fresh_solves(op, bump):
+    # blocks found once for H1 + Hpair serve every coupling: the spectra
+    # equal a fresh solve of H1 + g Hpair and the csgraph-labelled one bit
+    # for bit, on parity blocks, one tilted block and a coupled H1
+    nu = -0.2
+    for H1, Hpair, split in _plan_cases(op, bump):
+        plan = fq.block_plan(H1 + Hpair)
+        assert any(blocks is not None and len(blocks) == 2 for blocks in plan.sectors) == split
+        for g in (0.5, -1.7):
+            H = H1 + Hpair.scaled(g)
+            assert plan.fits(H)
+            planned = fq.sector_eigensystems(H, nu, plan)
+            _assert_same_spectra(planned, fq.sector_eigensystems(H, nu))
+            _assert_same_spectra(planned, _csgraph_spectra(H, nu))
+
+
+def test_plan_of_another_pattern_is_not_used(op, bump):
+    # at g = 0 the pair entries drop out of H1 + g Hpair: the plan of
+    # H1 + Hpair no longer fits, and the sectors are solved as diagonal
+    H1, Hpair, _ = _plan_cases(op, bump)[0]
+    plan = fq.block_plan(H1 + Hpair)
+    H = H1 + Hpair.scaled(0.0)
+    assert not plan.fits(H)
+    spectra = fq.sector_eigensystems(H, 0.3, plan)
+    assert all(V is None for V in spectra.vectors)
+    _assert_same_spectra(spectra, fq.sector_eigensystems(H1, 0.3))
+
+
+def test_block_labels_match_csgraph(op, bump):
+    # numpy label propagation numbers the components by their smallest
+    # state, as csgraph does, on the Fock sectors and on random patterns
+    from scipy.sparse.csgraph import connected_components
+    patterns = []
+    for H1, Hpair, _ in _plan_cases(op, bump):
+        for block in (H1 + Hpair).blocks:
+            off = (block - sp.diags(block.diagonal())).tocoo()
+            if off.nnz:
+                patterns.append((off.row, off.col, block.shape[0]))
+    rng = np.random.default_rng(3)
+    for d, density in ((1, 0.0), (7, 0.1), (60, 0.02), (300, 0.004), (500, 0.01)):
+        m = sp.random(d, d, density=density, random_state=rng, format="coo")
+        m = (m + m.T).tocoo()
+        patterns.append((m.row, m.col, d))
+    # a path whose states alternate between the ends of the index range
+    d = 101
+    path = np.array([i // 2 if i % 2 == 0 else d - 1 - i // 2 for i in range(d)])
+    patterns.append((path[:-1], path[1:], d))
+    for rows, cols, d in patterns:
+        graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(d, d))
+        ref = connected_components(graph, directed=False)[1]
+        assert np.array_equal(fq._component_labels(rows, cols, d), ref)
+
+
+def test_whole_spectra_over_byte_cap_is_refused_before_allocating(op, bump, monkeypatch):
+    # each block of FockBasis(4, 14) fits a cap set just under all the
+    # vectors the spectra would hold plus the largest block's solve, so the
+    # whole-spectra check refuses it, naming the bytes, before any solve
+    b = fq.build_fock(4, 14)
+    H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:4]) \
+        + fq.second_quantize_pair(b, build_pair_tensor(op, bump, 4))
+    plan = fq.block_plan(H)
+    sizes = [len(s) for blocks in plan.sectors if blocks for s, _, _ in blocks]
+    held, m = 8 * sum(s * s for s in sizes), max(sizes)
+    solve = 8 * (4 * m * m + 6 * m + 1)
+    monkeypatch.setattr(fq, "MAX_DENSE_BYTES", held + solve - 1)
+    assert solve < held
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was solved")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError,
+                           match=f"hold {held} bytes of vectors and their largest block "
+                                 f"solve needs {solve} more"):
+            fq.sector_eigensystems(H, 0.0, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
+    # at the cap itself the spectra are solved
+    monkeypatch.undo()
+    monkeypatch.setattr(fq, "MAX_DENSE_BYTES", held + solve)
+    assert len(fq.sector_eigensystems(H, 0.0, plan).energies) == 15
+
+
+def test_gibbs_state_holds_only_its_blocks(op, bump):
+    # study-1d's quantum half (K = 4, N_max = 14): the Gibbs state keeps one
+    # matrix per parity block, about half of the dense sector blocks'
+    # 8 sum d_n^2 bytes, and allocates nothing between blocks
+    b = fq.build_fock(4, 14)
+    H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:4]) \
+        + fq.second_quantize_pair(b, build_pair_tensor(op, bump, 4))
+    spectra = fq.sector_eigensystems(H, 0.0)
+    dense = 8 * sum(b.sector_dim(n) ** 2 for n in range(b.num_sectors))
+    tracemalloc.start()
+    try:
+        state = fq.gibbs_from_spectra(spectra, 2.0).state
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * dense
+    assert sum(G.nbytes for blk in state.blocks if isinstance(blk, list) for _, G in blk) \
+        < 0.55 * dense
+
+
+def test_study_1d_leaves_csgraph_unloaded(tmp_path):
+    # the blocks are found with numpy: a 1D study never imports csgraph
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        import sys
+        from gibbslab.config import RunConfig
+        from gibbslab.studies import run_study_1d
+        cfg = RunConfig()
+        cfg.model.points = 128
+        cfg.model.modes = 3
+        cfg.classical.samples = 200
+        cfg.quantum.n_max = 6
+        cfg.quantum.t_schedule = (2.0, 4.0)
+        run_study_1d(cfg)
+        print("scipy.sparse.csgraph" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert res.stdout.strip() == "False"
