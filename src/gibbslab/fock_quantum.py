@@ -9,8 +9,8 @@ routines read it from them.  Free (diagonal) sectors keep their
 Gibbs blocks as bare probability vectors so that large cutoffs stay cheap;
 interacting sectors are dense, each diagonalized per connected block of H
 by divide and conquer, so the pair term's odd-mode parity classes are
-solved apart.  A BlockPlan finds the blocks once for every operator of one
-sparsity pattern, such as H1 + g Hpair at each g != 0.  Spectra keep one
+solved apart.  A BlockedOperator holds H1 + g Hpair per block, the blocks
+found once for every coupling g != 0.  Spectra keep one
 set of vectors per block, and the Gibbs state keeps one dense matrix per
 block, never the zeros between blocks.
 boltzmann_weights gives level probabilities and log Z under any particle
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -270,76 +270,90 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
         root = low
 
 
+def _coordinates(block: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each stored entry of a CSR block."""
+    return np.repeat(np.arange(block.shape[0]), np.diff(block.indptr)), block.indices
+
+
+def _in_blocks(csr: sp.csr_matrix, labels: np.ndarray, local: np.ndarray,
+               sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(dst, values) of the nonzero entries of csr, duplicates summed, per
+    connected block of labels, in label order: their flat positions in the
+    block's dense m x m matrix, local giving each state's place in its
+    block, and their values.  Every such entry lies inside a block."""
+    csr.sum_duplicates()  # in place, as abs(csr) already does
+    rows, cols = _coordinates(csr)
+    src = np.flatnonzero(csr.data)
+    owner = labels[rows[src]]
+    by = np.argsort(owner, kind="stable")
+    src, owner = src[by], owner[by]
+    dst = local[rows[src]] * sizes[owner] + local[cols[src]]
+    edges = np.cumsum(np.bincount(owner, minlength=len(sizes)))[:-1]
+    return list(zip(np.split(dst, edges), np.split(csr.data[src], edges)))
+
+
 @dataclass(frozen=True)
-class BlockPlan:
-    """The connected blocks of an operator's sectors and where its entries go.
+class BlockedOperator:
+    """H1 + g H2 on H1's basis, held per connected block of each sector.
 
-    patterns[n] is sector n's CSR (indptr, indices).  sectors[n] is None if
-    the sector has no nonzero entry off the diagonal, else one (states, src,
-    dst) per connected component of those entries, in label order: the
-    block's states in the sector, ascending, the positions src in the
-    sector's CSR data of the entries inside the block, and their flat
-    positions dst in the dense m x m block.  The plan serves every operator
-    with the same patterns, whatever its values.  Its arrays are read-only,
-    so threads may share it.
+    The blocks are the connected components of the nonzero entries of H1
+    and H2 off the diagonal, so they are H1 + g H2's own at every g != 0 at
+    which no entry cancels exactly: at every g != 0 when H1 is diagonal, as
+    from one-body eigenvalues.  sectors[n] is the pair of diagonals
+    (h1, h2) of a sector with no such entry, else one
+    (states, dst2, h2, dst1, h1) per block, in label order: its states in
+    the sector, ascending, and the nonzero entries of H2 and of H1 in it,
+    at their flat positions in the dense m x m block.  at(g) shares the
+    arrays, which are read-only, so threads may share them.
     """
 
-    patterns: list[tuple[np.ndarray, np.ndarray]]
-    sectors: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None]
+    basis: FockBasis
+    sectors: list
+    coupling: float = 0.0
 
-    def fits(self, H: FockOperator) -> bool:
-        return len(H.blocks) == len(self.patterns) and all(
-            np.array_equal(b.indptr, indptr) and np.array_equal(b.indices, indices)
-            for b, (indptr, indices) in zip(H.blocks, self.patterns))
+    def at(self, g: float) -> BlockedOperator:
+        return replace(self, coupling=g)
 
 
-def block_plan(H: FockOperator) -> BlockPlan:
-    """H's connected blocks, found once for every operator of H's pattern.
-
-    H1 + g Hpair has one pattern at every coupling g != 0, unless an entry
-    cancels exactly, so a plan of H1 + Hpair serves a whole schedule.
-    """
-    patterns, sectors = [], []
-    for block in H.blocks:
-        d = block.shape[0]
-        rows, cols = np.repeat(np.arange(d), np.diff(block.indptr)), block.indices
-        patterns.append(_frozen(block.indptr.copy(), cols.copy()))
-        off = (rows != cols) & (block.data != 0)
-        if not off.any():
-            sectors.append(None)
+def blocked_operator(H1: FockOperator, H2: FockOperator | None = None) -> BlockedOperator:
+    """H1 + g H2 per connected block, the blocks found once for every g;
+    H2 is zero if not given."""
+    sectors = []
+    for n, a in enumerate(H1.blocks):
+        b = sp.csr_matrix(a.shape) if H2 is None else H2.blocks[n]
+        union = abs(a) + abs(b)
+        rows, cols = _coordinates(union)
+        edge = (rows != cols) & (union.data != 0)
+        if not edge.any():
+            sectors.append(_frozen(a.diagonal(), b.diagonal()))
             continue
-        labels = _component_labels(rows[off], cols[off], d)
+        d = a.shape[0]
+        labels = _component_labels(rows[edge], cols[edge], d)
         sizes = np.bincount(labels)
         order = np.argsort(labels, kind="stable")
         local = np.empty(d, dtype=np.intp)
         local[order] = np.arange(d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        src = np.flatnonzero(labels[rows] == labels[cols])
-        owner = labels[rows[src]]
-        by = np.argsort(owner, kind="stable")
-        src, owner = src[by], owner[by]
-        dst = local[rows[src]] * sizes[owner] + local[cols[src]]
         states = np.split(order, np.cumsum(sizes)[:-1])
-        edges = np.cumsum(np.bincount(owner, minlength=len(sizes)))[:-1]
-        sectors.append([_frozen(*blk) for blk in
-                        zip(states, np.split(src, edges), np.split(dst, edges))])
-    return BlockPlan(patterns=patterns, sectors=sectors)
+        sectors.append([_frozen(s, *two, *one) for s, two, one in zip(
+            states, _in_blocks(b, labels, local, sizes), _in_blocks(a, labels, local, sizes))])
+    return BlockedOperator(basis=H1.basis, sectors=sectors)
 
 
-def _check_bytes(plan: BlockPlan) -> None:
+def _check_bytes(sectors: list) -> None:
     """Refuse, over MAX_DENSE_BYTES, a block's solve, 8 (4m^2 + 6m + 1)
     bytes for m states, or the vectors of all blocks, 8 sum m^2, plus the
     largest solve."""
     held = solve = 0
-    for n, blocks in enumerate(plan.sectors):
-        if blocks is None:
+    for n, blocks in enumerate(sectors):
+        if isinstance(blocks, tuple):
             continue
-        m = max(len(states) for states, _, _ in blocks)
+        m = max(len(blk[0]) for blk in blocks)
         nbytes = 8 * (4 * m * m + 6 * m + 1)
         if nbytes > MAX_DENSE_BYTES:
             raise ConfigurationError(
                 f"sector n={n}: a {m}-state block needs {nbytes} bytes to solve, "
                 f"over the {MAX_DENSE_BYTES}-byte cap")
-        held += 8 * sum(len(states) ** 2 for states, _, _ in blocks)
+        held += 8 * sum(len(blk[0]) ** 2 for blk in blocks)
         solve = max(solve, nbytes)
     if held + solve > MAX_DENSE_BYTES:
         raise ConfigurationError(
@@ -347,34 +361,34 @@ def _check_bytes(plan: BlockPlan) -> None:
             f"solve needs {solve} more, over the {MAX_DENSE_BYTES}-byte cap")
 
 
-def sector_eigensystems(H: FockOperator, nu: float, plan: BlockPlan | None = None
-                        ) -> SectorSpectra:
+def sector_eigensystems(H: FockOperator | BlockedOperator, nu: float) -> SectorSpectra:
     """Diagonalize H - nu N blockwise, on H's basis.
 
-    Diagonal sectors keep their basis ordering (vectors None).  A dense
-    sector is solved as one block per connected component of its nonzero
-    off-diagonal entries, in label order, from plan if it fits H's pattern,
-    else from block_plan(H).  Each block is filled from H's entries and
-    solved by divide and conquer (LAPACK evd): 1 + 6m + 2m^2 doubles of
-    workspace for m states, against O(m) for the MRRR driver, and m^2 each
-    for the block and its vectors, so two parity blocks need about half the
-    d^2 of a whole-sector solve.  _check_bytes refuses the blocks, with
-    ConfigurationError, before any is made dense.
+    A FockOperator is first split into blocks by blocked_operator; a
+    BlockedOperator at coupling g is H1 + g H2, each block filled with
+    g h2 + h1 - nu n.  Diagonal sectors keep their basis ordering (vectors
+    None).  Each block is solved by divide and conquer (LAPACK evd):
+    1 + 6m + 2m^2 doubles of workspace for m states, against O(m) for the
+    MRRR driver, and m^2 each for the block and its vectors, so two parity
+    blocks need about half the d^2 of a whole-sector solve.  _check_bytes
+    refuses the blocks, with ConfigurationError, before any is made dense.
     """
-    if plan is None or not plan.fits(H):
-        plan = block_plan(H)
-    _check_bytes(plan)
-    energies, vectors = [], []
-    for n, (block, blocks) in enumerate(zip(H.blocks, plan.sectors)):
-        if blocks is None:
-            energies.append(block.diagonal() - nu * n)
+    if isinstance(H, FockOperator):
+        H = blocked_operator(H)
+    _check_bytes(H.sectors)
+    g, energies, vectors = H.coupling, [], []
+    for n, blocks in enumerate(H.sectors):
+        if isinstance(blocks, tuple):
+            h1, h2 = blocks
+            energies.append(g * h2 + h1 - nu * n)
             vectors.append(None)
             continue
         vals, vecs = [], []
-        for states, src, dst in blocks:
+        for states, dst2, h2, dst1, h1 in blocks:
             m = len(states)
             sub = np.zeros((m, m))
-            sub.flat[dst] = block.data[src]
+            sub.flat[dst2] = g * h2
+            sub.flat[dst1] += h1
             sub.flat[::m + 1] -= nu * n
             w, v = scipy.linalg.eigh(sub, overwrite_a=True, driver="evd")
             vals.append(w)

@@ -45,9 +45,8 @@ from .spectral import (GridSpec, OneBodyOperator, green_diagonal, mode_parity,
 # 8 (sum_c m_c^2 + max_c m_c H_c + X) bytes (one class unlabelled) with
 # C = _PAIR_CHUNK.  With eigenfactors of ranks rx, ry on an n x n grid of N
 # points H_c counts the coefficients of the class's parity (722 for the
-# shipped bump; rx ry unlabelled) and X = C (N + n ry + 2 H), H = max_c H_c:
-# the chunk's densities, their projection on Vy, then the held coefficients
-# next to one parity part of them or to the weighted ones.
+# shipped bump; rx ry unlabelled) and X = C (N + n ry + 2 rx ry): the chunk's
+# densities, their half projection, its coefficients, then held and weighted.
 # By FFT on padded side P, H_c = N and X = (5 - d) C P^(d-1) (P/2 + 1):
 # convolve holds the complex spectrum of C rows and a half-size (2D) or
 # same-size (1D) copy.
@@ -199,8 +198,8 @@ def _kernel_factors(w: PairPotential):
 
     Each table T = V diag(s) V^T comes from spectral.reflection_eigh, each
     vector with its parity, and keeps the eigenpairs of both parities with
-    |s| > n eps max|s|, numpy's matrix_rank default, the even ones first;
-    the signs of s are kept, so T need not be semidefinite.
+    |s| > n eps max|s|, numpy's matrix_rank default; the signs of s are
+    kept, so T need not be semidefinite.
     """
     if w.toeplitz is None:
         return None
@@ -208,40 +207,26 @@ def _kernel_factors(w: PairPotential):
     for T in w.toeplitz:
         s, V, parity = reflection_eigh(T)
         keep = np.abs(s) > len(s) * np.finfo(float).eps * np.abs(s).max()
-        keep = np.flatnonzero(keep)[np.argsort(-parity[keep], kind="stable")]
         factors.append((s[keep], V[:, keep], parity[keep]))
     return tuple(factors)
 
 
-def _pair_features(w: PairPotential, factors, rows: np.ndarray, parity: int | None
+def _pair_features(w: PairPotential, factors, rows: np.ndarray, cols: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(held, left) of a chunk of pair densities: <rho_p, w * rho_q> = left_p . held_q.
 
     factors come from _kernel_factors(w).  Without them held = rows and left
-    = convolve(w, rows); with them held = Vx^T rho Vy flattened, all rx ry
-    coefficients for parity None, else only those with px_i py_j = parity:
-    the even columns of Vx projected against the matching columns of Vy,
-    then the odd ones against theirs.  left = held (sx (x) sy).
+    = convolve(w, rows); with them held = Vx^T rho Vy flattened to rx ry
+    columns, or to cols of them, and left = held (sx (x) sy).
     """
     if factors is None:
         return rows, convolve(w, rows)
-    (sx, Vx, px), (sy, Vy, py) = factors
+    (sx, Vx, _), (sy, Vy, _) = factors
     n = len(Vx)
-    half = (rows.reshape(-1, n) @ Vy).reshape(len(rows), n, len(sy))
-    if parity is None:
-        parts = [(slice(None), slice(None))]
-    else:
-        x, y = (int(np.sum(p > 0)) for p in (px, py))  # the even vectors come first
-        ys = (slice(None, y), slice(y, None))
-        parts = [(slice(None, x), ys[parity < 0]), (slice(x, None), ys[parity > 0])]
-    weight = np.concatenate([np.outer(sx[i], sy[j]).ravel() for i, j in parts])
-    held = np.empty((len(rows), len(weight)))
-    lo = 0
-    for i, j in parts:
-        part = (Vx[:, i].T @ half[:, :, j]).reshape(len(rows), -1)
-        held[:, lo:lo + part.shape[1]] = part
-        lo += part.shape[1]
-    del half, part
+    held = (Vx.T @ (rows.reshape(-1, n) @ Vy).reshape(-1, n, len(sy))).reshape(len(rows), -1)
+    weight = np.outer(sx, sy).ravel()
+    if cols is not None:
+        held, weight = held[:, cols], weight[cols]
     return held, held * weight
 
 
@@ -267,20 +252,24 @@ def _pairs(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, np.where(a == b, 1.0, 2.0)
 
 
-def _pair_classes(op: OneBodyOperator, K: int) -> list[tuple[np.ndarray, int | None]]:
-    """(positions, parity) of each pair class at cutoff K, even class first.
+def _pair_classes(op: OneBodyOperator, K: int, factors
+                  ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(positions, held columns) of each pair class at cutoff K, even class first.
 
     A labelled pair's class is its parity p = p_a p_b; unlabelled pairs are
-    one class, of parity None.  Reversing both axes flips eigenfactor
-    coefficient (i, j) by px_i py_j, so a labelled class holds only those
-    with px_i py_j = p (_pair_features).
+    one class.  Reversing both axes flips eigenfactor coefficient (i, j) by
+    px_i py_j, so a labelled class holds those with px_i py_j = p; columns
+    is None (all) otherwise.
     """
     labels = mode_parity(op, K)
     a, b, _ = _pairs(K)
     if labels is None:
         return [(np.arange(len(a)), None)]
     pair_class = labels[a] * labels[b]
-    return [(np.flatnonzero(pair_class == p), p) for p in (1, -1) if np.any(pair_class == p)]
+    coeff = None if factors is None else np.outer(factors[0][2], factors[1][2]).ravel()
+    return [(np.flatnonzero(pair_class == p),
+             None if coeff is None else np.flatnonzero(coeff == p))
+            for p in (1, -1) if np.any(pair_class == p)]
 
 
 def _pair_densities(Ut: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,12 +305,12 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
     diag = np.empty(len(fac))
     if tensor is None:
         factors, Ut = _kernel_factors(w), np.ascontiguousarray(U.T)
-        classes = [(np.arange(len(a)), None)] if factors is None else _pair_classes(op, K)
-        for pos, parity in classes:
+        classes = [(np.arange(len(a)), None)] if factors is None else _pair_classes(op, K, factors)
+        for pos, cols in classes:
             for lo in range(0, len(pos), _PAIR_CHUNK):
                 p = pos[lo:lo + _PAIR_CHUNK]
                 diag[p] = np.einsum("ij,ij->i", *_pair_features(
-                    w, factors, _pair_densities(Ut, a[p], b[p]), parity))
+                    w, factors, _pair_densities(Ut, a[p], b[p]), cols))
     else:
         for pos, Q in tensor.classes(K):
             diag[pos] = np.diagonal(Q)
@@ -394,16 +383,14 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
                       "energies may be negative and weights exp(-D) exceed 1")
     a, b, _ = _pairs(K)
     factors = _kernel_factors(w)
-    classes = _pair_classes(op, K)
+    classes = _pair_classes(op, K, factors)
     N, d, P = op.grid.total_points, op.grid.dimension, w.kernel.shape[0]
     if factors is None:
-        widths = [N] * len(classes)
-        work = (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1)
+        full, work = N, (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1)
     else:
-        (_, _, px), (_, _, py) = factors
-        widths = [len(px) * len(py) if parity is None else int(np.sum(np.outer(px, py) == parity))
-                  for _, parity in classes]
-        work = _PAIR_CHUNK * (N + op.grid.points * len(py) + 2 * max(widths))
+        rx, ry = len(factors[0][0]), len(factors[1][0])
+        full, work = rx * ry, _PAIR_CHUNK * (N + op.grid.points * ry + 2 * rx * ry)
+    widths = [full if cols is None else len(cols) for _, cols in classes]
     nbytes = 8 * (sum(len(pos) ** 2 for pos, _ in classes)
                   + max(len(pos) * H for (pos, _), H in zip(classes, widths)) + work)
     if nbytes > MAX_DENSE_BYTES:
@@ -412,14 +399,14 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
             f"{MAX_DENSE_BYTES}-byte cap")
     Ut = np.ascontiguousarray(U.T)
     grams = []
-    for (pos, parity), H in zip(classes, widths):
+    for (pos, cols), H in zip(classes, widths):
         ac, bc, m = a[pos], b[pos], len(pos)
         held = np.empty((m, H))
         Q = np.zeros((m, m))
         for lo in range(0, m, _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, m)
             held[lo:hi], left = _pair_features(
-                w, factors, _pair_densities(Ut, ac[lo:hi], bc[lo:hi]), parity)
+                w, factors, _pair_densities(Ut, ac[lo:hi], bc[lo:hi]), cols)
             Q[lo:hi, :hi] = left @ held[:hi].T
             del left  # not held through the next chunk's convolution
         del held

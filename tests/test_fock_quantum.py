@@ -105,36 +105,36 @@ def _layout(obj) -> dict:
     return out
 
 
-def _plan_arrays(plan):
-    return [a for pattern in plan.patterns for a in pattern] + [
-        a for blocks in plan.sectors if blocks is not None for block in blocks for a in block]
+def _blocked_arrays(coupled):
+    return [a for blocks in coupled.sectors for block in
+            ([blocks] if isinstance(blocks, tuple) else blocks) for a in block]
 
 
 def test_basis_read_only_after_init(op, bump):
     # every index table exists once the basis is built, and assembly, the
     # dense and diagonal Gibbs paths and both reduced densities only read
     # it: no attribute of the basis or array of a table is added, replaced
-    # or resized.  So do the solves of a schedule, which threads share, with
-    # the block plan: its arrays are read-only and stay in place
+    # or resized.  The solves of a schedule, which threads share, also only
+    # read the blocked operator: its arrays are read-only and stay in place
     b = fq.build_fock(3, 6)
-    H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3])
-    Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3))
-    plan = fq.block_plan(H1 + Hp)
 
     def snapshot():
         return _layout(b), {key: [(id(a), a.shape) for a in table]
-                            for key, table in b.tables.items()}, [
-            (id(a), a.shape, a.tobytes()) for a in _plan_arrays(plan)]
+                            for key, table in b.tables.items()}
 
     before = snapshot()
-    assert len(before[2]) > 2 * b.num_sectors
-    for H, g in ((H1, None), (H1 + Hp, None), (H1 + Hp.scaled(0.5), plan)):
-        spectra = fq.sector_eigensystems(H, 0.0, g)
-        state = fq.gibbs_from_spectra(spectra, 2.0).state
+    H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3])
+    Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3))
+    coupled = fq.blocked_operator(H1, Hp)
+    held = [(id(a), a.shape, a.tobytes()) for a in _blocked_arrays(coupled)]
+    assert len(held) > 2 * b.num_sectors
+    for H in (H1, H1 + Hp, coupled.at(0.5)):
+        state = fq.gibbs_from_spectra(fq.sector_eigensystems(H, 0.0), 2.0).state
         for order in fq.ORDERS:
             fq.reduced_density(state, order)
     assert snapshot() == before
-    for a in _plan_arrays(plan):
+    assert [(id(a), a.shape, a.tobytes()) for a in _blocked_arrays(coupled)] == held
+    for a in _blocked_arrays(coupled):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     assert sorted(b.tables) == [(k, n) for k in fq.ORDERS for n in range(k, 7)]
@@ -815,10 +815,11 @@ def _assert_same_spectra(got, ref):
                 assert np.array_equal(s, s_ref) and np.array_equal(v, v_ref)
 
 
-def _plan_cases(op, bump):
-    """(H1, Hpair, parity-split) of the three block structures: parity
-    blocks, a tilted trap's one block, and the odd mode coupled to the even
-    ones by a non-diagonal H1."""
+def _coupling_cases(op, bump):
+    """(H1, H2, parity-split) of the block structures: parity blocks, a
+    tilted trap's one block, the odd mode coupled to the even ones by a
+    non-diagonal H1, and that H1 against its negative, which cancels it
+    at g = 1 only."""
     cases = []
     b = fq.build_fock(4, 8)
     H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:4])
@@ -832,37 +833,75 @@ def _plan_cases(op, bump):
     h1 = np.diag(op.unshifted_eigenvalues[:3])
     h1[0, 1] = h1[1, 0] = 0.3
     h1[1, 2] = h1[2, 1] = 0.2
-    cases.append((fq.second_quantize_one_body(b, h1),
-                  fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3)), False))
+    coupled = fq.second_quantize_one_body(b, h1)
+    cases.append((coupled, fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3)), False))
+    cases.append((coupled, coupled.scaled(-1.0), False))
     return cases
 
 
-def test_planned_spectra_match_fresh_solves(op, bump):
-    # blocks found once for H1 + Hpair serve every coupling: the spectra
+def test_blocked_spectra_match_fresh_solves(op, bump):
+    # blocks found once for H1 and Hpair serve every coupling: the spectra
     # equal a fresh solve of H1 + g Hpair and the csgraph-labelled one bit
-    # for bit, on parity blocks, one tilted block and a coupled H1
+    # for bit, on parity blocks, one tilted block and a coupled H1, also
+    # where H1 + Hpair itself would cancel
     nu = -0.2
-    for H1, Hpair, split in _plan_cases(op, bump):
-        plan = fq.block_plan(H1 + Hpair)
-        assert any(blocks is not None and len(blocks) == 2 for blocks in plan.sectors) == split
+    for H1, Hpair, split in _coupling_cases(op, bump):
+        coupled = fq.blocked_operator(H1, Hpair)
+        assert any(isinstance(blocks, list) and len(blocks) == 2
+                   for blocks in coupled.sectors) == split
         for g in (0.5, -1.7):
             H = H1 + Hpair.scaled(g)
-            assert plan.fits(H)
-            planned = fq.sector_eigensystems(H, nu, plan)
-            _assert_same_spectra(planned, fq.sector_eigensystems(H, nu))
-            _assert_same_spectra(planned, _csgraph_spectra(H, nu))
+            blocked = fq.sector_eigensystems(coupled.at(g), nu)
+            _assert_same_spectra(blocked, fq.sector_eigensystems(H, nu))
+            _assert_same_spectra(blocked, _csgraph_spectra(H, nu))
 
 
-def test_plan_of_another_pattern_is_not_used(op, bump):
-    # at g = 0 the pair entries drop out of H1 + g Hpair: the plan of
-    # H1 + Hpair no longer fits, and the sectors are solved as diagonal
-    H1, Hpair, _ = _plan_cases(op, bump)[0]
-    plan = fq.block_plan(H1 + Hpair)
-    H = H1 + Hpair.scaled(0.0)
-    assert not plan.fits(H)
-    spectra = fq.sector_eigensystems(H, 0.3, plan)
-    assert all(V is None for V in spectra.vectors)
-    _assert_same_spectra(spectra, fq.sector_eigensystems(H1, 0.3))
+def _with_stored_zero(H, n, i, j):
+    """H with an explicitly stored zero at (i, j) and (j, i) of sector n."""
+    blocks = list(H.blocks)
+    coo = blocks[n].tocoo()
+    blocks[n] = sp.csr_matrix((np.r_[coo.data, 0.0, 0.0], (np.r_[coo.row, i, j],
+                               np.r_[coo.col, j, i])), shape=coo.shape)
+    return fq.FockOperator(H.basis, blocks)
+
+
+def test_stored_zeros_join_no_blocks(op, bump):
+    # an explicitly stored zero between the two parity blocks joins
+    # nothing, in a FockOperator or in either part of a blocked one: the
+    # blocks stay apart, the stored entry never reaches a dense block, and
+    # the spectra are those of the operators without it, bit for bit
+    H1, Hpair, _ = _coupling_cases(op, bump)[0]
+    labels = mode_parity(op, 4)
+    n = 4
+    parity = H1.basis.occupations[n][:, labels < 0].sum(axis=1) % 2
+    i, j = np.flatnonzero(parity == 0)[0], np.flatnonzero(parity == 1)[0]
+    pair_z, one_z = _with_stored_zero(Hpair, n, i, j), _with_stored_zero(H1, n, i, j)
+    assert pair_z.blocks[n].nnz == Hpair.blocks[n].nnz + 2
+    nu, g = 0.1, -0.8
+    ref = fq.sector_eigensystems(H1 + Hpair.scaled(g), nu)
+    for coupled in (fq.blocked_operator(H1, pair_z), fq.blocked_operator(one_z, Hpair)):
+        assert len(coupled.sectors[n]) == 2
+        _assert_same_spectra(fq.sector_eigensystems(coupled.at(g), nu), ref)
+    stored = _with_stored_zero(H1 + Hpair.scaled(g), n, i, j)
+    assert len(fq.blocked_operator(stored).sectors[n]) == 2
+    _assert_same_spectra(fq.sector_eigensystems(stored, nu), ref)
+
+
+def test_duplicate_entries_are_summed(op, bump):
+    # a sector stored with every entry twice, as two exact halves, solves
+    # as the operator itself, alone or as either part of a blocked one
+    H1, Hpair, _ = _coupling_cases(op, bump)[0]
+    n, g, nu = 5, 0.7, 0.1
+    blocks = list(Hpair.blocks)
+    c = blocks[n]
+    blocks[n] = sp.csr_matrix((np.repeat(0.5 * c.data, 2), np.repeat(c.indices, 2),
+                               2 * c.indptr), shape=c.shape)
+    twice = fq.FockOperator(Hpair.basis, blocks)
+    assert twice.blocks[n].nnz == 2 * c.nnz
+    ref = fq.sector_eigensystems(H1 + Hpair.scaled(g), nu)
+    _assert_same_spectra(fq.sector_eigensystems(fq.blocked_operator(H1, twice).at(g), nu), ref)
+    _assert_same_spectra(fq.sector_eigensystems(fq.blocked_operator(twice, H1).at(1.0), 0.0),
+                         fq.sector_eigensystems(Hpair + H1, 0.0))
 
 
 def test_block_labels_match_csgraph(op, bump):
@@ -870,7 +909,7 @@ def test_block_labels_match_csgraph(op, bump):
     # state, as csgraph does, on the Fock sectors and on random patterns
     from scipy.sparse.csgraph import connected_components
     patterns = []
-    for H1, Hpair, _ in _plan_cases(op, bump):
+    for H1, Hpair, _ in _coupling_cases(op, bump):
         for block in (H1 + Hpair).blocks:
             off = (block - sp.diags(block.diagonal())).tocoo()
             if off.nnz:
@@ -897,8 +936,9 @@ def test_whole_spectra_over_byte_cap_is_refused_before_allocating(op, bump, monk
     b = fq.build_fock(4, 14)
     H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:4]) \
         + fq.second_quantize_pair(b, build_pair_tensor(op, bump, 4))
-    plan = fq.block_plan(H)
-    sizes = [len(s) for blocks in plan.sectors if blocks for s, _, _ in blocks]
+    coupled = fq.blocked_operator(H)
+    sizes = [len(blk[0]) for blocks in coupled.sectors if isinstance(blocks, list)
+             for blk in blocks]
     held, m = 8 * sum(s * s for s in sizes), max(sizes)
     solve = 8 * (4 * m * m + 6 * m + 1)
     monkeypatch.setattr(fq, "MAX_DENSE_BYTES", held + solve - 1)
@@ -913,7 +953,7 @@ def test_whole_spectra_over_byte_cap_is_refused_before_allocating(op, bump, monk
         with pytest.raises(ConfigurationError,
                            match=f"hold {held} bytes of vectors and their largest block "
                                  f"solve needs {solve} more"):
-            fq.sector_eigensystems(H, 0.0, plan)
+            fq.sector_eigensystems(coupled, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -921,7 +961,7 @@ def test_whole_spectra_over_byte_cap_is_refused_before_allocating(op, bump, monk
     # at the cap itself the spectra are solved
     monkeypatch.undo()
     monkeypatch.setattr(fq, "MAX_DENSE_BYTES", held + solve)
-    assert len(fq.sector_eigensystems(H, 0.0, plan).energies) == 15
+    assert len(fq.sector_eigensystems(coupled, 0.0).energies) == 15
 
 
 def test_gibbs_state_holds_only_its_blocks(op, bump):

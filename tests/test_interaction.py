@@ -432,8 +432,8 @@ def gram_growth(kind):
     on the even and odd vectors, at the tolerance of the whole table).  A
     pair of the even class holds ex ey + ox oy eigenfactor coefficients and
     one of the odd class ex oy + ox ey, those whose parity matches its
-    own, and a chunk's projection holds 64 (N + n ry + 2 H) numbers on an
-    n x n grid of N points, H the larger class's held count; otherwise the pairs hold their densities of
+    own, and a chunk's projection holds 64 (N + n ry + 2 rx ry) numbers on
+    an n x n grid of N points; otherwise the pairs hold their densities of
     N points and a chunk 1.5 complex spectra of shape (64, P, P/2 + 1).
     Growth runs from the resident set just before the build to the peak of
     the child's own address space: ru_maxrss would carry over the peak of
@@ -471,8 +471,7 @@ def gram_growth(kind):
     assert len(sizes) == 2 and sum(sizes) == 64 * 65 // 2
     if separable:
         rx, ry = ex + ox, ey + oy
-        held = (ex * ey + ox * oy, ex * oy + ox * ey)
-        work = 64 * (N + 64 * ry + 2 * max(held))
+        held, work = (ex * ey + ox * oy, ex * oy + ox * ey), 64 * (N + 64 * ry + 2 * rx * ry)
     else:
         held, work = (N, N), 3 * 64 * P * (P // 2 + 1)
     model = 8 * (sum(m * m for m in sizes) + max(m * h for m, h in zip(sizes, held)) + work)
