@@ -76,6 +76,57 @@ def renormalized_energies(ensemble: Ensemble, op: OneBodyOperator,
     return out
 
 
+def _untemper(y: int) -> int:
+    """The MT19937 key word whose tempered output is the 32-bit word y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):  # each pass fixes 7 more bits of y ^= (y << 7) & mask
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x = x & 0xFFFFFFFF
+    for _ in range(3):  # and 11 more of y ^= y >> 11
+        x = y ^ (x >> 11)
+    return x
+
+
+def ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ki_double and wi_double, read back from its standard normal.
+
+    An MT19937 key set to untempered words makes the next 64-bit word any r
+    wanted, numpy's next_uint64 being (first << 32) | second.  One draw from
+    r = (rabs << 9) | idx (sign bit 0) then shows the tables:
+    - rabs = 1 returns wi[idx] (layer 1, whose bound is 0, passes its wedge
+      test, since exp(-x**2 / 2) rounds to 1);
+    - the draw takes 2 words of the key iff rabs < ki[idx], so ki[idx] is
+      the least rabs whose draw takes more (rabs = ki[idx] - 1 takes 2).
+    The other key words are MT19937(0)'s, all nonzero: an all-zero stream
+    loops forever in the tail branch of layer 0.
+    """
+    bits = np.random.MT19937(0)
+    gen = np.random.Generator(bits)
+    key = np.array(bits.state["state"]["key"], dtype=np.uint32)
+
+    def draw(word: int) -> tuple[float, int]:
+        key[0], key[1] = _untemper(word >> 32), _untemper(word & 0xFFFFFFFF)
+        bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0},
+                      "has_uint32": 0, "uinteger": 0}
+        x = gen.standard_normal()
+        return x, bits.state["state"]["pos"]
+
+    ki, wi = np.empty(256, dtype=np.uint64), np.empty(256)
+    for idx in range(256):
+        wi[idx] = draw(1 << 9 | idx)[0]
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if draw(mid << 9 | idx)[1] == 2:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+    return ki, wi
+
+
 # ---------------------------------------------------------------------------
 # Classical measure
 

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gibbslab import _ziggurat, gaussian
 from gibbslab import classical_gibbs as cg
 from gibbslab import formats
 from gibbslab.config import ConfigurationError
 from gibbslab.gaussian import _SAMPLE_CHUNK, Ensemble, sample_gaussian
 from gibbslab.spectral import GridSpec, build_one_body, schatten_trace, shift_potential
 
-from oracles import fields_on_grid, sobolev_norms_sq
+from oracles import fields_on_grid, sobolev_norms_sq, ziggurat_tables
 
 
 @pytest.fixture(scope="module")
@@ -87,30 +88,70 @@ def test_sample_streams_are_prefix_stable(op):
     assert np.array_equal(mid.coefficients, large.coefficients[:_SAMPLE_CHUNK + 1])
 
 
-@pytest.mark.parametrize("K", [1, 5])
-def test_draws_match_per_sample_philox(op, K):
-    # sample i is drawn from Philox(key=(seed << 64) | i), counter 0
-    scale = 1.0 / np.sqrt(2.0 * op.eigenvalues[:K])
-    n = _SAMPLE_CHUNK + 3
-    for seed in (0, 7, 2**63 - 1, 2**64 - 2):
-        ens = sample_gaussian(op, K, n, seed=seed)
-        expect = np.empty((n, K), dtype=complex)
-        for i in range(n):
-            rng = np.random.Generator(np.random.Philox(key=(seed << 64) | i))
-            z = rng.standard_normal((2, K))
-            expect[i] = scale * (z[0] + 1j * z[1])
-        assert np.array_equal(ens.coefficients, expect)
+@pytest.fixture(scope="module")
+def wide_op():
+    return build_one_body(GridSpec(1, 6.0, 256), "power", 64, s=4.0)
 
 
-def test_seed_out_of_range(op):
-    # a seed is one 64-bit Philox key word; nothing wraps around
+@pytest.mark.parametrize("K", [1, 2, 4, 5, 6, 7, 64])
+def test_draws_match_per_sample_philox(wide_op, K):
+    # sample i is numpy's standard_normal((2, K)) on Philox(key=(seed << 64) | i),
+    # whichever path drew it (the block path serves K <= 6)
+    scale = 1.0 / np.sqrt(2.0 * wide_op.eigenvalues[:K])
+    for n in (1, 2 * _SAMPLE_CHUNK + 3):
+        for seed in (0, 7, 2**63 - 1, 2**64 - 2, 2**64 - 1):
+            ens = sample_gaussian(wide_op, K, n, seed=seed)
+            expect = np.empty((n, K), dtype=complex)
+            for i in range(n):
+                rng = np.random.Generator(np.random.Philox(key=(seed << 64) | i))
+                z = rng.standard_normal((2, K))
+                expect[i] = scale * (z[0] + 1j * z[1])
+            assert np.array_equal(ens.coefficients, expect)
+
+
+@pytest.mark.parametrize("K, share", [(4, (0.8, 0.95)), (6, (0.75, 0.9)), (7, None)])
+def test_block_path_serves_small_cutoffs(op, monkeypatch, K, share):
+    # the block path finishes a sample unless one of its 2K words misses the
+    # ziggurat's fast path (about 1.5% of words); it never runs for K > 6
+    counts = []
+    draw = gaussian._BlockDraws.draw
+
+    def counted(self, out, used, first):
+        redo = draw(self, out, used, first)
+        counts.append((len(out), len(redo)))
+        return redo
+
+    monkeypatch.setattr(gaussian._BlockDraws, "draw", counted)
+    n = 3 * _SAMPLE_CHUNK + 5
+    sample_gaussian(op, K, n, seed=11)
+    if share is None:
+        assert counts == []
+    else:
+        assert sum(rows for rows, _ in counts) == n
+        done = n - sum(redo for _, redo in counts)
+        assert share[0] < done / n < share[1]
+
+
+def test_ziggurat_tables_match_numpy():
+    ki, wi = ziggurat_tables()
+    assert np.array_equal(_ziggurat.KI, ki) and np.array_equal(_ziggurat.WI, wi)
+
+
+def test_seed_out_of_range(op, monkeypatch):
+    # a seed is one 64-bit Philox key word; nothing wraps around, and the
+    # seed is refused before anything is drawn
+    def refuse(*args):
+        raise AssertionError("drew samples for a seed out of range")
+
+    monkeypatch.setattr(gaussian, "_BlockDraws", refuse)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             sample_gaussian(op, 2, 3, seed=seed)
 
 
 def test_sampling_peak_rss():
-    # draws go through one block buffer, never a full (n, 2, K) array.
+    # draws go through one block buffer and, for K <= 6, one block workspace
+    # of twice its size, never a full (n, 2, K) array.
     # Growth runs from the resident set just before sampling to the peak of
     # the child's own address space: ru_maxrss would carry over the peak of
     # the test process that spawned it
