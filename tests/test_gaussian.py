@@ -132,6 +132,21 @@ def test_block_path_serves_small_cutoffs(op, monkeypatch, K, share):
         assert share[0] < done / n < share[1]
 
 
+def test_block_fast_path_boundary(monkeypatch):
+    # a word r is taken iff rabs < ki[layer], with layer = r & 0xff, sign at
+    # bit 8 and rabs = r >> 9: here sample 0's four words sit just inside
+    # their layers, and sample 1 has one word on a bound (layer 1's is 0)
+    layer = np.array([[0, 2, 255, 7], [1, 2, 3, 4]])
+    sign = np.array([[0, 1, 0, 1], [0, 0, 0, 0]])
+    rabs = _ziggurat.KI[layer] - np.array([[1, 1, 1, 1], [0, 1, 1, 1]], dtype=np.uint64)
+    words = rabs << np.uint64(9) | (sign << 8 | layer).astype(np.uint64)
+    blocks = gaussian._BlockDraws(2, 1, seed=0)
+    monkeypatch.setattr(blocks, "philox", lambda first, m: tuple(words.T[:, :, None]))
+    out = np.empty((2, 4))
+    assert blocks.draw(out, 4, 0) == [1]
+    assert np.array_equal(out[0], (1 - 2 * sign[0]) * rabs[0] * _ziggurat.WI[layer[0]])
+
+
 def test_ziggurat_tables_match_numpy():
     ki, wi = ziggurat_tables()
     assert np.array_equal(_ziggurat.KI, ki) and np.array_equal(_ziggurat.WI, wi)
