@@ -28,13 +28,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .config import MAX_DENSE_BYTES, ConfigurationError
 from .interaction import PairTensor, _pair_index
 
 SATURATION_THRESHOLD = 1e-6
+# The triplets of an empty block.
+_EMPTY = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
 # States in one particle-number sector of the Fock basis.
 MAX_SECTOR_STATES = 20_000
 # Orders of the reduced densities here and of the classical moments.
@@ -49,9 +49,9 @@ class FockBasis:
     occupations.  Sector n is grown from sector n - 1 by adding one particle
     to each mode.  tables[k, n], for k in ORDERS and n >= k, is the index
     table (cols, vals) of a_t = a_t1 ... a_tk from sector n to n - k over
-    the P symmetric_basis tuples t, both P x d_{n-k}: a_t sends state
-    cols[t, r] of sector n to state r of sector n - k with amplitude
-    vals[t, r], and every other state to zero.  A sector over
+    the P symmetric_basis tuples t, both P x d_{n-k} (cols int32): a_t
+    sends state cols[t, r] of sector n to state r of sector n - k with
+    amplitude vals[t, r], and every other state to zero.  A sector over
     MAX_SECTOR_STATES, or codes beyond int64, raise ConfigurationError
     before the sector is generated.  Everything is built here and never
     written afterwards; the tables are read-only arrays.
@@ -86,7 +86,8 @@ class FockBasis:
             shifts = self._radix[tuples].sum(axis=1)[:, None]
             for n in range(order, max_particles + 1):
                 below = self.occupations[n - order]
-                cols = np.searchsorted(self.codes[n], self.codes[n - order] + shifts)
+                cols = np.searchsorted(self.codes[n], self.codes[n - order] + shifts
+                                       ).astype(np.int32)
                 vals = np.ones(cols.shape)
                 for j in range(order):
                     # occupation of mode t_j once t_1 .. t_j are added to state r
@@ -118,27 +119,53 @@ class FockBasis:
         return n, pos
 
 
+def _summed(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+            d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets of a d x d block in row-major order, each position once:
+    the entries at one position summed in their given order, and the
+    positions whose sum is exactly zero dropped; rows and columns as int32,
+    which holds every sector's states (MAX_SECTOR_STATES)."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if not len(rows):
+        return _EMPTY
+    if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= d:
+        raise ConfigurationError(f"an entry lies outside the {d}x{d} block")
+    code = rows.astype(np.int64) * d + cols
+    by = np.argsort(code, kind="stable")
+    code = code[by]
+    first = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    sums = np.add.reduceat(np.asarray(data, dtype=float)[by], first)
+    kept = sums != 0.0
+    pick = by[first[kept]]
+    return rows[pick].astype(np.int32), cols[pick].astype(np.int32), sums[kept]
+
+
 @dataclass
 class FockOperator:
-    """Number-conserving operator as per-sector sparse blocks."""
+    """Number-conserving operator as per-sector triplets.
+
+    blocks[n] is (rows, cols, data): sector n's d_n x d_n block holds
+    data[k] at (rows[k], cols[k]) and zero elsewhere.  Building the
+    operator sums the entries given at one position and drops exact
+    zeros (_summed), so each position is stored once and nonzero.  The
+    blocks may be given as any iterable of triplets, one per sector, and
+    are held as a list.
+    """
 
     basis: FockBasis
-    blocks: list[sp.csr_matrix]
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def __post_init__(self):
-        for n, b in enumerate(self.blocks):
-            d = self.basis.sector_dim(n)
-            if b.shape != (d, d):
-                raise ConfigurationError(f"block {n} has shape {b.shape}, expected {d}")
+        self.blocks = [_summed(*b, self.basis.sector_dim(n)) for n, b in enumerate(self.blocks)]
 
     def scaled(self, factor: float) -> "FockOperator":
-        return FockOperator(self.basis, [b * factor for b in self.blocks])
+        return FockOperator(self.basis, [(r, c, v * factor) for r, c, v in self.blocks])
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         if other.basis is not self.basis:
             raise ConfigurationError("operators live on different bases")
-        return FockOperator(self.basis,
-                            [a + b for a, b in zip(self.blocks, other.blocks)])
+        return FockOperator(self.basis, [tuple(map(np.concatenate, zip(a, b)))
+                                         for a, b in zip(self.blocks, other.blocks)])
 
 
 @dataclass
@@ -176,8 +203,9 @@ def second_quantize(basis: FockBasis, kernel: np.ndarray, order: int) -> FockOpe
 
     a_s sends state cols[s, r] of sector n to state r of sector n - k with
     amplitude vals[s, r], (cols, vals) the basis's table, so sector n is one
-    COO scatter of kernel[s, t] vals[s, r] vals[t, r] at (cols[s, r],
-    cols[t, r]): the adjoint of reduced_density's gather.
+    scatter of kernel[s, t] (vals[s, r] vals[t, r]) to (cols[s, r],
+    cols[t, r]): the adjoint of reduced_density's gather.  The sectors are
+    scattered one at a time, as the operator sums them.
     """
     if order not in ORDERS:
         raise ConfigurationError(f"second quantization order must be in {ORDERS}")
@@ -186,13 +214,15 @@ def second_quantize(basis: FockBasis, kernel: np.ndarray, order: int) -> FockOpe
     if kernel.shape != (P, P):
         raise ConfigurationError(f"order-{order} kernel must be {P}x{P}")
     s, t = np.nonzero(kernel)
-    blocks = [sp.csr_matrix((basis.sector_dim(n),) * 2) for n in range(basis.num_sectors)]
-    for n in range(order, basis.num_sectors):
+
+    def scattered(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if n < order:
+            return _EMPTY
         cols, vals = basis.tables[order, n]
-        data = (kernel[s, t][:, None] * vals[s] * vals[t]).ravel()
-        blocks[n] = sp.csr_matrix((data, (cols[s].ravel(), cols[t].ravel())),
-                                  shape=blocks[n].shape)
-    return FockOperator(basis, blocks)
+        return (cols[s].ravel(), cols[t].ravel(),
+                (kernel[s, t][:, None] * (vals[s] * vals[t])).ravel())
+
+    return FockOperator(basis, map(scattered, range(basis.num_sectors)))
 
 
 def second_quantize_one_body(basis: FockBasis, h1: np.ndarray) -> FockOperator:
@@ -208,7 +238,10 @@ def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
     the order-2 kernel is (Q[{p,r},{q,u}] + Q[{p,u},{q,r}]) / ((1 + d_pq)
     (1 + d_ru)), gathered straight from the Gram.  Given mode parities, the
     Gram holds exact zeros between pairs of opposite parity, so H splits by
-    odd-mode parity."""
+    odd-mode parity.  The Gram, so the kernel, is exactly symmetric, and
+    second_quantize forms each entry as kernel[s, t] (vals[s] vals[t]), so
+    the scatter holds every value at (i, j) also at (j, i): H is symmetric
+    up to the order of its sums."""
     K = basis.num_modes
     if tensor.mode_cutoff != K:
         raise ConfigurationError("tensor mode count does not match basis")
@@ -217,9 +250,7 @@ def second_quantize_pair(basis: FockBasis, tensor: PairTensor) -> FockOperator:
     kernel = (Q[idx[p[:, None], p], idx[q[:, None], q]]
               + Q[idx[p[:, None], q], idx[q[:, None], p]])
     mult = np.where(p == q, 2.0, 1.0)
-    H = second_quantize(basis, kernel / np.outer(mult, mult), 2)
-    # clear summation-order roundoff
-    return FockOperator(basis, [(0.5 * (b + b.T)).tocsr() for b in H.blocks])
+    return second_quantize(basis, kernel / np.outer(mult, mult), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +301,27 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
         root = low
 
 
-def _coordinates(block: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each stored entry of a CSR block."""
-    return np.repeat(np.arange(block.shape[0]), np.diff(block.indptr)), block.indices
-
-
-def _in_blocks(csr: sp.csr_matrix, labels: np.ndarray, local: np.ndarray,
-               sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(dst, values) of the nonzero entries of csr, duplicates summed, per
-    connected block of labels, in label order: their flat positions in the
-    block's dense m x m matrix, local giving each state's place in its
-    block, and their values.  Every such entry lies inside a block."""
-    csr.sum_duplicates()  # in place, as abs(csr) already does
-    rows, cols = _coordinates(csr)
-    src = np.flatnonzero(csr.data)
-    owner = labels[rows[src]]
+def _in_blocks(triplets: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.ndarray,
+               local: np.ndarray, sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(dst, values) of a sector's triplets per connected block of labels,
+    in label order: their flat positions in the block's dense m x m matrix,
+    local giving each state's place in its block, and their values.  Every
+    entry lies inside a block."""
+    rows, cols, data = triplets
+    owner = labels[rows]
     by = np.argsort(owner, kind="stable")
-    src, owner = src[by], owner[by]
-    dst = local[rows[src]] * sizes[owner] + local[cols[src]]
+    rows, cols, owner = rows[by], cols[by], owner[by]
+    dst = local[rows] * sizes[owner] + local[cols]
     edges = np.cumsum(np.bincount(owner, minlength=len(sizes)))[:-1]
-    return list(zip(np.split(dst, edges), np.split(csr.data[src], edges)))
+    return list(zip(np.split(dst, edges), np.split(data[by], edges)))
+
+
+def _diagonal(triplets: tuple[np.ndarray, np.ndarray, np.ndarray], d: int) -> np.ndarray:
+    """The diagonal of a d x d block whose triplets all lie on it."""
+    rows, _, data = triplets
+    out = np.zeros(d)
+    out[rows] = data
+    return out
 
 
 @dataclass(frozen=True)
@@ -319,36 +351,35 @@ def blocked_operator(H1: FockOperator, H2: FockOperator | None = None) -> Blocke
     """H1 + g H2 per connected block, the blocks found once for every g;
     H2 is zero if not given."""
     sectors = []
-    for n, a in enumerate(H1.blocks):
-        b = sp.csr_matrix(a.shape) if H2 is None else H2.blocks[n]
-        union = abs(a) + abs(b)
-        rows, cols = _coordinates(union)
-        edge = (rows != cols) & (union.data != 0)
+    for n, one in enumerate(H1.blocks):
+        two = _EMPTY if H2 is None else H2.blocks[n]
+        rows, cols = np.r_[one[0], two[0]], np.r_[one[1], two[1]]
+        edge = rows != cols
+        d = H1.basis.sector_dim(n)
         if not edge.any():
-            sectors.append(_frozen(a.diagonal(), b.diagonal()))
+            sectors.append(_frozen(_diagonal(one, d), _diagonal(two, d)))
             continue
-        d = a.shape[0]
         labels = _component_labels(rows[edge], cols[edge], d)
         sizes = np.bincount(labels)
         order = np.argsort(labels, kind="stable")
         local = np.empty(d, dtype=np.intp)
         local[order] = np.arange(d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         states = np.split(order, np.cumsum(sizes)[:-1])
-        sectors.append([_frozen(s, *two, *one) for s, two, one in zip(
-            states, _in_blocks(b, labels, local, sizes), _in_blocks(a, labels, local, sizes))])
+        sectors.append([_frozen(s, *pair, *single) for s, pair, single in zip(
+            states, _in_blocks(two, labels, local, sizes), _in_blocks(one, labels, local, sizes))])
     return BlockedOperator(basis=H1.basis, sectors=sectors)
 
 
 def _check_bytes(sectors: list) -> None:
-    """Refuse, over MAX_DENSE_BYTES, a block's solve, 8 (4m^2 + 6m + 1)
-    bytes for m states, or the vectors of all blocks, 8 sum m^2, plus the
-    largest solve."""
+    """Refuse, over MAX_DENSE_BYTES, a block's solve, 8 (5m^2 + 8m + 1)
+    + 4 (5m + 3) bytes for m states, or the vectors of all blocks,
+    8 sum m^2, plus the largest solve."""
     held = solve = 0
     for n, blocks in enumerate(sectors):
         if isinstance(blocks, tuple):
             continue
         m = max(len(blk[0]) for blk in blocks)
-        nbytes = 8 * (4 * m * m + 6 * m + 1)
+        nbytes = 8 * (5 * m * m + 8 * m + 1) + 4 * (5 * m + 3)
         if nbytes > MAX_DENSE_BYTES:
             raise ConfigurationError(
                 f"sector n={n}: a {m}-state block needs {nbytes} bytes to solve, "
@@ -367,11 +398,13 @@ def sector_eigensystems(H: FockOperator | BlockedOperator, nu: float) -> SectorS
     A FockOperator is first split into blocks by blocked_operator; a
     BlockedOperator at coupling g is H1 + g H2, each block filled with
     g h2 + h1 - nu n.  Diagonal sectors keep their basis ordering (vectors
-    None).  Each block is solved by divide and conquer (LAPACK evd):
-    1 + 6m + 2m^2 doubles of workspace for m states, against O(m) for the
-    MRRR driver, and m^2 each for the block and its vectors, so two parity
-    blocks need about half the d^2 of a whole-sector solve.  _check_bytes
-    refuses the blocks, with ConfigurationError, before any is made dense.
+    None).  Each block is solved by np.linalg.eigh, LAPACK's divide and
+    conquer (syevd), which holds, for m states past a few dozen, the
+    block, numpy's copy of it and the vectors, m^2 doubles each, with
+    2m^2 + 6m + 1 doubles and 5m + 3 ints of workspace, against O(m) for
+    the MRRR driver; so two parity blocks need about half the d^2 of a
+    whole-sector solve.  _check_bytes refuses the blocks, with
+    ConfigurationError, before any is made dense.
     """
     if isinstance(H, FockOperator):
         H = blocked_operator(H)
@@ -390,7 +423,7 @@ def sector_eigensystems(H: FockOperator | BlockedOperator, nu: float) -> SectorS
             sub.flat[dst2] = g * h2
             sub.flat[dst1] += h1
             sub.flat[::m + 1] -= nu * n
-            w, v = scipy.linalg.eigh(sub, overwrite_a=True, driver="evd")
+            w, v = np.linalg.eigh(sub)
             vals.append(w)
             vecs.append((states, v))
         energies.append(np.concatenate(vals))

@@ -9,13 +9,14 @@ ziggurat turns them into the sample's 2K standard normals, the real parts
 of its K modes and then the imaginary parts.  That is numpy's
 Generator(Philox(key=(seed << 64) | i)).standard_normal((2, K)), bit for bit.
 
-Philox is counter-based, so for K <= 6 (2K normals from at most 3 counters)
-a whole block of samples is drawn at once: every sample's words in numpy
-uint64 arithmetic, then the ziggurat's fast path, which takes a word iff
-its 52-bit magnitude is below the layer's bound.  About 1.5% of words miss
-it, so about 11% of samples at K = 4; such a sample is drawn again whole by
-numpy's own Philox, reset to the sample's key.  Larger K, such as the 2D
-study's 32 and 64, draws every sample that way.
+Philox is counter-based, so for K <= 12 (2K normals from at most 6
+counters) a whole block of samples is drawn at once: every sample's words
+in numpy uint64 arithmetic, then the ziggurat's fast path, which takes a
+word iff its 52-bit magnitude is below the layer's bound.  About 1.5% of
+words miss it, so about 11% of samples at K = 4 and 30% at K = 12; such a
+sample is drawn again whole by numpy's own Philox, reset to the sample's
+key.  Larger K, such as the 2D study's 32 and 64, draws every sample that
+way.  numpy.random and the ziggurat tables load with this module.
 """
 
 from __future__ import annotations
@@ -24,14 +25,17 @@ from dataclasses import dataclass, replace
 from itertools import compress
 
 import numpy as np
+from numpy.random import Generator, Philox
 
+from ._ziggurat import KI, WI
 from .config import ConfigurationError
 from .spectral import OneBodyOperator
 
 # Samples drawn per block, and per batch of interaction energies.
 _SAMPLE_CHUNK = 1024
-# Largest cutoff whose blocks are drawn at once: 2K normals in 3 Philox counters.
-_BLOCK_MAX_K = 6
+# Largest cutoff whose blocks are drawn at once, 2K normals in 6 Philox
+# counters: past it the per-sample draws are as fast.
+_BLOCK_MAX_K = 12
 # Philox4x64-10 round multipliers and Weyl key increments.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -119,7 +123,6 @@ class _BlockDraws:
     """
 
     def __init__(self, m: int, counters: int, seed: int):
-        from ._ziggurat import KI, WI
         self.work = np.empty((8, m, counters), dtype=np.uint64)
         # round r's key is [i + r W0, seed + r W1]; i's part is added per block
         self.keys = [(_u64(r * _PHILOX_W[0]), _u64(seed + r * _PHILOX_W[1]))
@@ -197,8 +200,8 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
     scale = 1.0 / np.sqrt(2.0 * lam)
     coeffs = np.empty((n, K), dtype=complex)
     # raises ValueError, before any draw, for a seed outside 0..2**64-1
-    bits = np.random.Philox(key=int(seed) << 64)
-    rng = np.random.Generator(bits)
+    bits = Philox(key=int(seed) << 64)
+    rng = Generator(bits)
     # plain-int lists: the state setter reads them faster than numpy arrays
     key = [0, int(seed)]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import ConfigurationError
 from .interaction import PairPotential, convolve, quadratic_form
@@ -88,6 +87,8 @@ class RhfState:
 
 
 def _thermal_eigs(lap: np.ndarray, v_eff: np.ndarray, T: float):
+    import scipy.linalg
+
     H = lap.copy()
     H.flat[::len(H) + 1] += v_eff
     eps, psi = scipy.linalg.eigh(H, driver="evd")

@@ -12,8 +12,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .config import ConfigurationError
 
@@ -69,18 +67,16 @@ class GridSpec:
         return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def minus_laplacian(grid: GridSpec) -> sp.csr_matrix:
+def minus_laplacian(grid: GridSpec) -> scipy.sparse.csr_matrix:
     """Sparse matrix of -Laplacian with Dirichlet walls."""
-    L1 = _laplacian_1d(grid.points, grid.spacing)
+    import scipy.sparse as sp
+
+    n, h = grid.points, grid.spacing
+    off = np.full(n - 1, -1.0 / h**2)
+    L1 = sp.diags([off, np.full(n, 2.0 / h**2), off], [-1, 0, 1], format="csr")
     if grid.dimension == 1:
         return L1
-    eye = sp.identity(grid.points, format="csr")
+    eye = sp.identity(n, format="csr")
     return (sp.kron(L1, eye) + sp.kron(eye, L1)).tocsr()
 
 
@@ -157,26 +153,43 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 def build_one_body(grid: GridSpec, potential: str, num_eigs: int,
                    s: float | None = None,
                    potential_array: np.ndarray | None = None) -> OneBodyOperator:
-    """Diagonalize -Laplacian + V and keep the num_eigs lowest eigenpairs."""
+    """Diagonalize -Laplacian + V and keep the num_eigs lowest eigenpairs.
+
+    A dense 1D operator, tridiagonal, is built in numpy and solved whole by
+    np.linalg.eigh; a dense 2D one is solved by scipy's subset eigh, and a
+    large one by Lanczos.  scipy loads only for these last two.
+    """
     if num_eigs < 1 or num_eigs > grid.total_points:
         raise ConfigurationError(
             f"num_eigs={num_eigs} out of range for {grid.total_points} grid points")
     V = potential_values(grid, potential, s=s, values=potential_array)
-    H = minus_laplacian(grid) + sp.diags(V)
 
     n = grid.total_points
-    if n <= _DENSE_LIMIT or num_eigs > n // 3:
-        dense = H.toarray()
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, num_eigs - 1])
+    dense = n <= _DENSE_LIMIT or num_eigs > n // 3
+    if dense and grid.dimension == 1:
+        h = grid.spacing
+        H = np.diag(np.full(n, 2.0 / h**2) + V)
+        i = np.arange(n - 1)
+        H[i, i + 1] = H[i + 1, i] = -1.0 / h**2
+        vals, vecs = np.linalg.eigh(H)
+        vals, vecs = vals[:num_eigs], vecs[:, :num_eigs]
     else:
-        import scipy.sparse.linalg as spla  # only here: importing it is slow
+        import scipy.sparse as sp
 
-        # Shift-invert at zero: h is positive definite (V >= 0, Dirichlet).
-        # Fixed start vector keeps ARPACK output deterministic.
-        v0 = np.ones(n)
-        vals, vecs = spla.eigsh(H.tocsc(), k=num_eigs, sigma=0.0, which="LM", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        H = minus_laplacian(grid) + sp.diags(V)
+        if dense:
+            import scipy.linalg
+
+            vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, num_eigs - 1])
+        else:
+            import scipy.sparse.linalg as spla  # only here: importing it is slow
+
+            # Shift-invert at zero: h is positive definite (V >= 0, Dirichlet).
+            # Fixed start vector keeps ARPACK output deterministic.
+            v0 = np.ones(n)
+            vals, vecs = spla.eigsh(H.tocsc(), k=num_eigs, sigma=0.0, which="LM", v0=v0)
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
     if not np.all(np.isfinite(vals)):
         raise RuntimeError("diagonalization produced non-finite eigenvalues")
     vecs = _fix_signs(np.ascontiguousarray(vecs))

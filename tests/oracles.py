@@ -212,6 +212,16 @@ def fixed_point_residual(state: RhfState, V: np.ndarray, w: PairPotential,
 # Coherent states and the free-energy functional
 
 
+def operator_sector(H: FockOperator, n: int) -> np.ndarray:
+    """Sector n of a FockOperator as one dense d x d matrix, the entries
+    given at one position summed."""
+    d = H.basis.sector_dim(n)
+    out = np.zeros((d, d))
+    rows, cols, data = H.blocks[n]
+    np.add.at(out, (rows, cols), data)
+    return out
+
+
 def dense_sector(block) -> np.ndarray:
     """A FockState sector as one dense d x d matrix, zero between its blocks."""
     if isinstance(block, np.ndarray):
@@ -288,16 +298,16 @@ def free_energy_functional(state: FockState, H: FockOperator, T: float,
     ent = 0.0
     for n in range(state.basis.num_sectors):
         block = state.blocks[n]
-        Hn = H.blocks[n]
+        Hn = operator_sector(H, n)
         if isinstance(block, np.ndarray):
             tr_block = float(block.sum().real)
-            energy += float(Hn.diagonal() @ np.real(block))
+            energy += float(np.diag(Hn) @ np.real(block))
             ent += _entropy_sum(block)
         else:
             tr_block = 0.0
             for states, G in block:
                 tr_block += float(np.trace(G).real)
-                energy += float(np.real(Hn[np.ix_(states, states)].multiply(G.T).sum()))
+                energy += float(np.real((Hn[np.ix_(states, states)] * G.T).sum()))
                 ent += _entropy_sum(np.linalg.eigvalsh(G))
         energy += (E0 - nu * n) * tr_block
     return energy + T * ent

@@ -437,11 +437,12 @@ def test_cli_hartree_points_floor(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.fft", "scipy.special",
-                                    "scipy.sparse.linalg"])
+                                    "scipy.sparse.linalg", "scipy.linalg", "scipy.sparse"])
 def test_import_does_not_load(module):
-    # scipy.integrate serves only the closed forms and quadratures and
-    # scipy.sparse.linalg only Lanczos on large grids; the FFTs are numpy's.
-    # Importing the CLI must not pay for any of them
+    # scipy.integrate serves only the closed forms and quadratures,
+    # scipy.sparse.linalg only Lanczos on large grids, and scipy.linalg and
+    # scipy.sparse only the 2D one-body solves and Hartree; the FFTs are
+    # numpy's.  Importing the CLI must not pay for any of them
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
@@ -454,13 +455,13 @@ def test_import_does_not_load(module):
 @pytest.mark.parametrize("script, pinned, warns", [
     ("import scipy.linalg, gibbslab", False, True),
     ("import gibbslab, scipy.linalg", False, False),
-    ("import numpy, gibbslab", False, False),
+    ("import numpy, gibbslab", False, True),
     ("import scipy.linalg, gibbslab", True, False),
 ], ids=["scipy-first", "gibbslab-first", "numpy-first", "caller-pinned"])
 def test_import_warns_when_blas_pin_comes_late(script, pinned, warns):
-    # OpenBLAS reads its thread count when scipy.linalg loads it, so the pin
-    # set on import comes too late once scipy.linalg is loaded, unless the
-    # caller set OPENBLAS_NUM_THREADS
+    # OpenBLAS reads its thread count when numpy, or scipy.linalg, loads its
+    # copy, so the pin set on import comes too late once either is loaded,
+    # unless the caller set OPENBLAS_NUM_THREADS
     root = Path(__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -469,7 +470,7 @@ def test_import_warns_when_blas_pin_comes_late(script, pinned, warns):
         env["OPENBLAS_NUM_THREADS"] = "1"
     res = subprocess.run([sys.executable, "-W", "always", "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert ("RuntimeWarning: scipy.linalg was imported before gibbslab" in res.stderr) == warns
+    assert ("imported before gibbslab: BLAS is not pinned" in res.stderr) == warns
 
 
 def test_cli_tabulated_potential(tmp_path):

@@ -70,19 +70,20 @@ def test_basis_radix_codes_fit_int64():
 
 def test_sector_solve_over_byte_cap_is_refused_before_allocating(monkeypatch):
     # hopping along a chain of 8 modes joins each sector into one block;
-    # sector 8 of FockBasis(8, 9) has 6435 states, whose dense block, vectors
-    # and evd workspace take 8 (4 m^2 + 6 m + 1) bytes, over the cap
+    # sector 8 of FockBasis(8, 9) has 6435 states, whose dense block, numpy's
+    # copy of it, its vectors and the syevd workspace take
+    # 8 (5 m^2 + 8 m + 1) + 4 (5 m + 3) bytes, over the cap
     b = fq.FockBasis(8, 9)
     h1 = np.diag(np.arange(1.0, 9.0)) - np.eye(8, k=1) - np.eye(8, k=-1)
     H = fq.second_quantize_one_body(b, h1)
     m = b.sector_dim(8)
-    need = 8 * (4 * m * m + 6 * m + 1)
+    need = 8 * (5 * m * m + 8 * m + 1) + 4 * (5 * m + 3)
     assert m == 6435 and need > MAX_DENSE_BYTES
 
     def refuse(*args, **kwargs):
         raise AssertionError("a block was solved")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError,
@@ -92,6 +93,42 @@ def test_sector_solve_over_byte_cap_is_refused_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**26
+
+
+def test_block_solves_peak_inside_byte_model():
+    # _check_bytes' model, the vectors of all blocks plus the largest
+    # block's solve, against the resident set's growth over the solves of
+    # FockBasis(8, 5) with hopping (one block per sector, up to 792 states).
+    # numpy's copy of a block and LAPACK's workspace come from malloc, which
+    # tracemalloc does not see, so the peak is the VmHWM of a fresh
+    # interpreter.  The model counts the largest block's vectors twice and
+    # so stays above the peak, by under a fifth
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        from gibbslab import fock_quantum as fq
+        import numpy as np
+        def status_kb(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith(key))
+        b = fq.FockBasis(8, 5)
+        h1 = np.diag(np.arange(1.0, 9.0)) - np.eye(8, k=1) - np.eye(8, k=-1)
+        coupled = fq.blocked_operator(fq.second_quantize_one_body(b, h1))
+        np.linalg.eigh(np.eye(40))  # maps numpy's LAPACK before the baseline
+        sizes = [len(blk[0]) for blocks in coupled.sectors if isinstance(blocks, list)
+                 for blk in blocks]
+        before = status_kb("VmRSS:")
+        fq.sector_eigensystems(coupled, 0.0)
+        print(status_kb("VmHWM:") - before, *sizes)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    growth_kb, *sizes = map(int, res.stdout.split())
+    m = max(sizes)
+    assert m == 792
+    model = 8 * sum(s * s for s in sizes) + 8 * (5 * m * m + 8 * m + 1) + 4 * (5 * m + 3)
+    assert 0.8 * model < growth_kb * 1024 <= model
 
 
 def _layout(obj) -> dict:
@@ -174,8 +211,8 @@ def test_one_body_diagonal():
     b = fq.build_fock(2, 3)
     H = fq.second_quantize_one_body(b, np.array([1.0, 3.0]))
     n, i = b.index_of((2, 1))
-    assert H.blocks[n].diagonal()[i] == 5.0
-    assert H.blocks[0].shape == (1, 1) and H.blocks[0].nnz == 0
+    assert oracles.operator_sector(H, n)[i, i] == 5.0
+    assert oracles.operator_sector(H, 0).shape == (1, 1) and H.blocks[0][2].size == 0
 
 
 def test_one_body_offdiagonal_ladder():
@@ -185,20 +222,20 @@ def test_one_body_offdiagonal_ladder():
     H = fq.second_quantize_one_body(b, h)
     n, src = b.index_of((0, 1))
     _, dst = b.index_of((1, 0))
-    assert H.blocks[n][dst, src] == pytest.approx(1.0)
+    assert oracles.operator_sector(H, n)[dst, src] == pytest.approx(1.0)
     n2, src2 = b.index_of((1, 1))
     _, dst2 = b.index_of((2, 0))
-    assert H.blocks[n2][dst2, src2] == pytest.approx(np.sqrt(2.0))
+    assert oracles.operator_sector(H, n2)[dst2, src2] == pytest.approx(np.sqrt(2.0))
 
 
 def test_pair_operator_single_mode(op, bump):
     t = build_pair_tensor(op, bump, 1)
     b = fq.build_fock(1, 5)
     Hp = fq.second_quantize_pair(b, t)
-    assert Hp.blocks[0].nnz == 0 and Hp.blocks[1].nnz == 0
+    assert Hp.blocks[0][2].size == 0 and Hp.blocks[1][2].size == 0
     W = oracles.fock_tensor(t)[0, 0, 0, 0]
     for n in range(2, 6):
-        assert Hp.blocks[n][0, 0] == pytest.approx(0.5 * W * n * (n - 1))
+        assert oracles.operator_sector(Hp, n)[0, 0] == pytest.approx(0.5 * W * n * (n - 1))
 
 
 def test_pair_operator_two_particle_expectation(op, bump):
@@ -208,16 +245,16 @@ def test_pair_operator_two_particle_expectation(op, bump):
     Hp = fq.second_quantize_pair(b, t)
     n, i = b.index_of((2, 0))
     bare = quadratic_form(bump, op.eigenvectors[:, 0] ** 2)  # grid quadrature
-    assert Hp.blocks[n][i, i] == pytest.approx(2.0 * bare, rel=1e-10)
+    assert oracles.operator_sector(Hp, n)[i, i] == pytest.approx(2.0 * bare, rel=1e-10)
 
 
 def test_pair_operator_hermitian(op, bump):
     t = build_pair_tensor(op, bump, 3)
     b = fq.build_fock(3, 6)
     Hp = fq.second_quantize_pair(b, t)
-    for blk in Hp.blocks:
-        d = blk - blk.T
-        assert (abs(d).max() if d.nnz else 0.0) < 1e-12
+    for n in range(b.num_sectors):
+        dense = oracles.operator_sector(Hp, n)
+        assert np.abs(dense - dense.T).max() < 1e-12
 
 
 def _dense_annihilators(b):
@@ -253,7 +290,7 @@ def test_second_quantization_dense_oracle(op, bump):
     for H, full in cases:
         for n in range(b.num_sectors):
             sector = slice(offsets[n], offsets[n + 1])
-            ref, got = full[sector, sector], H.blocks[n].toarray()
+            ref, got = full[sector, sector], oracles.operator_sector(H, n)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), n
 
 
@@ -406,8 +443,9 @@ def test_energy_bookkeeping(op, bump):
     lam_coupling = 0.35
     H = H1 + Hp.scaled(lam_coupling)
     res = fq.gibbs_state(H, 1.8, 0.0)
-    direct = sum(float(np.real(Hb.multiply(oracles.dense_sector(blk).T).sum()))
-                 for Hb, blk in zip(H.blocks, res.state.blocks))
+    direct = sum(float(np.real((oracles.operator_sector(H, n)
+                                * oracles.dense_sector(blk).T).sum()))
+                 for n, blk in enumerate(res.state.blocks))
     rdm1 = fq.reduced_density(res.state, 1).matrix
     rdm2 = fq.reduced_density(res.state, 2).matrix
     pairs = [(i, j) for i in range(K) for j in range(i, K)]
@@ -621,7 +659,7 @@ def test_number_operator(op):
     # sum_i a+_i a_i: each diagonal entry sums sqrt(occ_i)^2, exact to roundoff
     N = fq.second_quantize_one_body(b, np.ones(3))
     for n in range(6):
-        diag = N.blocks[n].diagonal()
+        diag = np.diag(oracles.operator_sector(N, n))
         assert np.abs(diag - n).max() <= 4 * np.finfo(float).eps * n
 
 
@@ -631,17 +669,19 @@ def _interacting(op, bump, K, n_max):
         + fq.second_quantize_pair(b, build_pair_tensor(op, bump, K))
 
 
-def _whole_sector_spectra(H, nu, b, driver="evd"):
-    """Reference: one eigh of each shifted dense sector, one block each."""
+def _whole_sector_spectra(H, nu, b, driver=None):
+    """Reference: one eigh of each shifted dense sector, one block each, by
+    numpy's divide and conquer or by the given scipy driver."""
     energies, vectors = [], []
-    for n, block in enumerate(H.blocks):
-        if (block - sp.diags(block.diagonal())).nnz == 0:
-            energies.append(block.diagonal() - nu * n)
+    for n in range(b.num_sectors):
+        dense = oracles.operator_sector(H, n)
+        if not np.any(dense - np.diag(np.diag(dense))):
+            energies.append(np.diag(dense) - nu * n)
             vectors.append(None)
             continue
-        dense = block.toarray()
         dense[np.diag_indices_from(dense)] -= nu * n
-        w, v = scipy.linalg.eigh(dense, driver=driver)
+        w, v = (np.linalg.eigh(dense) if driver is None
+                else scipy.linalg.eigh(dense, driver=driver))
         energies.append(w)
         vectors.append([(np.arange(len(w)), v)])
     return fq.SectorSpectra(basis=b, energies=energies, vectors=vectors)
@@ -782,22 +822,23 @@ def test_opposite_parity_coupling_merges_blocks(op, bump):
 
 def _csgraph_spectra(H, nu):
     """Reference: each sector's blocks from scipy.sparse.csgraph, cut out of
-    H by fancy indexing and solved by divide and conquer."""
+    the dense sector by fancy indexing and solved by divide and conquer."""
     from scipy.sparse.csgraph import connected_components
     energies, vectors = [], []
-    for n, block in enumerate(H.blocks):
-        off = block - sp.diags(block.diagonal())
-        if off.nnz == 0:
-            energies.append(block.diagonal() - nu * n)
+    for n in range(H.basis.num_sectors):
+        block = oracles.operator_sector(H, n)
+        off = block - np.diag(np.diag(block))
+        if not off.any():
+            energies.append(np.diag(block) - nu * n)
             vectors.append(None)
             continue
-        labels = connected_components(off, directed=False)[1]
+        labels = connected_components(sp.csr_matrix(off), directed=False)[1]
         vals, vecs = [], []
         for c in range(labels.max() + 1):
             states = np.flatnonzero(labels == c)
-            sub = block[np.ix_(states, states)].toarray()
+            sub = block[np.ix_(states, states)]
             sub[np.diag_indices_from(sub)] -= nu * n
-            w, v = scipy.linalg.eigh(sub, driver="evd")
+            w, v = np.linalg.eigh(sub)
             vals.append(w)
             vecs.append((states, v))
         energies.append(np.concatenate(vals))
@@ -857,26 +898,26 @@ def test_blocked_spectra_match_fresh_solves(op, bump):
 
 
 def _with_stored_zero(H, n, i, j):
-    """H with an explicitly stored zero at (i, j) and (j, i) of sector n."""
+    """H built with an explicit zero at (i, j) and (j, i) of sector n."""
     blocks = list(H.blocks)
-    coo = blocks[n].tocoo()
-    blocks[n] = sp.csr_matrix((np.r_[coo.data, 0.0, 0.0], (np.r_[coo.row, i, j],
-                               np.r_[coo.col, j, i])), shape=coo.shape)
+    rows, cols, data = blocks[n]
+    blocks[n] = (np.r_[rows, i, j], np.r_[cols, j, i], np.r_[data, 0.0, 0.0])
     return fq.FockOperator(H.basis, blocks)
 
 
 def test_stored_zeros_join_no_blocks(op, bump):
-    # an explicitly stored zero between the two parity blocks joins
-    # nothing, in a FockOperator or in either part of a blocked one: the
-    # blocks stay apart, the stored entry never reaches a dense block, and
-    # the spectra are those of the operators without it, bit for bit
+    # an explicit zero between the two parity blocks joins nothing, in a
+    # FockOperator or in either part of a blocked one: it is dropped when
+    # the operator is built, the blocks stay apart, and the spectra are
+    # those of the operators without it, bit for bit
     H1, Hpair, _ = _coupling_cases(op, bump)[0]
     labels = mode_parity(op, 4)
     n = 4
     parity = H1.basis.occupations[n][:, labels < 0].sum(axis=1) % 2
     i, j = np.flatnonzero(parity == 0)[0], np.flatnonzero(parity == 1)[0]
     pair_z, one_z = _with_stored_zero(Hpair, n, i, j), _with_stored_zero(H1, n, i, j)
-    assert pair_z.blocks[n].nnz == Hpair.blocks[n].nnz + 2
+    for got, ref in ((pair_z, Hpair), (one_z, H1)):
+        assert all(np.array_equal(a, b) for a, b in zip(got.blocks[n], ref.blocks[n]))
     nu, g = 0.1, -0.8
     ref = fq.sector_eigensystems(H1 + Hpair.scaled(g), nu)
     for coupled in (fq.blocked_operator(H1, pair_z), fq.blocked_operator(one_z, Hpair)):
@@ -888,16 +929,16 @@ def test_stored_zeros_join_no_blocks(op, bump):
 
 
 def test_duplicate_entries_are_summed(op, bump):
-    # a sector stored with every entry twice, as two exact halves, solves
-    # as the operator itself, alone or as either part of a blocked one
+    # a sector given with every entry twice, as two exact halves, is summed
+    # when the operator is built and solves as the operator itself, alone
+    # or as either part of a blocked one
     H1, Hpair, _ = _coupling_cases(op, bump)[0]
     n, g, nu = 5, 0.7, 0.1
     blocks = list(Hpair.blocks)
-    c = blocks[n]
-    blocks[n] = sp.csr_matrix((np.repeat(0.5 * c.data, 2), np.repeat(c.indices, 2),
-                               2 * c.indptr), shape=c.shape)
+    rows, cols, data = blocks[n]
+    blocks[n] = (np.repeat(rows, 2), np.repeat(cols, 2), np.repeat(0.5 * data, 2))
     twice = fq.FockOperator(Hpair.basis, blocks)
-    assert twice.blocks[n].nnz == 2 * c.nnz
+    assert all(np.array_equal(a, b) for a, b in zip(twice.blocks[n], Hpair.blocks[n]))
     ref = fq.sector_eigensystems(H1 + Hpair.scaled(g), nu)
     _assert_same_spectra(fq.sector_eigensystems(fq.blocked_operator(H1, twice).at(g), nu), ref)
     _assert_same_spectra(fq.sector_eigensystems(fq.blocked_operator(twice, H1).at(1.0), 0.0),
@@ -910,10 +951,10 @@ def test_block_labels_match_csgraph(op, bump):
     from scipy.sparse.csgraph import connected_components
     patterns = []
     for H1, Hpair, _ in _coupling_cases(op, bump):
-        for block in (H1 + Hpair).blocks:
-            off = (block - sp.diags(block.diagonal())).tocoo()
-            if off.nnz:
-                patterns.append((off.row, off.col, block.shape[0]))
+        for n, (rows, cols, _) in enumerate((H1 + Hpair).blocks):
+            off = rows != cols
+            if off.any():
+                patterns.append((rows[off], cols[off], H1.basis.sector_dim(n)))
     rng = np.random.default_rng(3)
     for d, density in ((1, 0.0), (7, 0.1), (60, 0.02), (300, 0.004), (500, 0.01)):
         m = sp.random(d, d, density=density, random_state=rng, format="coo")
@@ -940,14 +981,14 @@ def test_whole_spectra_over_byte_cap_is_refused_before_allocating(op, bump, monk
     sizes = [len(blk[0]) for blocks in coupled.sectors if isinstance(blocks, list)
              for blk in blocks]
     held, m = 8 * sum(s * s for s in sizes), max(sizes)
-    solve = 8 * (4 * m * m + 6 * m + 1)
+    solve = 8 * (5 * m * m + 8 * m + 1) + 4 * (5 * m + 3)
     monkeypatch.setattr(fq, "MAX_DENSE_BYTES", held + solve - 1)
     assert solve < held
 
     def refuse(*args, **kwargs):
         raise AssertionError("a block was solved")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError,
@@ -984,24 +1025,31 @@ def test_gibbs_state_holds_only_its_blocks(op, bump):
         < 0.55 * dense
 
 
-def test_study_1d_leaves_csgraph_unloaded(tmp_path):
-    # the blocks are found with numpy: a 1D study never imports csgraph
+def test_1d_commands_leave_scipy_unloaded(tmp_path):
+    # the 1D pipeline runs on numpy alone: its one-body solve, Fock blocks,
+    # block solves and sampling never import a scipy module
     root = Path(__file__).resolve().parent.parent
+    config = tmp_path / "small.ini"
+    config.write_text(textwrap.dedent("""
+        [model]
+        points = 128
+        modes = 3
+        [classical]
+        samples = 200
+        [quantum]
+        n_max = 6
+        t_schedule = 2, 4
+    """), encoding="utf-8")
     script = textwrap.dedent("""
         import sys
-        from gibbslab.config import RunConfig
-        from gibbslab.studies import run_study_1d
-        cfg = RunConfig()
-        cfg.model.points = 128
-        cfg.model.modes = 3
-        cfg.classical.samples = 200
-        cfg.quantum.n_max = 6
-        cfg.quantum.t_schedule = (2.0, 4.0)
-        run_study_1d(cfg)
-        print("scipy.sparse.csgraph" in sys.modules)
+        from gibbslab import cli
+        for command in ("spectrum", "sample-gaussian", "classical-gibbs",
+                        "quantum-gibbs", "study-1d"):
+            assert cli.main([command, "--config", "small.ini", "--out", command]) == 0
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"

@@ -93,10 +93,10 @@ def wide_op():
     return build_one_body(GridSpec(1, 6.0, 256), "power", 64, s=4.0)
 
 
-@pytest.mark.parametrize("K", [1, 2, 4, 5, 6, 7, 64])
+@pytest.mark.parametrize("K", [1, 2, 4, 5, 6, 7, 12, 13, 64])
 def test_draws_match_per_sample_philox(wide_op, K):
     # sample i is numpy's standard_normal((2, K)) on Philox(key=(seed << 64) | i),
-    # whichever path drew it (the block path serves K <= 6)
+    # whichever path drew it (the block path serves K <= 12)
     scale = 1.0 / np.sqrt(2.0 * wide_op.eigenvalues[:K])
     for n in (1, 2 * _SAMPLE_CHUNK + 3):
         for seed in (0, 7, 2**63 - 1, 2**64 - 2, 2**64 - 1):
@@ -109,10 +109,11 @@ def test_draws_match_per_sample_philox(wide_op, K):
             assert np.array_equal(ens.coefficients, expect)
 
 
-@pytest.mark.parametrize("K, share", [(4, (0.8, 0.95)), (6, (0.75, 0.9)), (7, None)])
+@pytest.mark.parametrize("K, share", [(4, (0.8, 0.95)), (6, (0.75, 0.9)),
+                                      (12, (0.62, 0.77)), (13, None)])
 def test_block_path_serves_small_cutoffs(op, monkeypatch, K, share):
     # the block path finishes a sample unless one of its 2K words misses the
-    # ziggurat's fast path (about 1.5% of words); it never runs for K > 6
+    # ziggurat's fast path (about 1.5% of words); it never runs for K > 12
     counts = []
     draw = gaussian._BlockDraws.draw
 
@@ -165,7 +166,7 @@ def test_seed_out_of_range(op, monkeypatch):
 
 
 def test_sampling_peak_rss():
-    # draws go through one block buffer and, for K <= 6, one block workspace
+    # draws go through one block buffer and, for K <= 12, one block workspace
     # of twice its size, never a full (n, 2, K) array.
     # Growth runs from the resident set just before sampling to the peak of
     # the child's own address space: ru_maxrss would carry over the peak of
