@@ -5,12 +5,14 @@ particle number, so states and operators are block-diagonal over sectors.
 A FockBasis grows each sector from the one below it, one particle at a
 time, and is complete when built, its k-body index tables included, so
 threads may share it; operators, states and spectra carry it, and
-routines read it from them.  Free (diagonal) sectors keep their
+routines read it from them.  A FockOperator holds each sector as its
+diagonal and the connected blocks of its other entries, found once when
+it is built; H1 + g Hpair, for a diagonal H1, shares Hpair's blocks at
+every coupling g.  Free (diagonal) sectors keep their
 Gibbs blocks as bare probability vectors so that large cutoffs stay cheap;
 interacting sectors are dense, each diagonalized per connected block of H
 by divide and conquer, so the pair term's odd-mode parity classes are
-solved apart.  A BlockedOperator holds H1 + g Hpair per block, the blocks
-found once for every coupling g != 0.  Spectra keep one
+solved apart.  Spectra keep one
 set of vectors per block, and the Gibbs state keeps one dense matrix per
 block, never the zeros between blocks.
 boltzmann_weights gives level probabilities and log Z under any particle
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,32 +142,113 @@ def _summed(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
     return rows[pick].astype(np.int32), cols[pick].astype(np.int32), sums[kept]
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _component_labels(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
+    """Connected-component labels of the graph on d states with edges
+    (rows, cols), either direction, numbered by their smallest state.
+
+    Label propagation with pointer jumping: each tree's root hooks onto the
+    least root across its edges, then every state follows its pointers to
+    a root, until no edge joins two roots.  The roots are then each
+    component's smallest state, so labels come in scipy.sparse.csgraph's
+    order.
+    """
+    rows, cols = np.r_[rows, cols], np.r_[cols, rows]
+    root = np.arange(d)
+    while True:
+        low = root.copy()
+        np.minimum.at(low, root[rows], root[cols])
+        while not np.array_equal(low, jumped := low[low]):
+            low = jumped
+        if np.array_equal(low, root):
+            return np.unique(root, return_inverse=True)[1]
+        root = low
+
+
+def _sector(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, d: int) -> tuple:
+    """(diagonal, blocks) of a d x d sector given as triplets, as
+    FockOperator holds it: the entries summed (_summed), the diagonal
+    apart, and the others cut into the connected blocks of their graph,
+    each with factor 1."""
+    rows, cols, data = _summed(rows, cols, data, d)
+    on = rows == cols
+    diagonal = np.zeros(d)
+    diagonal[rows[on]] = data[on]
+    _frozen(diagonal)
+    rows, cols, data = rows[~on], cols[~on], data[~on]
+    if not len(rows):
+        return diagonal, []
+    labels = _component_labels(rows, cols, d)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    local = np.empty(d, dtype=np.intp)
+    local[order] = np.arange(d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    owner = labels[rows]
+    by = np.argsort(owner, kind="stable")
+    rows, cols, owner = rows[by], cols[by], owner[by]
+    dst = local[rows] * sizes[owner] + local[cols]
+    edges = np.cumsum(np.bincount(owner, minlength=len(sizes)))[:-1]
+    return diagonal, [(*_frozen(states, at, values), 1.0) for states, at, values in zip(
+        np.split(order, np.cumsum(sizes)[:-1]), np.split(dst, edges), np.split(data[by], edges))]
+
+
 @dataclass
 class FockOperator:
-    """Number-conserving operator as per-sector triplets.
+    """Number-conserving operator, held per connected block of each sector.
 
-    blocks[n] is (rows, cols, data): sector n's d_n x d_n block holds
-    data[k] at (rows[k], cols[k]) and zero elsewhere.  Building the
-    operator sums the entries given at one position and drops exact
-    zeros (_summed), so each position is stored once and nonzero.  The
-    blocks may be given as any iterable of triplets, one per sector, and
-    are held as a list.
+    sectors[n] is (diagonal, blocks) for sector n's d_n x d_n block: its
+    diagonal, and one (states, dst, values, factor) per connected
+    component of the graph of its nonzero entries off the diagonal, single
+    states included, in label order (_component_labels); no blocks if it
+    has no such entry.  A block's states are its states in the sector,
+    ascending, and its entries off the diagonal are factor * values at the
+    flat positions dst of its dense m x m matrix.  scaled and + share the
+    blocks' arrays, which are read-only, so threads may share them: a
+    diagonal H1 plus g Hpair holds Hpair's own arrays at every g.
     """
 
     basis: FockBasis
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    sectors: list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]]]
 
-    def __post_init__(self):
-        self.blocks = [_summed(*b, self.basis.sector_dim(n)) for n, b in enumerate(self.blocks)]
+    @classmethod
+    def from_triplets(cls, basis: FockBasis, triplets) -> FockOperator:
+        """The operator whose sector n holds data[k] at (rows[k], cols[k])
+        for triplets[n] = (rows, cols, data): the entries at one position
+        summed in their given order, exact zeros dropped.  triplets may be
+        any iterable, one per sector, and is read one sector at a time."""
+        return cls(basis, [_sector(*t, basis.sector_dim(n)) for n, t in enumerate(triplets)])
 
-    def scaled(self, factor: float) -> "FockOperator":
-        return FockOperator(self.basis, [(r, c, v * factor) for r, c, v in self.blocks])
+    def triplets(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sector n as (rows, cols, data), each position once: the nonzero
+        diagonal, then each block's entries."""
+        diagonal, blocks = self.sectors[n]
+        on = np.flatnonzero(diagonal)
+        return tuple(map(np.concatenate, zip((on, on, diagonal[on]), *(
+            (states[dst // len(states)], states[dst % len(states)], factor * values)
+            for states, dst, values, factor in blocks))))
 
-    def __add__(self, other: "FockOperator") -> "FockOperator":
+    def scaled(self, g: float) -> FockOperator:
+        return FockOperator(self.basis, [(g * diagonal, [(*blk[:3], g * blk[3]) for blk in blocks])
+                                         for diagonal, blocks in self.sectors])
+
+    def __add__(self, other: FockOperator) -> FockOperator:
+        """A sector where at most one operand has blocks keeps them; any
+        other is rebuilt from both operands' triplets."""
         if other.basis is not self.basis:
             raise ConfigurationError("operators live on different bases")
-        return FockOperator(self.basis, [tuple(map(np.concatenate, zip(a, b)))
-                                         for a, b in zip(self.blocks, other.blocks)])
+        sectors = []
+        for n, ((d1, b1), (d2, b2)) in enumerate(zip(self.sectors, other.sectors)):
+            if b1 and b2:
+                sectors.append(_sector(*map(np.concatenate, zip(
+                    self.triplets(n), other.triplets(n))), len(d1)))
+            else:
+                sectors.append((d1 + d2, b1 or b2))
+        return FockOperator(self.basis, sectors)
 
 
 @dataclass
@@ -205,7 +288,7 @@ def second_quantize(basis: FockBasis, kernel: np.ndarray, order: int) -> FockOpe
     amplitude vals[s, r], (cols, vals) the basis's table, so sector n is one
     scatter of kernel[s, t] (vals[s, r] vals[t, r]) to (cols[s, r],
     cols[t, r]): the adjoint of reduced_density's gather.  The sectors are
-    scattered one at a time, as the operator sums them.
+    scattered one at a time, as the operator sums and blocks them.
     """
     if order not in ORDERS:
         raise ConfigurationError(f"second quantization order must be in {ORDERS}")
@@ -222,7 +305,7 @@ def second_quantize(basis: FockBasis, kernel: np.ndarray, order: int) -> FockOpe
         return (cols[s].ravel(), cols[t].ravel(),
                 (kernel[s, t][:, None] * (vals[s] * vals[t])).ravel())
 
-    return FockOperator(basis, map(scattered, range(basis.num_sectors)))
+    return FockOperator.from_triplets(basis, map(scattered, range(basis.num_sectors)))
 
 
 def second_quantize_one_body(basis: FockBasis, h1: np.ndarray) -> FockOperator:
@@ -273,110 +356,13 @@ class SectorSpectra:
     vectors: list[list[tuple[np.ndarray, np.ndarray]] | None]
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _component_labels(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
-    """Connected-component labels of the graph on d states with edges
-    (rows, cols), either direction, numbered by their smallest state.
-
-    Label propagation with pointer jumping: each tree's root hooks onto the
-    least root across its edges, then every state follows its pointers to
-    a root, until no edge joins two roots.  The roots are then each
-    component's smallest state, so labels come in scipy.sparse.csgraph's
-    order.
-    """
-    rows, cols = np.r_[rows, cols], np.r_[cols, rows]
-    root = np.arange(d)
-    while True:
-        low = root.copy()
-        np.minimum.at(low, root[rows], root[cols])
-        while not np.array_equal(low, jumped := low[low]):
-            low = jumped
-        if np.array_equal(low, root):
-            return np.unique(root, return_inverse=True)[1]
-        root = low
-
-
-def _in_blocks(triplets: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.ndarray,
-               local: np.ndarray, sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(dst, values) of a sector's triplets per connected block of labels,
-    in label order: their flat positions in the block's dense m x m matrix,
-    local giving each state's place in its block, and their values.  Every
-    entry lies inside a block."""
-    rows, cols, data = triplets
-    owner = labels[rows]
-    by = np.argsort(owner, kind="stable")
-    rows, cols, owner = rows[by], cols[by], owner[by]
-    dst = local[rows] * sizes[owner] + local[cols]
-    edges = np.cumsum(np.bincount(owner, minlength=len(sizes)))[:-1]
-    return list(zip(np.split(dst, edges), np.split(data[by], edges)))
-
-
-def _diagonal(triplets: tuple[np.ndarray, np.ndarray, np.ndarray], d: int) -> np.ndarray:
-    """The diagonal of a d x d block whose triplets all lie on it."""
-    rows, _, data = triplets
-    out = np.zeros(d)
-    out[rows] = data
-    return out
-
-
-@dataclass(frozen=True)
-class BlockedOperator:
-    """H1 + g H2 on H1's basis, held per connected block of each sector.
-
-    The blocks are the connected components of the nonzero entries of H1
-    and H2 off the diagonal, so they are H1 + g H2's own at every g != 0 at
-    which no entry cancels exactly: at every g != 0 when H1 is diagonal, as
-    from one-body eigenvalues.  sectors[n] is the pair of diagonals
-    (h1, h2) of a sector with no such entry, else one
-    (states, dst2, h2, dst1, h1) per block, in label order: its states in
-    the sector, ascending, and the nonzero entries of H2 and of H1 in it,
-    at their flat positions in the dense m x m block.  at(g) shares the
-    arrays, which are read-only, so threads may share them.
-    """
-
-    basis: FockBasis
-    sectors: list
-    coupling: float = 0.0
-
-    def at(self, g: float) -> BlockedOperator:
-        return replace(self, coupling=g)
-
-
-def blocked_operator(H1: FockOperator, H2: FockOperator | None = None) -> BlockedOperator:
-    """H1 + g H2 per connected block, the blocks found once for every g;
-    H2 is zero if not given."""
-    sectors = []
-    for n, one in enumerate(H1.blocks):
-        two = _EMPTY if H2 is None else H2.blocks[n]
-        rows, cols = np.r_[one[0], two[0]], np.r_[one[1], two[1]]
-        edge = rows != cols
-        d = H1.basis.sector_dim(n)
-        if not edge.any():
-            sectors.append(_frozen(_diagonal(one, d), _diagonal(two, d)))
-            continue
-        labels = _component_labels(rows[edge], cols[edge], d)
-        sizes = np.bincount(labels)
-        order = np.argsort(labels, kind="stable")
-        local = np.empty(d, dtype=np.intp)
-        local[order] = np.arange(d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        states = np.split(order, np.cumsum(sizes)[:-1])
-        sectors.append([_frozen(s, *pair, *single) for s, pair, single in zip(
-            states, _in_blocks(two, labels, local, sizes), _in_blocks(one, labels, local, sizes))])
-    return BlockedOperator(basis=H1.basis, sectors=sectors)
-
-
 def _check_bytes(sectors: list) -> None:
     """Refuse, over MAX_DENSE_BYTES, a block's solve, 8 (5m^2 + 8m + 1)
     + 4 (5m + 3) bytes for m states, or the vectors of all blocks,
     8 sum m^2, plus the largest solve."""
     held = solve = 0
-    for n, blocks in enumerate(sectors):
-        if isinstance(blocks, tuple):
+    for n, (_, blocks) in enumerate(sectors):
+        if not blocks:
             continue
         m = max(len(blk[0]) for blk in blocks)
         nbytes = 8 * (5 * m * m + 8 * m + 1) + 4 * (5 * m + 3)
@@ -392,37 +378,32 @@ def _check_bytes(sectors: list) -> None:
             f"solve needs {solve} more, over the {MAX_DENSE_BYTES}-byte cap")
 
 
-def sector_eigensystems(H: FockOperator | BlockedOperator, nu: float) -> SectorSpectra:
+def sector_eigensystems(H: FockOperator, nu: float) -> SectorSpectra:
     """Diagonalize H - nu N blockwise, on H's basis.
 
-    A FockOperator is first split into blocks by blocked_operator; a
-    BlockedOperator at coupling g is H1 + g H2, each block filled with
-    g h2 + h1 - nu n.  Diagonal sectors keep their basis ordering (vectors
-    None).  Each block is solved by np.linalg.eigh, LAPACK's divide and
-    conquer (syevd), which holds, for m states past a few dozen, the
-    block, numpy's copy of it and the vectors, m^2 doubles each, with
-    2m^2 + 6m + 1 doubles and 5m + 3 ints of workspace, against O(m) for
-    the MRRR driver; so two parity blocks need about half the d^2 of a
-    whole-sector solve.  _check_bytes refuses the blocks, with
-    ConfigurationError, before any is made dense.
+    Diagonal sectors keep their basis ordering (vectors None).  Each block
+    is filled with factor * values off the diagonal and H's diagonal less
+    nu n on it, and solved by np.linalg.eigh, LAPACK's divide and conquer
+    (syevd), which holds, for m states past a few dozen, the block, numpy's
+    copy of it and the vectors, m^2 doubles each, with 2m^2 + 6m + 1
+    doubles and 5m + 3 ints of workspace, against O(m) for the MRRR
+    driver; so two parity blocks need about half the d^2 of a whole-sector
+    solve.  _check_bytes refuses the blocks, with ConfigurationError,
+    before any is made dense.
     """
-    if isinstance(H, FockOperator):
-        H = blocked_operator(H)
     _check_bytes(H.sectors)
-    g, energies, vectors = H.coupling, [], []
-    for n, blocks in enumerate(H.sectors):
-        if isinstance(blocks, tuple):
-            h1, h2 = blocks
-            energies.append(g * h2 + h1 - nu * n)
+    energies, vectors = [], []
+    for n, (diagonal, blocks) in enumerate(H.sectors):
+        if not blocks:
+            energies.append(diagonal - nu * n)
             vectors.append(None)
             continue
         vals, vecs = [], []
-        for states, dst2, h2, dst1, h1 in blocks:
+        for states, dst, values, factor in blocks:
             m = len(states)
             sub = np.zeros((m, m))
-            sub.flat[dst2] = g * h2
-            sub.flat[dst1] += h1
-            sub.flat[::m + 1] -= nu * n
+            sub.flat[dst] = factor * values
+            sub.flat[::m + 1] = diagonal[states] - nu * n
             w, v = np.linalg.eigh(sub)
             vals.append(w)
             vecs.append((states, v))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigurationError
-from .interaction import PairPotential, convolve, quadratic_form
+from .interaction import PairPotential, convolve
 from .spectral import GridSpec, minus_laplacian
 
 # The momentum integral for the free-gas density is taken without a
@@ -81,6 +81,7 @@ class RhfState:
     occupations: np.ndarray          # Bose-Einstein numbers of the energies
     density: np.ndarray              # weight-folded thermal density
     free_energy: float
+    direct_energy: float             # (lam/2) iint rho(x) w(x-y) rho(y)
     residual: float
     iterations: int
     converged: bool
@@ -102,15 +103,16 @@ def _thermal_eigs(lap: np.ndarray, v_eff: np.ndarray, T: float):
     return eps, psi, occ, rho
 
 
-def _rhf_free_energy(V, nu, lam, T, eps, occ, rho, conv, v_eff) -> float:
-    """Energy trace + direct term - T * entropy at an iterate; conv = w * rho."""
+def _rhf_free_energy(V, nu, lam, T, eps, occ, rho, conv, v_eff) -> tuple[float, float]:
+    """Energy trace + direct term - T * entropy at an iterate, and the
+    direct term (lam/2) rho . conv; conv = w * rho."""
     # tr[(-Lap + V - nu) gamma] = sum eps f - int (V_eff - V + nu) rho
     energy = float(eps @ occ) - float((v_eff - V + nu) @ rho)
     direct = lam * (0.5 * float(rho @ conv))
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(occ > 0,
                        (1.0 + occ) * np.log1p(occ) - occ * np.log(occ), 0.0)
-    return energy + direct - T * float(ent.sum())
+    return energy + direct - T * float(ent.sum()), direct
 
 
 def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
@@ -122,7 +124,8 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
     The step is V <- (1 - theta) V_old + theta (V + lam rho*w - nu) with
     backtracking on theta whenever the free energy increases.  Each trial
     potential costs one eigh and one convolution w * rho, which give its free
-    energy, the next target and the residual the returned state reports.
+    energy and direct term, the next target and the residual the returned
+    state reports.
     """
     if not 0 < damping <= 1:
         raise ConfigurationError("damping must be in (0, 1]")
@@ -138,9 +141,9 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
         eps, psi, occ, rho = _thermal_eigs(lap, v_eff, T)
         conv = convolve(w, rho)
         return (v_eff, eps, psi, occ, rho, conv,
-                _rhf_free_energy(V, nu, lam, T, eps, occ, rho, conv, v_eff))
+                *_rhf_free_energy(V, nu, lam, T, eps, occ, rho, conv, v_eff))
 
-    v_eff, eps, psi, occ, rho, conv, f_cur = evaluate(V - nu)
+    v_eff, eps, psi, occ, rho, conv, f_cur, direct = evaluate(V - nu)
     for it in range(max_iter + 1):
         target = V + lam * conv - nu
         residual = float(np.max(np.abs(target - v_eff) / denom))
@@ -149,20 +152,15 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
         step = damping
         while True:
             trial = evaluate((1.0 - step) * v_eff + step * target)
-            if trial[-1] <= f_cur + 1e-12 * max(1.0, abs(f_cur)) or step < 1e-4:
+            if trial[-2] <= f_cur + 1e-12 * max(1.0, abs(f_cur)) or step < 1e-4:
                 break
             step *= 0.5
-        v_eff, eps, psi, occ, rho, conv, f_cur = trial
+        v_eff, eps, psi, occ, rho, conv, f_cur, direct = trial
 
     return RhfState(grid=grid, effective_potential=v_eff, energies=eps,
                     orbitals=psi, occupations=occ, density=rho,
-                    free_energy=f_cur, residual=residual,
+                    free_energy=f_cur, direct_energy=direct, residual=residual,
                     iterations=it, converged=residual < tol)
-
-
-def reference_energy(state: RhfState, w: PairPotential, lam: float) -> float:
-    """(lam/2) iint rho(x) w(x-y) rho(y) at the solved density."""
-    return lam * float(quadratic_form(w, state.density))
 
 
 def truncated_inverse_distance(state_a: RhfState, state_b: RhfState,
@@ -244,7 +242,7 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
         rows.append(StabilizationRow(T=T, lam=lam, nu=nu, iterations=st.iterations,
                                      residual=st.residual, converged=st.converged,
                                      free_energy=st.free_energy,
-                                     reference_energy=reference_energy(st, w, lam),
+                                     reference_energy=st.direct_energy,
                                      delta_inf=delta, schatten_p_dist=dist))
     region = V > 1.0
     shifted = proxy.effective_potential - kappa

@@ -102,14 +102,14 @@ def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | N
 
     Spectra are of H - nu N on one Fock basis, which they carry; H1 is from
     op's unshifted eigenvalues.  Pass no tensor at coupling_c = 0:
-    spectra_at then returns the free spectra.  Otherwise H1 and Hpair are
-    split once into the connected blocks of each sector (one per odd-mode
-    parity of a reflection-symmetric trap), which H1 + g Hpair shares at
-    every g != 0 (fq.blocked_operator); each call fills those blocks with
-    H1 + (coupling_c/T) Hpair, diagonalizes them afresh by divide and
+    spectra_at then returns the free spectra.  Otherwise Hpair is held per
+    connected block of each sector (one per odd-mode parity of a
+    reflection-symmetric trap), found once when it is built; H1 is
+    diagonal, so H1 + (coupling_c/T) Hpair shares Hpair's blocks.  Each
+    call fills those blocks, diagonalizes them afresh by divide and
     conquer, returns each block's vectors apart, and keeps nothing.  Calls
     may run on several threads: they only read the basis, built complete
-    with its index tables, and the blocked operator's read-only arrays.
+    with its index tables, and Hpair's read-only arrays.
     """
     K, nu, c = cfg.model.modes, cfg.model.nu, cfg.quantum.coupling_c
     basis = fq.build_fock(K, cfg.quantum.n_max)
@@ -117,10 +117,10 @@ def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | N
     spectra_free = fq.sector_eigensystems(H1, nu)
     if tensor is None:
         return spectra_free, lambda T: spectra_free
-    coupled = fq.blocked_operator(H1, fq.second_quantize_pair(basis, tensor))
+    Hpair = fq.second_quantize_pair(basis, tensor)
 
     def spectra_at(T: float) -> fq.SectorSpectra:
-        return fq.sector_eigensystems(coupled.at(c / T), nu)
+        return fq.sector_eigensystems(H1 + Hpair.scaled(c / T), nu)
 
     return spectra_free, spectra_at
 

@@ -217,7 +217,7 @@ def operator_sector(H: FockOperator, n: int) -> np.ndarray:
     given at one position summed."""
     d = H.basis.sector_dim(n)
     out = np.zeros((d, d))
-    rows, cols, data = H.blocks[n]
+    rows, cols, data = H.triplets(n)
     np.add.at(out, (rows, cols), data)
     return out
 

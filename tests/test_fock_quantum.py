@@ -112,12 +112,11 @@ def test_block_solves_peak_inside_byte_model():
                 return next(int(line.split()[1]) for line in f if line.startswith(key))
         b = fq.FockBasis(8, 5)
         h1 = np.diag(np.arange(1.0, 9.0)) - np.eye(8, k=1) - np.eye(8, k=-1)
-        coupled = fq.blocked_operator(fq.second_quantize_one_body(b, h1))
+        H = fq.second_quantize_one_body(b, h1)
         np.linalg.eigh(np.eye(40))  # maps numpy's LAPACK before the baseline
-        sizes = [len(blk[0]) for blocks in coupled.sectors if isinstance(blocks, list)
-                 for blk in blocks]
+        sizes = [len(blk[0]) for _, blocks in H.sectors for blk in blocks]
         before = status_kb("VmRSS:")
-        fq.sector_eigensystems(coupled, 0.0)
+        fq.sector_eigensystems(H, 0.0)
         print(status_kb("VmHWM:") - before, *sizes)
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -142,9 +141,10 @@ def _layout(obj) -> dict:
     return out
 
 
-def _blocked_arrays(coupled):
-    return [a for blocks in coupled.sectors for block in
-            ([blocks] if isinstance(blocks, tuple) else blocks) for a in block]
+def _operator_arrays(*operators):
+    """Each sector's diagonal and each block's states, dst and values."""
+    return [a for H in operators for diagonal, blocks in H.sectors
+            for a in (diagonal, *(x for blk in blocks for x in blk[:3]))]
 
 
 def test_basis_read_only_after_init(op, bump):
@@ -152,7 +152,7 @@ def test_basis_read_only_after_init(op, bump):
     # dense and diagonal Gibbs paths and both reduced densities only read
     # it: no attribute of the basis or array of a table is added, replaced
     # or resized.  The solves of a schedule, which threads share, also only
-    # read the blocked operator: its arrays are read-only and stay in place
+    # read H1 and Hpair: their arrays are read-only and stay in place
     b = fq.build_fock(3, 6)
 
     def snapshot():
@@ -162,16 +162,15 @@ def test_basis_read_only_after_init(op, bump):
     before = snapshot()
     H1 = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3])
     Hp = fq.second_quantize_pair(b, build_pair_tensor(op, bump, 3))
-    coupled = fq.blocked_operator(H1, Hp)
-    held = [(id(a), a.shape, a.tobytes()) for a in _blocked_arrays(coupled)]
+    held = [(id(a), a.shape, a.tobytes()) for a in _operator_arrays(H1, Hp)]
     assert len(held) > 2 * b.num_sectors
-    for H in (H1, H1 + Hp, coupled.at(0.5)):
+    for H in (H1, H1 + Hp, H1 + Hp.scaled(0.5)):
         state = fq.gibbs_from_spectra(fq.sector_eigensystems(H, 0.0), 2.0).state
         for order in fq.ORDERS:
             fq.reduced_density(state, order)
     assert snapshot() == before
-    assert [(id(a), a.shape, a.tobytes()) for a in _blocked_arrays(coupled)] == held
-    for a in _blocked_arrays(coupled):
+    assert [(id(a), a.shape, a.tobytes()) for a in _operator_arrays(H1, Hp)] == held
+    for a in _operator_arrays(H1, Hp):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     assert sorted(b.tables) == [(k, n) for k in fq.ORDERS for n in range(k, 7)]
@@ -212,7 +211,7 @@ def test_one_body_diagonal():
     H = fq.second_quantize_one_body(b, np.array([1.0, 3.0]))
     n, i = b.index_of((2, 1))
     assert oracles.operator_sector(H, n)[i, i] == 5.0
-    assert oracles.operator_sector(H, 0).shape == (1, 1) and H.blocks[0][2].size == 0
+    assert oracles.operator_sector(H, 0).shape == (1, 1) and H.triplets(0)[2].size == 0
 
 
 def test_one_body_offdiagonal_ladder():
@@ -232,7 +231,7 @@ def test_pair_operator_single_mode(op, bump):
     t = build_pair_tensor(op, bump, 1)
     b = fq.build_fock(1, 5)
     Hp = fq.second_quantize_pair(b, t)
-    assert Hp.blocks[0][2].size == 0 and Hp.blocks[1][2].size == 0
+    assert Hp.triplets(0)[2].size == 0 and Hp.triplets(1)[2].size == 0
     W = oracles.fock_tensor(t)[0, 0, 0, 0]
     for n in range(2, 6):
         assert oracles.operator_sector(Hp, n)[0, 0] == pytest.approx(0.5 * W * n * (n - 1))
@@ -880,36 +879,62 @@ def _coupling_cases(op, bump):
     return cases
 
 
+def _triplets(H):
+    return [H.triplets(n) for n in range(H.basis.num_sectors)]
+
+
+def _fresh(H):
+    """H built afresh from its own triplets."""
+    return fq.FockOperator.from_triplets(H.basis, _triplets(H))
+
+
 def test_blocked_spectra_match_fresh_solves(op, bump):
-    # blocks found once for H1 and Hpair serve every coupling: the spectra
-    # equal a fresh solve of H1 + g Hpair and the csgraph-labelled one bit
+    # H1 + g Hpair, which keeps Hpair's blocks for a diagonal H1 and
+    # rebuilds the sectors where both have blocks, solves as the operator
+    # built afresh from its triplets and as the csgraph-labelled one bit
     # for bit, on parity blocks, one tilted block and a coupled H1, also
     # where H1 + Hpair itself would cancel
     nu = -0.2
     for H1, Hpair, split in _coupling_cases(op, bump):
-        coupled = fq.blocked_operator(H1, Hpair)
-        assert any(isinstance(blocks, list) and len(blocks) == 2
-                   for blocks in coupled.sectors) == split
         for g in (0.5, -1.7):
             H = H1 + Hpair.scaled(g)
-            blocked = fq.sector_eigensystems(coupled.at(g), nu)
-            _assert_same_spectra(blocked, fq.sector_eigensystems(H, nu))
+            assert any(len(blocks) == 2 for _, blocks in H.sectors) == split
+            blocked = fq.sector_eigensystems(H, nu)
+            _assert_same_spectra(blocked, fq.sector_eigensystems(_fresh(H), nu))
             _assert_same_spectra(blocked, _csgraph_spectra(H, nu))
+
+
+def test_sum_shares_pair_blocks(op, bump):
+    # a diagonal H1 plus g Hpair holds Hpair's own read-only block arrays at
+    # every g, as the schedule's solves do, and solves as the
+    # csgraph-labelled operator bit for bit
+    H1, Hpair, _ = _coupling_cases(op, bump)[0]
+    nu = -0.2
+    assert sum(len(blocks) for _, blocks in Hpair.sectors) > 2
+    for g in (0.5, -1.7):
+        H = H1 + Hpair.scaled(g)
+        for (_, blocks), (_, own) in zip(H.sectors, Hpair.sectors):
+            assert len(blocks) == len(own)
+            for blk, ref in zip(blocks, own):
+                assert blk[3] == g * ref[3]
+                for a, b in zip(blk[:3], ref[:3]):
+                    assert a is b and not a.flags.writeable
+        _assert_same_spectra(fq.sector_eigensystems(H, nu), _csgraph_spectra(H, nu))
 
 
 def _with_stored_zero(H, n, i, j):
     """H built with an explicit zero at (i, j) and (j, i) of sector n."""
-    blocks = list(H.blocks)
-    rows, cols, data = blocks[n]
-    blocks[n] = (np.r_[rows, i, j], np.r_[cols, j, i], np.r_[data, 0.0, 0.0])
-    return fq.FockOperator(H.basis, blocks)
+    triplets = _triplets(H)
+    rows, cols, data = triplets[n]
+    triplets[n] = (np.r_[rows, i, j], np.r_[cols, j, i], np.r_[data, 0.0, 0.0])
+    return fq.FockOperator.from_triplets(H.basis, triplets)
 
 
 def test_stored_zeros_join_no_blocks(op, bump):
-    # an explicit zero between the two parity blocks joins nothing, in a
-    # FockOperator or in either part of a blocked one: it is dropped when
-    # the operator is built, the blocks stay apart, and the spectra are
-    # those of the operators without it, bit for bit
+    # an explicit zero between the two parity blocks joins nothing, in an
+    # operator alone or in either term of a sum: it is dropped when the
+    # operator is built, the blocks stay apart, and the spectra are those
+    # of the operators without it, bit for bit
     H1, Hpair, _ = _coupling_cases(op, bump)[0]
     labels = mode_parity(op, 4)
     n = 4
@@ -917,31 +942,31 @@ def test_stored_zeros_join_no_blocks(op, bump):
     i, j = np.flatnonzero(parity == 0)[0], np.flatnonzero(parity == 1)[0]
     pair_z, one_z = _with_stored_zero(Hpair, n, i, j), _with_stored_zero(H1, n, i, j)
     for got, ref in ((pair_z, Hpair), (one_z, H1)):
-        assert all(np.array_equal(a, b) for a, b in zip(got.blocks[n], ref.blocks[n]))
+        assert all(np.array_equal(a, b) for a, b in zip(got.triplets(n), ref.triplets(n)))
     nu, g = 0.1, -0.8
     ref = fq.sector_eigensystems(H1 + Hpair.scaled(g), nu)
-    for coupled in (fq.blocked_operator(H1, pair_z), fq.blocked_operator(one_z, Hpair)):
-        assert len(coupled.sectors[n]) == 2
-        _assert_same_spectra(fq.sector_eigensystems(coupled.at(g), nu), ref)
+    for coupled in (H1 + pair_z.scaled(g), one_z + Hpair.scaled(g)):
+        assert len(coupled.sectors[n][1]) == 2
+        _assert_same_spectra(fq.sector_eigensystems(coupled, nu), ref)
     stored = _with_stored_zero(H1 + Hpair.scaled(g), n, i, j)
-    assert len(fq.blocked_operator(stored).sectors[n]) == 2
+    assert len(stored.sectors[n][1]) == 2
     _assert_same_spectra(fq.sector_eigensystems(stored, nu), ref)
 
 
 def test_duplicate_entries_are_summed(op, bump):
     # a sector given with every entry twice, as two exact halves, is summed
     # when the operator is built and solves as the operator itself, alone
-    # or as either part of a blocked one
+    # or as either term of a sum
     H1, Hpair, _ = _coupling_cases(op, bump)[0]
     n, g, nu = 5, 0.7, 0.1
-    blocks = list(Hpair.blocks)
-    rows, cols, data = blocks[n]
-    blocks[n] = (np.repeat(rows, 2), np.repeat(cols, 2), np.repeat(0.5 * data, 2))
-    twice = fq.FockOperator(Hpair.basis, blocks)
-    assert all(np.array_equal(a, b) for a, b in zip(twice.blocks[n], Hpair.blocks[n]))
+    triplets = _triplets(Hpair)
+    rows, cols, data = triplets[n]
+    triplets[n] = (np.repeat(rows, 2), np.repeat(cols, 2), np.repeat(0.5 * data, 2))
+    twice = fq.FockOperator.from_triplets(Hpair.basis, triplets)
+    assert all(np.array_equal(a, b) for a, b in zip(twice.triplets(n), Hpair.triplets(n)))
     ref = fq.sector_eigensystems(H1 + Hpair.scaled(g), nu)
-    _assert_same_spectra(fq.sector_eigensystems(fq.blocked_operator(H1, twice).at(g), nu), ref)
-    _assert_same_spectra(fq.sector_eigensystems(fq.blocked_operator(twice, H1).at(1.0), 0.0),
+    _assert_same_spectra(fq.sector_eigensystems(H1 + twice.scaled(g), nu), ref)
+    _assert_same_spectra(fq.sector_eigensystems(twice + H1.scaled(1.0), 0.0),
                          fq.sector_eigensystems(Hpair + H1, 0.0))
 
 
@@ -951,7 +976,7 @@ def test_block_labels_match_csgraph(op, bump):
     from scipy.sparse.csgraph import connected_components
     patterns = []
     for H1, Hpair, _ in _coupling_cases(op, bump):
-        for n, (rows, cols, _) in enumerate((H1 + Hpair).blocks):
+        for n, (rows, cols, _) in enumerate(_triplets(H1 + Hpair)):
             off = rows != cols
             if off.any():
                 patterns.append((rows[off], cols[off], H1.basis.sector_dim(n)))
@@ -977,9 +1002,7 @@ def test_whole_spectra_over_byte_cap_is_refused_before_allocating(op, bump, monk
     b = fq.build_fock(4, 14)
     H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:4]) \
         + fq.second_quantize_pair(b, build_pair_tensor(op, bump, 4))
-    coupled = fq.blocked_operator(H)
-    sizes = [len(blk[0]) for blocks in coupled.sectors if isinstance(blocks, list)
-             for blk in blocks]
+    sizes = [len(blk[0]) for _, blocks in H.sectors for blk in blocks]
     held, m = 8 * sum(s * s for s in sizes), max(sizes)
     solve = 8 * (5 * m * m + 8 * m + 1) + 4 * (5 * m + 3)
     monkeypatch.setattr(fq, "MAX_DENSE_BYTES", held + solve - 1)
@@ -994,7 +1017,7 @@ def test_whole_spectra_over_byte_cap_is_refused_before_allocating(op, bump, monk
         with pytest.raises(ConfigurationError,
                            match=f"hold {held} bytes of vectors and their largest block "
                                  f"solve needs {solve} more"):
-            fq.sector_eigensystems(coupled, 0.0)
+            fq.sector_eigensystems(H, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1002,7 +1025,7 @@ def test_whole_spectra_over_byte_cap_is_refused_before_allocating(op, bump, monk
     # at the cap itself the spectra are solved
     monkeypatch.undo()
     monkeypatch.setattr(fq, "MAX_DENSE_BYTES", held + solve)
-    assert len(fq.sector_eigensystems(coupled, 0.0).energies) == 15
+    assert len(fq.sector_eigensystems(H, 0.0).energies) == 15
 
 
 def test_gibbs_state_holds_only_its_blocks(op, bump):

@@ -126,10 +126,10 @@ def test_rhf_variational(grid1d, trap1d, bump1d):
     lam, nu, T = 0.3, -1.0, 3.0
     st = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T, lam, nu)
     free = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T, 0.0, nu)
-    f_of_free_state = ha._rhf_free_energy(trap1d, nu, lam, T, free.energies,
-                                          free.occupations, free.density,
-                                          ha.convolve(bump1d, free.density),
-                                          free.effective_potential)
+    f_of_free_state, _ = ha._rhf_free_energy(trap1d, nu, lam, T, free.energies,
+                                             free.occupations, free.density,
+                                             ha.convolve(bump1d, free.density),
+                                             free.effective_potential)
     assert st.free_energy <= f_of_free_state + 1e-10
 
 
@@ -174,28 +174,32 @@ def test_rhf_nonconvergence_flag(grid1d, trap1d, bump1d):
 
 
 def test_reference_energy(grid1d, trap1d, bump1d):
+    # the fixed point carries its own direct term, (lam/2) iint rho w rho,
+    # which the stabilization rows report as their reference energy
     st = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T=2.0, lam=0.3, nu=-1.0)
-    assert ha.reference_energy(st, bump1d, 0.0) == 0.0
+    free = ha.solve_reduced_hartree(grid1d, trap1d, bump1d, T=2.0, lam=0.0, nu=-1.0)
+    assert free.direct_energy == 0.0
     zero_w = make_pair_potential("gaussian-bump", grid1d, amplitude=0.0, sigma=0.6)
-    assert ha.reference_energy(st, zero_w, 0.3) == 0.0
-    val = ha.reference_energy(st, bump1d, 0.3)
+    assert ha.solve_reduced_hartree(grid1d, trap1d, zero_w, T=2.0, lam=0.3,
+                                    nu=-1.0).direct_energy == 0.0
+    val = st.direct_energy
     assert val == pytest.approx(0.3 * quadratic_form(bump1d, st.density), rel=1e-12)
     assert val >= 0.0
 
 
 def test_reference_energy_rank_one(grid1d, bump1d):
-    # density built from a single normalized orbital over lambda_1
+    # density built from a single normalized orbital over lambda_1: the
+    # direct term the free energy carries
     from gibbslab.spectral import build_one_body
     op = build_one_body(grid1d, "power", 1, s=4.0)
     rho = op.eigenvectors[:, 0] ** 2 / op.eigenvalues[0]
     lam = 0.7
-    st = ha.RhfState(grid=grid1d, effective_potential=np.zeros_like(rho),
-                     energies=op.eigenvalues, orbitals=op.eigenvectors,
-                     occupations=np.array([1.0 / op.eigenvalues[0]]),
-                     density=rho, free_energy=0.0, residual=0.0,
-                     iterations=0, converged=True)
+    zero = np.zeros_like(rho)
+    _, direct = ha._rhf_free_energy(zero, 0.0, lam, 1.0, op.eigenvalues,
+                                    np.array([1.0 / op.eigenvalues[0]]), rho,
+                                    ha.convolve(bump1d, rho), zero)
     expected = 0.5 * lam * 2.0 * quadratic_form(bump1d, rho)
-    assert ha.reference_energy(st, bump1d, lam) == pytest.approx(expected, rel=1e-12)
+    assert direct == pytest.approx(expected, rel=1e-12)
 
 
 def test_stabilization_free_case(grid1d, trap1d):

@@ -1,6 +1,8 @@
 """gibbslab holds only the program: every public top-level function and class
 is used by another top-level statement of the package or traced by the
-benchmark (perfbench/spans.py).  Test references belong in tests/oracles.py."""
+benchmark (perfbench/spans.py), and every public method or property of a
+package class is read as .name elsewhere in the package.  Test references
+belong in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # The dump readers own the binary formats together with their writers.
 EXEMPT = {"read_ensemble", "read_matrix"}
+# FockBasis.index_of owns the lookup of a state by its radix code, the
+# layout the basis builds its sectors and tables from; the tests read it.
+METHOD_EXEMPT = {"FockBasis.index_of"}
+
+
+def _modules() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src/gibbslab").glob("*.py"))]
 
 
 def _used_names(node) -> set[str]:
@@ -16,8 +26,7 @@ def _used_names(node) -> set[str]:
 
 
 def test_every_public_definition_is_used():
-    stmts = [stmt for path in sorted((ROOT / "src/gibbslab").glob("*.py"))
-             for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    stmts = [stmt for module in _modules() for stmt in module.body]
     bench = ast.parse((ROOT / "perfbench/spans.py").read_text(encoding="utf-8"))
     spans = next(s for s in bench.body
                  if isinstance(s, ast.Assign) and ast.unparse(s.targets[0]) == "SPANS")
@@ -27,3 +36,18 @@ def test_every_public_definition_is_used():
               and d.name not in EXEMPT | traced
               and not any(d.name in _used_names(s) for s in stmts if s is not d)]
     assert not unused, f"public definitions nothing in the package uses: {unused}"
+
+
+def _attribute_reads(node, name: str) -> int:
+    return sum(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))
+
+
+def test_every_public_method_is_used():
+    modules = _modules()
+    unused = [f"{cls.name}.{fn.name}" for module in modules for cls in module.body
+              if isinstance(cls, ast.ClassDef) for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              and f"{cls.name}.{fn.name}" not in METHOD_EXEMPT
+              and sum(_attribute_reads(m, fn.name) for m in modules)
+              == _attribute_reads(fn, fn.name)]
+    assert not unused, f"public methods nothing else in the package reads: {unused}"
