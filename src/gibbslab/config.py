@@ -28,7 +28,7 @@ class ModelConfig:
     points: int = 512
     modes: int = 4
     nu: float = 0.0
-    num_eigs: int = 0  # 0 means max(modes, 32)
+    num_eigs: int = 0  # 0 means max(modes, 32), at most the grid point count
 
 
 @dataclass
@@ -156,7 +156,8 @@ def validate(cfg: RunConfig) -> None:
                  "interaction.kind=grid-delta requires model.dimension=1")
     if i.kind == "tabulated":
         _require(bool(i.table_path), "interaction.table_path required for tabulated kind")
-    _require(cfg.classical.samples > 0, "classical.samples must be positive")
+    _require(cfg.classical.samples >= 2,
+             "classical.samples must be at least 2 for standard errors")
     _require(0 <= cfg.classical.seed < 2**64 - 1,  # study-2d also uses seed + 1
              "classical.seed must be in [0, 2**64 - 2]")
     _require(cfg.study.cauchy_samples >= 2,

@@ -40,10 +40,11 @@ def model_grid(cfg: RunConfig) -> GridSpec:
 
 def build_model_operator(cfg: RunConfig, num_eigs: int | None = None) -> OneBodyOperator:
     m = cfg.model
+    grid = model_grid(cfg)
     if num_eigs is None:
-        num_eigs = m.num_eigs if m.num_eigs > 0 else max(m.modes, 32)
+        num_eigs = m.num_eigs if m.num_eigs > 0 else max(m.modes, min(32, grid.total_points))
     s = m.s if m.potential == "power" else None
-    return build_one_body(model_grid(cfg), m.potential, num_eigs, s=s)
+    return build_one_body(grid, m.potential, num_eigs, s=s)
 
 
 def shifted_operator(cfg: RunConfig, op: OneBodyOperator) -> OneBodyOperator:

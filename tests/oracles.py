@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,6 +126,38 @@ def ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
                 hi = mid
         ki[idx] = lo
     return ki, wi
+
+
+def ziggurat_fi(wi: np.ndarray) -> np.ndarray:
+    """numpy's fi_double, read out of its compiled generator module.
+
+    The module lays the 256 doubles of fi_double out just before those of
+    wi_double, whose bytes (as ziggurat_tables reads them back) locate it.
+    """
+    import numpy.random._generator as generator
+
+    data = Path(generator.__file__).read_bytes()
+    at = data.find(wi.astype("<f8").tobytes())
+    assert at >= 2048 and data.count(wi.astype("<f8").tobytes()) == 1
+    return np.frombuffer(data[at - 2048:at], dtype="<f8").copy()
+
+
+def numpy_normals(words, count: int) -> tuple[np.ndarray, int]:
+    """numpy's first `count` standard normals drawn from the given 64-bit words.
+
+    The words are loaded as untempered MT19937 key words (numpy's
+    next_uint64 being (first << 32) | second), the other key words being
+    MT19937(0)'s.  Returns the normals and the number of 64-bit words numpy
+    read, which is more than len(words) when it ran past them.
+    """
+    bits = np.random.MT19937(0)
+    key = np.array(bits.state["state"]["key"], dtype=np.uint32)
+    for j, word in enumerate(int(w) for w in words):
+        key[2 * j], key[2 * j + 1] = _untemper(word >> 32), _untemper(word & 0xFFFFFFFF)
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0},
+                  "has_uint32": 0, "uinteger": 0}
+    z = np.random.Generator(bits).standard_normal(count)
+    return z, bits.state["state"]["pos"] // 2
 
 
 # ---------------------------------------------------------------------------

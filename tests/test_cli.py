@@ -119,6 +119,33 @@ def test_config_cauchy_samples_floor():
     validate(cfg)
 
 
+def test_config_classical_samples_floor(tmp_path, capsys):
+    # one sample leaves the classical standard errors, and study-1d's final
+    # threshold, infinite, and zero leaves nothing to estimate: both are
+    # refused before any run
+    for n in (0, 1):
+        cfg = RunConfig()
+        cfg.classical.samples = n
+        with pytest.raises(ConfigurationError, match="classical.samples"):
+            validate(cfg)
+    cfg = RunConfig()
+    cfg.classical.samples = 2
+    validate(cfg)
+    path, _ = write_config(tmp_path, text=SMALL_1D.replace("samples = 4000", "samples = 1"))
+    assert main(["study-1d", "--config", str(path)]) == 2
+    assert "classical.samples" in capsys.readouterr().err
+
+
+def test_cli_default_num_eigs_on_a_small_grid(tmp_path):
+    # with model.num_eigs = 0 the default of 32 eigenpairs stops at the grid,
+    # so a 16-point grid runs instead of refusing a num_eigs the config never set
+    path, out = write_config(tmp_path, text=SMALL_1D.replace("points = 128", "points = 16"))
+    assert main(["spectrum", "--config", str(path)]) == 0
+    doc = json.loads((out / "spectrum.json").read_text())
+    assert len(doc["results"]["eigenvalues"]) == 16
+    assert main(["classical-gibbs", "--config", str(path)]) == 0
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[model]\ndimension = 7\n")

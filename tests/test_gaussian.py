@@ -17,7 +17,8 @@ from gibbslab.config import ConfigurationError
 from gibbslab.gaussian import _SAMPLE_CHUNK, Ensemble, sample_gaussian
 from gibbslab.spectral import GridSpec, build_one_body, schatten_trace, shift_potential
 
-from oracles import fields_on_grid, sobolev_norms_sq, ziggurat_tables
+from oracles import (fields_on_grid, numpy_normals, sobolev_norms_sq, ziggurat_fi,
+                     ziggurat_tables)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,12 @@ def test_reproducibility(op):
     assert not np.array_equal(e1.coefficients, e3.coefficients)
 
 
+def test_empty_ensemble(op):
+    for K in (4, 13):
+        ens = sample_gaussian(op, K, 0, seed=3)
+        assert ens.coefficients.shape == (0, K) and ens.weights.shape == (0,)
+
+
 def test_sample_streams_are_prefix_stable(op):
     # per-sample streams: the first rows do not depend on n, also when the
     # larger ensemble is drawn in more than one block
@@ -109,28 +116,61 @@ def test_draws_match_per_sample_philox(wide_op, K):
             assert np.array_equal(ens.coefficients, expect)
 
 
-@pytest.mark.parametrize("K, share", [(4, (0.8, 0.95)), (6, (0.75, 0.9)),
-                                      (12, (0.62, 0.77)), (13, None)])
+@pytest.mark.parametrize("K", [1, 4, 12])
+def test_block_draws_match_numpy_across_batches(wide_op, monkeypatch, K):
+    # blocks of 128 samples, so that the samples off the ziggurat's fast
+    # path fill several resolve batches of 64 and carry over between them
+    monkeypatch.setattr(gaussian, "_SAMPLE_CHUNK", 32)
+    batches = []
+    resolve = gaussian._BlockDraws.resolve
+
+    def counted(self, resets):
+        batches.append(min(self.piled, self.batch))
+        yield from resolve(self, resets)
+
+    monkeypatch.setattr(gaussian._BlockDraws, "resolve", counted)
+    n = {1: 6000, 4: 2000, 12: 800}[K]
+    scale = 1.0 / np.sqrt(2.0 * wide_op.eigenvalues[:K])
+    for seed in (0, 7, 2**64 - 1):
+        batches.clear()
+        ens = sample_gaussian(wide_op, K, n, seed=seed)
+        assert len(batches) >= 3 and batches.count(64) >= 2
+        for i in range(n):
+            z = np.random.Generator(np.random.Philox(key=(seed << 64) | i)).standard_normal((2, K))
+            assert np.array_equal(ens.coefficients[i], scale * (z[0] + 1j * z[1])), (seed, i)
+
+
+@pytest.mark.parametrize("K, share", [(4, (0.995, 1.0)), (6, (0.995, 1.0)),
+                                      (12, (0.995, 1.0)), (13, None)])
 def test_block_path_serves_small_cutoffs(op, monkeypatch, K, share):
-    # the block path finishes a sample unless one of its 2K words misses the
-    # ziggurat's fast path (about 1.5% of words); it never runs for K > 12
-    counts = []
-    draw = gaussian._BlockDraws.draw
+    # the block path finishes a sample unless its draws run past the words of
+    # its counters and two more, so all but at most 0.5% of the samples are
+    # finished without a numpy Philox reset; for K > 12 every sample is reset
+    resets, blocks = [], []
+    draw, init = gaussian._Resets.draw, gaussian._BlockDraws.__init__
 
-    def counted(self, out, used, first):
-        redo = draw(self, out, used, first)
-        counts.append((len(out), len(redo)))
-        return redo
+    def counted(self, i, out):
+        resets.append(i)
+        return draw(self, i, out)
 
-    monkeypatch.setattr(gaussian._BlockDraws, "draw", counted)
+    def made(self, *args):
+        blocks.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(gaussian._Resets, "draw", counted)
+    monkeypatch.setattr(gaussian._BlockDraws, "__init__", made)
     n = 3 * _SAMPLE_CHUNK + 5
     sample_gaussian(op, K, n, seed=11)
     if share is None:
-        assert counts == []
+        assert blocks == [] and resets == list(range(n))
     else:
-        assert sum(rows for rows, _ in counts) == n
-        done = n - sum(redo for _, redo in counts)
-        assert share[0] < done / n < share[1]
+        assert len(blocks) == 1
+        assert share[0] <= (n - len(resets)) / n <= share[1]
+
+
+def _word(layer, rabs):
+    """A stream word of the given ziggurat layer and 52-bit magnitude, sign bit 0."""
+    return int(rabs) << 9 | layer
 
 
 def test_block_fast_path_boundary(monkeypatch):
@@ -141,16 +181,69 @@ def test_block_fast_path_boundary(monkeypatch):
     sign = np.array([[0, 1, 0, 1], [0, 0, 0, 0]])
     rabs = _ziggurat.KI[layer] - np.array([[1, 1, 1, 1], [0, 1, 1, 1]], dtype=np.uint64)
     words = rabs << np.uint64(9) | (sign << 8 | layer).astype(np.uint64)
-    blocks = gaussian._BlockDraws(2, 1, seed=0)
-    monkeypatch.setattr(blocks, "philox", lambda first, m: tuple(words.T[:, :, None]))
+    blocks = gaussian._BlockDraws(2, 2, seed=0)
+    monkeypatch.setattr(blocks, "philox", lambda i, counters: tuple(words.T[:, None]))
     out = np.empty((2, 4))
-    assert blocks.draw(out, 4, 0) == [1]
+    assert blocks.draw(out, 0).tolist() == [1]
     assert np.array_equal(out[0], (1 - 2 * sign[0]) * rabs[0] * _ziggurat.WI[layer[0]])
+
+
+def test_block_rejection_replay(monkeypatch):
+    # K = 2 reads 4 normals from the 4 words of counter 1; a sample with a
+    # miss among them is replayed on those and the 4 words of counter 2,
+    # and drawn again by a reset only when numpy's loop reads past them
+    ki, top = _ziggurat.KI, (1 << 52) - 1
+    fast, u_low, u_high = _word(7, 1), 0, top << 12
+
+    def tail(sign):
+        return _word(0, top - (not sign) * 256)  # sign at bit 8 of rabs
+
+    rows = [
+        [_word(5, ki[5]), u_low] + [fast] * 6,  # wedge accept
+        [_word(200, top), u_high] + [fast] * 6,  # wedge reject, then fast words
+        [_word(1, 12345), u_low] + [fast] * 6,  # layer 1, whose bound is 0
+        [fast, tail(1), 1 << 63, 1 << 63] + [fast] * 4,  # tail accept, negative
+        [fast, fast, tail(0), u_high, 0, 1 << 63, 1 << 63, fast],  # tail reject, accept
+        [fast, fast, fast, _word(9, top), u_high] + [fast] * 3,  # miss at word 3
+        [fast] * 4 + [_word(9, top)] * 4,  # misses only after the wanted words
+        [tail(0)] + [u_high, 0] * 3 + [fast],  # tail runs past: drawn again
+        [_word(200, top), u_high] * 4,  # rejections run past: drawn again
+    ]
+    words = np.array(rows, dtype=np.uint64)
+    expect = [numpy_normals(row, 4) for row in rows]
+    drawn_again = [j for j, (_, used) in enumerate(expect) if used > 8]
+    assert drawn_again == [7, 8]
+
+    blocks = gaussian._BlockDraws(2 * len(rows), 2, seed=0)  # one batch of len(rows)
+
+    def philox(i, counters):
+        w = words[i[0].astype(np.intp), 4 * counters.start:4 * counters.stop]
+        return tuple(w[:, k::4].T for k in range(4))
+
+    class Resets:
+        def draw(self, i, out):
+            calls.append(i)
+            return out
+
+    calls = []
+    monkeypatch.setattr(blocks, "philox", philox)
+    out = np.empty((len(rows), 4))
+    assert blocks.draw(out, 0).tolist() == [0, 1, 2, 3, 4, 5, 7, 8]
+    assert np.array_equal(out[6], expect[6][0])
+    (done, z), *rest = blocks.resolve(Resets())
+    assert done.tolist() == [0, 1, 2, 3, 4, 5]
+    for j, normals in zip(done, z.reshape(len(done), 4)):
+        assert np.array_equal(normals, expect[j][0]), j
+    assert [rows_.start for rows_, _ in rest] == calls == drawn_again
+    assert blocks.piled == 0 and blocks.pile == []
 
 
 def test_ziggurat_tables_match_numpy():
     ki, wi = ziggurat_tables()
     assert np.array_equal(_ziggurat.KI, ki) and np.array_equal(_ziggurat.WI, wi)
+    fi = _ziggurat.FI
+    assert fi[0] == 1.0 and np.all(np.diff(fi) < 0)
+    assert np.array_equal(fi, ziggurat_fi(wi))
 
 
 def test_seed_out_of_range(op, monkeypatch):
