@@ -28,21 +28,32 @@ class LowEffectiveSampleSize(UserWarning):
 
 def effective_sample_size(weights: np.ndarray) -> float:
     s = weights.sum()
-    return float(s * s / np.square(weights).sum())
+    return float(s * s / (weights @ weights))
 
 
-def weigh(ensemble: Ensemble, energies: np.ndarray) -> Ensemble:
-    """exp(-D) as exp(-(D - min D)), energy_floor min D; ArithmeticError unless min D is finite."""
+def _weigh_in_place(ensemble: Ensemble, energies: np.ndarray) -> Ensemble:
+    """weigh, writing the weights over energies, a float array the caller gives up."""
     floor = float(np.min(energies))
     if not np.isfinite(floor):
         raise ArithmeticError(f"lowest interaction energy is {floor}")
-    return ensemble.with_weights(np.exp(floor - energies), floor)
+    np.subtract(floor, energies, out=energies)
+    return ensemble.with_weights(np.exp(energies, out=energies), floor)
+
+
+def weigh(ensemble: Ensemble, energies: np.ndarray) -> Ensemble:
+    """exp(-D) as exp(-(D - min D)), energy_floor min D; ArithmeticError unless min D is finite.
+
+    energies is left as it is."""
+    return _weigh_in_place(ensemble, np.array(energies, dtype=float))
 
 
 def reweight(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
              renormalized: bool) -> Ensemble:
-    """Attach weights exp(-D[u]) for the bare or renormalized interaction."""
-    out = weigh(ensemble, batch_interactions(ensemble, op, tensor, renormalized))
+    """Attach weights exp(-D[u]) for the bare or renormalized interaction.
+
+    The weights are written over the energies, so the call holds one
+    (n,) array beyond the ensemble."""
+    out = _weigh_in_place(ensemble, batch_interactions(ensemble, op, tensor, renormalized))
     ess = effective_sample_size(out.weights)
     if ess < ESS_FLOOR_FRACTION * out.size:
         warnings.warn(
@@ -117,7 +128,7 @@ def reduced_moment(ensemble: Ensemble, order: int) -> ReducedMoment:
     M = wff / wsum
     M = 0.5 * (M + M.conj().T)
     acc = w2aa - 2.0 * np.real(M.conj() * w2ff)
-    acc += np.abs(M) ** 2 * np.square(ensemble.weights).sum()
+    acc += np.abs(M) ** 2 * (ensemble.weights @ ensemble.weights)
     return ReducedMoment(matrix=M, stderr=np.sqrt(np.clip(acc, 0.0, None)) / wsum)
 
 

@@ -51,7 +51,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, default=None, help="override output.directory")
         sp.add_argument("--threads", type=_thread_count, default=1,
                         help="worker threads over study-1d's temperature "
-                             "schedule; the other commands ignore it")
+                             "schedule (1 runs it on the calling thread); "
+                             "the other commands ignore it")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument("--strict", action="store_true",
                         help="exit 3 on nonconvergence or unsafe cutoffs")

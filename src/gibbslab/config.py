@@ -10,8 +10,9 @@ from pathlib import Path
 # Fock spaces and order-2 moment matrices are dense in the mode count.  The
 # Fock sector size is checked where the space is built (fock_quantum).
 MAX_DENSE_MODES = 12
-# Bytes of one dense working set: the pair Gram build and the solve of one
-# block of a Fock sector are each refused over it.
+# Bytes of one dense working set: the pair Gram build, the solve of one
+# block of a Fock sector and the coefficients of a sampled ensemble are each
+# refused over it.
 MAX_DENSE_BYTES = 2**30
 
 

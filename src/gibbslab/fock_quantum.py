@@ -450,10 +450,14 @@ def _particle_scalars(probs: list[np.ndarray]) -> tuple[float, float]:
 
 def _gibbs_blocks(p: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]]
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(states, (V_b * p_b) @ V_b^T) of each block, p_b its run of p."""
+    """(states, B_b @ B_b^T) of each block, B_b = V_b * sqrt(p_b) and p_b its
+    run of p: numpy forms a product with its own transpose as a symmetric
+    rank-k update, one triangle's work mirrored."""
     out, col = [], 0
     for states, V in blocks:
-        out.append((states, (V * p[col:col + len(states)]) @ V.T))
+        B = V * np.sqrt(p[col:col + len(states)])
+        out.append((states, B @ B.T))
+        del B  # not held while the next block's is formed
         col += len(states)
     return out
 

@@ -13,7 +13,10 @@ Binary layouts (all little-endian):
 The readers raise ValueError, naming the path, on a file whose length is
 not the one its header implies.  JSON and CSV print every float as its
 shortest round-trip repr, so documents are byte-reproducible and read back
-exactly; JSON keeps NaN and +-Infinity as the tokens NaN and +-Infinity.
+exactly.  JSON is strict (RFC 8259): dumps refuses NaN and +-Infinity with
+ValueError, and write_json with ArithmeticError naming the path, writing
+nothing.  A value with no finite meaning is set to None (null) by its
+producer.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def _jsonable(obj):
 
 
 def dumps(document: dict) -> str:
-    return json.dumps(document, separators=(",", ":"), default=_jsonable)
+    return json.dumps(document, separators=(",", ":"), default=_jsonable, allow_nan=False)
 
 
 def write_json(path, kind: str, results: dict, config_echo: dict | None = None) -> None:
@@ -112,7 +115,11 @@ def write_json(path, kind: str, results: dict, config_echo: dict | None = None) 
     if config_echo is not None:
         doc["config"] = config_echo
     doc["results"] = results
-    Path(path).write_text(dumps(doc) + "\n", encoding="utf-8")
+    try:
+        text = dumps(doc)
+    except ValueError as exc:  # a NaN or infinity, which strict JSON cannot hold
+        raise ArithmeticError(f"{path}: {exc}") from exc
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_csv(path, rows: list[dict]) -> None:

@@ -9,17 +9,17 @@ ziggurat turns them into the sample's 2K standard normals, the real parts
 of its K modes and then the imaginary parts.  That is numpy's
 Generator(Philox(key=(seed << 64) | i)).standard_normal((2, K)), bit for bit.
 
-Philox is counter-based, so for K <= 12 (2K normals from at most 6
+Philox is counter-based, so for K <= 18 (2K normals from at most 9
 counters) whole blocks of samples are drawn at once: every sample's words
 in numpy uint64 arithmetic, then the ziggurat's fast path, which takes a
 word iff its 52-bit magnitude is below the layer's bound.  About 1.5% of
-words miss it, so about 11% of samples at K = 4 and 30% at K = 12.  The raw
+words miss it, so about 11% of samples at K = 4 and 42% at K = 18.  The raw
 words of those samples are kept, batched across blocks, and joined by the
 words of two more counters computed for them alone; numpy's rejection loop
 is then replayed on them for the whole batch at once: the wedge test of
 layers 1..255 with libm's exp, and the tail loop of layer 0 with libm's
 log1p.  Only a sample whose loop reads past those words (none of study-1d's
-200000 at K = 4, about 6 in a million at K = 12) is drawn again whole by
+200000 at K = 4, about 55 in a million at K = 18) is drawn again whole by
 numpy's own Philox, reset to the sample's key.  Larger K, such as the 2D
 study's 32 and 64, draws every sample that way.  numpy.random and the
 ziggurat tables load with this module.
@@ -34,22 +34,24 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from ._ziggurat import FI, KI, WI
-from .config import ConfigurationError
+from .config import MAX_DENSE_BYTES, ConfigurationError
 from .spectral import OneBodyOperator
 
 # Samples per block of draws (four per block for K <= _BLOCK_MAX_K), and per
 # batch of interaction energies and classical moments.
 _SAMPLE_CHUNK = 1024
-# Largest cutoff whose blocks are drawn at once, 2K normals in 6 Philox
-# counters; larger K, such as the 2D study's 32 and 64, is drawn one
-# sample at a time.
-_BLOCK_MAX_K = 12
+# Largest cutoff whose blocks are drawn at once, 2K normals in 9 Philox
+# counters: at 20000 samples the block path is the faster up to K = 18 and
+# the slower from K = 19 or 20 on.  Larger K, such as the 2D study's 32 and
+# 64, is drawn one sample at a time.
+_BLOCK_MAX_K = 18
 # Philox4x64-10 round multipliers and Weyl key increments.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # Philox counters computed past a sample's own C when the fast path misses
-# it, at most C: its rejection loop reads past their words for about 6 in a
-# million samples at K = 12.
+# it, at most C: its rejection loop reads past their words for about 10 in a
+# million samples at K = 12 and 55 at K = 18.  replay's int8 word positions
+# hold the 4 (C + 2) words of up to C = 29 counters, K = 58.
 _EXTRA_COUNTERS = 2
 # The ziggurat's layer-0 edge r and 1/r, and FI[idx-1] - FI[idx] at idx.
 _ZIG_R, _ZIG_INV_R = 3.6541528853610087963519472518, 0.27366123732975827203338247596
@@ -404,12 +406,19 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
     longer blocks spread each numpy call of its Philox rounds over more
     words.  A sample whose draws run past its words there, and every sample
     for larger K, is drawn by one numpy Philox reset to key words [i, seed],
-    counter 0 and an empty buffer.
+    counter 0 and an empty buffer.  ConfigurationError, before anything is
+    allocated, when the (n, K) complex coefficients would exceed
+    MAX_DENSE_BYTES.
     """
     lam, _ = op.modes(K)
     if np.any(lam <= 0):
         raise ConfigurationError("Gaussian measure needs a positive operator; shift first")
     scale = 1.0 / np.sqrt(2.0 * lam)
+    nbytes = 16 * n * K
+    if nbytes > MAX_DENSE_BYTES:
+        raise ConfigurationError(
+            f"{n} samples of {K} modes need {nbytes} bytes of coefficients, "
+            f"over the {MAX_DENSE_BYTES}-byte cap")
     coeffs = np.empty((n, K), dtype=complex)
     resets = _Resets(int(seed))
     if K <= _BLOCK_MAX_K:

@@ -201,7 +201,7 @@ class StabilizationReport:
     p: float
     shared_modes: int
     sandwich_ok: bool
-    sandwich_margin: float
+    sandwich_margin: float | None
     delta_decreasing: bool
     schatten_decreasing: bool
     proxy_potential: np.ndarray
@@ -218,7 +218,9 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
     The largest-T solution stands in for the limiting potential; both the
     sup-distance delta_inf and the truncated-resolvent Schatten-p distance,
     p = 2 in 2D and 1 in 1D, must shrink along the schedule (proxy excluded).
-    The sandwich V/2 <= V_proxy - kappa <= 3V/2 is checked where V > 1.
+    The sandwich V/2 <= V_proxy - kappa <= 3V/2 is checked where V > 1;
+    where no grid point has V > 1 it holds vacuously, and its margin is
+    None (JSON null) rather than an unbounded float.
     """
     if sorted(T_schedule) != list(T_schedule):
         raise ConfigurationError("T schedule must be increasing")
@@ -251,12 +253,12 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
         upper = 1.5 * V[region] - shifted[region]
         margin = float(min(lower.min(), upper.min()))
     else:
-        margin = np.inf
+        margin = None
     deltas = [r.delta_inf for r in rows]
     dists = [r.schatten_p_dist for r in rows]
     return StabilizationReport(
         rows=rows, p=p, shared_modes=shared_modes,
-        sandwich_ok=bool(margin >= 0.0), sandwich_margin=margin,
+        sandwich_ok=margin is None or margin >= 0.0, sandwich_margin=margin,
         delta_decreasing=all(a > b for a, b in zip(deltas[:-1], deltas[1:])),
         schatten_decreasing=all(a > b for a, b in zip(dists[:-1], dists[1:])),
         proxy_potential=proxy.effective_potential)

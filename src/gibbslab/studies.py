@@ -161,6 +161,13 @@ class Study1DReport:
 
 
 def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
+    """The classical measure, then the quantum Gibbs state at each temperature.
+
+    With threads > 1 the temperatures are solved on a pool of that many
+    threads.  A one-thread schedule runs on the calling thread: a pool
+    thread would allocate from its own malloc arena, which cannot reuse
+    what the classical half freed, and so raise the peak resident set.
+    """
     if cfg.model.dimension != 1:
         raise ConfigurationError("the 1D study requires model.dimension = 1")
     if cfg.quantum.n_max < 2:
@@ -201,8 +208,11 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
             cutoff_safe=g_int.cutoff_safe,
             audit_delta_F=audit.rows[-1].delta_free_energy)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        points = list(pool.map(solve_point, cfg.quantum.t_schedule))
+    if threads == 1:
+        points = list(map(solve_point, cfg.quantum.t_schedule))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            points = list(pool.map(solve_point, cfg.quantum.t_schedule))
 
     discrepancies = [p.discrepancy for p in points]
     return Study1DReport(

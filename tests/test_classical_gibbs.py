@@ -200,6 +200,44 @@ def test_moment_peak_rss():
     assert (after_kb - before_kb) * 1024 <= 16 * 2**20
 
 
+def test_reweight_peak_rss():
+    # reweight writes the weights over the energies it owns: study-1d's 400k
+    # samples at K = 4, bare interaction, raise the peak by one (n,) array
+    # and block temporaries, not by the energies, a shifted copy and the
+    # weights side by side.  Growth runs as in test_moment_peak_rss; the
+    # ensemble is allocated last before the call, so no earlier peak is
+    # above the resident set it starts from
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        import numpy as np
+        from gibbslab import classical_gibbs as cg, studies
+        from gibbslab.config import load_config
+        from gibbslab.gaussian import Ensemble
+        from gibbslab.interaction import build_pair_tensor
+        def status_kb(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith(key))
+        cfg = load_config(%r)
+        op = studies.shifted_operator(cfg, studies.build_model_operator(cfg))
+        tensor = build_pair_tensor(op, studies.bind_potential(cfg, op.grid), 4)
+        n = 400_000
+        coeffs = np.random.default_rng(5).standard_normal((n, 8)).view(complex)
+        coeffs *= 1.0 / np.sqrt(2.0 * op.eigenvalues[:4])
+        ens = Ensemble(operator_hash="", cutoff=4, coefficients=coeffs,
+                       weights=np.ones(n), seed=0)
+        before = status_kb("VmRSS:")
+        out = cg.reweight(ens, op, tensor, renormalized=False)
+        after = status_kb("VmHWM:")
+        print(before, after, out.weights.nbytes)
+    """ % str(root / "configs" / "study_1d.ini"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    before_kb, after_kb, nbytes = map(int, res.stdout.split())
+    assert (after_kb - before_kb) * 1024 <= 1.5 * nbytes
+
+
 def test_log_domain_weights(ensemble, op, bump4):
     # exp(-(D + 800)) underflows to zero for every sample; stored relative
     # to min D, the weights, ESS and moments are those of D, and -log z_r

@@ -173,6 +173,23 @@ def test_cli_gram_cap_exit_code(tmp_path, capsys):
     assert "K=200 needs" in capsys.readouterr().err
 
 
+def test_cli_oversize_ensemble_exit_code(tmp_path, capsys, monkeypatch):
+    # 10**10 samples of 3 modes pass validation, but their coefficients are
+    # 4.8e11 bytes: both sampling commands refuse them with exit 2, before
+    # anything is allocated (an attempt would fail with MemoryError) or drawn
+    from gibbslab import gaussian
+
+    def refuse(*args):
+        raise AssertionError("drew samples for an oversize ensemble")
+
+    monkeypatch.setattr(gaussian, "_Resets", refuse)
+    text = SMALL_1D.replace("samples = 4000", "samples = 10000000000")
+    path, _ = write_config(tmp_path, text=text)
+    for command in ("sample-gaussian", "classical-gibbs"):
+        assert main([command, "--config", str(path)]) == 2
+        assert "480000000000 bytes" in capsys.readouterr().err
+
+
 def test_cli_domain_error_exit_code(tmp_path, capsys):
     # nu above the lowest eigenvalue passes validation, but the shifted
     # operator is not positive: a config error, not a traceback
@@ -541,15 +558,45 @@ def test_json_floats_roundtrip():
     for x in rng.standard_normal(100) * 10.0 ** rng.integers(-30, 30, 100):
         assert json.loads(formats.dumps({"x": x}))["x"] == x
     doc = formats.dumps({"x": 0.1 + 0.2, "arr": np.array([1.5, np.pi]),
-                         "neg_zero": -0.0, "two": 2.0, "n": np.int64(3), "z": 1 - 2j,
-                         "special": [math.nan, math.inf, -math.inf]})
+                         "neg_zero": -0.0, "two": 2.0, "n": np.int64(3), "z": 1 - 2j})
     parsed = json.loads(doc)
     assert parsed["x"] == 0.1 + 0.2
     assert parsed["arr"][1] == np.pi
     assert math.copysign(1.0, parsed["neg_zero"]) == -1.0
     assert isinstance(parsed["two"], float) and parsed["two"] == 2.0
     assert parsed["n"] == 3 and parsed["z"] == {"re": 1.0, "im": -2.0}
-    assert '"special":[NaN,Infinity,-Infinity]' in doc
+
+
+def test_json_refuses_non_finite(tmp_path):
+    # documents are strict JSON: NaN and +-Infinity are refused, not written
+    # as tokens a strict parser rejects, and write_json writes nothing
+    for x in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(ValueError):
+            formats.dumps({"x": [1.0, x]})
+    with pytest.raises(ArithmeticError, match="doc.json"):
+        formats.write_json(tmp_path / "doc.json", "kind", {"x": math.inf})
+    assert not (tmp_path / "doc.json").exists()
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_hartree_box_writes_strict_json(tmp_path):
+    # a box trap has no grid point with V > 1: the sandwich holds vacuously
+    # and its margin is null, not Infinity
+    text = SMALL_1D.replace("potential = power", "potential = box")
+    path, out = write_config(tmp_path, text=text, hartree=["t_schedule = 2, 4",
+                                                           "kappa = 4.0",
+                                                           "points = 32",
+                                                           "shared_modes = 6",
+                                                           "damping = 0.9"])
+    assert main(["hartree", "--config", str(path)]) == 0
+    results = _strict_json((out / "hartree.json").read_text())["results"]
+    assert results["sandwich_margin"] is None and results["sandwich_ok"] is True
 
 
 def test_output_path_with_tab_is_escaped(tmp_path):

@@ -100,10 +100,11 @@ def wide_op():
     return build_one_body(GridSpec(1, 6.0, 256), "power", 64, s=4.0)
 
 
-@pytest.mark.parametrize("K", [1, 2, 4, 5, 6, 7, 12, 13, 64])
+@pytest.mark.parametrize("K", [1, 2, 4, 5, 6, 7, 12, 13, 18, 19, 64])
 def test_draws_match_per_sample_philox(wide_op, K):
     # sample i is numpy's standard_normal((2, K)) on Philox(key=(seed << 64) | i),
-    # whichever path drew it (the block path serves K <= 12)
+    # whichever path drew it (the block path serves K <= 18)
+    assert gaussian._BLOCK_MAX_K == 18
     scale = 1.0 / np.sqrt(2.0 * wide_op.eigenvalues[:K])
     for n in (1, 2 * _SAMPLE_CHUNK + 3):
         for seed in (0, 7, 2**63 - 1, 2**64 - 2, 2**64 - 1):
@@ -116,7 +117,7 @@ def test_draws_match_per_sample_philox(wide_op, K):
             assert np.array_equal(ens.coefficients, expect)
 
 
-@pytest.mark.parametrize("K", [1, 4, 12])
+@pytest.mark.parametrize("K", [1, 4, 12, 13, 18])
 def test_block_draws_match_numpy_across_batches(wide_op, monkeypatch, K):
     # blocks of 128 samples, so that the samples off the ziggurat's fast
     # path fill several resolve batches of 64 and carry over between them
@@ -129,7 +130,7 @@ def test_block_draws_match_numpy_across_batches(wide_op, monkeypatch, K):
         yield from resolve(self, resets)
 
     monkeypatch.setattr(gaussian._BlockDraws, "resolve", counted)
-    n = {1: 6000, 4: 2000, 12: 800}[K]
+    n = {1: 6000, 4: 2000, 12: 800, 13: 800, 18: 600}[K]
     scale = 1.0 / np.sqrt(2.0 * wide_op.eigenvalues[:K])
     for seed in (0, 7, 2**64 - 1):
         batches.clear()
@@ -141,11 +142,12 @@ def test_block_draws_match_numpy_across_batches(wide_op, monkeypatch, K):
 
 
 @pytest.mark.parametrize("K, share", [(4, (0.995, 1.0)), (6, (0.995, 1.0)),
-                                      (12, (0.995, 1.0)), (13, None)])
-def test_block_path_serves_small_cutoffs(op, monkeypatch, K, share):
+                                      (12, (0.995, 1.0)), (13, (0.995, 1.0)),
+                                      (18, (0.995, 1.0)), (19, None)])
+def test_block_path_serves_small_cutoffs(wide_op, monkeypatch, K, share):
     # the block path finishes a sample unless its draws run past the words of
     # its counters and two more, so all but at most 0.5% of the samples are
-    # finished without a numpy Philox reset; for K > 12 every sample is reset
+    # finished without a numpy Philox reset; for K > 18 every sample is reset
     resets, blocks = [], []
     draw, init = gaussian._Resets.draw, gaussian._BlockDraws.__init__
 
@@ -160,7 +162,7 @@ def test_block_path_serves_small_cutoffs(op, monkeypatch, K, share):
     monkeypatch.setattr(gaussian._Resets, "draw", counted)
     monkeypatch.setattr(gaussian._BlockDraws, "__init__", made)
     n = 3 * _SAMPLE_CHUNK + 5
-    sample_gaussian(op, K, n, seed=11)
+    sample_gaussian(wide_op, K, n, seed=11)
     if share is None:
         assert blocks == [] and resets == list(range(n))
     else:
@@ -259,7 +261,7 @@ def test_seed_out_of_range(op, monkeypatch):
 
 
 def test_sampling_peak_rss():
-    # draws go through one block buffer and, for K <= 12, one block workspace
+    # draws go through one block buffer and, for K <= 18, one block workspace
     # of twice its size, never a full (n, 2, K) array.
     # Growth runs from the resident set just before sampling to the peak of
     # the child's own address space: ru_maxrss would carry over the peak of

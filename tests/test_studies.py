@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,29 @@ directory = {out}
     first = (out / "study-1d.json").read_bytes()
     assert main(["study-1d", "--config", str(ini), "--threads", "3"]) == 0
     assert (out / "study-1d.json").read_bytes() == first
+
+
+def test_one_thread_schedule_runs_on_the_caller(monkeypatch):
+    # threads = 1 solves each temperature on the calling thread, with no
+    # pool: a pool thread's malloc arena cannot reuse what the classical
+    # half freed.  The pool for threads > 1 is covered by the byte
+    # identity above
+    from gibbslab import fock_quantum, studies
+    solved_on = []
+    gibbs = fock_quantum.gibbs_from_spectra
+
+    def recorded(*args, **kw):
+        solved_on.append(threading.get_ident())
+        return gibbs(*args, **kw)
+
+    def no_pool(*args, **kw):
+        raise AssertionError("a one-thread schedule started a pool")
+
+    monkeypatch.setattr(fock_quantum, "gibbs_from_spectra", recorded)
+    monkeypatch.setattr(studies, "ThreadPoolExecutor", no_pool)
+    cfg = small_1d_config(samples=500, t_schedule=(2.0, 4.0, 8.0))
+    run_study_1d(cfg, threads=1)
+    assert solved_on == [threading.get_ident()] * 3
 
 
 @pytest.fixture(scope="module")
