@@ -2,8 +2,8 @@
 
 Subcommands: spectrum, sample-gaussian, classical-gibbs, quantum-gibbs,
 hartree, study-1d, study-2d-classical.  Exit codes: 0 success, 2 refused
-input (ConfigurationError), 3 numerical failure (ArithmeticError, or under
---strict nonconvergence or unsafe cutoffs).  Result documents are
+input (ConfigurationError), 3 numerical failure (ArithmeticError, LinAlgError,
+or under --strict nonconvergence or unsafe cutoffs).  Result documents are
 deterministic; wall-clock metadata goes to a separate meta.json.
 """
 
@@ -124,7 +124,7 @@ def cmd_sample(cfg: RunConfig, out: Path, args) -> int:
     emp = (np.abs(ens.coefficients) ** 2).mean(axis=0)
     results = {
         "modes": ens.cutoff, "samples": ens.size, "seed": ens.seed,
-        "operator_hash": ens.operator_hash,
+        "operator_hash": op.content_hash(),
         "empirical_mode_variance": emp,
         "target_mode_variance": 1.0 / op.eigenvalues[:ens.cutoff],
     }
@@ -169,10 +169,10 @@ def cmd_quantum(cfg: RunConfig, out: Path, args) -> int:
                      "cutoff_safe": res.cutoff_safe})
     rdms = {k: fq.reduced_density(res.state, k) for k in fq.ORDERS}
     results = {"schedule": rows,
-               "final_rdm1_eigenvalues": np.linalg.eigvalsh(rdms[1].matrix)}
+               "final_rdm1_eigenvalues": np.linalg.eigvalsh(rdms[1])}
     _emit(cfg, out, "quantum-gibbs", results, rows)
     for k, rdm in rdms.items():
-        formats.write_matrix(out / f"rdm_k{k}.gflm", rdm.matrix)
+        formats.write_matrix(out / f"rdm_k{k}.gflm", rdm)
     if args.strict and not all(r["cutoff_safe"] for r in rows):
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -485,19 +485,6 @@ def gibbs_state(H: FockOperator, T: float, nu: float, E0: float = 0.0) -> GibbsR
 # Reduced density matrices
 
 
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    """Exact k-body marginal in the symmetric basis (see symmetric_basis).
-
-    Entry (s, t) = c_s c_t <a+_t a_s> for the ordered tuples s, t and their
-    weights c: at order 1, (i, j) = <a+_j a_i> with trace <N>; at order 2,
-    ((ij),(kl)) = c_ij c_kl <a+_k a+_l a_i a_j> with trace <N(N-1)>.
-    """
-
-    order: int
-    matrix: np.ndarray
-
-
 def _gathered(blocks: list[tuple[np.ndarray, np.ndarray]], cols: np.ndarray) -> np.ndarray:
     """Gamma[cols[a, r], cols[b, r]] of a sector held as (states, block)
     pairs, read from the block that holds both states, zero if none does."""
@@ -513,8 +500,13 @@ def _gathered(blocks: list[tuple[np.ndarray, np.ndarray]], cols: np.ndarray) -> 
     return out
 
 
-def reduced_density(state: FockState, order: int) -> ReducedDensityMatrix:
-    """Per sector, entry (a, b) is tr(a_a Gamma a_b^T), the adjoint of
+def reduced_density(state: FockState, order: int) -> np.ndarray:
+    """Exact k-body marginal, the P x P matrix in the symmetric basis (see symmetric_basis).
+
+    Entry (s, t) = c_s c_t <a+_t a_s> for the ordered tuples s, t and their
+    weights c: at order 1, (i, j) = <a+_j a_i> with trace <N>; at order 2,
+    ((ij),(kl)) = c_ij c_kl <a+_k a+_l a_i a_j> with trace <N(N-1)>.  Per
+    sector, entry (a, b) is tr(a_a Gamma a_b^T), the adjoint of
     second_quantize: with the basis's table (cols, vals), a gather of
     sum_r vals[a, r] vals[b, r] Gamma[cols[a, r], cols[b, r]], read per
     block of a dense sector (_gathered)."""
@@ -534,7 +526,7 @@ def reduced_density(state: FockState, order: int) -> ReducedDensityMatrix:
         else:
             M += np.einsum("ar,br,abr->ab", vals, vals, _gathered(block, cols))
     M *= weights[:, None] * weights[None, :]
-    return ReducedDensityMatrix(order=order, matrix=M)
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _check_length(path, raw: bytes, expected: int) -> None:
         raise ValueError(f"{path}: {len(raw)} bytes, the header implies {expected}")
 
 
-def read_ensemble(path, operator_hash: str = "") -> Ensemble:
+def read_ensemble(path) -> Ensemble:
     raw = Path(path).read_bytes()
     if raw[:4] != ENSEMBLE_MAGIC:
         raise ValueError(f"{path}: not an ensemble dump")
@@ -65,9 +65,7 @@ def read_ensemble(path, operator_hash: str = "") -> Ensemble:
     _check_length(path, raw, 24 + 16 * n * K + 8 * n)
     coeffs = np.frombuffer(raw, dtype="<c16", count=n * K, offset=24).reshape(n, K).copy()
     weights = np.frombuffer(raw, dtype="<f8", count=n, offset=24 + 16 * n * K).copy()
-    return Ensemble(operator_hash=operator_hash, cutoff=int(K),
-                    coefficients=coeffs, weights=weights,
-                    seed=int(seed))
+    return Ensemble(coefficients=coeffs, weights=weights, seed=int(seed))
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:

@@ -71,11 +71,9 @@ class Ensemble:
     """Ordered collection of field samples sharing one mode cutoff.
 
     coefficients is (n, K) complex; weights is (n,), exp(energy_floor) times
-    the importance weights.  operator_hash names the covariance's operator.
+    the importance weights.
     """
 
-    operator_hash: str
-    cutoff: int
     coefficients: np.ndarray
     weights: np.ndarray
     seed: int
@@ -89,6 +87,10 @@ class Ensemble:
     def size(self) -> int:
         return self.coefficients.shape[0]
 
+    @property
+    def cutoff(self) -> int:
+        return self.coefficients.shape[1]
+
     def with_weights(self, weights: np.ndarray, energy_floor: float = 0.0) -> "Ensemble":
         w = np.ascontiguousarray(weights, dtype=float)
         if w.shape != (self.size,):
@@ -99,8 +101,7 @@ class Ensemble:
         """Contiguous copy of the first K modes (weights reset to one)."""
         if not 1 <= K <= self.cutoff:
             raise ValueError(f"cutoff {K} is outside 1..{self.cutoff}")
-        return Ensemble(operator_hash=self.operator_hash, cutoff=K,
-                        coefficients=np.ascontiguousarray(self.coefficients[:, :K]),
+        return Ensemble(coefficients=np.ascontiguousarray(self.coefficients[:, :K]),
                         weights=np.ones(self.size), seed=self.seed)
 
 
@@ -434,5 +435,4 @@ def sample_gaussian(op: OneBodyOperator, K: int, n: int, seed: int) -> Ensemble:
         np.multiply(scale, dest, out=dest)
         if not block:
             coeffs[rows] = dest
-    return Ensemble(operator_hash=op.content_hash(), cutoff=K,
-                    coefficients=coeffs, weights=np.ones(n), seed=int(seed))
+    return Ensemble(coefficients=coeffs, weights=np.ones(n), seed=int(seed))

@@ -90,6 +90,8 @@ class RhfState:
 def _thermal_eigs(lap: np.ndarray, v_eff: np.ndarray, T: float):
     import scipy.linalg
 
+    if not np.isfinite(v_eff).all():
+        raise ArithmeticError("effective potential is not finite: coupling / T overflows")
     H = lap.copy()
     H.flat[::len(H) + 1] += v_eff
     eps, psi = scipy.linalg.eigh(H, driver="evd")

@@ -94,10 +94,14 @@ class PairPotential:
     kernel holds w at every offset of the padded difference grid;
     kernel_fft is its real FFT, reused by all FFT convolutions.  w_hat_zero
     is the analytic integral of w; w_hat_grid tabulates the numerical
-    Fourier transform on the dual grid.  toeplitz holds the n x n tables
-    (Tx, Ty), Tx[i, k] = w(x_i - x_k, 0) and Ty[j, l] = w(0, y_j - y_l) /
-    w(0, 0), when a 2D kernel is rank one on the offsets a linear
-    convolution reads; it is None in 1D and for any other kernel.
+    Fourier transform on the dual grid.  When a 2D kernel is rank one on
+    the offsets a linear convolution reads, factors holds the eigenfactors
+    ((sx, Vx, px), (sy, Vy, py)) of its n x n Toeplitz tables Tx[i, k] =
+    w(x_i - x_k, 0) and Ty[j, l] = w(0, y_j - y_l) / w(0, 0): each T = V
+    diag(s) V^T from spectral.reflection_eigh, each vector with its parity,
+    keeping the eigenpairs of both parities with |s| > n eps max|s|, numpy's
+    matrix_rank default; the signs of s are kept, so T need not be
+    semidefinite.  factors is None in 1D and for any other kernel.
     """
 
     kind: str
@@ -108,7 +112,7 @@ class PairPotential:
     w_hat_zero: float
     w_hat_grid: np.ndarray = field(repr=False)
     w_hat_min: float
-    toeplitz: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
+    factors: tuple | None = field(repr=False)
 
 
 def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
@@ -153,23 +157,28 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
     if not np.array_equal(kernel, kernel[reflect]):
         raise ConfigurationError("pair potential kernel is not even on the grid")
 
-    # Toeplitz tables when w = outer(w[:, 0], w[0, :] / w[0, 0]) to 1e-14 of
+    # factors when w = outer(w[:, 0], w[0, :] / w[0, 0]) to 1e-14 of
     # max|w| on the offsets |dx|, |dy| <= n - 1 a linear convolution reads
-    toeplitz = None
+    factors = None
     if grid.dimension == 2 and kernel[0, 0] != 0.0:
         n, P = grid.points, shape[0]
         near = np.r_[0:n, P - n + 1:P]
         rank_one = np.outer(kernel[near, 0], kernel[0, near] / kernel[0, 0])
         if np.abs(kernel[np.ix_(near, near)] - rank_one).max() <= 1e-14 * np.abs(kernel).max():
             off = np.subtract.outer(np.arange(n), np.arange(n)) % P
-            toeplitz = (kernel[off, 0], kernel[0, off] / kernel[0, 0])
+            factors = []
+            for T in (kernel[off, 0], kernel[0, off] / kernel[0, 0]):
+                s, V, parity = reflection_eigh(T)
+                keep = np.abs(s) > n * np.finfo(float).eps * np.abs(s).max()
+                factors.append((s[keep], V[:, keep], parity[keep]))
+            factors = tuple(factors)
 
     kfft = np.fft.rfftn(kernel)
     w_hat_grid = kfft.real * grid.cell_volume
     return PairPotential(kind=kind, params=params, grid=grid, kernel=kernel,
                          kernel_fft=kfft, w_hat_zero=w_hat_zero,
                          w_hat_grid=w_hat_grid, w_hat_min=float(w_hat_grid.min()),
-                         toeplitz=toeplitz)
+                         factors=factors)
 
 
 def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
@@ -193,35 +202,17 @@ def convolve(w: PairPotential, density: np.ndarray) -> np.ndarray:
     return out if density.ndim == 2 else out[0]
 
 
-def _kernel_factors(w: PairPotential):
-    """Eigenfactors ((sx, Vx, px), (sy, Vy, py)) of w's Toeplitz tables, None without them.
-
-    Each table T = V diag(s) V^T comes from spectral.reflection_eigh, each
-    vector with its parity, and keeps the eigenpairs of both parities with
-    |s| > n eps max|s|, numpy's matrix_rank default; the signs of s are
-    kept, so T need not be semidefinite.
-    """
-    if w.toeplitz is None:
-        return None
-    factors = []
-    for T in w.toeplitz:
-        s, V, parity = reflection_eigh(T)
-        keep = np.abs(s) > len(s) * np.finfo(float).eps * np.abs(s).max()
-        factors.append((s[keep], V[:, keep], parity[keep]))
-    return tuple(factors)
-
-
-def _pair_features(w: PairPotential, factors, rows: np.ndarray, cols: np.ndarray | None
+def _pair_features(w: PairPotential, rows: np.ndarray, cols: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(held, left) of a chunk of pair densities: <rho_p, w * rho_q> = left_p . held_q.
 
-    factors come from _kernel_factors(w).  Without them held = rows and left
-    = convolve(w, rows); with them held = Vx^T rho Vy flattened to rx ry
-    columns, or to cols of them, and left = held (sx (x) sy).
+    Without w.factors held = rows and left = convolve(w, rows); with them
+    held = Vx^T rho Vy flattened to rx ry columns, or to cols of them, and
+    left = held (sx (x) sy).
     """
-    if factors is None:
+    if w.factors is None:
         return rows, convolve(w, rows)
-    (sx, Vx, _), (sy, Vy, _) = factors
+    (sx, Vx, _), (sy, Vy, _) = w.factors
     n = len(Vx)
     held = (Vx.T @ (rows.reshape(-1, n) @ Vy).reshape(-1, n, len(sy))).reshape(len(rows), -1)
     weight = np.outer(sx, sy).ravel()
@@ -252,21 +243,21 @@ def _pairs(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, np.where(a == b, 1.0, 2.0)
 
 
-def _pair_classes(op: OneBodyOperator, K: int, factors
+def _pair_classes(op: OneBodyOperator, w: PairPotential, K: int
                   ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """(positions, held columns) of each pair class at cutoff K, even class first.
 
     A labelled pair's class is its parity p = p_a p_b; unlabelled pairs are
-    one class.  Reversing both axes flips eigenfactor coefficient (i, j) by
-    px_i py_j, so a labelled class holds those with px_i py_j = p; columns
-    is None (all) otherwise.
+    one class.  Reversing both axes flips eigenfactor coefficient (i, j) of
+    w.factors by px_i py_j, so a labelled class holds those with px_i py_j =
+    p; columns is None (all) otherwise.
     """
     labels = mode_parity(op, K)
     a, b, _ = _pairs(K)
     if labels is None:
         return [(np.arange(len(a)), None)]
     pair_class = labels[a] * labels[b]
-    coeff = None if factors is None else np.outer(factors[0][2], factors[1][2]).ravel()
+    coeff = None if w.factors is None else np.outer(w.factors[0][2], w.factors[1][2]).ravel()
     return [(np.flatnonzero(pair_class == p),
              None if coeff is None else np.flatnonzero(coeff == p))
             for p in (1, -1) if np.any(pair_class == p)]
@@ -295,22 +286,21 @@ def exchange_term(op: OneBodyOperator, w: PairPotential, K: int,
 
     diag(Q) is read class by class from tensor, a pair Gram of op and w,
     with no convolution; a tensor cutoff below K raises ConfigurationError.
-    Without a tensor, diag(Q) is streamed chunk by chunk, projected or
-    convolved as in build_pair_tensor (FFT features, which ignore the
-    class, in pair order), and Q is never built.
+    Without a tensor, diag(Q) is streamed class by class and chunk by
+    chunk, projected or convolved as in build_pair_tensor, and Q is never
+    built.
     """
     lam, U = _check_binding(op, w, K)
     a, b, mult = _pairs(K)
     fac = mult / (lam[a] * lam[b])
     diag = np.empty(len(fac))
     if tensor is None:
-        factors, Ut = _kernel_factors(w), np.ascontiguousarray(U.T)
-        classes = [(np.arange(len(a)), None)] if factors is None else _pair_classes(op, K, factors)
-        for pos, cols in classes:
+        Ut = np.ascontiguousarray(U.T)
+        for pos, cols in _pair_classes(op, w, K):
             for lo in range(0, len(pos), _PAIR_CHUNK):
                 p = pos[lo:lo + _PAIR_CHUNK]
                 diag[p] = np.einsum("ij,ij->i", *_pair_features(
-                    w, factors, _pair_densities(Ut, a[p], b[p]), cols))
+                    w, _pair_densities(Ut, a[p], b[p]), cols))
     else:
         for pos, Q in tensor.classes(K):
             diag[pos] = np.diagonal(Q)
@@ -371,7 +361,7 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
     products of its left features with the held features of the pairs
     before it (_pair_features); mirroring it in place makes each block
     exactly symmetric.  Only one class's held features are kept at a time:
-    the eigenfactor coefficients of each density when w has Toeplitz tables
+    the eigenfactor coefficients of each density when w has factors
     (rank-one 2D kernels), those of the class's parity when it has one,
     else the densities themselves, convolved by FFT.  The cap counts the
     working set of the route taken.
@@ -382,13 +372,12 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
                       "the pair Gram need not be positive semidefinite, so "
                       "energies may be negative and weights exp(-D) exceed 1")
     a, b, _ = _pairs(K)
-    factors = _kernel_factors(w)
-    classes = _pair_classes(op, K, factors)
+    classes = _pair_classes(op, w, K)
     N, d, P = op.grid.total_points, op.grid.dimension, w.kernel.shape[0]
-    if factors is None:
+    if w.factors is None:
         full, work = N, (5 - d) * _PAIR_CHUNK * P ** (d - 1) * (P // 2 + 1)
     else:
-        rx, ry = len(factors[0][0]), len(factors[1][0])
+        rx, ry = len(w.factors[0][0]), len(w.factors[1][0])
         full, work = rx * ry, _PAIR_CHUNK * (N + op.grid.points * ry + 2 * rx * ry)
     widths = [full if cols is None else len(cols) for _, cols in classes]
     nbytes = 8 * (sum(len(pos) ** 2 for pos, _ in classes)
@@ -406,7 +395,7 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
         for lo in range(0, m, _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, m)
             held[lo:hi], left = _pair_features(
-                w, factors, _pair_densities(Ut, ac[lo:hi], bc[lo:hi]), cols)
+                w, _pair_densities(Ut, ac[lo:hi], bc[lo:hi]), cols)
             Q[lo:hi, :hi] = left @ held[:hi].T
             del left  # not held through the next chunk's convolution
         del held
@@ -417,13 +406,15 @@ def build_pair_tensor(op: OneBodyOperator, w: PairPotential, K: int) -> PairTens
                       grams=tuple(grams))
 
 
-def wick_shift(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor) -> np.ndarray:
-    """Renormalized minus bare interaction of every sample, 1/2 c^T Q c - Re<alpha, V alpha>.
+def wick_shift(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
+               energies: np.ndarray) -> np.ndarray:
+    """Add renormalized minus bare interaction, 1/2 c^T Q c - Re<alpha, V alpha>, into energies.
 
     c_p = 1/lambda_a on the diagonal pairs p = (a, a) and 0 off them, so
     (Qc)_p = <u_a u_b, w * rho_K> and V[a, b] = (Qc)_{ab} is the mean-field
     potential w * rho_K in mode coordinates; 1/2 c^T Q c is the direct term.
     One sample costs O(K^2), against O(P^2) for a second quadratic form.
+    energies (one per sample) gets it _SAMPLE_CHUNK samples at a time and is returned.
     """
     K = ensemble.cutoff
     a, b, _ = _pairs(K)
@@ -432,13 +423,13 @@ def wick_shift(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor) -> n
     for pos, Q in tensor.classes(K):
         Qc[pos] = Q @ c[pos]
     V = Qc[_pair_index(K)]
-    out = np.empty(ensemble.size)
+    const = 0.5 * float(c @ Qc)
     for lo in range(0, ensemble.size, _SAMPLE_CHUNK):
         coeff = ensemble.coefficients[lo:lo + _SAMPLE_CHUNK]
         re, im = coeff.real, coeff.imag
-        out[lo:lo + _SAMPLE_CHUNK] = (np.einsum("ij,ij->i", re @ V, re)
-                                      + np.einsum("ij,ij->i", im @ V, im))
-    return 0.5 * float(c @ Qc) - out
+        energies[lo:lo + _SAMPLE_CHUNK] += const - (np.einsum("ij,ij->i", re @ V, re)
+                                                    + np.einsum("ij,ij->i", im @ V, im))
+    return energies
 
 
 def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTensor,
@@ -466,4 +457,4 @@ def batch_interactions(ensemble: Ensemble, op: OneBodyOperator, tensor: PairTens
             f = mc * (re[:, ac] * re[:, bc] + im[:, ac] * im[:, bc])
             form = form + np.einsum("ij,ij->i", f @ Q, f)
         out[lo:lo + step] = 0.5 * form
-    return out + wick_shift(ensemble, op, tensor) if renormalized else out
+    return wick_shift(ensemble, op, tensor, out) if renormalized else out

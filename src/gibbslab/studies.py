@@ -194,7 +194,7 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
         audit = fq.cutoff_audit(spectra, T, [n_max - 2, n_max])
         diff = (g_int.free_energy - F_free) / T
         deltas = {f"delta_{k}": cg.trace_distance(
-            fq.reduced_density(g_int.state, k).matrix / T**k, moments[k].matrix)
+            fq.reduced_density(g_int.state, k) / T**k, moments[k].matrix)
             for k in fq.ORDERS}
         return StudyPoint1D(
             T=T, lam=lam,
@@ -337,7 +337,7 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
     for K in ks:
         sub = ens.truncated(K)
         bare_by_k[K] = batch_interactions(sub, op, tensor, renormalized=False)
-        renorm_by_k[K] = bare_by_k[K] + wick_shift(sub, op, tensor)
+        renorm_by_k[K] = wick_shift(sub, op, tensor, bare_by_k[K].copy())
         mb, sb = _mean_stderr(bare_by_k[K])
         mr, sr = _mean_stderr(renorm_by_k[K])
         zr = cg.estimate_log_zr(cg.weigh(sub, renorm_by_k[K]))

@@ -45,6 +45,14 @@ def fock_tensor(tensor: PairTensor) -> np.ndarray:
 # Gaussian samples
 
 
+def toeplitz_tables(w: PairPotential) -> tuple[np.ndarray, np.ndarray]:
+    """A 2D kernel's n x n tables Tx[i, k] = w(x_i - x_k, 0) and Ty[j, l] =
+    w(0, y_j - y_l) / w(0, 0), read off its padded offsets."""
+    n, P = w.grid.points, w.kernel.shape[0]
+    off = np.subtract.outer(np.arange(n), np.arange(n)) % P
+    return w.kernel[off, 0], w.kernel[0, off] / w.kernel[0, 0]
+
+
 def sobolev_norms_sq(ensemble: Ensemble, op: OneBodyOperator, t: float) -> np.ndarray:
     """sum_j lambda_j^t |alpha_j|^2 of every sample."""
     lam, _ = op.modes(ensemble.cutoff)

@@ -44,7 +44,7 @@ def test_criterion_1_free_theory_exactness(capsys):
     audit = fq.cutoff_audit(fq.sector_eigensystems(H, nu), T, [18, 22, 26])
     res = fq.gibbs_state(H, T, nu)
     lam = op.eigenvalues[:K]
-    occ = np.sort(np.linalg.eigvalsh(fq.reduced_density(res.state, 1).matrix))
+    occ = np.sort(np.linalg.eigvalsh(fq.reduced_density(res.state, 1)))
     be = np.sort(1.0 / np.expm1((lam - nu) / T))
     occ_err = np.abs(occ - be).max()
     # grand potential of the K-mode free gas; finite sum, sign as dictated
@@ -329,7 +329,7 @@ def test_criterion_8_structural_invariants(capsys, tmp_path):
     # Hermiticity / PSD / permutation symmetry of reduced objects
     basis, H, res, T = gibbs_results[0]
     for order in (1, 2):
-        m = fq.reduced_density(res.state, order).matrix
+        m = fq.reduced_density(res.state, order)
         if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, np.abs(m).max()):
             failures.append(f"quantum order-{order} not Hermitian")
         if np.linalg.eigvalsh(m).min() < -1e-10:

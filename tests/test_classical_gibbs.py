@@ -184,8 +184,7 @@ def test_moment_peak_rss():
                 return next(int(line.split()[1]) for line in f if line.startswith(key))
         rng = np.random.default_rng(5)
         n = 100_000
-        ens = Ensemble(operator_hash="", cutoff=12,
-                       coefficients=rng.standard_normal((n, 24)).view(complex),
+        ens = Ensemble(coefficients=rng.standard_normal((n, 24)).view(complex),
                        weights=rng.uniform(0.05, 1.0, n), seed=0)
         before = status_kb("VmRSS:")
         cg.reduced_moment(ens, 2)
@@ -201,14 +200,17 @@ def test_moment_peak_rss():
 
 
 def test_reweight_peak_rss():
-    # reweight writes the weights over the energies it owns: study-1d's 400k
-    # samples at K = 4, bare interaction, raise the peak by one (n,) array
-    # and block temporaries, not by the energies, a shifted copy and the
-    # weights side by side.  Growth runs as in test_moment_peak_rss; the
-    # ensemble is allocated last before the call, so no earlier peak is
-    # above the resident set it starts from
+    # reweight writes the weights over the energies it owns, and the Wick
+    # shift is added into them block by block: study-1d's 400k samples at
+    # K = 4, bare or renormalized interaction, raise the peak by one (n,)
+    # array and block temporaries, not by the energies, a shift, a shifted
+    # copy and the weights side by side.  Growth runs as in
+    # test_moment_peak_rss, one child per form; the ensemble is allocated
+    # last before the call, so no earlier peak is above the resident set it
+    # starts from
     root = Path(__file__).resolve().parent.parent
     script = textwrap.dedent("""
+        import sys
         import numpy as np
         from gibbslab import classical_gibbs as cg, studies
         from gibbslab.config import load_config
@@ -223,19 +225,19 @@ def test_reweight_peak_rss():
         n = 400_000
         coeffs = np.random.default_rng(5).standard_normal((n, 8)).view(complex)
         coeffs *= 1.0 / np.sqrt(2.0 * op.eigenvalues[:4])
-        ens = Ensemble(operator_hash="", cutoff=4, coefficients=coeffs,
-                       weights=np.ones(n), seed=0)
+        ens = Ensemble(coefficients=coeffs, weights=np.ones(n), seed=0)
         before = status_kb("VmRSS:")
-        out = cg.reweight(ens, op, tensor, renormalized=False)
+        out = cg.reweight(ens, op, tensor, renormalized=sys.argv[1] == "True")
         after = status_kb("VmHWM:")
         print(before, after, out.weights.nbytes)
     """ % str(root / "configs" / "study_1d.ini"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=300)
-    before_kb, after_kb, nbytes = map(int, res.stdout.split())
-    assert (after_kb - before_kb) * 1024 <= 1.5 * nbytes
+    for renormalized in (False, True):
+        res = subprocess.run([sys.executable, "-c", script, str(renormalized)], env=env,
+                             check=True, capture_output=True, text=True, timeout=300)
+        before_kb, after_kb, nbytes = map(int, res.stdout.split())
+        assert (after_kb - before_kb) * 1024 <= 1.5 * nbytes, renormalized
 
 
 def test_log_domain_weights(ensemble, op, bump4):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,10 +7,12 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gibbslab import formats
 from gibbslab.cli import main
@@ -352,10 +356,19 @@ def test_cli_spectrum(tmp_path):
 
 
 def test_cli_sample_and_binary(tmp_path):
-    path, out = write_config(tmp_path)
+    # the document names the operator whose Gaussian measure was sampled:
+    # the model operator shifted by model.nu, not the unshifted one
+    from gibbslab import studies
+    path, out = write_config(tmp_path, SMALL_1D.replace("nu = 0.0", "nu = 0.5"))
     assert main(["sample-gaussian", "--config", str(path)]) == 0
     ens = formats.read_ensemble(out / "ensemble.gfl1")
     assert ens.size == 4000 and ens.cutoff == 3 and ens.seed == 13
+    doc = json.loads((out / "sample-gaussian.json").read_text())
+    cfg = load_config(path)
+    model = studies.build_model_operator(cfg)
+    shifted = studies.shifted_operator(cfg, model)
+    assert doc["results"]["operator_hash"] == shifted.content_hash()
+    assert shifted.content_hash() != model.content_hash()
 
 
 def test_cli_classical(tmp_path):
@@ -632,8 +645,7 @@ def test_binary_roundtrip_special_values(tmp_path):
     back = formats.read_matrix(p)
     assert back.flags.writeable
     assert back.view("<f8").tobytes() == m.view("<f8").tobytes()
-    ens = Ensemble(operator_hash="", cutoff=6, coefficients=m.copy(),
-                   weights=np.array(specials), seed=3)
+    ens = Ensemble(coefficients=m.copy(), weights=np.array(specials), seed=3)
     formats.write_ensemble(tmp_path / "e.gfl1", ens)
     got = formats.read_ensemble(tmp_path / "e.gfl1")
     assert got.coefficients.view("<f8").tobytes() == m.view("<f8").tobytes()
@@ -645,8 +657,7 @@ def test_binary_dumps_refuse_wrong_length(tmp_path):
     # a dump cut in its header or payload, or with trailing bytes, is refused
     # with the path named
     m = np.arange(6, dtype=complex).reshape(2, 3)
-    ens = Ensemble(operator_hash="", cutoff=3, coefficients=m.copy(),
-                   weights=np.ones(2), seed=1)
+    ens = Ensemble(coefficients=m.copy(), weights=np.ones(2), seed=1)
     for name, write, read, header in (
             ("m.gflm", lambda p: formats.write_matrix(p, m), formats.read_matrix, 24),
             ("e.gfl1", lambda p: formats.write_ensemble(p, ens), formats.read_ensemble, 24)):
@@ -667,3 +678,79 @@ def test_csv_format(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "T,value,flag"
     assert float(lines[1].split(",")[1]) == 1.0 / 3.0
+
+
+COMMANDS = ("spectrum", "sample-gaussian", "classical-gibbs", "quantum-gibbs",
+            "hartree", "study-1d", "study-2d-classical")
+
+
+def _schedule(draw, values, max_size):
+    """A strictly increasing schedule of 1 to max_size distinct draws, as INI text."""
+    drawn = draw(st.lists(values, min_size=1, max_size=max_size, unique=True))
+    return ", ".join(repr(v) for v in sorted(drawn))
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Sections of a small config that passes validate: 1D grids of up to
+    128 points, 2D of up to 16^2, K <= 6, n_max <= 5, a few hundred samples,
+    and amplitudes, shifts and temperatures from 1e-300 to 1e300."""
+    magnitude = st.sampled_from([1e-300, 1e-8, 0.05, 0.5, 1.0, 3.0, 1e3, 1e300])
+    signed = st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 0.0, 1.0]), magnitude)
+    dim = draw(st.sampled_from([1, 2]))
+    points = draw(st.integers(8, 128 if dim == 1 else 16))
+    modes = draw(st.integers(1, 6))
+    hpoints = draw(st.integers(8, 16 if dim == 1 else 10))
+    kinds = ["gaussian-bump", "tabulated"] + (["grid-delta"] if dim == 1 else [])
+    return {
+        "model": {"dimension": dim, "potential": draw(st.sampled_from(["power", "box"])),
+                  "s": draw(st.floats(1.05, 8.0)), "half_width": draw(st.floats(0.5, 20.0)),
+                  "points": points, "modes": modes, "nu": draw(signed),
+                  "num_eigs": draw(st.sampled_from([0, modes, modes + 3]))},
+        "interaction": {"kind": draw(st.sampled_from(kinds)), "amplitude": draw(signed),
+                        "sigma": draw(magnitude), "table_path": "{table}",
+                        "renormalized": draw(st.booleans())},
+        "classical": {"samples": draw(st.integers(2, 300)),
+                      "seed": draw(st.integers(0, 2**64 - 2))},
+        "quantum": {"n_max": draw(st.integers(0, 5)),
+                    "t_schedule": _schedule(draw, magnitude, 3), "coupling_c": draw(signed)},
+        "hartree": {"kappa": draw(st.floats(1e-3, 1e3)), "damping": draw(st.floats(0.05, 1.0)),
+                    "tol": draw(st.sampled_from([1e-12, 1e-8, 1e-2])),
+                    "max_iter": draw(st.integers(1, 20)),
+                    "t_schedule": _schedule(draw, magnitude, 3), "coupling_c": draw(signed),
+                    "shared_modes": draw(st.integers(1, min(8, hpoints ** dim))),
+                    "points": hpoints,
+                    "momentum_measure": draw(st.sampled_from(["unit", "2pi"]))},
+        "study": {"k_schedule": _schedule(draw, st.integers(1, 12), 3),
+                  "cauchy_samples": draw(st.integers(2, 300))},
+        "output": {"format": draw(st.sampled_from(["json", "csv"]))},
+    }
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+@given(sections=fuzz_configs())
+@settings(max_examples=50, deadline=None)
+def test_config_fuzz(sections):
+    # every command on a config that passes validation exits 0, 2 (refused
+    # input) or 3 (numerical failure), names the cause of a 2 or 3 on
+    # stderr, and writes strict JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        r = np.linspace(0.0, 10.0, 101)
+        np.savetxt(root / "table.txt", np.column_stack([r, np.exp(-r)]))
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+                       for name, fields in sections.items())
+        path = root / "run.ini"
+        path.write_text(text.replace("{table}", str(root / "table.txt")), encoding="utf-8")
+        load_config(path)
+        for command in COMMANDS:
+            out, err = root / command, io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3), (command, code)
+            assert code == 0 or err.getvalue().strip(), command
+            for doc in out.glob("*.json"):
+                json.loads(doc.read_text(encoding="utf-8"), parse_constant=_refuse_constant)

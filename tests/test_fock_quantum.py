@@ -313,7 +313,7 @@ def test_reduced_density_dense_oracle(op, bump):
             a = [functools.reduce(np.matmul, [A[i] for i in t]) for t in tuples]
             ref = np.array([[c[s] * c[t] * np.trace(gamma @ a[t].T @ a[s])
                              for t in range(len(tuples))] for s in range(len(tuples))])
-            got = fq.reduced_density(state, order).matrix
+            got = fq.reduced_density(state, order)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), order
 
 
@@ -381,27 +381,27 @@ def test_reduced_density_free_bose_einstein():
     res = fq.gibbs_state(H, 1.0, 0.0)
     rdm1 = fq.reduced_density(res.state, 1)
     be = 1.0 / np.expm1(lam)
-    assert np.abs(np.diag(rdm1.matrix).real - be).max() < 1e-8
-    off = rdm1.matrix - np.diag(np.diag(rdm1.matrix))
+    assert np.abs(np.diag(rdm1).real - be).max() < 1e-8
+    off = rdm1 - np.diag(np.diag(rdm1))
     assert np.abs(off).max() < 1e-12
-    assert np.trace(rdm1.matrix).real == pytest.approx(res.mean_particles, abs=1e-10)
+    assert np.trace(rdm1).real == pytest.approx(res.mean_particles, abs=1e-10)
     # order 2, free product state: <a+k a+l a i a j> factorizes by Wick
     rdm2 = fq.reduced_density(res.state, 2)
     pairs = [(i, j) for i in range(4) for j in range(i, 4)]
     for col, (i, j) in enumerate(pairs):
         c2 = 1.0 if i == j else 2.0
         expected = c2 * (2.0 * be[i] ** 2 if i == j else be[i] * be[j])
-        assert rdm2.matrix[col, col].real == pytest.approx(expected, abs=1e-7)
+        assert rdm2[col, col].real == pytest.approx(expected, abs=1e-7)
     NN = np.sum(2 * be**2) + np.sum(np.outer(be, be)) - np.sum(be**2)
-    assert np.trace(rdm2.matrix).real == pytest.approx(NN, abs=1e-7)
+    assert np.trace(rdm2).real == pytest.approx(NN, abs=1e-7)
 
 
 def test_reduced_density_vacuum_and_pure_pair():
     b = fq.build_fock(3, 4)
     vac = fq.FockState(basis=b, blocks=[np.ones(1)] + [
         np.zeros(b.sector_dim(n)) for n in range(1, 5)])
-    assert not fq.reduced_density(vac, 1).matrix.any()
-    assert not fq.reduced_density(vac, 2).matrix.any()
+    assert not fq.reduced_density(vac, 1).any()
+    assert not fq.reduced_density(vac, 2).any()
     # (a+_1)^2 |0> / sqrt(2)
     blocks = [np.zeros(b.sector_dim(n)) for n in range(5)]
     vec = np.zeros(b.sector_dim(2), dtype=complex)
@@ -409,9 +409,9 @@ def test_reduced_density_vacuum_and_pure_pair():
     vec[idx] = 1.0
     blocks[2] = [(np.arange(len(vec)), np.outer(vec, vec.conj()))]
     state = fq.FockState(basis=b, blocks=blocks)
-    g1 = fq.reduced_density(state, 1).matrix
+    g1 = fq.reduced_density(state, 1)
     assert np.allclose(g1, np.diag([2.0, 0, 0]), atol=1e-12)
-    g2 = fq.reduced_density(state, 2).matrix
+    g2 = fq.reduced_density(state, 2)
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
     pp = pairs.index((0, 0))
     expected = np.zeros((len(pairs), len(pairs)))
@@ -425,8 +425,7 @@ def test_rdm2_index_permutation_symmetry(op, bump):
     H = fq.second_quantize_one_body(b, op.unshifted_eigenvalues[:3]) \
         + fq.second_quantize_pair(b, t).scaled(0.4)
     res = fq.gibbs_state(H, 2.0, 0.0)
-    rdm2 = fq.reduced_density(res.state, 2)
-    m = rdm2.matrix
+    m = fq.reduced_density(res.state, 2)
     assert np.abs(m - m.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(m).min() > -1e-10
 
@@ -445,8 +444,8 @@ def test_energy_bookkeeping(op, bump):
     direct = sum(float(np.real((oracles.operator_sector(H, n)
                                 * oracles.dense_sector(blk).T).sum()))
                  for n, blk in enumerate(res.state.blocks))
-    rdm1 = fq.reduced_density(res.state, 1).matrix
-    rdm2 = fq.reduced_density(res.state, 2).matrix
+    rdm1 = fq.reduced_density(res.state, 1)
+    rdm2 = fq.reduced_density(res.state, 2)
     pairs = [(i, j) for i in range(K) for j in range(i, K)]
     weights = np.array([1.0 if i == j else np.sqrt(2.0) for i, j in pairs])
     raw = rdm2 / np.outer(weights, weights)  # <a+k a+l a i a j> at ((ij),(kl))
@@ -480,7 +479,7 @@ def test_coherent_state_vacuum_and_rank_one():
     assert oracles.sector_weights(vac.state)[0] == pytest.approx(1.0)
     v = np.array([0.8 + 0.1j, -0.4 + 0.6j])
     rep = oracles.coherent_state(v, b)
-    g1 = fq.reduced_density(rep.state, 1).matrix
+    g1 = fq.reduced_density(rep.state, 1)
     assert np.abs(g1 - np.outer(v, v.conj())).max() < 1e-6
     evals = np.linalg.eigvalsh(g1)
     assert evals[-1] == pytest.approx(np.sum(np.abs(v) ** 2), abs=1e-6)
@@ -508,10 +507,9 @@ def test_coherent_rdm_equals_one_sample_moment():
     v = np.array([0.3 + 0.2j, -0.25 + 0.1j, 0.15j])
     b = fq.build_fock(3, 16)
     state = oracles.coherent_state(v, b).state
-    ens = Ensemble(operator_hash="coherent", cutoff=3, coefficients=v[None, :].copy(),
-                   weights=np.ones(1), seed=0)
+    ens = Ensemble(coefficients=v[None, :].copy(), weights=np.ones(1), seed=0)
     for k in (1, 2):
-        g = fq.reduced_density(state, k).matrix
+        g = fq.reduced_density(state, k)
         m = cg.reduced_moment(ens, k).matrix
         assert g.shape == m.shape
         assert np.abs(g - m).max() < 1e-15, k
@@ -720,8 +718,8 @@ def test_parity_blocks_agree_with_one_block(op, bump, monkeypatch):
     g_whole, g_blocked = fq.gibbs_from_spectra(whole, T), fq.gibbs_from_spectra(blocked, T)
     assert abs(g_blocked.free_energy - g_whole.free_energy) <= 1e-13 * abs(g_whole.free_energy)
     for k in fq.ORDERS:
-        got = fq.reduced_density(g_blocked.state, k).matrix
-        assert np.abs(got - fq.reduced_density(g_whole.state, k).matrix).max() <= 1e-13, k
+        got = fq.reduced_density(g_blocked.state, k)
+        assert np.abs(got - fq.reduced_density(g_whole.state, k)).max() <= 1e-13, k
         tuple_parity = np.array([np.sum(labels[list(t)] < 0) % 2
                                  for t in fq.symmetric_basis(K, k)[0]])
         assert np.all(got[tuple_parity[:, None] != tuple_parity[None, :]] == 0.0), k
@@ -772,8 +770,8 @@ def test_block_solves_match_whole_sector_oracle(op, bump):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13
     for k in fq.ORDERS:
-        got = fq.reduced_density(g_blocked.state, k).matrix
-        assert np.abs(got - fq.reduced_density(g_whole.state, k).matrix).max() <= 1e-13, k
+        got = fq.reduced_density(g_blocked.state, k)
+        assert np.abs(got - fq.reduced_density(g_whole.state, k)).max() <= 1e-13, k
 
 
 def _assert_one_block(spectra, whole):

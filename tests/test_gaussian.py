@@ -29,8 +29,7 @@ def op():
 def one(coeffs) -> Ensemble:
     """Batch-of-one ensemble holding a single field."""
     a = np.asarray(coeffs, dtype=complex)[None, :]
-    return Ensemble(operator_hash="", cutoff=a.shape[1], coefficients=a,
-                    weights=np.ones(1), seed=0)
+    return Ensemble(coefficients=a, weights=np.ones(1), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +380,7 @@ def test_ensemble_binary_roundtrip(op, tmp_path):
     ens = ens.with_weights(np.linspace(0.5, 1.0, 37))
     path = tmp_path / "e.gfl1"
     formats.write_ensemble(path, ens)
-    back = formats.read_ensemble(path, operator_hash=ens.operator_hash)
+    back = formats.read_ensemble(path)
     assert back.cutoff == 5 and back.size == 37 and back.seed == 17
     assert np.array_equal(back.coefficients, ens.coefficients)
     assert np.array_equal(back.weights, ens.weights)

@@ -70,8 +70,7 @@ def brute_quadratic(w, density):
 def one(coeffs) -> Ensemble:
     """Batch-of-one ensemble holding a single field."""
     a = np.asarray(coeffs, dtype=complex)[None, :]
-    return Ensemble(operator_hash="", cutoff=a.shape[1], coefficients=a,
-                    weights=np.ones(1), seed=0)
+    return Ensemble(coefficients=a, weights=np.ones(1), seed=0)
 
 
 def energy(op, w, coeffs, renormalized=False) -> float:
@@ -232,7 +231,7 @@ def test_wick_shift_against_per_sample_oracle(op2d, bump2d, grid, bump):
             ref = oracles.renormalized_energies(sub, o, tensor)
             bare = batch_interactions(sub, o, tensor, renormalized=False)
             tol = 1e-13 * np.abs(ref).max()
-            assert np.abs(bare + wick_shift(sub, o, tensor) - ref).max() <= tol
+            assert np.abs(wick_shift(sub, o, tensor, bare) - ref).max() <= tol
             assert np.abs(batch_interactions(sub, o, tensor, True) - ref).max() <= tol
 
 
@@ -243,7 +242,7 @@ def test_zero_field_wick_shift_is_direct_term():
     w2 = make_pair_potential("gaussian-bump", op2.grid, amplitude=0.05, sigma=1.25)
     tensor = build_pair_tensor(op2, w2, 64)
     for K in (8, 16, 32, 64):
-        shift = wick_shift(one(np.zeros(K)), op2, tensor)[0]
+        shift = wick_shift(one(np.zeros(K)), op2, tensor, np.zeros(1))[0]
         assert shift == pytest.approx(direct_term(op2, w2, K), rel=1e-14)
 
 
@@ -272,12 +271,20 @@ def test_direct_exchange_from_gram(op, bump):
 def test_exchange_from_gram_matches_streamed(op, bump, op2d, bump2d, monkeypatch):
     # diag(Q) from a Gram's leading block against the streamed convolutions;
     # with both convolution routes raising, the tensor path shows it
-    # convolves nothing.  The tensor cutoffs stay below the eigenpair counts
-    # (12 and 24)
-    from gibbslab import interaction
-    for o, w, Kt in ((op, bump, 10), (op2d, bump2d, 20)):
-        t = build_pair_tensor(o, w, Kt)
-        streamed = {K: exchange_term(o, w, K) for K in (1, Kt // 2, Kt)}
+    # convolves nothing.  The potentials own their eigenfactors, so neither
+    # route factors a Toeplitz table.  The 2D tabulated kernel is not rank
+    # one, so it is streamed by FFT over the pair classes of the labelled
+    # modes.  The tensor cutoffs stay below the eigenpair counts (12 and 24)
+    from gibbslab import interaction, spectral
+    exp2d = make_pair_potential("tabulated", op2d.grid, table=exp_table())
+    assert exp2d.factors is None and mode_parity(op2d, 20) is not None
+    assert bump2d.factors is not None
+    for o, w, Kt in ((op, bump, 10), (op2d, bump2d, 20), (op2d, exp2d, 20)):
+        with monkeypatch.context() as m:
+            for module in (interaction, spectral):
+                m.setattr(module, "reflection_eigh", lambda *args: 1 / 0)
+            t = build_pair_tensor(o, w, Kt)
+            streamed = {K: exchange_term(o, w, K) for K in (1, Kt // 2, Kt)}
         with monkeypatch.context() as m:
             m.setattr(interaction, "convolve", lambda *args: 1 / 0)
             m.setattr(interaction, "_pair_features", lambda *args: 1 / 0)
@@ -454,16 +461,18 @@ def gram_growth(kind):
         before = status_kb("VmRSS:")
         t = build_pair_tensor(op, w, 64)
         after = status_kb("VmHWM:")
+        import oracles
+        tables = () if w.factors is None else oracles.toeplitz_tables(w)
         def parity_ranks(T):
             tol = len(T) * np.finfo(float).eps * np.abs(np.linalg.eigvalsh(T)).max()
             proj = [(np.eye(len(T)) + p * np.eye(len(T))[::-1]) / 2 for p in (1, -1)]
             return [np.linalg.matrix_rank(P @ T @ P, tol=tol, hermitian=True) for P in proj]
-        ranks = [r for T in w.toeplitz or () for r in parity_ranks(T)]
-        print(before, after, int(w.toeplitz is not None), op.grid.total_points,
+        ranks = [r for T in tables for r in parity_ranks(T)]
+        print(before, after, int(w.factors is not None), op.grid.total_points,
               w.kernel.shape[0], *(ranks or (0,) * 4), *(len(pos) for pos in t.pairs))
     """ % kind)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
     before_kb, after_kb, separable, N, P, ex, ox, ey, oy, *sizes = map(
@@ -556,7 +565,7 @@ def test_blocked_gram_matches_single_class(case, op, bump):
         o = build_one_body(GridSpec(2, 6.0, n), "power", 20, s=2.0)
         kind = "grid-delta" if case == "delta-2d" else "gaussian-bump"
         w, K = make_pair_potential(kind, o.grid, amplitude=0.5, sigma=0.6), 20
-        assert w.toeplitz is not None
+        assert w.factors is not None
     t = build_pair_tensor(o, w, K)
     labels = mode_parity(o, K)
     assert labels is not None
@@ -591,21 +600,26 @@ def test_unlabelled_gram_is_one_class(bump):
 
 
 def test_pair_potential_toeplitz_tables(grid, bump, delta, bump2d):
-    # only rank-one 2D kernels carry tables: Tx[i, k] = w(x_i - x_k, 0) and
-    # Ty[j, l] = w(0, y_j - y_l) / w(0, 0)
+    # only rank-one 2D kernels carry eigenfactors, those of the tables
+    # Tx[i, k] = w(x_i - x_k, 0) and Ty[j, l] = w(0, y_j - y_l) / w(0, 0):
+    # V diag(s) V^T rebuilds each table, its vectors orthonormal with the
+    # parities V[::-1] = parity V
     g2 = bump2d.grid
     dx = np.subtract.outer(np.arange(g2.points), np.arange(g2.points)) * g2.spacing
-    Tx, Ty = bump2d.toeplitz
-    assert np.allclose(Tx, 0.5 * np.exp(-dx**2 / (2 * 0.6**2)), rtol=1e-14, atol=0)
-    assert np.allclose(Ty, Tx / 0.5, rtol=1e-14, atol=0)
-    Tx, Ty = make_pair_potential("grid-delta", g2, amplitude=0.4).toeplitz
-    assert np.array_equal(Tx, 0.4 / g2.cell_volume * np.eye(g2.points))
-    assert np.array_equal(Ty, np.eye(g2.points))
+    Tx = 0.5 * np.exp(-dx**2 / (2 * 0.6**2))
+    delta2d = make_pair_potential("grid-delta", g2, amplitude=0.4)
+    Dx = 0.4 / g2.cell_volume * np.eye(g2.points)
+    for w, tables in ((bump2d, (Tx, Tx / 0.5)), (delta2d, (Dx, np.eye(g2.points)))):
+        for (s, V, parity), T in zip(w.factors, tables):
+            assert np.abs((V * s) @ V.T - T).max() <= 1e-14 * np.abs(T).max()
+            assert np.abs(V.T @ V - np.eye(len(s))).max() <= 1e-14
+            assert np.array_equal(V[::-1], parity * V)
+    assert [len(s) for s, _, _ in delta2d.factors] == [g2.points] * 2
     exp2d = make_pair_potential("tabulated", g2, table=exp_table())
     flat = make_pair_potential("gaussian-bump", g2, amplitude=0.0, sigma=0.6)
     tab1d = make_pair_potential("tabulated", grid, table=exp_table())
     for w in (bump, delta, tab1d, exp2d, flat):
-        assert w.toeplitz is None
+        assert w.factors is None
 
 
 def test_non_separable_gram_stays_on_fft(op, bump, delta, monkeypatch):
@@ -618,7 +632,7 @@ def test_non_separable_gram_stays_on_fft(op, bump, delta, monkeypatch):
         t = build_pair_tensor(o, w, K)
         with monkeypatch.context() as m:
             m.setattr(interaction, "_pair_features",
-                      lambda w, factors, rows, cols: (rows, interaction.convolve(w, rows)))
+                      lambda w, rows, cols: (rows, interaction.convolve(w, rows)))
             ref = build_pair_tensor(o, w, K)
         assert all(np.array_equal(a, b) for a, b in zip(t.grams, ref.grams))
 
@@ -650,7 +664,7 @@ def test_parity_half_gram(n, L, sigma, monkeypatch):
     from gibbslab import interaction
     o = build_one_body(GridSpec(2, L, n), "power", 20, s=2.0)
     w = make_pair_potential("gaussian-bump", o.grid, amplitude=0.5, sigma=sigma)
-    (_, Vx, px), (_, Vy, py) = interaction._kernel_factors(w)
+    (_, Vx, px), (_, Vy, py) = w.factors
     labels = mode_parity(o, 20)
     assert labels is not None
     b, a = np.tril_indices(20)
@@ -673,8 +687,8 @@ def test_unlabelled_gram_holds_all_coefficients(monkeypatch):
     x, y = g.coordinates().T
     tilted = build_one_body(g, "custom", 12, potential_array=x**2 + y**2 + x)
     w = make_pair_potential("gaussian-bump", g, amplitude=0.5, sigma=0.6)
-    assert mode_parity(tilted, 12) is None and w.toeplitz is not None
-    (sx, _, _), (sy, _, _) = interaction._kernel_factors(w)
+    assert mode_parity(tilted, 12) is None and w.factors is not None
+    (sx, _, _), (sy, _, _) = w.factors
     Q, widths = held_widths(monkeypatch, tilted, w, 12)
     assert set(widths) == {len(sx) * len(sy)}
     ref = single_class_gram(tilted, w, 12)
@@ -690,7 +704,7 @@ def test_signed_kernel_gram():
     o = build_one_body(GridSpec(2, 8.0, 64), "power", 20, s=2.0)
     pos = make_pair_potential("gaussian-bump", o.grid, amplitude=0.05, sigma=1.25)
     neg = make_pair_potential("gaussian-bump", o.grid, amplitude=-0.05, sigma=1.25)
-    (sx, _, _), (sy, _, _) = interaction._kernel_factors(neg)
+    (sx, _, _), (sy, _, _) = neg.factors
     assert np.all(sx < 0) and np.all(sy > 0) and len(sx) < 64
     with pytest.warns(UserWarning, match="dips negative"):
         Q = build_pair_tensor(o, neg, 20).gram

@@ -96,7 +96,7 @@ def test_reflection_eigh(n):
     w = bind_potential(cfg, GridSpec(2, cfg.model.half_width, n))
     random = scipy.linalg.toeplitz(np.random.default_rng(n).standard_normal(n))
     eps = np.finfo(float).eps
-    for T in (*w.toeplitz, random):
+    for T in (*oracles.toeplitz_tables(w), random):
         s, V, parity = reflection_eigh(T)
         ref = np.linalg.eigvalsh(T)
         scale = np.abs(ref).max()
