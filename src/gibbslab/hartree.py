@@ -74,7 +74,6 @@ class GapClosedError(ArithmeticError):
 class RhfState:
     """Converged (or last) iterate of the reduced-Hartree fixed point."""
 
-    grid: GridSpec
     effective_potential: np.ndarray  # V_T on the grid
     energies: np.ndarray             # spectrum of -Lap + V_T
     orbitals: np.ndarray             # weight-folded eigenvectors, columns
@@ -88,20 +87,20 @@ class RhfState:
 
 
 def _thermal_eigs(lap: np.ndarray, v_eff: np.ndarray, T: float):
-    import scipy.linalg
-
     if not np.isfinite(v_eff).all():
         raise ArithmeticError("effective potential is not finite: coupling / T overflows")
     H = lap.copy()
     H.flat[::len(H) + 1] += v_eff
-    eps, psi = scipy.linalg.eigh(H, driver="evd")
+    eps, psi = np.linalg.eigh(H)
     if eps[0] <= 0:
         raise GapClosedError(
             f"effective gap closed (lowest level {eps[0]:.3g}); "
             "chemical potential too large")
     with np.errstate(over="ignore"):
         occ = 1.0 / np.expm1(eps / T)
-    rho = (psi * psi) @ occ
+    # square into Fortran order: a gemv on eigh's C-ordered vectors sums in
+    # another order and moves rho by an ulp
+    rho = np.multiply(psi, psi, order="F") @ occ
     return eps, psi, occ, rho
 
 
@@ -136,7 +135,7 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
     if max_iter < 0:
         raise ConfigurationError("max_iter must be nonnegative")
     V = np.asarray(V, dtype=float)
-    lap = minus_laplacian(grid).toarray()
+    lap = minus_laplacian(grid)
     denom = 1.0 + np.abs(V)
 
     def evaluate(v_eff):
@@ -159,7 +158,7 @@ def solve_reduced_hartree(grid: GridSpec, V: np.ndarray, w: PairPotential,
             step *= 0.5
         v_eff, eps, psi, occ, rho, conv, f_cur, direct = trial
 
-    return RhfState(grid=grid, effective_potential=v_eff, energies=eps,
+    return RhfState(effective_potential=v_eff, energies=eps,
                     orbitals=psi, occupations=occ, density=rho,
                     free_energy=f_cur, direct_energy=direct, residual=residual,
                     iterations=it, converged=residual < tol)
@@ -227,27 +226,28 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
     if sorted(T_schedule) != list(T_schedule):
         raise ConfigurationError("T schedule must be increasing")
     p = 2.0 if grid.dimension == 2 else 1.0
-    states, nus, lams = [], [], []
-    for T in T_schedule:
+    denom = 1.0 + np.abs(V)
+
+    def solve(T):
         lam = coupling_c / T
         nu = counterterm_chemical_potential(T, lam, kappa, w, measure)
-        states.append(solve_reduced_hartree(grid, V, w, T, lam, nu,
-                                            damping=damping, tol=tol,
-                                            max_iter=max_iter))
-        nus.append(nu)
-        lams.append(lam)
-    proxy = states[-1]
-    denom = 1.0 + np.abs(V)
-    rows = []
-    for T, lam, nu, st in zip(T_schedule, lams, nus, states):
+        return T, lam, nu, solve_reduced_hartree(grid, V, w, T, lam, nu, damping=damping,
+                                                 tol=tol, max_iter=max_iter)
+
+    def row(T, lam, nu, st):
         delta = float(np.max(np.abs(st.effective_potential
                                     - proxy.effective_potential) / denom))
         dist = truncated_inverse_distance(st, proxy, shared_modes, p)
-        rows.append(StabilizationRow(T=T, lam=lam, nu=nu, iterations=st.iterations,
-                                     residual=st.residual, converged=st.converged,
-                                     free_energy=st.free_energy,
-                                     reference_energy=st.direct_energy,
-                                     delta_inf=delta, schatten_p_dist=dist))
+        return StabilizationRow(T=T, lam=lam, nu=nu, iterations=st.iterations,
+                                residual=st.residual, converged=st.converged,
+                                free_energy=st.free_energy,
+                                reference_energy=st.direct_energy,
+                                delta_inf=delta, schatten_p_dist=dist)
+
+    # the proxy first; every other state is dropped once its row is written
+    solved = solve(T_schedule[-1])
+    proxy = solved[-1]
+    rows = [row(*solve(T)) for T in T_schedule[:-1]] + [row(*solved)]
     region = V > 1.0
     shifted = proxy.effective_potential - kappa
     if region.any():

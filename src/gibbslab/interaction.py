@@ -129,8 +129,8 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
 
     params: dict = {}
     if kind == "gaussian-bump":
-        if sigma <= 0:
-            raise ConfigurationError("gaussian-bump needs sigma > 0")
+        if sigma <= 0 or sigma**2 == 0:
+            raise ConfigurationError(f"gaussian-bump needs sigma, sigma**2 > 0: {sigma!r}")
         kernel = amplitude * np.exp(-r2 / (2.0 * sigma**2))
         w_hat_zero = amplitude * (2.0 * np.pi * sigma**2) ** (grid.dimension / 2.0)
         params = {"amplitude": amplitude, "sigma": sigma}

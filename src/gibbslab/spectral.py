@@ -9,7 +9,7 @@ vectors are orthonormal as bare numpy arrays.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,17 +67,17 @@ class GridSpec:
         return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def minus_laplacian(grid: GridSpec) -> scipy.sparse.csr_matrix:
-    """Sparse matrix of -Laplacian with Dirichlet walls."""
-    import scipy.sparse as sp
-
+def minus_laplacian(grid: GridSpec) -> np.ndarray:
+    """Dense -Laplacian with Dirichlet walls: the three-point stencil in 1D,
+    its Kronecker sum in 2D."""
     n, h = grid.points, grid.spacing
-    off = np.full(n - 1, -1.0 / h**2)
-    L1 = sp.diags([off, np.full(n, 2.0 / h**2), off], [-1, 0, 1], format="csr")
+    L = np.diag(np.full(n, 2.0 / h**2))
+    L.flat[1::n + 1] = L.flat[n::n + 1] = -1.0 / h**2
     if grid.dimension == 1:
-        return L1
-    eye = sp.identity(n, format="csr")
-    return (sp.kron(L1, eye) + sp.kron(eye, L1)).tocsr()
+        return L
+    H = np.kron(L, np.eye(n))
+    H += np.kron(np.eye(n), L)
+    return H
 
 
 def potential_values(grid: GridSpec, kind: str, s: float | None = None,
@@ -145,9 +145,7 @@ class OneBodyOperator:
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: largest-magnitude entry positive."""
     idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vecs * signs
+    return vecs * np.where(vecs[idx, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
 
 
 def build_one_body(grid: GridSpec, potential: str, num_eigs: int,
@@ -155,9 +153,10 @@ def build_one_body(grid: GridSpec, potential: str, num_eigs: int,
                    potential_array: np.ndarray | None = None) -> OneBodyOperator:
     """Diagonalize -Laplacian + V and keep the num_eigs lowest eigenpairs.
 
-    A dense 1D operator, tridiagonal, is built in numpy and solved whole by
-    np.linalg.eigh; a dense 2D one is solved by scipy's subset eigh, and a
-    large one by Lanczos.  scipy loads only for these last two.
+    A dense operator, built by minus_laplacian, is solved whole by
+    np.linalg.eigh in 1D and by scipy's subset eigh in 2D; a large one is a
+    scipy.sparse operator solved by Lanczos.  scipy loads only for these
+    last two.
     """
     if num_eigs < 1 or num_eigs > grid.total_points:
         raise ConfigurationError(
@@ -165,31 +164,31 @@ def build_one_body(grid: GridSpec, potential: str, num_eigs: int,
     V = potential_values(grid, potential, s=s, values=potential_array)
 
     n = grid.total_points
-    dense = n <= _DENSE_LIMIT or num_eigs > n // 3
-    if dense and grid.dimension == 1:
-        h = grid.spacing
-        H = np.diag(np.full(n, 2.0 / h**2) + V)
-        i = np.arange(n - 1)
-        H[i, i + 1] = H[i + 1, i] = -1.0 / h**2
-        vals, vecs = np.linalg.eigh(H)
-        vals, vecs = vals[:num_eigs], vecs[:, :num_eigs]
+    if n <= _DENSE_LIMIT or num_eigs > n // 3:
+        H = minus_laplacian(grid)
+        H.flat[::n + 1] += V
+        if grid.dimension == 1:
+            vals, vecs = np.linalg.eigh(H)
+            vals, vecs = vals[:num_eigs], vecs[:, :num_eigs]
+        else:
+            import scipy.linalg
+
+            vals, vecs = scipy.linalg.eigh(H, subset_by_index=[0, num_eigs - 1])
     else:
         import scipy.sparse as sp
 
-        H = minus_laplacian(grid) + sp.diags(V)
-        if dense:
-            import scipy.linalg
+        # one name rebound, so no intermediate outlives its step into eigsh
+        H = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid.points,) * 2) / grid.spacing**2
+        if grid.dimension == 2:
+            H = sp.kronsum(H, H)
+        H = (H + sp.diags(V)).tocsc()
+        import scipy.sparse.linalg as spla  # only here: importing it is slow
 
-            vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, num_eigs - 1])
-        else:
-            import scipy.sparse.linalg as spla  # only here: importing it is slow
-
-            # Shift-invert at zero: h is positive definite (V >= 0, Dirichlet).
-            # Fixed start vector keeps ARPACK output deterministic.
-            v0 = np.ones(n)
-            vals, vecs = spla.eigsh(H.tocsc(), k=num_eigs, sigma=0.0, which="LM", v0=v0)
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
+        # Shift-invert at zero: h is positive definite (V >= 0, Dirichlet).
+        # Fixed start vector keeps ARPACK output deterministic.
+        vals, vecs = spla.eigsh(H, k=num_eigs, sigma=0.0, which="LM", v0=np.ones(n))
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
     if not np.all(np.isfinite(vals)):
         raise RuntimeError("diagonalization produced non-finite eigenvalues")
     vecs = _fix_signs(np.ascontiguousarray(vecs))
@@ -245,11 +244,7 @@ def shift_potential(op: OneBodyOperator, nu: float) -> OneBodyOperator:
         raise ConfigurationError(
             f"shift nu={nu} >= lowest eigenvalue {op.eigenvalues[0]}: "
             "measure would be undefined")
-    return OneBodyOperator(grid=op.grid, potential_kind=op.potential_kind,
-                           potential_s=op.potential_s, potential=op.potential,
-                           eigenvalues=op.eigenvalues - nu,
-                           eigenvectors=op.eigenvectors,
-                           shift=op.shift + nu)
+    return replace(op, eigenvalues=op.eigenvalues - nu, shift=op.shift + nu)
 
 
 @dataclass(frozen=True)

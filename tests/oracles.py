@@ -20,16 +20,28 @@ from gibbslab.fock_quantum import FockBasis, FockOperator, FockState
 from gibbslab.gaussian import Ensemble
 from gibbslab.hartree import RhfState, _measure_factor
 from gibbslab.interaction import PairPotential, PairTensor, _pair_index, convolve
-from gibbslab.spectral import OneBodyOperator, minus_laplacian
+from gibbslab.spectral import GridSpec, OneBodyOperator, minus_laplacian
 
 # ---------------------------------------------------------------------------
 # One-body operator and pair tensor
 
 
-def hamiltonian(op: OneBodyOperator) -> sp.csr_matrix:
-    """Sparse h including the current shift."""
-    H = minus_laplacian(op.grid) + sp.diags(op.potential - op.shift)
-    return H.tocsr()
+def hamiltonian(op: OneBodyOperator) -> np.ndarray:
+    """Dense h including the current shift."""
+    H = minus_laplacian(op.grid)
+    H.flat[::len(H) + 1] += op.potential - op.shift
+    return H
+
+
+def sparse_minus_laplacian(grid: GridSpec) -> sp.csr_matrix:
+    """-Laplacian as a sparse Kronecker sum kron(L, I) + kron(I, L) in 2D."""
+    n, h = grid.points, grid.spacing
+    off = np.full(n - 1, -1.0 / h**2)
+    L = sp.diags([off, np.full(n, 2.0 / h**2), off], [-1, 0, 1], format="csr")
+    if grid.dimension == 1:
+        return L
+    eye = sp.identity(n, format="csr")
+    return (sp.kron(L, eye) + sp.kron(eye, L)).tocsr()
 
 
 def fock_tensor(tensor: PairTensor) -> np.ndarray:
@@ -240,6 +252,19 @@ def free_gas_density_quadrature(T: float, gap: float, measure: str = "unit") -> 
     val, _ = scipy.integrate.dblquad(integrand, 0.0, k_max, 0.0, k_max,
                                      epsabs=1e-12, epsrel=1e-10)
     return _measure_factor(measure, 2) * 4.0 * float(val)
+
+
+def thermal_eigs(lap: np.ndarray, v_eff: np.ndarray, T: float):
+    """(eps, psi, occ, rho) of -Lap + V_eff by scipy's divide-and-conquer
+    eigh, whose vectors come Fortran-ordered."""
+    import scipy.linalg
+
+    H = lap.copy()
+    H.flat[::len(H) + 1] += v_eff
+    eps, psi = scipy.linalg.eigh(H, driver="evd")
+    with np.errstate(over="ignore"):
+        occ = 1.0 / np.expm1(eps / T)
+    return eps, psi, occ, (psi * psi) @ occ
 
 
 def fixed_point_residual(state: RhfState, V: np.ndarray, w: PairPotential,

@@ -6,10 +6,11 @@ magnitude 1).  Running both workloads at their default seeds here catches
 such drift, say from a changed eigensolver, before a benchmark run does.
 Each runs as a benchmark sample does: `python -m gibbslab.cli` in a fresh
 interpreter whose environment sets no BLAS thread count, so gibbslab pins
-BLAS before numpy and scipy load it.  The 1D study's solves run on numpy's
-OpenBLAS and the 2D study's on scipy's.  Inside pytest another test module
-may already have loaded either, and the 2D study's degenerate eigenspaces
-move its results when scipy's BLAS runs on more than one thread.
+BLAS before numpy and scipy load it.  The 1D study's solves and the 2D
+study's Hartree run on numpy's OpenBLAS, the 2D study's Lanczos on scipy's.
+Inside pytest another test module may already have loaded either, and the
+2D study's degenerate eigenspaces move its results when either BLAS runs on
+more than one thread.
 """
 
 import json

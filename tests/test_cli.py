@@ -496,10 +496,10 @@ def test_cli_hartree_points_floor(tmp_path, capsys):
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.fft", "scipy.special",
                                     "scipy.sparse.linalg", "scipy.linalg", "scipy.sparse"])
 def test_import_does_not_load(module):
-    # scipy.integrate serves only the closed forms and quadratures,
-    # scipy.sparse.linalg only Lanczos on large grids, and scipy.linalg and
-    # scipy.sparse only the 2D one-body solves and Hartree; the FFTs are
-    # numpy's.  Importing the CLI must not pay for any of them
+    # scipy.integrate serves only the quadratures, scipy.sparse and
+    # scipy.sparse.linalg only Lanczos on large grids, and scipy.linalg only
+    # the 2D dense one-body solve; Hartree and the FFTs are numpy's.
+    # Importing the CLI must not pay for any of them
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}

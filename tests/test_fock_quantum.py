@@ -1074,3 +1074,40 @@ def test_1d_commands_leave_scipy_unloaded(tmp_path):
     res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert res.stdout.strip() == "[]"
+
+
+def test_2d_hartree_leaves_scipy_unloaded(tmp_path):
+    # the counterterm scheme builds its dense operator and solves it in
+    # numpy; only the 1D free-gas quadrature would import scipy
+    root = Path(__file__).resolve().parent.parent
+    config = tmp_path / "small.ini"
+    config.write_text(textwrap.dedent("""
+        [model]
+        dimension = 2
+        s = 2.0
+        half_width = 8.0
+        points = 32
+        modes = 4
+        [interaction]
+        amplitude = 0.05
+        sigma = 1.25
+        [quantum]
+        n_max = 6
+        [hartree]
+        t_schedule = 4, 8
+        points = 12
+        shared_modes = 8
+        kappa = 4.0
+        damping = 0.85
+    """), encoding="utf-8")
+    script = textwrap.dedent("""
+        import sys
+        from gibbslab import cli
+        assert cli.main(["hartree", "--config", "small.ini", "--out", "hartree"]) == 0
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert res.stdout.strip() == "[]"

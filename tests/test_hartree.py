@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import gibbslab.hartree as ha
 from gibbslab import interaction
 from gibbslab.config import ConfigurationError
 from gibbslab.interaction import make_pair_potential, quadratic_form
-from gibbslab.spectral import GridSpec, potential_values
+from gibbslab.spectral import GridSpec, minus_laplacian, potential_values
 
 import oracles
 
@@ -224,3 +226,33 @@ def test_stabilization_small_2d():
     assert rep.delta_decreasing
     assert rep.schatten_decreasing
     assert rep.p == 2.0
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_thermal_eigs_match_scipy_evd(n):
+    # numpy's eigh runs scipy's LAPACK driver: every eigenpair, and the
+    # density summed over its vectors, equal scipy's bit for bit
+    grid = GridSpec(2, 8.0, n)
+    lap = minus_laplacian(grid)
+    v_eff = potential_values(grid, "power", s=2.0) + 0.5
+    ours, ref = ha._thermal_eigs(lap, v_eff, 4.0), oracles.thermal_eigs(lap, v_eff, 4.0)
+    for a, b in zip(ours, ref):
+        assert np.array_equal(a, b)
+
+
+def test_stabilization_holds_the_proxy_and_one_state(grid1d, trap1d, bump1d, monkeypatch):
+    # the proxy is solved first and every other state dropped once its row
+    # is written, so no solve starts with more than two earlier states alive
+    solve, states, alive = ha.solve_reduced_hartree, [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in states))
+        st = solve(*args, **kwargs)
+        states.append(weakref.ref(st))
+        return st
+
+    monkeypatch.setattr(ha, "solve_reduced_hartree", tracked)
+    rep = ha.counterterm_stabilization(grid1d, trap1d, bump1d, [2.0, 3.0, 4.0, 6.0, 8.0],
+                                       kappa=1.0, shared_modes=8)
+    assert [r.T for r in rep.rows] == [2.0, 3.0, 4.0, 6.0, 8.0]
+    assert len(alive) == 5 and max(alive) <= 2

@@ -309,6 +309,14 @@ def test_cutoff_beyond_eigenpairs(op, bump):
                 f(K)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("sigma", [0.0, -0.6, 1e-300])
+def test_gaussian_bump_refuses_sigma_without_positive_square(dimension, sigma):
+    # 1e-300 is positive but squares to 0, which would put -0/0 at the origin
+    with pytest.raises(ConfigurationError, match="sigma"):
+        make_pair_potential("gaussian-bump", GridSpec(dimension, 6.0, 16), sigma=sigma)
+
+
 def test_exchange_rank_one(op, bump):
     W1 = oracles.fock_tensor(build_pair_tensor(op, bump, 1))[0, 0, 0, 0]
     lam1 = op.eigenvalues[0]

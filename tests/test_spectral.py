@@ -6,8 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from gibbslab.config import ConfigurationError, load_config
-from gibbslab.spectral import (GridSpec, build_one_body, green_diagonal, mode_parity,
-                               reflection_eigh, schatten_trace, shift_potential)
+from gibbslab.spectral import (GridSpec, build_one_body, green_diagonal, minus_laplacian,
+                               mode_parity, reflection_eigh, schatten_trace,
+                               shift_potential)
 from gibbslab.studies import bind_potential, build_model_operator
 
 import oracles
@@ -46,6 +47,13 @@ def test_harmonic_2d_spectrum():
     # second level twofold degenerate at 4
     assert np.allclose(op.eigenvalues[1:3], [4.0, 4.0], atol=4e-2)
     assert abs(op.eigenvalues[1] - op.eigenvalues[2]) < 1e-6
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 300), (2, 20)])
+def test_minus_laplacian_is_the_sparse_kronecker_sum(dimension, n):
+    grid = GridSpec(dimension, 8.0, n)
+    assert np.array_equal(minus_laplacian(grid),
+                          oracles.sparse_minus_laplacian(grid).toarray())
 
 
 def test_orthonormality_and_residual(quartic_op):
