@@ -77,7 +77,10 @@ class FockBasis:
                 raise ConfigurationError(
                     f"sector n={n} has {dim} states, over the {MAX_SECTOR_STATES}-state "
                     f"cap (K={num_modes}, N_max={max_particles})")
-            codes = np.unique(self.codes[n - 1][:, None] + self._radix)
+            # np.unique would import numpy.ma for its masked-array check
+            codes = (self.codes[n - 1][:, None] + self._radix).ravel()
+            codes.sort()
+            codes = codes[np.diff(codes, prepend=-1) > 0]
             if len(codes) != dim:
                 raise RuntimeError("sector enumeration miscounted")
             self.occupations.append(codes[:, None] // self._radix % base)

@@ -21,8 +21,9 @@ layers 1..255 with libm's exp, and the tail loop of layer 0 with libm's
 log1p.  Only a sample whose loop reads past those words (none of study-1d's
 200000 at K = 4, about 55 in a million at K = 18) is drawn again whole by
 numpy's own Philox, reset to the sample's key.  Larger K, such as the 2D
-study's 32 and 64, draws every sample that way.  numpy.random and the
-ziggurat tables load with this module.
+study's 32 and 64, draws every sample that way.  The ziggurat tables load
+with this module; numpy.random loads on the first such reset, so a run
+whose samples all finish on the block path never imports it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from ._ziggurat import FI, KI, WI
 from .config import MAX_DENSE_BYTES, ConfigurationError
@@ -148,12 +148,17 @@ def _tail(stream: list[int], q: int) -> tuple[float, int] | None:
 
 
 class _Resets:
-    """numpy's own Philox and Generator, reset to one sample's stream per draw."""
+    """numpy's own Philox and Generator, reset to one sample's stream per draw.
+
+    They are built on the first draw: importing numpy.random costs several
+    MB of resident memory, which a run whose samples all finish on the
+    block path never needs.
+    """
 
     def __init__(self, seed: int):
-        # raises ValueError, before any draw, for a seed outside 0..2**64-1
-        self.bits = Philox(key=seed << 64)
-        self.rng = Generator(self.bits)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed {seed} is outside 0..2**64-1")
+        self.bits = self.rng = None
         # plain-int lists: the state setter reads them faster than numpy arrays
         self.key = [0, seed]
         self.state = {"bit_generator": "Philox",
@@ -163,6 +168,10 @@ class _Resets:
 
     def draw(self, i: int, out: np.ndarray) -> np.ndarray:
         """Fill out with normals of sample i's stream, key words [i, seed]."""
+        if self.rng is None:
+            from numpy.random import Generator, Philox
+            self.bits = Philox(key=self.key[1] << 64)
+            self.rng = Generator(self.bits)
         self.key[0] = i
         self.bits.state = self.state
         return self.rng.standard_normal(out=out)

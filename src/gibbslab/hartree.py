@@ -43,7 +43,12 @@ def free_gas_density(T: float, gap: float, d: int, measure: str = "unit") -> flo
         raise ConfigurationError("temperature must be positive")
     fac = _measure_factor(measure, d)
     if d == 2:
-        return fac * float(np.pi * T * (-np.log1p(-np.exp(-gap / T))))
+        x = gap / T
+        # exp(-x) rounds to 1 below x ~ 1e-16, where -expm1(-x) keeps
+        # 1 - exp(-x).  The log1p form stays above 2**-10: the two differ by
+        # an ulp at x = 0.125 (study-2d's T = 32), which moves its documents
+        tail = -np.log(-np.expm1(-x)) if x < 2.0**-10 else -np.log1p(-np.exp(-x))
+        return fac * float(np.pi * T * tail)
     if d == 1:
         import scipy.integrate
 

@@ -8,7 +8,6 @@ vectors are orthonormal as bare numpy arrays.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,6 +133,7 @@ class OneBodyOperator:
         return self.eigenvalues[:K], self.eigenvectors[:, :K]
 
     def content_hash(self) -> str:
+        import hashlib  # only here: libcrypto costs memory no study needs
         h = hashlib.sha256()
         h.update(f"{self.grid.dimension}:{self.grid.half_width!r}:{self.grid.points}".encode())
         h.update(f"{self.potential_kind}:{self.potential_s!r}:{self.shift!r}".encode())

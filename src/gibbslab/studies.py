@@ -16,7 +16,6 @@ attempted.
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +210,7 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
     if threads == 1:
         points = list(map(solve_point, cfg.quantum.t_schedule))
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             points = list(pool.map(solve_point, cfg.quantum.t_schedule))
 

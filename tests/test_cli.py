@@ -493,20 +493,50 @@ def test_cli_hartree_points_floor(tmp_path, capsys):
     assert not out.exists()
 
 
+# Modules only some commands use, each imported where it is used: numpy.random
+# for samples the block sampler cannot finish, numpy.ma through np.unique's
+# masked-array check, hashlib for sample-gaussian's operator hash and
+# concurrent.futures for study-1d's thread pool
+DEFERRED_MODULES = ("numpy.random", "numpy.ma", "hashlib", "concurrent.futures")
+
+
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=root,
+                          check=True, capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.fft", "scipy.special",
-                                    "scipy.sparse.linalg", "scipy.linalg", "scipy.sparse"])
+                                    "scipy.sparse.linalg", "scipy.linalg", "scipy.sparse",
+                                    *DEFERRED_MODULES])
 def test_import_does_not_load(module):
     # scipy.integrate serves only the quadratures, scipy.sparse and
     # scipy.sparse.linalg only Lanczos on large grids, and scipy.linalg only
     # the 2D dense one-body solve; Hartree and the FFTs are numpy's.
-    # Importing the CLI must not pay for any of them
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    script = f"import sys, gibbslab.cli; print({module!r} in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
+    # Importing the CLI must not pay for any of them, nor for DEFERRED_MODULES
+    res = _run_python(f"import sys, gibbslab.cli; print({module!r} in sys.modules)")
     assert res.stdout.strip() == "False"
+
+
+def test_study_1d_loads_only_what_it_runs(tmp_path):
+    # the shipped 1D study at K = 4 finishes every sample on the block path
+    # and solves its Fock blocks with numpy: it loads no scipy module and
+    # none of DEFERRED_MODULES, and its thread pool changes no byte
+    script = ("import json, sys\n"
+              "from gibbslab.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(json.dumps([rc, sorted(m for m in sys.modules if m in "
+              f"{DEFERRED_MODULES!r} or m.split('.')[0] == 'scipy')]))")
+    out = tmp_path / "out"
+    args = ("study-1d", "--config", "configs/study_1d.ini", "--seed", "7", "--out", str(out))
+    res = _run_python(script, *args, "--threads", "1")
+    assert json.loads(res.stdout.strip().splitlines()[-1]) == [0, []]
+    first = (out / "study-1d.json").read_bytes()
+    res = _run_python(script, *args, "--threads", "2")
+    assert json.loads(res.stdout.strip().splitlines()[-1])[0] == 0
+    assert (out / "study-1d.json").read_bytes() == first
 
 
 @pytest.mark.parametrize("script, pinned, warns", [

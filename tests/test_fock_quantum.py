@@ -58,6 +58,21 @@ def test_basis_lexicographic_and_lookup():
         b.index_of((9, 0, 0))
 
 
+def test_basis_codes_match_unique():
+    # each sector's codes are the sorted distinct sums of the sector below's
+    # codes and one radix step, as np.unique gives them; K = 1 and n = 0
+    # hold the single-state sectors
+    for K in range(1, 7):
+        for n_max in range(9):
+            b = fq.FockBasis(K, n_max)
+            assert len(b.codes) == n_max + 1
+            assert np.array_equal(b.codes[0], np.zeros(1, dtype=np.int64))
+            for n in range(1, n_max + 1):
+                sums = b.codes[n - 1][:, None] + b._radix
+                assert b.codes[n].dtype == np.int64
+                assert np.array_equal(b.codes[n], np.unique(sums))
+
+
 def test_basis_radix_codes_fit_int64():
     # all N_max particles in mode 0 give the largest code, N_max * 3**(K-1):
     # under 2**63 at K = 40, over it at K = 41

@@ -1,3 +1,4 @@
+import warnings
 import weakref
 
 import numpy as np
@@ -51,6 +52,22 @@ def test_free_density_scaling():
     lhs = ha.free_gas_density(a * 2.0, a * 0.8, 2)
     rhs = a * ha.free_gas_density(2.0, 0.8, 2)
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def test_free_density_2d_high_temperature():
+    # 1 - exp(-gap/T) rounds to 0 from about T = 1e17 at gap 4; the density
+    # stays finite there, with no floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (1e17, 1e300):
+            assert np.isfinite(ha.free_gas_density(T, 4.0, 2))
+
+
+def test_free_density_2d_small_gap_series():
+    # below x = gap/T = 2**-10, -log(1 - exp(-x)) = -log x + x/2 - x^2/24 + O(x^4)
+    for x in np.geomspace(1e-8, 2.0**-11, 40):
+        series = np.pi * (-np.log(x) + x / 2 - x * x / 24)
+        assert ha.free_gas_density(1.0, x, 2) == pytest.approx(series, rel=1e-14, abs=0)
 
 
 def test_free_density_1d_quadrature():

@@ -121,7 +121,9 @@ def test_one_thread_schedule_runs_on_the_caller(monkeypatch):
     # pool: a pool thread's malloc arena cannot reuse what the classical
     # half freed.  The pool for threads > 1 is covered by the byte
     # identity above
-    from gibbslab import fock_quantum, studies
+    import concurrent.futures
+
+    from gibbslab import fock_quantum
     solved_on = []
     gibbs = fock_quantum.gibbs_from_spectra
 
@@ -133,7 +135,7 @@ def test_one_thread_schedule_runs_on_the_caller(monkeypatch):
         raise AssertionError("a one-thread schedule started a pool")
 
     monkeypatch.setattr(fock_quantum, "gibbs_from_spectra", recorded)
-    monkeypatch.setattr(studies, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     cfg = small_1d_config(samples=500, t_schedule=(2.0, 4.0, 8.0))
     run_study_1d(cfg, threads=1)
     assert solved_on == [threading.get_ident()] * 3
