@@ -24,7 +24,7 @@ from . import formats, hartree, studies
 from .config import ConfigurationError, RunConfig, load_config, validate
 from .gaussian import sample_gaussian
 from .interaction import build_pair_tensor
-from .spectral import schatten_trace
+from .spectral import growth_exponent
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,18 +99,16 @@ def _rowdicts(objs) -> list[dict]:
 
 def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     op = studies.shifted_operator(cfg, studies.build_model_operator(cfg))
-    tr1 = schatten_trace(op, 1.0)
-    tr2 = schatten_trace(op, 2.0)
+    lam, b = op.eigenvalues, growth_exponent(op)
     results = {
-        "eigenvalues": op.eigenvalues,
-        "growth_exponent": tr1.growth_exponent,
-        "trace_class": not tr1.likely_divergent,
-        "hilbert_schmidt": not tr2.likely_divergent,
-        "partial_trace_p1": tr1.partial_sum,
-        "partial_trace_p2": tr2.partial_sum,
+        "eigenvalues": lam,
+        "growth_exponent": b,
+        "trace_class": not b <= 1.0,  # sum lam^-p likely diverges when b p <= 1
+        "hilbert_schmidt": not 2.0 * b <= 1.0,
+        "partial_trace_p1": float(np.sum(lam**-1.0)),
+        "partial_trace_p2": float(np.sum(lam**-2.0)),
     }
-    rows = [{"index": j + 1, "eigenvalue": float(v)}
-            for j, v in enumerate(op.eigenvalues)]
+    rows = [{"index": j + 1, "eigenvalue": float(v)} for j, v in enumerate(lam)]
     _emit(cfg, out, "spectrum", results, rows)
     formats.write_matrix(out / "eigenvectors.gflm", op.eigenvectors)
     return EXIT_OK
@@ -153,6 +151,7 @@ def cmd_classical(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_quantum(cfg: RunConfig, out: Path, args) -> int:
+    studies.require_bare_quantum(cfg)
     op = studies.build_model_operator(cfg)
     c = cfg.quantum.coupling_c
     tensor = None if c == 0.0 else build_pair_tensor(
@@ -200,7 +199,7 @@ def _nonconverged(stab: hartree.StabilizationReport) -> bool:
 def cmd_hartree(cfg: RunConfig, out: Path, args) -> int:
     _, _, stab = studies.run_counterterm(cfg)
     rows = _stabilization_rows(stab)
-    results = {"rows": rows, "p": stab.p, "shared_modes": stab.shared_modes,
+    results = {"rows": rows, "p": stab.p, "shared_modes": cfg.hartree.shared_modes,
                **_stabilization_flags(stab)}
     _emit(cfg, out, "hartree", results)
     formats.write_csv(out / "hartree.csv", rows)

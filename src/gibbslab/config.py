@@ -14,6 +14,9 @@ MAX_DENSE_MODES = 12
 # block of a Fock sector and the coefficients of a sampled ensemble are each
 # refused over it.
 MAX_DENSE_BYTES = 2**30
+# The momentum integral for the free-gas density is taken without a
+# (2 pi)^-d factor by default; '2pi' switches that factor on.
+MOMENTUM_MEASURES = ("unit", "2pi")
 
 
 class ConfigurationError(ValueError):
@@ -182,7 +185,7 @@ def validate(cfg: RunConfig) -> None:
     _require(h.points >= 8, "hartree.points must be at least 8")
     _require(1 <= h.shared_modes <= h.points ** m.dimension,
              "hartree.shared_modes must lie in [1, hartree.points ** model.dimension]")
-    _require(h.momentum_measure in ("unit", "2pi"),
+    _require(h.momentum_measure in MOMENTUM_MEASURES,
              "hartree.momentum_measure must be unit or 2pi")
     _require(cfg.output.format in ("json", "csv"),
              "output.format must be json or csv")

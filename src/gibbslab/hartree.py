@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigurationError
+from .config import MOMENTUM_MEASURES, ConfigurationError, HartreeConfig
 from .interaction import PairPotential, convolve
 from .spectral import GridSpec, minus_laplacian
 
-# The momentum integral for the free-gas density is taken without a
-# (2 pi)^-d factor by default; '2pi' switches that factor on.
-MOMENTUM_MEASURES = ("unit", "2pi")
+
+def strictly_decreasing(xs) -> bool:
+    """The one rule behind every 'decreasing' verdict: each step goes down."""
+    return all(b < a for a, b in zip(xs[:-1], xs[1:]))
 
 
 def _measure_factor(measure: str, d: int) -> float:
@@ -205,7 +206,6 @@ class StabilizationRow:
 class StabilizationReport:
     rows: list[StabilizationRow]
     p: float
-    shared_modes: int
     sandwich_ok: bool
     sandwich_margin: float | None
     delta_decreasing: bool
@@ -214,13 +214,11 @@ class StabilizationReport:
 
 
 def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
-                              T_schedule: list[float], kappa: float,
-                              coupling_c: float = 1.0, damping: float = 0.3,
-                              tol: float = 1e-8, max_iter: int = 200,
-                              shared_modes: int = 32,
-                              measure: str = "unit") -> StabilizationReport:
-    """Solve the fixed point along a T schedule and test stabilization.
+                              h: HartreeConfig) -> StabilizationReport:
+    """Solve the fixed point along h.t_schedule and test stabilization.
 
+    Every setting comes from the [hartree] section h, but the grid, trap V
+    and w are the caller's (studies.run_counterterm: h.points per axis).
     The largest-T solution stands in for the limiting potential; both the
     sup-distance delta_inf and the truncated-resolvent Schatten-p distance,
     p = 2 in 2D and 1 in 1D, must shrink along the schedule (proxy excluded).
@@ -228,21 +226,21 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
     where no grid point has V > 1 it holds vacuously, and its margin is
     None (JSON null) rather than an unbounded float.
     """
-    if sorted(T_schedule) != list(T_schedule):
+    if sorted(h.t_schedule) != list(h.t_schedule):
         raise ConfigurationError("T schedule must be increasing")
     p = 2.0 if grid.dimension == 2 else 1.0
     denom = 1.0 + np.abs(V)
 
     def solve(T):
-        lam = coupling_c / T
-        nu = counterterm_chemical_potential(T, lam, kappa, w, measure)
-        return T, lam, nu, solve_reduced_hartree(grid, V, w, T, lam, nu, damping=damping,
-                                                 tol=tol, max_iter=max_iter)
+        lam = h.coupling_c / T
+        nu = counterterm_chemical_potential(T, lam, h.kappa, w, h.momentum_measure)
+        return T, lam, nu, solve_reduced_hartree(grid, V, w, T, lam, nu, damping=h.damping,
+                                                 tol=h.tol, max_iter=h.max_iter)
 
     def row(T, lam, nu, st):
         delta = float(np.max(np.abs(st.effective_potential
                                     - proxy.effective_potential) / denom))
-        dist = truncated_inverse_distance(st, proxy, shared_modes, p)
+        dist = truncated_inverse_distance(st, proxy, h.shared_modes, p)
         return StabilizationRow(T=T, lam=lam, nu=nu, iterations=st.iterations,
                                 residual=st.residual, converged=st.converged,
                                 free_energy=st.free_energy,
@@ -250,22 +248,20 @@ def counterterm_stabilization(grid: GridSpec, V: np.ndarray, w: PairPotential,
                                 delta_inf=delta, schatten_p_dist=dist)
 
     # the proxy first; every other state is dropped once its row is written
-    solved = solve(T_schedule[-1])
+    solved = solve(h.t_schedule[-1])
     proxy = solved[-1]
-    rows = [row(*solve(T)) for T in T_schedule[:-1]] + [row(*solved)]
+    rows = [row(*solve(T)) for T in h.t_schedule[:-1]] + [row(*solved)]
     region = V > 1.0
-    shifted = proxy.effective_potential - kappa
+    shifted = proxy.effective_potential - h.kappa
     if region.any():
         lower = shifted[region] - 0.5 * V[region]
         upper = 1.5 * V[region] - shifted[region]
         margin = float(min(lower.min(), upper.min()))
     else:
         margin = None
-    deltas = [r.delta_inf for r in rows]
-    dists = [r.schatten_p_dist for r in rows]
     return StabilizationReport(
-        rows=rows, p=p, shared_modes=shared_modes,
+        rows=rows, p=p,
         sandwich_ok=margin is None or margin >= 0.0, sandwich_margin=margin,
-        delta_decreasing=all(a > b for a, b in zip(deltas[:-1], deltas[1:])),
-        schatten_decreasing=all(a > b for a, b in zip(dists[:-1], dists[1:])),
+        delta_decreasing=strictly_decreasing([r.delta_inf for r in rows]),
+        schatten_decreasing=strictly_decreasing([r.schatten_p_dist for r in rows]),
         proxy_potential=proxy.effective_potential)

@@ -93,8 +93,8 @@ class PairPotential:
 
     kernel holds w at every offset of the padded difference grid;
     kernel_fft is its real FFT, reused by all FFT convolutions.  w_hat_zero
-    is the analytic integral of w; w_hat_grid tabulates the numerical
-    Fourier transform on the dual grid.  When a 2D kernel is rank one on
+    is the analytic integral of w; w_hat_min is the least value of its
+    numerical transform on the dual grid.  When a 2D kernel is rank one on
     the offsets a linear convolution reads, factors holds the eigenfactors
     ((sx, Vx, px), (sy, Vy, py)) of its n x n Toeplitz tables Tx[i, k] =
     w(x_i - x_k, 0) and Ty[j, l] = w(0, y_j - y_l) / w(0, 0): each T = V
@@ -104,13 +104,10 @@ class PairPotential:
     semidefinite.  factors is None in 1D and for any other kernel.
     """
 
-    kind: str
-    params: dict
     grid: GridSpec
     kernel: np.ndarray = field(repr=False)
     kernel_fft: np.ndarray = field(repr=False)
     w_hat_zero: float
-    w_hat_grid: np.ndarray = field(repr=False)
     w_hat_min: float
     factors: tuple | None = field(repr=False)
 
@@ -127,18 +124,15 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
     r2 = offset_sq_radii(grid)
     r = np.sqrt(r2)
 
-    params: dict = {}
     if kind == "gaussian-bump":
         if sigma <= 0 or sigma**2 == 0:
             raise ConfigurationError(f"gaussian-bump needs sigma, sigma**2 > 0: {sigma!r}")
         kernel = amplitude * np.exp(-r2 / (2.0 * sigma**2))
         w_hat_zero = amplitude * (2.0 * np.pi * sigma**2) ** (grid.dimension / 2.0)
-        params = {"amplitude": amplitude, "sigma": sigma}
     elif kind == "grid-delta":
         kernel = np.zeros(shape)
         kernel[(0,) * grid.dimension] = amplitude / grid.cell_volume
         w_hat_zero = amplitude
-        params = {"amplitude": amplitude}
     elif kind == "tabulated":
         if table is None:
             raise ConfigurationError("tabulated potential needs a table")
@@ -149,7 +143,6 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
         offs, vals = tab[order, 0], tab[order, 1]
         kernel = np.interp(r, offs, vals, left=0.0, right=0.0)
         w_hat_zero = float(kernel.sum() * grid.cell_volume)
-        params = {"points": len(offs)}
     else:
         raise ConfigurationError(f"unknown pair potential kind {kind!r}")
 
@@ -174,10 +167,8 @@ def make_pair_potential(kind: str, grid: GridSpec, amplitude: float = 1.0,
             factors = tuple(factors)
 
     kfft = np.fft.rfftn(kernel)
-    w_hat_grid = kfft.real * grid.cell_volume
-    return PairPotential(kind=kind, params=params, grid=grid, kernel=kernel,
-                         kernel_fft=kfft, w_hat_zero=w_hat_zero,
-                         w_hat_grid=w_hat_grid, w_hat_min=float(w_hat_grid.min()),
+    return PairPotential(grid=grid, kernel=kernel, kernel_fft=kfft, w_hat_zero=w_hat_zero,
+                         w_hat_min=float((kfft.real * grid.cell_volume).min()),
                          factors=factors)
 
 

@@ -247,48 +247,22 @@ def shift_potential(op: OneBodyOperator, nu: float) -> OneBodyOperator:
     return replace(op, eigenvalues=op.eigenvalues - nu, shift=op.shift + nu)
 
 
-@dataclass(frozen=True)
-class SchattenTrace:
-    """Partial sum of lambda_j^-p with a Weyl-type tail estimate."""
-
-    p: float
-    partial_sum: float
-    tail_estimate: float
-    growth_exponent: float  # fitted b in lambda_j ~ j^b
-    likely_divergent: bool
-
-
-def schatten_trace(op: OneBodyOperator, p: float) -> SchattenTrace:
-    """Sum of lambda_j^-p over computed modes plus a crude tail bound.
-
-    The tail uses a least-squares fit of log lambda_j against log j on the
-    top quartile of the computed spectrum, so it needs at least 2
-    eigenpairs; the series is flagged likely divergent when the fitted
-    growth exponent times p is <= 1.
+def growth_exponent(op: OneBodyOperator) -> float:
+    """Fitted b in lambda_j ~ j^b: a least-squares fit of log lambda_j
+    against log j on the top quartile of the computed spectrum, so it needs
+    at least 2 eigenpairs, all positive.  sum_j lambda_j^-p likely diverges
+    when b * p <= 1.
     """
-    if p <= 0:
-        raise ConfigurationError("p must be positive")
     lam = op.eigenvalues
     if len(lam) < 2:
         raise ConfigurationError(f"the tail fit needs at least 2 eigenpairs, have {len(lam)}")
     if np.any(lam <= 0):
         raise ConfigurationError("all eigenvalues must be positive")
-    partial = float(np.sum(lam**(-p)))
-
     J = len(lam)
     lo = max(3 * J // 4, 1)
     j = np.arange(lo, J + 1, dtype=float)
-    slope, intercept = np.polyfit(np.log(j), np.log(lam[lo - 1:]), 1)
-    b = float(slope)
-    divergent = b * p <= 1.0
-    if divergent:
-        tail = np.inf
-    else:
-        # integral of (e^a j^b)^-p from J to infinity
-        a = float(intercept)
-        tail = float(np.exp(-a * p) * J**(1.0 - b * p) / (b * p - 1.0))
-    return SchattenTrace(p=p, partial_sum=partial, tail_estimate=tail,
-                         growth_exponent=b, likely_divergent=divergent)
+    slope, _ = np.polyfit(np.log(j), np.log(lam[lo - 1:]), 1)
+    return float(slope)
 
 
 def green_diagonal(op: OneBodyOperator, K: int) -> np.ndarray:

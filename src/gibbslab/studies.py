@@ -28,8 +28,8 @@ from .gaussian import sample_gaussian
 from .interaction import (PairPotential, PairTensor, batch_interactions,
                           build_pair_tensor, direct_term, exchange_term,
                           make_pair_potential, offset_sq_radii, wick_shift)
-from .spectral import (GridSpec, OneBodyOperator, build_one_body, potential_values,
-                       schatten_trace, shift_potential)
+from .spectral import (GridSpec, OneBodyOperator, build_one_body, growth_exponent,
+                       potential_values, shift_potential)
 
 
 def model_grid(cfg: RunConfig) -> GridSpec:
@@ -69,11 +69,7 @@ def run_counterterm(cfg: RunConfig
     hgrid = GridSpec(dimension=m.dimension, half_width=m.half_width, points=h.points)
     V = potential_values(hgrid, m.potential, s=m.s if m.potential == "power" else None)
     w = bind_potential(cfg, hgrid)
-    stab = hartree.counterterm_stabilization(
-        hgrid, V, w, list(h.t_schedule), h.kappa, coupling_c=h.coupling_c,
-        damping=h.damping, tol=h.tol, max_iter=h.max_iter,
-        shared_modes=h.shared_modes, measure=h.momentum_measure)
-    return hgrid, w, stab
+    return hgrid, w, hartree.counterterm_stabilization(hgrid, V, w, h)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +90,15 @@ def run_classical(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | None
         ens = cg.reweight(ens, op, tensor, cfg.interaction.renormalized)
     orders = fq.ORDERS if K <= MAX_DENSE_MODES else fq.ORDERS[:1]
     return cg.estimate_log_zr(ens), {k: cg.reduced_moment(ens, k) for k in orders}
+
+
+def require_bare_quantum(cfg: RunConfig) -> None:
+    """Refuse a Wick-ordered classical measure beside an interacting quantum
+    half, whose Fock Hamiltonian is bare; call before any work is done."""
+    if cfg.interaction.renormalized and cfg.quantum.coupling_c != 0.0:
+        raise ConfigurationError(
+            "interaction.renormalized = true needs a Wick-ordered quantum "
+            "Hamiltonian, which is not implemented; set it false or quantum.coupling_c = 0")
 
 
 def quantum_schedule(cfg: RunConfig, op: OneBodyOperator, tensor: PairTensor | None
@@ -171,15 +176,15 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
         raise ConfigurationError("the 1D study requires model.dimension = 1")
     if cfg.quantum.n_max < 2:
         raise ConfigurationError("the 1D study's cutoff audit needs quantum.n_max >= 2")
+    require_bare_quantum(cfg)
     K, n_max, c = cfg.model.modes, cfg.quantum.n_max, cfg.quantum.coupling_c
 
     op = build_model_operator(cfg)
     op_meas = shifted_operator(cfg, op)
-    trace = schatten_trace(op_meas, 1.0)
-    if trace.likely_divergent:
+    b = growth_exponent(op_meas)
+    if b <= 1.0:
         raise ConfigurationError(
-            "1D study needs a trace-class trap (growth exponent "
-            f"{trace.growth_exponent:.3f} at p=1 looks divergent)")
+            f"1D study needs a trace-class trap (growth exponent {b:.3f} at p=1 looks divergent)")
 
     tensor = build_pair_tensor(op, bind_potential(cfg, op.grid), K) if c != 0.0 else None
     zr, moments = run_classical(cfg, op_meas, tensor)
@@ -218,16 +223,12 @@ def run_study_1d(cfg: RunConfig, threads: int = 1) -> Study1DReport:
     return Study1DReport(
         points=points,
         neg_log_zr=zr.neg_log_zr, zr_stderr=zr.stderr, ess=zr.ess,
-        discrepancy_decreasing=_strictly_decreasing(discrepancies),
-        **{f"delta_{k}_decreasing": _strictly_decreasing(
+        discrepancy_decreasing=hartree.strictly_decreasing(discrepancies),
+        **{f"delta_{k}_decreasing": hartree.strictly_decreasing(
             [getattr(p, f"delta_{k}") for p in points]) for k in fq.ORDERS},
         final_discrepancy=discrepancies[-1],
         final_threshold=max(0.05, 5.0 * zr.stderr),
-        trace_class_exponent=trace.growth_exponent)
-
-
-def _strictly_decreasing(xs) -> bool:
-    return all(b < a for a, b in zip(xs[:-1], xs[1:]))
+        trace_class_exponent=b)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +384,8 @@ def run_study_2d_classical(cfg: RunConfig) -> Study2DReport:
     return Study2DReport(
         uv_points=uv_rows, cauchy_points=cauchy_rows,
         direct_growing=direct_growing,
-        exchange_increments_shrinking=_strictly_decreasing(incs),
-        cauchy_decreasing=_strictly_decreasing(
+        exchange_increments_shrinking=hartree.strictly_decreasing(incs),
+        cauchy_decreasing=hartree.strictly_decreasing(
             [r.mean_abs_renorm_diff for r in cauchy_rows]),
         stabilization=stab,
         relative_moment_trace_norm=rel_norm,

@@ -15,7 +15,7 @@ import gibbslab.classical_gibbs as cg
 import gibbslab.fock_quantum as fq
 import gibbslab.hartree as ha
 from gibbslab.cli import main
-from gibbslab.config import RunConfig
+from gibbslab.config import HartreeConfig, RunConfig
 from gibbslab.gaussian import sample_gaussian
 from gibbslab.interaction import (batch_interactions, build_pair_tensor,
                                   direct_term, exchange_term,
@@ -271,10 +271,9 @@ def test_criterion_7_counterterm_scheme(capsys):
     grid = GridSpec(2, 8.0, 40)
     V = potential_values(grid, "power", s=2.0)
     w = make_pair_potential("gaussian-bump", grid, amplitude=0.007, sigma=1.25)
-    stab = ha.counterterm_stabilization(grid, V, w, [4.0, 8.0, 16.0, 32.0],
-                                        kappa=4.0, coupling_c=1.0,
-                                        damping=0.85, tol=1e-8,
-                                        shared_modes=32)
+    stab = ha.counterterm_stabilization(grid, V, w, HartreeConfig(
+        t_schedule=(4.0, 8.0, 16.0, 32.0), kappa=4.0, coupling_c=1.0,
+        damping=0.85, tol=1e-8, shared_modes=32))
     residual_ok = all(r.residual < 1e-8 for r in stab.rows)
     elapsed = time.time() - t0
     ok = (worst_quad < 1e-6 and residual_ok and stab.delta_decreasing

@@ -242,6 +242,46 @@ def test_cli_study_1d_n_max_floor(tmp_path, capsys):
         assert "quantum.n_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["study-1d", "quantum-gibbs"])
+def test_cli_quantum_half_refuses_renormalized(tmp_path, capsys, monkeypatch, command):
+    # the Fock Hamiltonian is the bare one, so a Wick-ordered interaction is
+    # refused before any operator is built or sample drawn, and no document
+    # is written
+    from gibbslab import studies
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built an operator before refusing the config")
+
+    monkeypatch.setattr(studies, "build_model_operator", unreachable)
+    text = SMALL_1D.replace("sigma = 0.6", "sigma = 0.6\nrenormalized = true")
+    path, out = write_config(tmp_path, text=text)
+    assert main([command, "--config", str(path)]) == 2
+    assert "interaction.renormalized" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_renormalized_runs_without_coupling(tmp_path):
+    # with quantum.coupling_c = 0 the quantum half is free, so study-1d runs
+    text = SMALL_1D.replace("sigma = 0.6", "sigma = 0.6\nrenormalized = true")
+    path, out = write_config(tmp_path, text=text.replace("coupling_c = 1.0", "coupling_c = 0.0"))
+    assert main(["study-1d", "--config", str(path)]) == 0
+    assert (out / "study-1d.json").exists()
+
+
+def test_cli_classical_keeps_renormalized(tmp_path):
+    # the classical half alone honours the flag: the shipped 1D study with a
+    # Wick-ordered interaction, at seed 7
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "configs/study_1d.ini").read_text(encoding="utf-8")
+    path = tmp_path / "renormalized.ini"
+    path.write_text(text.replace("renormalized = false", "renormalized = true"),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["classical-gibbs", "--config", str(path), "--out", str(out)]) == 0
+    res = json.loads((out / "classical-gibbs.json").read_text())["results"]
+    assert res["neg_log_zr"] == 0.13688007086245577
+
+
 def test_cli_threads_below_one_exit_code(tmp_path, capsys):
     # a thread count below 1 is refused when the arguments are parsed,
     # before any config is read or work is done

@@ -6,7 +6,7 @@ import pytest
 
 import gibbslab.hartree as ha
 from gibbslab import interaction
-from gibbslab.config import ConfigurationError
+from gibbslab.config import ConfigurationError, HartreeConfig
 from gibbslab.interaction import make_pair_potential, quadratic_form
 from gibbslab.spectral import GridSpec, minus_laplacian, potential_values
 
@@ -223,8 +223,8 @@ def test_reference_energy_rank_one(grid1d, bump1d):
 
 def test_stabilization_free_case(grid1d, trap1d):
     zero_w = make_pair_potential("gaussian-bump", grid1d, amplitude=0.0, sigma=0.6)
-    rep = ha.counterterm_stabilization(grid1d, trap1d, zero_w, [2.0, 4.0, 8.0],
-                                       kappa=1.0, coupling_c=0.0, shared_modes=8)
+    h = HartreeConfig(t_schedule=(2.0, 4.0, 8.0), kappa=1.0, coupling_c=0.0, shared_modes=8)
+    rep = ha.counterterm_stabilization(grid1d, trap1d, zero_w, h)
     for r in rep.rows:
         assert r.nu == pytest.approx(-1.0)
         assert r.delta_inf == pytest.approx(0.0, abs=1e-12)
@@ -233,12 +233,23 @@ def test_stabilization_free_case(grid1d, trap1d):
     assert np.abs(rep.proxy_potential - (trap1d + 1.0)).max() < 1e-12
 
 
+def test_stabilization_reads_the_momentum_measure(grid1d, trap1d, bump1d):
+    # each row's counterterm uses the configured (2 pi)^-d measure
+    h = HartreeConfig(t_schedule=(2.0, 4.0), kappa=1.0, coupling_c=0.7,
+                      shared_modes=8, momentum_measure="2pi")
+    rep = ha.counterterm_stabilization(grid1d, trap1d, bump1d, h)
+    for r in rep.rows:
+        assert r.lam == 0.7 / r.T
+        assert r.nu == r.lam * bump1d.w_hat_zero * ha.free_gas_density(r.T, 1.0, 1, "2pi") - 1.0
+        assert r.nu != r.lam * bump1d.w_hat_zero * ha.free_gas_density(r.T, 1.0, 1) - 1.0
+
+
 def test_stabilization_small_2d():
     grid = GridSpec(2, 8.0, 24)
     V = potential_values(grid, "power", s=2.0)
     w = make_pair_potential("gaussian-bump", grid, amplitude=0.05, sigma=0.5)
-    rep = ha.counterterm_stabilization(grid, V, w, [4.0, 8.0, 16.0], kappa=4.0,
-                                       damping=0.9, shared_modes=12)
+    h = HartreeConfig(t_schedule=(4.0, 8.0, 16.0), kappa=4.0, damping=0.9, shared_modes=12)
+    rep = ha.counterterm_stabilization(grid, V, w, h)
     assert all(r.residual < 1e-8 for r in rep.rows)
     assert rep.delta_decreasing
     assert rep.schatten_decreasing
@@ -269,7 +280,7 @@ def test_stabilization_holds_the_proxy_and_one_state(grid1d, trap1d, bump1d, mon
         return st
 
     monkeypatch.setattr(ha, "solve_reduced_hartree", tracked)
-    rep = ha.counterterm_stabilization(grid1d, trap1d, bump1d, [2.0, 3.0, 4.0, 6.0, 8.0],
-                                       kappa=1.0, shared_modes=8)
+    h = HartreeConfig(t_schedule=(2.0, 3.0, 4.0, 6.0, 8.0), kappa=1.0, shared_modes=8)
+    rep = ha.counterterm_stabilization(grid1d, trap1d, bump1d, h)
     assert [r.T for r in rep.rows] == [2.0, 3.0, 4.0, 6.0, 8.0]
     assert len(alive) == 5 and max(alive) <= 2

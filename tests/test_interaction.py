@@ -50,8 +50,9 @@ def bump2d(op2d):
     return make_pair_potential("gaussian-bump", op2d.grid, amplitude=0.5, sigma=0.6)
 
 
-def brute_quadratic(w, density):
-    """O(M^2) reference for the convolution quadrature."""
+def brute_quadratic(w, density, amplitude, sigma=None):
+    """O(M^2) reference for the convolution quadrature of a Gaussian bump of
+    the given amplitude and sigma, or of a grid delta when sigma is None."""
     g = w.grid
     M = g.points
     x = g.axis()
@@ -59,10 +60,10 @@ def brute_quadratic(w, density):
     for i in range(M):
         for j in range(M):
             off = abs(x[i] - x[j])
-            if w.kind == "gaussian-bump":
-                val = w.params["amplitude"] * np.exp(-off**2 / (2 * w.params["sigma"] ** 2))
+            if sigma is not None:
+                val = amplitude * np.exp(-off**2 / (2 * sigma**2))
             else:
-                val = w.params["amplitude"] / g.cell_volume if i == j else 0.0
+                val = amplitude / g.cell_volume if i == j else 0.0
             out += density[i] * val * density[j]
     return 0.5 * out
 
@@ -92,15 +93,17 @@ def test_kernel_properties(bump, delta):
     for w in (bump, delta):
         assert w.w_hat_min > -1e-10
         assert w.w_hat_zero >= 0
-    assert bump.w_hat_grid.flat[0] == pytest.approx(bump.w_hat_zero, rel=1e-12)
-    assert delta.w_hat_grid.flat[0] == pytest.approx(delta.w_hat_zero, rel=1e-12)
+    for w in (bump, delta):  # the numerical transform at k = 0
+        w_hat_0 = w.kernel_fft.flat[0].real * w.grid.cell_volume
+        assert w_hat_0 == pytest.approx(w.w_hat_zero, rel=1e-12)
 
 
 def test_convolution_against_brute_force(bump, delta, op):
     rng = np.random.default_rng(0)
     dens = rng.random(op.grid.total_points)
-    for w in (bump, delta):
-        assert quadratic_form(w, dens) == pytest.approx(brute_quadratic(w, dens), rel=1e-10)
+    for w, amplitude, sigma in ((bump, 0.5, 0.6), (delta, 0.4, None)):
+        assert quadratic_form(w, dens) == pytest.approx(
+            brute_quadratic(w, dens, amplitude, sigma), rel=1e-10)
 
 
 def padded_convolve(w, density):

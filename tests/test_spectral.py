@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from gibbslab.config import ConfigurationError, load_config
-from gibbslab.spectral import (GridSpec, build_one_body, green_diagonal, minus_laplacian,
-                               mode_parity, reflection_eigh, schatten_trace,
+from gibbslab.spectral import (GridSpec, build_one_body, green_diagonal, growth_exponent,
+                               minus_laplacian, mode_parity, reflection_eigh,
                                shift_potential)
 from gibbslab.studies import bind_potential, build_model_operator
 
@@ -172,36 +173,43 @@ def test_density_log_growth_2d():
     assert 0.5 < d2 / d1 < 1.5
 
 
+def likely_divergent(op, p: float) -> bool:
+    """The spectrum command's flag: sum lam_j^-p looks divergent when b p <= 1."""
+    return growth_exponent(op) * p <= 1.0
+
+
 def test_schatten_partial_sum_box(box_op):
     shifted = shift_potential(box_op, -1.0)
-    st2 = schatten_trace(shifted, 2.0)
     n = np.arange(1, shifted.num_modes + 1)
     oracle = np.sum(1.0 / (n**2 + 1.0) ** 2)
-    assert abs(st2.partial_sum - oracle) / oracle < 1e-4
-    assert not st2.likely_divergent
+    assert abs(np.sum(shifted.eigenvalues**-2.0) - oracle) / oracle < 1e-4
+    assert not likely_divergent(shifted, 2.0)
 
 
 def test_schatten_harmonic_flags_divergent():
     # marginal case: the harmonic series of inverse odd integers
     op = build_one_body(GridSpec(1, 16.0, 768), "power", 96, s=2.0)
-    st1 = schatten_trace(op, 1.0)
-    assert st1.likely_divergent
-    assert abs(st1.growth_exponent - 1.0) < 0.08
+    assert likely_divergent(op, 1.0)
+    assert abs(growth_exponent(op) - 1.0) < 0.08
 
 
 def test_schatten_2d_threshold():
     # 2D trap with s=2: finite above p = 2, divergent at p = 2
     op = build_one_body(GridSpec(2, 8.0, 64), "power", 128, s=2.0)
-    assert schatten_trace(op, 2.0).likely_divergent
-    st25 = schatten_trace(op, 2.5)
-    assert not st25.likely_divergent
-    assert np.isfinite(st25.tail_estimate)
+    assert likely_divergent(op, 2.0)
+    assert not likely_divergent(op, 2.5)
+
+
+def test_growth_exponent_refuses_short_or_nonpositive_spectra(box_op):
+    with pytest.raises(ConfigurationError, match="at least 2 eigenpairs"):
+        growth_exponent(build_one_body(GridSpec(1, 1.0, 16), "power", 1, s=2.0))
+    with pytest.raises(ConfigurationError, match="positive"):
+        growth_exponent(dataclasses.replace(box_op, eigenvalues=box_op.eigenvalues - 2.0))
 
 
 def test_schatten_quartic_trace_class(quartic_op):
-    st1 = schatten_trace(quartic_op, 1.0)
-    assert not st1.likely_divergent
-    assert abs(st1.growth_exponent - 4.0 / 3.0) < 0.15
+    assert not likely_divergent(quartic_op, 1.0)
+    assert abs(growth_exponent(quartic_op) - 4.0 / 3.0) < 0.15
 
 
 def test_grid_refinement_order():
